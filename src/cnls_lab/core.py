@@ -81,8 +81,8 @@ class Grid:
         n = int(points_per_axis)
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis}")
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width}")
+        if not 0 < half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {half_width}")
         self.dim = dim
         self.points_per_axis = n
         self.half_width = float(half_width)
@@ -94,24 +94,14 @@ class Grid:
         k = 2.0 * np.pi * fftfreq(n, d=self.dx)
         self.axes = tuple(x.copy() for _ in range(dim))
         self.wavenumbers = tuple(k.copy() for _ in range(dim))
-        k2 = np.zeros(self.shape)
-        for ax in range(dim):
-            shape = [1] * dim
-            shape[ax] = n
-            k2 = k2 + (k**2).reshape(shape)
-        self.k2 = k2
+        self.k2 = sum(kx**2 for kx in np.ix_(*self.wavenumbers))
         self._radius_sq = None
         self._boundary_mask = None
 
     def radius_sq(self) -> np.ndarray:
         """|x|^2 measured from the box center (the origin)."""
         if self._radius_sq is None:
-            r2 = np.zeros(self.shape)
-            for ax in range(self.dim):
-                shape = [1] * self.dim
-                shape[ax] = self.points_per_axis
-                r2 = r2 + (self.axes[ax] ** 2).reshape(shape)
-            self._radius_sq = r2
+            self._radius_sq = sum(x**2 for x in np.ix_(*self.axes))
         return self._radius_sq
 
     def boundary_mask(self) -> np.ndarray:
@@ -154,6 +144,11 @@ class SystemParams:
     omega2: float
 
     def __post_init__(self):
+        if not all(np.isfinite((self.p, self.beta, self.omega1, self.omega2))):
+            raise ValueError(
+                f"p, beta, omega1, omega2 must be finite, got "
+                f"{self.p}, {self.beta}, {self.omega1}, {self.omega2}"
+            )
         if not self.p > 1:
             raise ValueError(f"p must be > 1, got {self.p}")
         if self.beta < 0:

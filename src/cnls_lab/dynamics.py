@@ -23,7 +23,7 @@ from scipy.fft import fftn, ifftn
 
 from .core import FieldPair, Grid, SystemParams, gradient_norm_sq, l2_norm_sq
 from .errors import BoundaryDecayError
-from .functionals import energy_E, variance
+from .functionals import _rates, coupling_F, variance
 
 __all__ = [
     "EvolveConfig",
@@ -55,6 +55,8 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end / self.dt)):
+            raise ValueError(f"dt={self.dt} and t_end={self.t_end} must give a finite step count")
         if self.t_end / self.dt <= 0:
             raise ValueError("t_end must have the same sign as dt")
         if self.conservation_check_stride < 1:
@@ -96,39 +98,25 @@ class TrajectoryLog:
         return self.snapshots[-1][1] if self.snapshots else None
 
 
-def _phase_exponents(c1, c2, p, beta):
-    """The two real rotation rates A_j = |phi_j|^(2p-2) + beta |phi_k|^p
-    |phi_j|^(p-2); for p < 2 the second factor is masked at zeros of phi_j
-    (where the rotation acts on a zero value anyway)."""
-    a1 = np.abs(c1)
-    a2 = np.abs(c2)
-    if beta == 0.0:
-        return a1 ** (2 * p - 2), a2 ** (2 * p - 2)
-    if p >= 2:
-        return (
-            a1 ** (2 * p - 2) + beta * a2**p * a1 ** (p - 2),
-            a2 ** (2 * p - 2) + beta * a1**p * a2 ** (p - 2),
-        )
-    safe1 = np.where(a1 > 0, a1, 1.0)
-    safe2 = np.where(a2 > 0, a2, 1.0)
-    e1 = a1 ** (2 * p - 2) + beta * a2**p * safe1 ** (p - 2) * (a1 > 0)
-    e2 = a2 ** (2 * p - 2) + beta * a1**p * safe2 ** (p - 2) * (a2 > 0)
-    return e1, e2
+def _kinetic(mult, c1, c2):
+    """Apply the Fourier multiplier mult (a kinetic propagator) to both
+    components."""
+    return ifftn(mult * fftn(c1)), ifftn(mult * fftn(c2))
+
+
+def _rotate(c1, c2, params, dt):
+    """The exact nonlinear substep: rotate each phase by dt A_j."""
+    r1, r2 = _rates(c1, c2, params)
+    return np.exp(1j * dt * r1) * c1, np.exp(1j * dt * r2) * c2
 
 
 def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
     (the step is the exact inverse of the forward one)."""
-    grid = pair.grid
-    half = np.exp(-0.5j * dt * grid.k2)
-    c1 = ifftn(half * fftn(pair.c1))
-    c2 = ifftn(half * fftn(pair.c2))
-    e1, e2 = _phase_exponents(c1, c2, params.p, params.beta)
-    c1 = np.exp(1j * dt * e1) * c1
-    c2 = np.exp(1j * dt * e2) * c2
-    c1 = ifftn(half * fftn(c1))
-    c2 = ifftn(half * fftn(c2))
-    return FieldPair(grid, c1, c2, copy=False, check=False)
+    half = np.exp(-0.5j * dt * pair.grid.k2)
+    c1, c2 = _kinetic(half, pair.c1, pair.c2)
+    c1, c2 = _kinetic(half, *_rotate(c1, c2, params, dt))
+    return FieldPair(pair.grid, c1, c2, copy=False, check=False)
 
 
 def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> TrajectoryLog:
@@ -139,7 +127,6 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     are fused except where an observable, a snapshot, or the guard needs
     the state at a whole-step time."""
     grid = pair.grid
-    p, beta = params.p, params.beta
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     if n_steps < 1:
@@ -160,14 +147,15 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
             var = variance(state)
         except BoundaryDecayError:
             var = math.nan
+        grad = gradient_norm_sq(state)
         rows.append(
             (
                 t,
                 l2_norm_sq(grid, u1),
                 l2_norm_sq(grid, u2),
-                energy_E(state, params),
+                0.5 * grad - coupling_F(state, params),
                 var,
-                math.sqrt(gradient_norm_sq(state)),
+                math.sqrt(grad),
             )
         )
         return rows[-1][5]
@@ -181,20 +169,15 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     # whole ones, so an interior step costs one transform round trip, not
     # two, and deposits half the roundoff in the otherwise exactly
     # conserved masses
-    c1 = ifftn(half * fftn(c1))
-    c2 = ifftn(half * fftn(c2))
+    c1, c2 = _kinetic(half, c1, c2)
     for s in range(1, n_steps + 1):
-        e1, e2 = _phase_exponents(c1, c2, p, beta)
-        c1 = np.exp(1j * dt * e1) * c1
-        c2 = np.exp(1j * dt * e2) * c2
+        c1, c2 = _rotate(c1, c2, params, dt)
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
         if not (sampling or snapping):
-            c1 = ifftn(full * fftn(c1))
-            c2 = ifftn(full * fftn(c2))
+            c1, c2 = _kinetic(full, c1, c2)
             continue
-        c1 = ifftn(half * fftn(c1))
-        c2 = ifftn(half * fftn(c2))
+        c1, c2 = _kinetic(half, c1, c2)
         t = s * dt
         if sampling:
             if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
@@ -209,11 +192,10 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         if snapping:
             snapshots.append((t, FieldPair(grid, c1, c2)))
         if s < n_steps:
-            c1 = ifftn(half * fftn(c1))
-            c2 = ifftn(half * fftn(c2))
+            c1, c2 = _kinetic(half, c1, c2)
 
     # the terminal state is always retrievable, snapshot stride or not
-    t_last = (s if n_steps else 0) * dt if not aborted else t
+    t_last = t if aborted else n_steps * dt
     if not snapshots or snapshots[-1][0] != t_last:
         snapshots.append((t_last, FieldPair(grid, c1, c2)))
 

@@ -65,24 +65,37 @@ def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     return (s1 + s2 + 2.0 * params.beta * cross) / (2.0 * params.p)
 
 
+def _rates(c1, c2, params: SystemParams):
+    """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
+    two coupled equations: the gradient of F is (A1 u1, A2 u2), and the
+    nonlinear substep of the Schrodinger flow is u_j -> exp(i dt A_j) u_j.
+
+    For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
+    only ever multiplies a zero value; there the base is taken as inf, so
+    the factor is 0.
+    """
+    p, beta = params.p, params.beta
+    a1 = np.abs(c1)
+    a2 = np.abs(c2)
+    r1 = a1 ** (2 * p - 2)
+    r2 = a2 ** (2 * p - 2)
+    if beta != 0.0:
+        b1, b2 = a1, a2
+        if p < 2:
+            b1 = np.where(a1 > 0, a1, np.inf)
+            b2 = np.where(a2 > 0, a2, np.inf)
+        r1 += beta * a2**p * b1 ** (p - 2)
+        r2 += beta * a1**p * b2 ** (p - 2)
+    return r1, r2
+
+
 def coupling_gradient(pair: FieldPair, params: SystemParams):
     """Gradient of F: the right-hand sides of the two coupled equations,
 
         g1 = (|u1|^(2p-2) + beta |u1|^(p-2) |u2|^p) u1   and symmetrically g2.
-
-    For p < 2 the factor |u|^(p-2) diverges at zeros of u; the product with
-    u still vanishes there, so those points are masked to zero.
     """
-    p, beta = params.p, params.beta
-    a1 = np.abs(pair.c1)
-    a2 = np.abs(pair.c2)
-    if beta == 0.0:
-        return a1 ** (2 * p - 2) * pair.c1, a2 ** (2 * p - 2) * pair.c2
-    safe1 = np.where(a1 > 0, a1, 1.0)
-    safe2 = np.where(a2 > 0, a2, 1.0)
-    g1 = (a1 ** (2 * p - 2) + beta * a2**p * safe1 ** (p - 2) * (a1 > 0)) * pair.c1
-    g2 = (a2 ** (2 * p - 2) + beta * a1**p * safe2 ** (p - 2) * (a2 > 0)) * pair.c2
-    return g1, g2
+    r1, r2 = _rates(pair.c1, pair.c2, params)
+    return r1 * pair.c1, r2 * pair.c2
 
 
 def energy_E(pair: FieldPair, params: SystemParams) -> float:

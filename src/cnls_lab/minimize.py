@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import fftn, ifftn
 
-from . import core
 from .core import FieldPair, Grid, SystemParams
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
-from .functionals import coupling_gradient
+from .functionals import _coupling_sums, coupling_gradient
 
 __all__ = [
     "ConstraintSpec",
@@ -255,115 +254,192 @@ def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0), *, tol=1e-13, max_
     raise ConvergenceError("two-sided Nehari projection did not converge")
 
 
-def _project_state(constraint, grid, params, v1h, v2h, warm):
-    """Project raw spectra onto the constraint set.
+@dataclass(frozen=True)
+class _Norms:
+    """Quadrature values of a state U = (u1, u2) on a dim-dimensional grid:
+    grad_j = ||grad u_j||^2, m_j = ||u_j||^2, i_j = int |u_j|^2p and
+    cross = int |u1|^p |u2|^p. Every functional and constraint of the
+    flows is an algebraic function of these seven numbers."""
 
-    Returns (U, factors, norms) where norms holds the post-projection
-    quadrature values grad_j = ||grad u_j||^2, m_j = ||u_j||^2,
-    i_j = int |u_j|^2p and cross = int |u1 u2|^p.
-    """
-    p, beta = params.p, params.beta
-    w = grid.cell_volume / grid.total_points
-    k2 = grid.k2
-    grad1 = float(np.sum(k2 * _abs2(v1h)) * w)
-    grad2 = float(np.sum(k2 * _abs2(v2h)) * w)
-    m1 = float(np.sum(_abs2(v1h)) * w)
-    m2 = float(np.sum(_abs2(v2h)) * w)
-    v1 = ifftn(v1h)
-    v2 = ifftn(v2h)
-    cell = grid.cell_volume
-    a1 = np.abs(v1)
-    a2 = np.abs(v2)
-    i1 = float(np.sum(a1 ** (2 * p)) * cell)
-    i2 = float(np.sum(a2 ** (2 * p)) * cell)
-    cross = float(np.sum(a1**p * a2**p) * cell)
+    params: SystemParams
+    dim: int
+    grad1: float
+    grad2: float
+    m1: float
+    m2: float
+    i1: float
+    i2: float
+    cross: float
 
-    kind = constraint.kind
-    if kind == "weighted_sphere":
-        wm = params.omega1 * m1 + params.omega2 * m2
-        if wm <= 0:
-            raise ConstraintError("cannot project the zero field onto a mass sphere")
-        t = math.sqrt(constraint.gamma / wm)
-        factors = (t, t)
-    elif kind in ("product_spheres", "equal_spheres"):
-        if constraint.delta2 == 0.0:
-            c2f = 0.0
-        else:
-            if m2 <= 0:
-                raise ConstraintError("cannot project a vanishing component onto a mass sphere")
-            c2f = math.sqrt(constraint.delta2 / m2)
-        if m1 <= 0:
-            raise ConstraintError("cannot project a vanishing component onto a mass sphere")
-        factors = (math.sqrt(constraint.delta1 / m1), c2f)
-    elif kind == "nehari":
-        h1 = grad1 + grad2 + params.omega1 * m1 + params.omega2 * m2
-        f_val = (i1 + i2 + 2.0 * beta * cross) / (2.0 * p)
-        if f_val <= 0:
-            raise ConstraintError("Nehari projection needs F(U) > 0")
-        t = (h1 / (2.0 * p * f_val)) ** (1.0 / (2.0 * p - 2.0))
-        factors = (t, t)
-    elif kind == "pohozaev":
-        f_val = (i1 + i2 + 2.0 * beta * cross) / (2.0 * p)
-        if f_val <= 0:
-            raise ConstraintError("Pohozaev projection needs F(U) > 0")
-        np1 = grid.dim * (p - 1.0)
-        t = ((grad1 + grad2) / (np1 * f_val)) ** (1.0 / (2.0 * p - 2.0))
-        factors = (t, t)
-    elif kind == "nehari_set":
-        t1, t2 = _nehari_set_scalings(
-            p,
-            grad1 + params.omega1 * m1,
-            grad2 + params.omega2 * m2,
-            i1,
-            i2,
-            beta * cross,
-            warm,
+    @classmethod
+    def of(cls, params, pair, u1h, u2h):
+        """Measure pair, whose spectra are u1h and u2h."""
+        grid = pair.grid
+        w = grid.cell_volume / grid.total_points
+        i1, i2, cross = _coupling_sums(pair, params)
+        s1 = _abs2(u1h)
+        grad1, m1 = float(np.sum(grid.k2 * s1) * w), float(np.sum(s1) * w)
+        s2 = _abs2(u2h)
+        grad2, m2 = float(np.sum(grid.k2 * s2) * w), float(np.sum(s2) * w)
+        return cls(params, grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
+
+    def scaled(self, t1, t2):
+        """The values for (t1 u1, t2 u2)."""
+        p = self.params.p
+        return replace(
+            self,
+            grad1=t1**2 * self.grad1,
+            grad2=t2**2 * self.grad2,
+            m1=t1**2 * self.m1,
+            m2=t2**2 * self.m2,
+            i1=t1 ** (2 * p) * self.i1,
+            i2=t2 ** (2 * p) * self.i2,
+            cross=t1**p * t2**p * self.cross,
         )
-        factors = (t1, t2)
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
 
-    t1, t2 = factors
-    U = FieldPair(grid, t1 * v1, t2 * v2, copy=False, check=False)
-    norms = {
-        "grad1": t1**2 * grad1,
-        "grad2": t2**2 * grad2,
-        "m1": t1**2 * m1,
-        "m2": t2**2 * m2,
-        "i1": t1 ** (2 * p) * i1,
-        "i2": t2 ** (2 * p) * i2,
-        "cross": t1**p * t2**p * cross,
-    }
-    return U, factors, norms
+    @property
+    def F(self):
+        return (self.i1 + self.i2 + 2.0 * self.params.beta * self.cross) / (2.0 * self.params.p)
+
+    @property
+    def grad(self):
+        return self.grad1 + self.grad2
+
+    @property
+    def h1_parts(self):
+        """(||grad u1||^2 + omega1 ||u1||^2, same for u2)."""
+        return (
+            self.grad1 + self.params.omega1 * self.m1,
+            self.grad2 + self.params.omega2 * self.m2,
+        )
+
+    @property
+    def weighted_mass(self):
+        return self.params.omega1 * self.m1 + self.params.omega2 * self.m2
+
+    @property
+    def h1(self):
+        return self.grad + self.weighted_mass
+
+    @property
+    def energy(self):
+        return 0.5 * self.grad - self.F
+
+    @property
+    def action(self):
+        return self.energy + 0.5 * self.weighted_mass
+
+    def objective(self, constraint):
+        """E on sphere constraints, I otherwise."""
+        return self.energy if constraint.kind in _SPHERE_KINDS else self.action
+
+    def multipliers(self, constraint):
+        """(nu,) on the weighted sphere and (nu1, nu2) on product spheres
+        (nan for a pinned component), from testing the constrained
+        equation against U; () on ray constraints."""
+        kind = constraint.kind
+        beta = self.params.beta
+        if kind == "weighted_sphere":
+            return ((2.0 * self.params.p * self.F - self.grad) / constraint.gamma,)
+        if kind in ("product_spheres", "equal_spheres"):
+            nu1 = (self.i1 + beta * self.cross - self.grad1) / constraint.delta1
+            if constraint.delta2 == 0.0:
+                return nu1, math.nan
+            return nu1, (self.i2 + beta * self.cross - self.grad2) / constraint.delta2
+        return ()
+
+    def constraint_residual(self, constraint):
+        """Relative distance of U from the constraint set."""
+        kind = constraint.kind
+        if kind == "weighted_sphere":
+            return abs(self.weighted_mass - constraint.gamma) / constraint.gamma
+        if kind in ("product_spheres", "equal_spheres"):
+            r1 = abs(self.m1 - constraint.delta1) / constraint.delta1
+            r2 = (
+                abs(self.m2 - constraint.delta2) / constraint.delta2
+                if constraint.delta2 > 0
+                else abs(self.m2)
+            )
+            return max(r1, r2)
+        if kind == "nehari":
+            return abs(self.h1 - 2.0 * self.params.p * self.F) / self.h1
+        if kind == "pohozaev":
+            return abs(self.grad - self.dim * (self.params.p - 1.0) * self.F) / self.grad
+        a1, a2 = self.h1_parts
+        beta = self.params.beta
+        return max(
+            abs(a1 - self.i1 - beta * self.cross) / a1,
+            abs(a2 - self.i2 - beta * self.cross) / a2,
+        )
 
 
-def _energy_action(norms, params):
-    f_val = (norms["i1"] + norms["i2"] + 2.0 * params.beta * norms["cross"]) / (2.0 * params.p)
-    grad = norms["grad1"] + norms["grad2"]
-    wm = params.omega1 * norms["m1"] + params.omega2 * norms["m2"]
-    energy = 0.5 * grad - f_val
-    return energy, energy + 0.5 * wm
+def _scalings(constraint, norms, warm=(1.0, 1.0)):
+    """The factors (t1, t2) that carry U onto the constraint set."""
+    kind = constraint.kind
+    p = norms.params.p
+    if kind == "weighted_sphere":
+        if norms.weighted_mass <= 0:
+            raise ConstraintError("cannot project the zero field onto a mass sphere")
+        t = math.sqrt(constraint.gamma / norms.weighted_mass)
+        return t, t
+    if kind in ("product_spheres", "equal_spheres"):
+        pinned = constraint.delta2 == 0.0
+        if norms.m1 <= 0 or (norms.m2 <= 0 and not pinned):
+            raise ConstraintError("cannot project a vanishing component onto a mass sphere")
+        t2 = 0.0 if pinned else math.sqrt(constraint.delta2 / norms.m2)
+        return math.sqrt(constraint.delta1 / norms.m1), t2
+    if kind in ("nehari", "pohozaev"):
+        if norms.F <= 0:
+            name = "Nehari" if kind == "nehari" else "Pohozaev"
+            raise ConstraintError(f"{name} projection needs F(U) > 0")
+        if kind == "nehari":
+            ratio = norms.h1 / (2.0 * p * norms.F)
+        else:
+            ratio = norms.grad / (norms.dim * (p - 1.0) * norms.F)
+        t = ratio ** (1.0 / (2.0 * p - 2.0))
+        return t, t
+    if kind == "nehari_set":
+        a1, a2 = norms.h1_parts
+        return _nehari_set_scalings(
+            p, a1, a2, norms.i1, norms.i2, norms.params.beta * norms.cross, warm
+        )
+    raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _multiplier_shifts(constraint, params, norms):
+def _project_state(constraint, grid, params, v1h, v2h, warm):
+    """Project raw spectra onto the constraint set, scaling v1h and v2h in
+    place once the projection has succeeded.
+
+    Returns (U, (u1h, u2h), factors, norms): the projected state, its
+    spectra, the scalings (t1, t2) and the _Norms of U.
+    """
+    v1, v2 = ifftn(v1h), ifftn(v2h)
+    raw = _Norms.of(params, FieldPair(grid, v1, v2, copy=False, check=False), v1h, v2h)
+    t1, t2 = _scalings(constraint, raw, warm)
+    for z, t in ((v1, t1), (v2, t2), (v1h, t1), (v2h, t2)):
+        z *= t
+    U = FieldPair(grid, v1, v2, copy=False, check=False)
+    return U, (v1h, v2h), (t1, t2), raw.scaled(t1, t2)
+
+
+def _multiplier_shifts(constraint, norms):
     """(lam1, lam2, shift1, shift2): effective frequencies for the residual
     and the multiplier shifts folded into the semi-implicit denominator."""
-    kind = constraint.kind
-    w1, w2 = params.omega1, params.omega2
-    if kind == "weighted_sphere":
-        s_nl = norms["i1"] + norms["i2"] + 2.0 * params.beta * norms["cross"]
-        nu = (s_nl - (norms["grad1"] + norms["grad2"])) / constraint.gamma
+    w1, w2 = norms.params.omega1, norms.params.omega2
+    nus = norms.multipliers(constraint)
+    if constraint.kind == "weighted_sphere":
+        (nu,) = nus
         return nu * w1, nu * w2, (1.0 - nu) * w1, (1.0 - nu) * w2
-    if kind in ("product_spheres", "equal_spheres"):
-        s1 = norms["i1"] + params.beta * norms["cross"]
-        s2 = norms["i2"] + params.beta * norms["cross"]
-        nu1 = (s1 - norms["grad1"]) / constraint.delta1
-        nu2 = (s2 - norms["grad2"]) / constraint.delta2 if constraint.delta2 > 0 else w2
+    if nus:
+        nu1, nu2 = nus
+        # a pinned component keeps its own frequency
+        if math.isnan(nu2):
+            nu2 = w2
         return nu1, nu2, w1 - nu1, w2 - nu2
     return w1, w2, 0.0, 0.0
 
 
-def _residual(constraint, params, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
+def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
     k2 = grid.k2
     w = grid.cell_volume / grid.total_points
     r1h = (k2 + lam1) * u1h - g1h
@@ -371,7 +447,7 @@ def _residual(constraint, params, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
     r_sq = float((np.sum(_abs2(r1h)) + np.sum(_abs2(r2h))) * w)
     kind = constraint.kind
     if kind == "weighted_sphere":
-        w1, w2 = params.omega1, params.omega2
+        w1, w2 = norms.params.omega1, norms.params.omega2
         inner = float(
             (
                 w1 * np.sum(r1h.real * u1h.real + r1h.imag * u1h.imag)
@@ -379,50 +455,14 @@ def _residual(constraint, params, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
             )
             * w
         )
-        nn = w1**2 * norms["m1"] + w2**2 * norms["m2"]
+        nn = w1**2 * norms.m1 + w2**2 * norms.m2
         r_sq -= inner**2 / nn
     elif kind in ("product_spheres", "equal_spheres"):
-        for rh, uh, mass in ((r1h, u1h, norms["m1"]), (r2h, u2h, norms["m2"])):
+        for rh, uh, mass in ((r1h, u1h, norms.m1), (r2h, u2h, norms.m2)):
             if mass > 0:
                 inner = float(np.sum(rh.real * uh.real + rh.imag * uh.imag) * w)
                 r_sq -= inner**2 / mass
-    h1 = (
-        norms["grad1"]
-        + norms["grad2"]
-        + params.omega1 * norms["m1"]
-        + params.omega2 * norms["m2"]
-    )
-    return math.sqrt(max(r_sq, 0.0) / h1)
-
-
-def _constraint_residual(constraint, params, norms):
-    kind = constraint.kind
-    h1 = (
-        norms["grad1"]
-        + norms["grad2"]
-        + params.omega1 * norms["m1"]
-        + params.omega2 * norms["m2"]
-    )
-    f_val = (norms["i1"] + norms["i2"] + 2.0 * params.beta * norms["cross"]) / (2.0 * params.p)
-    if kind == "weighted_sphere":
-        wm = params.omega1 * norms["m1"] + params.omega2 * norms["m2"]
-        return abs(wm - constraint.gamma) / constraint.gamma
-    if kind in ("product_spheres", "equal_spheres"):
-        r1 = abs(norms["m1"] - constraint.delta1) / constraint.delta1
-        r2 = (
-            abs(norms["m2"] - constraint.delta2) / constraint.delta2
-            if constraint.delta2 > 0
-            else abs(norms["m2"])
-        )
-        return max(r1, r2)
-    if kind == "nehari":
-        return abs(h1 - 2.0 * params.p * f_val) / h1
-    # nehari_set; the pohozaev case needs the dimension and is handled by the caller
-    a1 = norms["grad1"] + params.omega1 * norms["m1"]
-    a2 = norms["grad2"] + params.omega2 * norms["m2"]
-    p1 = a1 - norms["i1"] - params.beta * norms["cross"]
-    p2 = a2 - norms["i2"] - params.beta * norms["cross"]
-    return max(abs(p1) / a1, abs(p2) / a2)
+    return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
 def minimize_on(
@@ -457,13 +497,12 @@ def minimize_on(
         raise GridMismatchError(f"init lives on {init.grid!r}, expected {grid!r}")
 
     warm = (1.0, 1.0)
-    U, factors, norms = _project_state(
+    U, (u1h, u2h), factors, norms = _project_state(
         constraint, grid, params, fftn(init.c1), fftn(init.c2), warm
     )
     if constraint.kind == "nehari_set":
         warm = factors
-    energy, action = _energy_action(norms, params)
-    obj = energy if constraint.kind in _SPHERE_KINDS else action
+    obj = norms.objective(constraint)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
     history = [obj] if record_history else []
@@ -474,13 +513,9 @@ def minimize_on(
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        u1h = fftn(U.c1)
-        u2h = fftn(U.c2)
-        g1, g2 = coupling_gradient(U, params)
-        g1h = fftn(np.asarray(g1, dtype=complex))
-        g2h = fftn(np.asarray(g2, dtype=complex))
-        lam1, lam2, shift1, shift2 = _multiplier_shifts(constraint, params, norms)
-        rel_res = _residual(constraint, params, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
+        g1h, g2h = map(fftn, coupling_gradient(U, params))
+        lam1, lam2, shift1, shift2 = _multiplier_shifts(constraint, norms)
+        rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
         if rel_res < tol:
             converged = True
             break
@@ -496,24 +531,22 @@ def minimize_on(
             ):
                 dt *= 0.5
                 continue
-            den1 = 1.0 + dt * (grid.k2 + params.omega1 - shift1)
-            den2 = 1.0 + dt * (grid.k2 + params.omega2 - shift2)
-            v1h = (u1h + dt * g1h) / den1
-            v2h = (u2h + dt * g2h) / den2
+            v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.k2 + params.omega1 - shift1))
+            v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.k2 + params.omega2 - shift2))
             try:
-                V, factors, norms_new = _project_state(constraint, grid, params, v1h, v2h, warm)
+                projected = _project_state(constraint, grid, params, v1h, v2h, warm)
             except (ConstraintError, ConvergenceError):
                 dt *= 0.5
                 continue
-            energy_new, action_new = _energy_action(norms_new, params)
-            obj_new = energy_new if constraint.kind in _SPHERE_KINDS else action_new
+            obj_new = projected[3].objective(constraint)
             if math.isfinite(obj_new) and obj_new <= obj + slack * max(1.0, abs(obj)):
                 accepted = True
                 break
             dt *= 0.5
         if not accepted:
             break
-        U, norms, obj = V, norms_new, obj_new
+        U, (u1h, u2h), factors, norms = projected
+        obj = obj_new
         if constraint.kind == "nehari_set":
             warm = factors
         if record_history:
@@ -527,68 +560,35 @@ def minimize_on(
             "infimum may not be a critical point at these parameters"
         )
 
-    energy, action = _energy_action(norms, params)
-    if constraint.kind == "weighted_sphere":
-        s_nl = norms["i1"] + norms["i2"] + 2.0 * params.beta * norms["cross"]
-        multipliers = ((s_nl - (norms["grad1"] + norms["grad2"])) / constraint.gamma,)
-    elif constraint.kind in ("product_spheres", "equal_spheres"):
-        s1 = norms["i1"] + params.beta * norms["cross"]
-        s2 = norms["i2"] + params.beta * norms["cross"]
-        nu1 = (s1 - norms["grad1"]) / constraint.delta1
-        nu2 = (s2 - norms["grad2"]) / constraint.delta2 if constraint.delta2 > 0 else math.nan
-        multipliers = (nu1, nu2)
-    else:
-        multipliers = ()
     return MinimizeResult(
         minimizer=U,
-        value=energy if constraint.kind in _SPHERE_KINDS else action,
-        action=action,
-        energy=energy,
-        multipliers=multipliers,
+        value=norms.objective(constraint),
+        action=norms.action,
+        energy=norms.energy,
+        multipliers=norms.multipliers(constraint),
         iterations=iterations,
         residual=rel_res,
-        constraint_residual=_constraint_residual_final(constraint, params, grid, norms),
+        constraint_residual=norms.constraint_residual(constraint),
         history=np.asarray(history, dtype=float),
-        classification=_classify(norms["m1"], norms["m2"]),
+        classification=_classify(norms.m1, norms.m2),
     )
 
 
-def _constraint_residual_final(constraint, params, grid, norms):
-    kind = constraint.kind
-    if kind == "pohozaev":
-        grad = norms["grad1"] + norms["grad2"]
-        f_val = (norms["i1"] + norms["i2"] + 2.0 * params.beta * norms["cross"]) / (
-            2.0 * params.p
-        )
-        return abs(grad - grid.dim * (params.p - 1.0) * f_val) / grad
-    return _constraint_residual(constraint, params, norms)
+def _measure(pair, params):
+    return _Norms.of(params, pair, fftn(pair.c1), fftn(pair.c2))
 
 
 def nehari_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Nehari set; returns (tU, t)."""
-    from .functionals import coupling_F
-
-    h1 = core.h1_norm_sq(pair, params)
-    f_val = coupling_F(pair, params)
-    if f_val <= 0:
-        raise ConstraintError("Nehari projection needs F(U) > 0")
-    t = (h1 / (2.0 * params.p * f_val)) ** (1.0 / (2.0 * params.p - 2.0))
+    t, _ = _scalings(ConstraintSpec.nehari(), _measure(pair, params))
     return t * pair, t
 
 
 def pohozaev_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Pohozaev set; returns (tU, t)."""
-    from .functionals import coupling_F
-
-    dim = pair.grid.dim
-    if params.criticality(dim) != "supercritical":
+    if params.criticality(pair.grid.dim) != "supercritical":
         raise ConstraintError("the Pohozaev set is only constraining for p > 1 + 2/n")
-    f_val = coupling_F(pair, params)
-    if f_val <= 0:
-        raise ConstraintError("Pohozaev projection needs F(U) > 0")
-    t = (core.gradient_norm_sq(pair) / (dim * (params.p - 1.0) * f_val)) ** (
-        1.0 / (2.0 * params.p - 2.0)
-    )
+    t, _ = _scalings(ConstraintSpec.pohozaev(), _measure(pair, params))
     return t * pair, t
 
 
@@ -597,14 +597,8 @@ def nehari_set_project(
 ) -> tuple[FieldPair, tuple[float, float]]:
     """Scale the components separately onto the two-sided Nehari set;
     returns ((t1 u1, t2 u2), (t1, t2)). Both components must be nonzero."""
-    from .functionals import _coupling_sums
-
-    g = pair.grid
-    a1 = core.gradient_norm_sq_component(g, pair.c1) + params.omega1 * core.l2_norm_sq(g, pair.c1)
-    a2 = core.gradient_norm_sq_component(g, pair.c2) + params.omega2 * core.l2_norm_sq(g, pair.c2)
-    i1, i2, cross = _coupling_sums(pair, params)
-    t1, t2 = _nehari_set_scalings(params.p, a1, a2, i1, i2, params.beta * cross, t0)
-    return FieldPair(g, t1 * pair.c1, t2 * pair.c2, copy=False, check=False), (t1, t2)
+    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _measure(pair, params), t0)
+    return FieldPair(pair.grid, t1 * pair.c1, t2 * pair.c2, copy=False, check=False), (t1, t2)
 
 
 def ground_state(
@@ -648,59 +642,33 @@ def multiplier_extract(
     constraints carry no multiplier and are refused."""
     if constraint.kind not in _SPHERE_KINDS:
         raise ConstraintError("multipliers are defined for sphere constraints only")
-    g = pair.grid
-    w = g.cell_volume / g.total_points
-    k2 = g.k2
+    k2 = pair.grid.k2
     u1h = fftn(pair.c1)
     u2h = fftn(pair.c2)
-    g1, g2 = coupling_gradient(pair, params)
-    g1h = fftn(np.asarray(g1, dtype=complex))
-    g2h = fftn(np.asarray(g2, dtype=complex))
+    g1h, g2h = map(fftn, coupling_gradient(pair, params))
 
-    def fits(uh, gh):
-        # least-squares nu in (k^2 + nu) u = g under two spectral weights
+    def fits(*terms):
+        # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given
+        # (u_hat, g_hat, omega) terms, under two spectral weights
         out = []
-        rh = gh - k2 * uh
-        for wt in (np.ones_like(k2), k2 + 1.0):
-            num = float(np.sum(wt * (rh.real * uh.real + rh.imag * uh.imag)) * w)
-            den = float(np.sum(wt * _abs2(uh)) * w)
+        for wt in (1.0, k2 + 1.0):
+            num = den = 0.0
+            for uh, gh, om in terms:
+                rh = gh - k2 * uh
+                num += om * float(np.sum(wt * (rh.real * uh.real + rh.imag * uh.imag)))
+                den += om**2 * float(np.sum(wt * _abs2(uh)))
             out.append(num / den)
-        return out
+        nu_a, nu_b = out
+        if abs(nu_a - nu_b) > cross_tol * max(1.0, abs(nu_a)):
+            raise ConvergenceError(
+                f"multiplier estimates disagree ({nu_a:.8g} vs {nu_b:.8g}); "
+                "the field is not a constrained critical point"
+            )
+        return nu_a
 
     if constraint.kind == "weighted_sphere":
-        w1, w2 = params.omega1, params.omega2
-        ests = []
-        for wt in (np.ones_like(k2), k2 + 1.0):
-            num = float(
-                np.sum(
-                    wt
-                    * (
-                        w1 * ((g1h - k2 * u1h).real * u1h.real + (g1h - k2 * u1h).imag * u1h.imag)
-                        + w2 * ((g2h - k2 * u2h).real * u2h.real + (g2h - k2 * u2h).imag * u2h.imag)
-                    )
-                )
-                * w
-            )
-            den = float(np.sum(wt * (w1**2 * _abs2(u1h) + w2**2 * _abs2(u2h))) * w)
-            ests.append(num / den)
-        nu_a, nu_b = ests
-        if abs(nu_a - nu_b) > cross_tol * max(1.0, abs(nu_a)):
-            raise ConvergenceError(
-                f"multiplier estimates disagree ({nu_a:.8g} vs {nu_b:.8g}); "
-                "the field is not a constrained critical point"
-            )
-        return (nu_a,)
-
-    out = []
-    for uh, gh, delta in ((u1h, g1h, constraint.delta1), (u2h, g2h, constraint.delta2)):
-        if delta == 0.0:
-            out.append(math.nan)
-            continue
-        nu_a, nu_b = fits(uh, gh)
-        if abs(nu_a - nu_b) > cross_tol * max(1.0, abs(nu_a)):
-            raise ConvergenceError(
-                f"multiplier estimates disagree ({nu_a:.8g} vs {nu_b:.8g}); "
-                "the field is not a constrained critical point"
-            )
-        out.append(nu_a)
-    return tuple(out)
+        return (fits((u1h, g1h, params.omega1), (u2h, g2h, params.omega2)),)
+    return tuple(
+        math.nan if delta == 0.0 else fits((uh, gh, 1.0))
+        for uh, gh, delta in ((u1h, g1h, constraint.delta1), (u2h, g2h, constraint.delta2))
+    )

@@ -69,14 +69,15 @@ class Family(enum.Enum):
 @dataclass(frozen=True)
 class SolitonSpec:
     """A family member: frequency, coupling, per-component phases and a
-    translation. For the scalar families the profile itself does not depend
-    on beta (the cross term vanishes); beta is recorded for bookkeeping."""
+    translation (None for none, in any dimension). For the scalar families
+    the profile itself does not depend on beta (the cross term vanishes);
+    beta is recorded for bookkeeping."""
 
     omega: float
     beta: float
     theta1: float
     theta2: float
-    shift: tuple[float, ...]
+    shift: tuple[float, ...] | None
     family: Family
 
     @classmethod
@@ -87,7 +88,7 @@ class SolitonSpec:
         *,
         theta1: float = 0.0,
         theta2: float = 0.0,
-        shift=0.0,
+        shift=None,
     ) -> "SolitonSpec":
         if family is Family.SCALAR_FIRST:
             omega = params.omega1
@@ -95,13 +96,14 @@ class SolitonSpec:
             omega = params.omega2
         else:
             omega = params.omega1
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
+        if shift is not None:
+            shift = tuple(float(s) for s in np.atleast_1d(np.asarray(shift, dtype=float)))
         return cls(
             omega=omega,
             beta=params.beta,
             theta1=float(theta1),
             theta2=float(theta2),
-            shift=tuple(float(s) for s in shift),
+            shift=shift,
             family=family,
         )
 
@@ -249,20 +251,15 @@ def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
     the trigonometric interpolant)."""
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     fh = fftn(np.asarray(f, dtype=complex))
-    for ax in range(grid.dim):
-        k = grid.wavenumbers[ax]
-        sh = [1] * grid.dim
-        sh[ax] = grid.points_per_axis
-        fh = fh * np.exp(-1j * k * shift[ax]).reshape(sh)
+    for k, y in zip(np.ix_(*grid.wavenumbers), shift, strict=True):
+        fh = fh * np.exp(-1j * k * y)
     return ifftn(fh)
 
 
 def _chebyshev_radius(grid: Grid) -> np.ndarray:
     r = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        sh = [1] * grid.dim
-        sh[ax] = grid.points_per_axis
-        r = np.maximum(r, np.abs(grid.axes[ax]).reshape(sh))
+    for x in np.ix_(*grid.axes):
+        r = np.maximum(r, np.abs(x))
     return r
 
 

@@ -67,11 +67,15 @@ def load_snapshot(path) -> tuple[FieldPair, SystemParams]:
         raise ValueError(f"not a snapshot file (bad magic {magic!r}): {path}")
     if version != VERSION:
         raise ValueError(f"unsupported snapshot version {version}: {path}")
-    grid = Grid(dim, n, half_width)
-    count = grid.total_points
+    # check the header against the file length before a Grid allocates
+    # anything, so a forged header cannot request an arbitrary allocation
+    if dim not in (1, 2, 3) or n < 2 or n & (n - 1):
+        raise ValueError(f"snapshot header has dim={dim}, points_per_axis={n}: {path}")
+    count = n**dim
     expected = _HEADER.size + 2 * count * 16
     if len(raw) != expected:
         raise ValueError(f"snapshot payload has {len(raw)} bytes, expected {expected}: {path}")
+    grid = Grid(dim, n, half_width)
     payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     c1 = payload[:count].reshape(grid.shape).astype(complex)
     c2 = payload[count:].reshape(grid.shape).astype(complex)

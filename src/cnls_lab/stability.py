@@ -85,6 +85,13 @@ def _orbit_distance_single(psi: FieldPair, ref: FieldPair, params: SystemParams,
     ys.sort()
     _, y0, idx0 = ys[0]
     y0 = np.asarray(y0, dtype=float)
+    kaxes = np.ix_(*grid.wavenumbers)
+
+    def phase_at(y):
+        phase = 1.0
+        for k, yk in zip(kaxes, y):
+            phase = phase * np.exp(1j * k * yk)
+        return phase
 
     if refine:
         # per-axis parabola through the three neighboring grid shifts
@@ -100,16 +107,8 @@ def _orbit_distance_single(psi: FieldPair, ref: FieldPair, params: SystemParams,
             if denom < 0:
                 y0[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
 
-        kaxes = []
-        for ax in range(dim):
-            sh = [1] * dim
-            sh[ax] = grid.points_per_axis
-            kaxes.append(grid.wavenumbers[ax].reshape(sh))
-
         def neg_score(y):
-            phase = 1.0
-            for ax in range(dim):
-                phase = phase * np.exp(1j * kaxes[ax] * y[ax])
+            phase = phase_at(y)
             val = 0.0
             grad = np.zeros(dim)
             for P in spectra:
@@ -127,11 +126,7 @@ def _orbit_distance_single(psi: FieldPair, ref: FieldPair, params: SystemParams,
             y0 = res.x
             best = -res.fun
 
-    phase = 1.0
-    for ax in range(dim):
-        sh = [1] * dim
-        sh[ax] = grid.points_per_axis
-        phase = phase * np.exp(1j * grid.wavenumbers[ax].reshape(sh) * y0[ax])
+    phase = phase_at(y0)
     cs = [complex(np.sum(P * phase)) for P in spectra]
     dist_sq = (
         core.h1_norm_sq(psi, params)
@@ -177,10 +172,7 @@ def perturbation_pair(
 
     def draw():
         poly = rng.standard_normal() + 1j * rng.standard_normal()
-        for ax in range(grid.dim):
-            sh = [1] * grid.dim
-            sh[ax] = grid.points_per_axis
-            x = grid.axes[ax].reshape(sh)
+        for x in np.ix_(*grid.axes):
             c1 = rng.standard_normal() + 1j * rng.standard_normal()
             c2 = rng.standard_normal() + 1j * rng.standard_normal()
             poly = poly + c1 * x + 0.25 * c2 * x * x

@@ -180,6 +180,11 @@ def test_evolve_outputs_and_snapshot_index(tmp_path):
     assert final.grid.points_per_axis == 256
 
 
+def test_evolve_refuses_infinite_end_time(tmp_path):
+    cfg = _write(tmp_path, "[grid]\npoints = 256\n\n[evolve]\nt_end = inf\n")
+    assert main(["evolve", str(cfg), "--out", str(tmp_path / "e")]) == 3
+
+
 def test_evolve_from_snapshot_abort_exits_2(tmp_path):
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
     grid = Grid(1, 1024, 20.0)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
     EvolveConfig,
@@ -14,6 +15,7 @@ from cnls_lab import (
     energy_E,
     evolve,
     h1_distance,
+    l2_norm_sq,
     make_member,
     scale_pair,
     step_strang,
@@ -21,6 +23,8 @@ from cnls_lab import (
 )
 from cnls_lab.dynamics import TrajectoryLog
 from cnls_lab.stability import perturbation_pair
+
+from conftest import smooth_pair
 
 
 def _member(params, grid, family=Family.SCALAR_FIRST):
@@ -36,6 +40,10 @@ def test_config_validation():
         EvolveConfig(dt=1e-3, t_end=1.0, blowup_guard=0.5)
     with pytest.raises(ValueError):
         EvolveConfig(dt=1e-3, t_end=1.0, conservation_check_stride=0)
+    # non-finite times, or a step count that overflows, are refused up front
+    for dt, t_end in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1e-300, 1e300)):
+        with pytest.raises(ValueError):
+            EvolveConfig(dt=dt, t_end=t_end)
 
 
 def test_standing_wave_phase_rotation(grid_1d, cubic):
@@ -77,6 +85,26 @@ def test_reversibility(grid_1d, cubic):
     forward = evolve(state, cubic, EvolveConfig(dt=1e-3, t_end=1.0)).final_state()
     back = evolve(forward, cubic, EvolveConfig(dt=-1e-3, t_end=-1.0)).final_state()
     assert h1_distance(back, state, cubic) < 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    dt=st.floats(1e-4, 1e-2) | st.floats(-1e-2, -1e-4),
+)
+def test_step_strang_inverts_itself(grid_1d, p, beta, seed, dt):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    raw = smooth_pair(grid_1d, seed)
+    # unit peak keeps the nonlinear phase dt A_j small, so exp(i dt A_j)
+    # is evaluated to roundoff
+    state = (1.0 / max(np.abs(raw.c1).max(), np.abs(raw.c2).max())) * raw
+    back = step_strang(step_strang(state, params, dt), params, -dt)
+    assert max(np.abs(back.c1 - state.c1).max(), np.abs(back.c2 - state.c2).max()) < 1e-12
+    for before, after in ((state.c1, back.c1), (state.c2, back.c2)):
+        m0 = l2_norm_sq(grid_1d, before)
+        assert abs(l2_norm_sq(grid_1d, after) - m0) < 1e-12 * m0
 
 
 def test_single_step_matches_evolve(grid_1d, cubic):

@@ -41,6 +41,9 @@ def test_grid_validation():
         Grid(0, 64, 10.0)
     with pytest.raises(ValueError):
         Grid(1, 64, -1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Grid(1, 64, bad)
 
 
 def test_grid_equality_and_hash():
@@ -138,6 +141,15 @@ def test_system_params_validation():
         SystemParams(p=2.0, beta=-0.1, omega1=1.0, omega2=1.0)
     with pytest.raises(ValueError):
         SystemParams(p=2.0, beta=0.0, omega1=0.0, omega2=1.0)
+    for bad in (
+        dict(beta=np.nan),
+        dict(p=np.inf),
+        dict(omega1=np.inf),
+        dict(omega2=np.nan),
+        dict(beta=np.inf),
+    ):
+        with pytest.raises(ValueError):
+            SystemParams(**{"p": 2.0, "beta": 0.0, "omega1": 1.0, "omega2": 1.0, **bad})
 
 
 def test_criticality_table():

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
     ConstraintError,
     ConstraintSpec,
     ConvergenceError,
+    FieldPair,
     Grid,
     SystemParams,
     coupling_F,
     gaussian_init,
     ground_state,
     gradient_norm_sq,
+    h1_norm_sq,
     l2_norm_sq,
     minimize_on,
     multiplier_extract,
@@ -153,20 +156,60 @@ def test_constraint_spec_validation():
     assert ConstraintSpec.equal_spheres(2.0).delta2 == 2.0
 
 
-def test_projection_helpers_land_on_sets(grid_1d_wide):
-    pair = smooth_pair(grid_1d_wide, 50, width=1.5)
-    params = _cubic(1.5)
+@settings(deadline=None, max_examples=40)
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    kappa=st.floats(0.2, 5.0),
+    theta=st.floats(-np.pi, np.pi),
+)
+def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, seed, kappa, theta):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    pair = smooth_pair(grid_1d_wide, seed, width=1.5)
     on_ray, t = nehari_project(pair, params)
     assert t > 0
-    assert abs(nehari_pairing(on_ray, params)) < 1e-9
+    assert abs(nehari_pairing(on_ray, params)) < 1e-12 * h1_norm_sq(on_ray, params)
 
-    both, (t1, t2) = nehari_set_project(pair, params)
-    p1, p2 = partial_pairings(both, params)
-    assert abs(p1) < 1e-9 and abs(p2) < 1e-9
+    # the two-sided set meets the scaling orbit of every pair with
+    # proportional components, but misses that of some others
+    paired = FieldPair(grid_1d_wide, pair.c1, kappa * np.exp(1j * theta) * pair.c1)
+    try:
+        both, (t1, t2) = nehari_set_project(paired, params)
+    except ConvergenceError:
+        # at beta = p - 1 the symmetric scaling is a pitchfork of the
+        # scaling equations (singular Jacobian), and roundoff in the
+        # quadratures can leave no scaling within the solver's tolerance
+        assert abs(beta - (p - 1.0)) < 1e-6
+    else:
+        assert t1 > 0 and t2 > 0
+        p1, p2 = partial_pairings(both, params)
+        assert max(abs(p1), abs(p2)) < 1e-12 * h1_norm_sq(both, params)
 
-    super_params = SystemParams(p=4.0, beta=0.5, omega1=1.0, omega2=1.0)
-    on_zero, tz = pohozaev_project(pair, super_params)
-    assert abs(virial_R(on_zero, super_params)) < 1e-9
+    if p == 2.0:
+        # at p = 2 the two-sided scalings solve a linear system in
+        # s_j = t_j^2, so the raw pair reaches the set exactly when its
+        # solution is positive
+        zero = np.zeros(grid_1d_wide.shape)
+        parts = (FieldPair(grid_1d_wide, pair.c1, zero), FieldPair(grid_1d_wide, zero, pair.c2))
+        a = [h1_norm_sq(u, params) for u in parts]
+        b = [4.0 * coupling_F(u, params) for u in parts]
+        c = 2.0 * coupling_F(pair, params) - 0.5 * (b[0] + b[1])
+        s = np.linalg.solve([[b[0], c], [c, b[1]]], a)
+        if s.min() > 1e-3 * s.max():
+            _, (t1, t2) = nehari_set_project(pair, params)
+            assert (t1**2, t2**2) == pytest.approx(tuple(s), rel=1e-9)
+        elif s.min() < -1e-3 * s.max():
+            with pytest.raises((ConstraintError, ConvergenceError)):
+                nehari_set_project(pair, params)
+
+    if params.criticality(1) == "supercritical":
+        on_zero, tz = pohozaev_project(pair, params)
+        assert tz > 0
+        assert abs(virial_R(on_zero, params)) < 1e-12 * h1_norm_sq(on_zero, params)
+    else:
+        with pytest.raises(ConstraintError):
+            pohozaev_project(pair, params)
 
 
 def test_gaussian_init_modes(grid_1d):

@@ -62,12 +62,15 @@ def test_rescaled_profile_formula(grid_1d):
 
 def test_member_component_placement(grid_1d):
     params = SystemParams(p=2.0, beta=1.5, omega1=1.0, omega2=2.0)
-    first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid_1d)
-    assert np.abs(first.c2).max() == 0.0
-    assert np.abs(first.c1).max() > 1.0
-    second = make_member(SolitonSpec.for_family(Family.SCALAR_SECOND, params), params, grid_1d)
-    assert np.abs(second.c1).max() == 0.0
+    # the default spec carries no shift, so it builds in every dimension
+    for grid in (grid_1d, Grid(2, 32, 8.0), Grid(3, 16, 8.0)):
+        first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid)
+        assert np.abs(first.c2).max() == 0.0
+        assert np.abs(first.c1).max() > 1.0
+        second = make_member(SolitonSpec.for_family(Family.SCALAR_SECOND, params), params, grid)
+        assert np.abs(second.c1).max() == 0.0
     # the scalar member ignores beta: it solves the single equation
+    first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid_1d)
     solo = SystemParams(p=2.0, beta=0.0, omega1=1.0, omega2=2.0)
     solo_first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, solo), solo, grid_1d)
     assert np.abs(first.c1 - solo_first.c1).max() < 1e-14

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnls_lab import FieldPair, Grid, SystemParams, load_snapshot, save_snapshot
+from cnls_lab.snapshots import _HEADER, MAGIC, VERSION
 
 
 def _random_pair(grid, seed):
@@ -50,6 +51,18 @@ def test_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
+        load_snapshot(path)
+
+
+def test_rejects_forged_header_before_allocating(tmp_path):
+    # a header alone that claims a 2^90-point grid is refused from its
+    # byte count, before any array of that size is requested
+    path = tmp_path / "forged.snapshot"
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 3, 2**30, 10.0, 2.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="expected"):
+        load_snapshot(path)
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 2**31, 2**30, 10.0, 2.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="dim="):
         load_snapshot(path)
 
 
