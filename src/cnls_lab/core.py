@@ -83,6 +83,13 @@ class Grid:
             raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis}")
         if not 0 < half_width < np.inf:
             raise ValueError(f"half_width must be positive and finite, got {half_width}")
+        # the spacing, the cell volume and the largest |k|^2 and |x|^2 must
+        # be positive and finite too, which bounds half_width on both sides
+        dx = np.float64(2.0 * half_width / n)
+        with np.errstate(all="ignore"):
+            derived = (dx, dx**dim, dim * (np.pi / dx) ** 2, dim * (0.5 * n * dx) ** 2)
+        if not all(0 < v < np.inf for v in derived):
+            raise ValueError(f"half_width={half_width} on {n} points per axis gives a degenerate {dim}d grid")
         self.dim = dim
         self.points_per_axis = n
         self.half_width = float(half_width)
@@ -234,9 +241,27 @@ def same_grid(u: FieldPair, v: FieldPair) -> None:
         raise GridMismatchError(f"fields live on different grids: {u.grid!r} vs {v.grid!r}")
 
 
+def _density(f: np.ndarray) -> np.ndarray:
+    """|f|^2 elementwise, as re^2 + im^2; on a stacked (2, *shape) pair it
+    gives both components' densities."""
+    return f.real**2 + f.imag**2
+
+
+def _integral(grid: Grid, g: np.ndarray) -> float:
+    """Rectangle-rule quadrature sum(g) dx^n, over every entry of g."""
+    return float(np.sum(g) * grid.cell_volume)
+
+
+def _spectral_gradient_norm_sq(grid: Grid, spectrum: np.ndarray) -> float:
+    """||grad f||_2^2 from spectrum = fftn(f) over the grid axes, by
+    Parseval; a stacked (2, *shape) spectrum gives the sum over both
+    components."""
+    return _integral(grid, grid.k2 * _density(spectrum)) / grid.total_points
+
+
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:
     """||f||_2^2 by rectangle-rule quadrature."""
-    return float(np.sum(np.abs(f) ** 2) * grid.cell_volume)
+    return _integral(grid, _density(f))
 
 
 def weighted_l2_norm_sq(pair: FieldPair, params: SystemParams) -> float:
@@ -247,8 +272,7 @@ def weighted_l2_norm_sq(pair: FieldPair, params: SystemParams) -> float:
 
 def gradient_norm_sq_component(grid: Grid, f: np.ndarray) -> float:
     """||grad f||_2^2 via the spectral multiplier |k|^2."""
-    fh = fftn(f)
-    return float(np.sum(grid.k2 * np.abs(fh) ** 2) * grid.cell_volume / grid.total_points)
+    return _spectral_gradient_norm_sq(grid, fftn(f))
 
 
 def gradient_norm_sq(pair: FieldPair) -> float:

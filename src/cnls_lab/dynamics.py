@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fftn, ifftn
 
-from .core import FieldPair, Grid, SystemParams, gradient_norm_sq, l2_norm_sq
+from .core import FieldPair, Grid, SystemParams, _density, _integral, _spectral_gradient_norm_sq
 from .errors import BoundaryDecayError
-from .functionals import _rates, coupling_F, variance
+from .functionals import _potential, _rates, _variance
 
 __all__ = [
     "EvolveConfig",
@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# longer runs are refused up front: even on the smallest grids they would
+# take hours
+_MAX_STEPS = 10**9
+
+
 @dataclass(frozen=True)
 class EvolveConfig:
     """Evolution run settings.
@@ -43,7 +48,8 @@ class EvolveConfig:
     once ||grad Phi|| exceeds that multiple of its initial value; on a fixed
     periodic grid the gradient of a unit-mass field cannot exceed
     k_max sqrt(mass), so a focusing run saturates rather than overflows and
-    the guard is the meaningful stopping criterion.
+    the guard is the meaningful stopping criterion. t_end / dt may not
+    exceed 10**9 steps.
     """
 
     dt: float
@@ -59,6 +65,10 @@ class EvolveConfig:
             raise ValueError(f"dt={self.dt} and t_end={self.t_end} must give a finite step count")
         if self.t_end / self.dt <= 0:
             raise ValueError("t_end must have the same sign as dt")
+        if self.t_end / self.dt > _MAX_STEPS:
+            raise ValueError(
+                f"t_end/dt = {self.t_end / self.dt:.6g} steps exceeds the ceiling of {_MAX_STEPS}"
+            )
         if self.conservation_check_stride < 1:
             raise ValueError("conservation_check_stride must be >= 1")
         if self.snapshot_stride < 0:
@@ -72,7 +82,9 @@ class TrajectoryLog:
     """Sampled observables along one run. variance is nan at samples where
     the field no longer decays at the box boundary (the moment arrays stop
     being meaningful there). blowup_time is the first sampled time at which
-    the gradient guard tripped or the field stopped being finite."""
+    the gradient guard tripped or the field stopped being finite. steps is
+    the number of Strang steps taken and transform_calls the number of
+    fftn/ifftn calls they made, each over both components."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
 
@@ -87,6 +99,8 @@ class TrajectoryLog:
     snapshots: list = field(default_factory=list)
     blowup_time: float | None = None
     aborted: bool = False
+    steps: int = 0
+    transform_calls: int = 0
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -98,25 +112,38 @@ class TrajectoryLog:
         return self.snapshots[-1][1] if self.snapshots else None
 
 
-def _kinetic(mult, c1, c2):
+def _axes(U):
+    """The spatial axes of a stacked (2, *shape) state."""
+    return tuple(range(1, U.ndim))
+
+
+def _kinetic(mult, U):
     """Apply the Fourier multiplier mult (a kinetic propagator) to both
-    components."""
-    return ifftn(mult * fftn(c1)), ifftn(mult * fftn(c2))
+    components of the stacked state U, in one transform pair."""
+    axes = _axes(U)
+    return ifftn(mult * fftn(U, axes=axes), axes=axes)
 
 
-def _rotate(c1, c2, params, dt):
+def _rotate(U, params, dt):
     """The exact nonlinear substep: rotate each phase by dt A_j."""
-    r1, r2 = _rates(c1, c2, params)
-    return np.exp(1j * dt * r1) * c1, np.exp(1j * dt * r2) * c2
+    m = _density(U)
+    # cos and sin written into the two halves of the phase factor cost
+    # about 2/3 of a complex exp of i dt A_j
+    phase = np.empty_like(U)
+    for j, rate in enumerate(_rates(m[0], m[1], params)):
+        theta = dt * rate
+        np.cos(theta, out=phase[j].real)
+        np.sin(theta, out=phase[j].imag)
+    phase *= U
+    return phase
 
 
 def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
     (the step is the exact inverse of the forward one)."""
     half = np.exp(-0.5j * dt * pair.grid.k2)
-    c1, c2 = _kinetic(half, pair.c1, pair.c2)
-    c1, c2 = _kinetic(half, *_rotate(c1, c2, params, dt))
-    return FieldPair(pair.grid, c1, c2, copy=False, check=False)
+    U = _kinetic(half, _rotate(_kinetic(half, np.stack(pair.components)), params, dt))
+    return FieldPair(pair.grid, U[0], U[1], copy=False, check=False)
 
 
 def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> TrajectoryLog:
@@ -125,7 +152,8 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
 
     Equivalent to composing step_strang, but adjacent kinetic half-steps
     are fused except where an observable, a snapshot, or the guard needs
-    the state at a whole-step time."""
+    the state at a whole-step time. Both components are held as one
+    (2, *shape) array, so each transform call serves both."""
     grid = pair.grid
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -133,71 +161,82 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         raise ValueError(f"t_end={config.t_end} covers no whole step of dt={dt}")
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
-    c1 = np.array(pair.c1, dtype=complex)
-    c2 = np.array(pair.c2, dtype=complex)
+    U = np.stack(pair.components)
+    axes = _axes(U)
 
     rows = []
     snapshots = []
     blowup_time = None
     aborted = False
 
-    def sample(t, u1, u2):
-        state = FieldPair(grid, u1, u2, copy=False, check=False)
+    def sample(t, U, S):
+        # one density serves the masses, the variance and F; the gradient
+        # norm comes from the spectrum S of a state one unitary kinetic
+        # multiplier away from U, so ||grad U||^2 is its Parseval sum
+        m = _density(U)
         try:
-            var = variance(state)
+            var = _variance(grid, m[0] + m[1])
         except BoundaryDecayError:
             var = math.nan
-        grad = gradient_norm_sq(state)
+        grad = _spectral_gradient_norm_sq(grid, S)
         rows.append(
             (
                 t,
-                l2_norm_sq(grid, u1),
-                l2_norm_sq(grid, u2),
-                0.5 * grad - coupling_F(state, params),
+                _integral(grid, m[0]),
+                _integral(grid, m[1]),
+                0.5 * grad - _potential(grid, m[0], m[1], params),
                 var,
                 math.sqrt(grad),
             )
         )
         return rows[-1][5]
 
-    guard_level = config.blowup_guard * max(sample(0.0, c1, c2), 1e-300)
+    S = fftn(U, axes=axes)
+    guard_level = config.blowup_guard * max(sample(0.0, U, S), 1e-300)
     if config.snapshot_stride:
-        snapshots.append((0.0, FieldPair(grid, c1, c2)))
+        snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into
     # whole ones, so an interior step costs one transform round trip, not
     # two, and deposits half the roundoff in the otherwise exactly
     # conserved masses
-    c1, c2 = _kinetic(half, c1, c2)
+    U = ifftn(half * S, axes=axes)
+    calls = 2
     for s in range(1, n_steps + 1):
-        c1, c2 = _rotate(c1, c2, params, dt)
+        U = _rotate(U, params, dt)
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
         if not (sampling or snapping):
-            c1, c2 = _kinetic(full, c1, c2)
+            U = _kinetic(full, U)
+            calls += 2
             continue
-        c1, c2 = _kinetic(half, c1, c2)
+        # the whole-step state and the next mid-kinetic state both come
+        # from this one spectrum
+        S = fftn(U, axes=axes)
+        U = ifftn(half * S, axes=axes)
+        calls += 2
         t = s * dt
         if sampling:
-            if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+            if not np.isfinite(U).all():
                 blowup_time = t
                 aborted = True
                 break
-            gn = sample(t, c1, c2)
+            gn = sample(t, U, S)
             if gn > guard_level:
                 blowup_time = t
                 aborted = True
                 break
         if snapping:
-            snapshots.append((t, FieldPair(grid, c1, c2)))
+            snapshots.append((t, FieldPair(grid, U[0], U[1])))
         if s < n_steps:
-            c1, c2 = _kinetic(half, c1, c2)
+            U = ifftn(full * S, axes=axes)
+            calls += 1
 
     # the terminal state is always retrievable, snapshot stride or not
     t_last = t if aborted else n_steps * dt
     if not snapshots or snapshots[-1][0] != t_last:
-        snapshots.append((t_last, FieldPair(grid, c1, c2)))
+        snapshots.append((t_last, FieldPair(grid, U[0], U[1])))
 
     data = np.asarray(rows, dtype=float)
     return TrajectoryLog(
@@ -212,6 +251,8 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         snapshots=snapshots,
         blowup_time=blowup_time,
         aborted=aborted,
+        steps=s,
+        transform_calls=calls,
     )
 
 

@@ -14,13 +14,17 @@ a standing-wave profile makes both parts vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     FieldPair,
+    Grid,
     SystemParams,
+    _density,
+    _integral,
     gradient_norm_sq,
     gradient_norm_sq_component,
     l2_norm_sq,
@@ -47,45 +51,76 @@ __all__ = [
 BOUNDARY_DECAY_TOL = 1e-8
 
 
+def _power(m: np.ndarray, e: float) -> np.ndarray:
+    """m**e for m >= 0. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which
+    p = 2, 3, 4 produce (and p - 1 at p = 3/2), are formed by products and
+    one square root, several times cheaper than a float pow; any other
+    goes to **. Exponent 0 gives the scalar 1, exponent 1 m itself."""
+    if e == 0.0:
+        return 1.0
+    if e == 0.5:
+        return np.sqrt(m)
+    if e == 1.0:
+        return m
+    if e == 1.5:
+        return m * np.sqrt(m)
+    if e == 2.0:
+        return m * m
+    if e == 3.0:
+        return m * m * m
+    if e == 4.0:
+        return np.square(m * m)
+    return m**e
+
+
+def _density_sums(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float):
+    """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p
+    from the squared moduli m1 = |u1|^2 and m2 = |u2|^2."""
+    return (
+        _integral(grid, _power(m1, p)),
+        _integral(grid, _power(m2, p)),
+        _integral(grid, _power(m1 * m2, 0.5 * p)),
+    )
+
+
 def _coupling_sums(pair: FieldPair, params: SystemParams):
     """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p."""
-    p = params.p
-    a1 = np.abs(pair.c1)
-    a2 = np.abs(pair.c2)
-    cell = pair.grid.cell_volume
-    s1 = float(np.sum(a1 ** (2 * p)) * cell)
-    s2 = float(np.sum(a2 ** (2 * p)) * cell)
-    cross = float(np.sum(a1**p * a2**p) * cell)
-    return s1, s2, cross
+    return _density_sums(pair.grid, _density(pair.c1), _density(pair.c2), params.p)
+
+
+def _potential(grid: Grid, m1: np.ndarray, m2: np.ndarray, params: SystemParams) -> float:
+    """F(U) from the squared moduli m1 = |u1|^2 and m2 = |u2|^2."""
+    s1, s2, cross = _density_sums(grid, m1, m2, params.p)
+    return (s1 + s2 + 2.0 * params.beta * cross) / (2.0 * params.p)
 
 
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     """Nonlinear potential F(U)."""
-    s1, s2, cross = _coupling_sums(pair, params)
-    return (s1 + s2 + 2.0 * params.beta * cross) / (2.0 * params.p)
+    return _potential(pair.grid, _density(pair.c1), _density(pair.c2), params)
 
 
-def _rates(c1, c2, params: SystemParams):
+def _rates(m1: np.ndarray, m2: np.ndarray, params: SystemParams):
     """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
-    two coupled equations: the gradient of F is (A1 u1, A2 u2), and the
-    nonlinear substep of the Schrodinger flow is u_j -> exp(i dt A_j) u_j.
+    two coupled equations, from the squared moduli m_j = |u_j|^2 as
+    A_j = m_j^(p-1) + beta m_k^(p/2) m_j^(p/2-1). The gradient of F is
+    (A1 u1, A2 u2), and the nonlinear substep of the Schrodinger flow is
+    u_j -> exp(i dt A_j) u_j. A rate may be m_j itself (p = 2, beta = 0),
+    so callers do not write into it.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
     only ever multiplies a zero value; there the base is taken as inf, so
     the factor is 0.
     """
     p, beta = params.p, params.beta
-    a1 = np.abs(c1)
-    a2 = np.abs(c2)
-    r1 = a1 ** (2 * p - 2)
-    r2 = a2 ** (2 * p - 2)
+    r1 = _power(m1, p - 1.0)
+    r2 = _power(m2, p - 1.0)
     if beta != 0.0:
-        b1, b2 = a1, a2
+        b1, b2 = m1, m2
         if p < 2:
-            b1 = np.where(a1 > 0, a1, np.inf)
-            b2 = np.where(a2 > 0, a2, np.inf)
-        r1 += beta * a2**p * b1 ** (p - 2)
-        r2 += beta * a1**p * b2 ** (p - 2)
+            b1 = np.where(m1 > 0, m1, np.inf)
+            b2 = np.where(m2 > 0, m2, np.inf)
+        r1 = r1 + beta * _power(m2, 0.5 * p) * _power(b1, 0.5 * p - 1.0)
+        r2 = r2 + beta * _power(m1, 0.5 * p) * _power(b2, 0.5 * p - 1.0)
     return r1, r2
 
 
@@ -94,7 +129,7 @@ def coupling_gradient(pair: FieldPair, params: SystemParams):
 
         g1 = (|u1|^(2p-2) + beta |u1|^(p-2) |u2|^p) u1   and symmetrically g2.
     """
-    r1, r2 = _rates(pair.c1, pair.c2, params)
+    r1, r2 = _rates(_density(pair.c1), _density(pair.c2), params)
     return r1 * pair.c1, r2 * pair.c2
 
 
@@ -178,14 +213,29 @@ def pohozaev_check(pair: FieldPair, params: SystemParams, m: float, *, tol: floa
     return PohozaevCheck(r_grad, r_coup, r_mass, m_positive=True, tol=tol)
 
 
-def boundary_amplitude_ratio(pair: FieldPair) -> float:
-    """Max combined amplitude on the outermost grid layer over the global max."""
-    amp = np.sqrt(np.abs(pair.c1) ** 2 + np.abs(pair.c2) ** 2)
-    peak = float(amp.max())
+def _amplitude_ratio(grid: Grid, dens: np.ndarray) -> float:
+    """Max combined amplitude on the outermost grid layer over the global
+    max, from the combined density |u1|^2 + |u2|^2."""
+    peak = float(dens.max())
     if peak == 0.0:
         return 0.0
-    edge = float(amp[pair.grid.boundary_mask()].max())
-    return edge / peak
+    return math.sqrt(float(dens[grid.boundary_mask()].max()) / peak)
+
+
+def boundary_amplitude_ratio(pair: FieldPair) -> float:
+    """Max combined amplitude on the outermost grid layer over the global max."""
+    return _amplitude_ratio(pair.grid, _density(pair.c1) + _density(pair.c2))
+
+
+def _variance(grid: Grid, dens: np.ndarray, boundary_tol: float = BOUNDARY_DECAY_TOL) -> float:
+    """variance() from the combined density |u1|^2 + |u2|^2."""
+    ratio = _amplitude_ratio(grid, dens)
+    if ratio >= boundary_tol:
+        raise BoundaryDecayError(
+            f"boundary amplitude is {ratio:.3e} of the peak (tolerance {boundary_tol:.1e}); "
+            "variance would be contaminated by wrap-around"
+        )
+    return _integral(grid, grid.radius_sq() * dens)
 
 
 def variance(pair: FieldPair, *, boundary_tol: float = BOUNDARY_DECAY_TOL) -> float:
@@ -195,15 +245,7 @@ def variance(pair: FieldPair, *, boundary_tol: float = BOUNDARY_DECAY_TOL) -> fl
     amplitude >= boundary_tol), since the periodic image would corrupt the
     moment.
     """
-    ratio = boundary_amplitude_ratio(pair)
-    if ratio >= boundary_tol:
-        raise BoundaryDecayError(
-            f"boundary amplitude is {ratio:.3e} of the peak (tolerance {boundary_tol:.1e}); "
-            "variance would be contaminated by wrap-around"
-        )
-    g = pair.grid
-    dens = np.abs(pair.c1) ** 2 + np.abs(pair.c2) ** 2
-    return float(np.sum(g.radius_sq() * dens) * g.cell_volume)
+    return _variance(pair.grid, _density(pair.c1) + _density(pair.c2), boundary_tol)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import fftn, ifftn
 
-from .core import FieldPair, Grid, SystemParams
+from .core import FieldPair, Grid, SystemParams, _density
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _coupling_sums, coupling_gradient
 
@@ -160,10 +160,6 @@ class MinimizeResult:
     classification: str
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
-
-
 def _classify(m1: float, m2: float) -> str:
     total = m1 + m2
     if m2 < VECTOR_MASS_FRACTION * total:
@@ -277,9 +273,9 @@ class _Norms:
         grid = pair.grid
         w = grid.cell_volume / grid.total_points
         i1, i2, cross = _coupling_sums(pair, params)
-        s1 = _abs2(u1h)
+        s1 = _density(u1h)
         grad1, m1 = float(np.sum(grid.k2 * s1) * w), float(np.sum(s1) * w)
-        s2 = _abs2(u2h)
+        s2 = _density(u2h)
         grad2, m2 = float(np.sum(grid.k2 * s2) * w), float(np.sum(s2) * w)
         return cls(params, grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
 
@@ -444,7 +440,7 @@ def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
     w = grid.cell_volume / grid.total_points
     r1h = (k2 + lam1) * u1h - g1h
     r2h = (k2 + lam2) * u2h - g2h
-    r_sq = float((np.sum(_abs2(r1h)) + np.sum(_abs2(r2h))) * w)
+    r_sq = float((np.sum(_density(r1h)) + np.sum(_density(r2h))) * w)
     kind = constraint.kind
     if kind == "weighted_sphere":
         w1, w2 = norms.params.omega1, norms.params.omega2
@@ -533,6 +529,9 @@ def minimize_on(
                 continue
             v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.k2 + params.omega1 - shift1))
             v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.k2 + params.omega2 - shift2))
+            # a rejected attempt's fields must not stay alive through the
+            # retry, where they would add four arrays to the peak
+            projected = None
             try:
                 projected = _project_state(constraint, grid, params, v1h, v2h, warm)
             except (ConstraintError, ConvergenceError):
@@ -656,7 +655,7 @@ def multiplier_extract(
             for uh, gh, om in terms:
                 rh = gh - k2 * uh
                 num += om * float(np.sum(wt * (rh.real * uh.real + rh.imag * uh.imag)))
-                den += om**2 * float(np.sum(wt * _abs2(uh)))
+                den += om**2 * float(np.sum(wt * _density(uh)))
             out.append(num / den)
         nu_a, nu_b = out
         if abs(nu_a - nu_b) > cross_tol * max(1.0, abs(nu_a)):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cnls_lab import FieldPair, Grid, SystemParams
+
+# Property tests draw the same examples on every run by default, so a pass
+# or a failure repeats. `pytest --hypothesis-profile explore` draws fresh
+# random examples (and replays stored failures) to search further.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

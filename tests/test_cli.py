@@ -1,5 +1,6 @@
 import json
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ def test_evolve_outputs_and_snapshot_index(tmp_path):
 def test_evolve_refuses_infinite_end_time(tmp_path):
     cfg = _write(tmp_path, "[grid]\npoints = 256\n\n[evolve]\nt_end = inf\n")
     assert main(["evolve", str(cfg), "--out", str(tmp_path / "e")]) == 3
+
+
+def test_evolve_refuses_absurd_step_count(tmp_path):
+    # finite, but 10**303 steps of the default dt: refused before any step
+    cfg = _write(tmp_path, "[grid]\npoints = 256\n\n[evolve]\nt_end = 1e300\n")
+    start = time.perf_counter()
+    assert main(["evolve", str(cfg), "--out", str(tmp_path / "e")]) == 3
+    assert time.perf_counter() - start < 10.0
 
 
 def test_evolve_from_snapshot_abort_exits_2(tmp_path):

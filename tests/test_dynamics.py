@@ -12,16 +12,21 @@ from cnls_lab import (
     ScalingParams,
     SolitonSpec,
     SystemParams,
+    coupling_F,
     energy_E,
     evolve,
+    gradient_norm_sq,
     h1_distance,
     l2_norm_sq,
     make_member,
     scale_pair,
     step_strang,
+    variance,
     virial_series,
 )
+from cnls_lab import dynamics
 from cnls_lab.dynamics import TrajectoryLog
+from cnls_lab.errors import BoundaryDecayError
 from cnls_lab.stability import perturbation_pair
 
 from conftest import smooth_pair
@@ -44,6 +49,10 @@ def test_config_validation():
     for dt, t_end in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1e-300, 1e300)):
         with pytest.raises(ValueError):
             EvolveConfig(dt=dt, t_end=t_end)
+    # a finite but absurd step count would run for ever
+    with pytest.raises(ValueError, match="1e\\+303 steps"):
+        EvolveConfig(dt=1e-3, t_end=1e300)
+    EvolveConfig(dt=1e-3, t_end=1e6)
 
 
 def test_standing_wave_phase_rotation(grid_1d, cubic):
@@ -107,6 +116,98 @@ def test_step_strang_inverts_itself(grid_1d, p, beta, seed, dt):
         assert abs(l2_norm_sq(grid_1d, after) - m0) < 1e-12 * m0
 
 
+def test_transform_budget(grid_1d, cubic, monkeypatch):
+    calls = []
+
+    def counted(transform):
+        def wrapper(x, *args, **kwargs):
+            calls.append(x.shape)
+            return transform(x, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    n, stride, snap = 50, 7, 5
+    config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
+    log = evolve(_member(cubic, grid_1d), cubic, config)
+    observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
+    # 2 calls to start (the t = 0 spectrum, the first half step), 2 per
+    # interior step, 3 per sampled or snapshotted step, less the half step
+    # after the last one; every call transforms both components at once
+    assert log.steps == n
+    assert log.transform_calls == len(calls) == 2 + 2 * (n - observed) + 3 * observed - 1
+    assert set(calls) == {(2,) + grid_1d.shape}
+    # the counts stay out of the trajectory file
+    assert {len(row.split(",")) for row in log.to_csv().splitlines()} == {6}
+
+
+_PROPERTY_GRIDS = (Grid(1, 256, 10.0), Grid(2, 32, 8.0))
+
+
+def _unit_peak(pair):
+    # unit peak keeps the nonlinear phase dt A_j small, so exp(i dt A_j)
+    # is evaluated to roundoff
+    return (1.0 / max(np.abs(pair.c1).max(), np.abs(pair.c2).max())) * pair
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    grid=st.sampled_from(_PROPERTY_GRIDS),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 12),
+    stride=st.integers(1, 5),
+    snap=st.integers(0, 4),
+    dt=st.floats(1e-4, 1e-2),
+)
+def test_evolve_equals_composed_steps(grid, p, beta, seed, k, stride, snap, dt):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    state = _unit_peak(smooth_pair(grid, seed))
+    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap)
+    log = evolve(state, params, config)
+    stepped = state
+    for _ in range(k):
+        stepped = step_strang(stepped, params, dt)
+    final = log.final_state()
+    peak = max(np.abs(stepped.c1).max(), np.abs(stepped.c2).max())
+    assert max(np.abs(final.c1 - stepped.c1).max(), np.abs(final.c2 - stepped.c2).max()) < 1e-12 * peak
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    grid=st.sampled_from(_PROPERTY_GRIDS),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    width=st.sampled_from([0.8, 2.0]),
+    stride=st.integers(1, 4),
+)
+def test_logged_rows_match_the_functionals(grid, p, beta, seed, width, stride):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    state = _unit_peak(smooth_pair(grid, seed, width=width))
+    dt = 5e-3
+    config = EvolveConfig(dt=dt, t_end=3 * stride * dt, conservation_check_stride=stride, snapshot_stride=stride)
+    log = evolve(state, params, config)
+    assert [t for t, _ in log.snapshots] == list(log.times)
+    for i, (_, snap) in enumerate(log.snapshots):
+        grad = gradient_norm_sq(snap)
+        f_val = coupling_F(snap, params)
+        assert log.mass1[i] == pytest.approx(l2_norm_sq(grid, snap.c1), rel=1e-12, abs=0)
+        assert log.mass2[i] == pytest.approx(l2_norm_sq(grid, snap.c2), rel=1e-12, abs=0)
+        assert log.gradnorm[i] ** 2 == pytest.approx(grad, rel=1e-12, abs=0)
+        # E = grad/2 - F can cancel to near zero, so its error is measured
+        # against the size of its two terms
+        assert abs(log.energy[i] - energy_E(snap, params)) <= 1e-12 * (0.5 * grad + f_val)
+        try:
+            var = variance(snap)
+        except BoundaryDecayError:
+            assert np.isnan(log.variance[i])
+        else:
+            assert log.variance[i] == pytest.approx(var, rel=1e-12, abs=0)
+
+
 def test_single_step_matches_evolve(grid_1d, cubic):
     state = _member(cubic, grid_1d)
     stepped = step_strang(state, cubic, 1e-3)
@@ -141,6 +242,10 @@ def test_guard_aborts_collapsing_run():
     assert log.aborted
     assert log.blowup_time is not None and log.blowup_time < 1.0
     assert log.final_state() is not None
+    # every step up to the abort was sampled; the aborting one made no
+    # further half step
+    assert log.steps == round(log.blowup_time / 2e-4)
+    assert log.transform_calls == 2 + 3 * log.steps - 1
 
 
 def test_virial_series_on_collapse_window():

@@ -22,7 +22,7 @@ from cnls_lab import (
     virial_R,
     weighted_l2_norm_sq,
 )
-from cnls_lab.functionals import boundary_amplitude_ratio
+from cnls_lab.functionals import _rates, boundary_amplitude_ratio
 from cnls_lab.profiles import spectral_shift
 
 from conftest import smooth_pair
@@ -116,6 +116,27 @@ def test_coupling_gradient_matches_directional_derivative(grid_1d, p, beta, seed
     plus = coupling_F(pair + h * direction, params)
     minus = coupling_F(pair - h * direction, params)
     assert abs((plus - minus) / (2.0 * h) - inner) < 1e-7 * scale
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    holes=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+)
+def test_rates_match_the_float_power_formula(grid_1d, p, beta, seed, holes):
+    pair = smooth_pair(grid_1d, seed)
+    c1, c2 = pair.c1.copy(), pair.c2.copy()
+    # exact zeros in either component, and where both vanish at once
+    c1[:: holes[0]] = 0.0
+    c2[:: holes[1]] = 0.0
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    a1, a2 = np.abs(c1), np.abs(c2)
+    for a_own, a_other, rate in zip((a1, a2), (a2, a1), _rates(a1**2, a2**2, params)):
+        base = np.where(a_own > 0, a_own, np.inf) if p < 2 else a_own
+        expected = a_own ** (2 * p - 2) + beta * a_other**p * base ** (p - 2)
+        assert np.all(np.abs(rate - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_coupling_gradient_subquadratic_exponent(grid_1d):

@@ -44,6 +44,10 @@ def test_grid_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             Grid(1, 64, bad)
+    # finite half-widths whose spacing, cell volume or |k|^2 degenerate
+    for dim, bad in ((1, 5e-324), (1, 1e-300), (1, 1.7e308), (3, 1e-150), (3, 1e150)):
+        with pytest.raises(ValueError, match="degenerate"):
+            Grid(dim, 8, bad)
 
 
 def test_grid_equality_and_hash():

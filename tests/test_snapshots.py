@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnls_lab import FieldPair, Grid, SystemParams, load_snapshot, save_snapshot
 from cnls_lab.snapshots import _HEADER, MAGIC, VERSION
@@ -75,3 +76,33 @@ def test_identical_content_identical_bytes(tmp_path):
     save_snapshot(p1, pair, params)
     save_snapshot(p2, pair, params)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_ODD_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308])
+_ODD_COUNTS = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 16, 2**16, 2**31, 2**32 - 1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    field=st.sampled_from(["dim", "n", "half_width", "p", "beta", "omega1", "omega2"]),
+    odd_count=_ODD_COUNTS,
+    odd_float=_ODD_FLOATS,
+    length_change=st.sampled_from([0, 0, -1, 1, -16, 16, -_HEADER.size]),
+)
+def test_mutated_header_loads_or_raises_value_error(tmp_path_factory, field, odd_count, odd_float, length_change):
+    grid = Grid(1, 8, 4.0)
+    values = dict(dim=1, n=8, half_width=4.0, p=2.0, beta=0.5, omega1=1.0, omega2=1.0)
+    values[field] = odd_count if field in ("dim", "n") else odd_float
+    payload = _random_pair(grid, 3).c1.astype("<c16").tobytes() * 2
+    blob = _HEADER.pack(MAGIC, VERSION, *values.values()) + payload
+    blob = blob[: len(blob) + length_change] if length_change < 0 else blob + bytes(length_change)
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.snapshot"
+    path.write_bytes(blob)
+    try:
+        pair, params = load_snapshot(path)
+    except ValueError:
+        return
+    # whatever loads is a consistent, finite state
+    assert pair.grid.shape == (pair.grid.points_per_axis,) * pair.grid.dim
+    assert np.isfinite(pair.c1).all() and np.isfinite(pair.c2).all()
+    assert np.isfinite([params.p, params.beta, params.omega1, params.omega2]).all()
