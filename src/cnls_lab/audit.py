@@ -11,14 +11,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .core import (
-    Grid,
-    SystemParams,
-    gradient_norm_sq,
-    relative_error,
-    weighted_l2_norm_sq,
-)
-from .functionals import action_I, coupling_F, energy_E
+from .core import Grid, SystemParams, relative_error
+from .functionals import _Norms, action_I, energy_E
 from .minimize import ConstraintSpec, minimize_on
 from .profiles import (
     Family,
@@ -62,6 +56,14 @@ class AuditReport:
         return "\n".join(str(r) for r in self.rows)
 
 
+# row names and notes of the identities, in the order of _Norms.partitions
+_PARTITIONS = (
+    ("grad_partition", "kinetic term of a zero-virial critical point is n times the level"),
+    ("coupling_partition", "potential term pinned by the level"),
+    ("mass_partition", "weighted mass pinned by the level"),
+)
+
+
 def _row(name, lhs, rhs, tol, note=""):
     lhs = float(lhs)
     rhs = float(rhs)
@@ -95,26 +97,15 @@ def identity_audit(
     res_n = minimize_on(ConstraintSpec.nehari(), params, grid, tol=flow_tol, seed=seed)
     U = res_n.minimizer
     m_n = res_n.action
-    two_pp = 2.0 * p / (p - 1.0)
-
-    rows.append(_row(
-        "grad_partition", gradient_norm_sq(U), n * m_n, tol,
-        "kinetic term of a zero-virial critical point is n times the level",
-    ))
-    rows.append(_row(
-        "coupling_partition", coupling_F(U, params), m_n / (p - 1.0), tol,
-        "potential term pinned by the level",
-    ))
-    rows.append(_row(
-        "mass_partition", weighted_l2_norm_sq(U, params), (two_pp - n) * m_n, tol,
-        "weighted mass pinned by the level",
-    ))
+    norms = _Norms.measure(U, params)
+    for (name, note), (lhs, rhs) in zip(_PARTITIONS, norms.partitions(m_n)):
+        rows.append(_row(name, lhs, rhs, tol, note))
 
     crit = params.criticality(n)
     if crit == "subcritical":
         # the minimizer's own mass, not the level-implied value: keeps the
         # factor-1 transport an exact identity instead of a 1e-9 resample
-        gamma0 = weighted_l2_norm_sq(U, params)
+        gamma0 = norms.weighted_mass
         res_s = minimize_on(
             ConstraintSpec.weighted_sphere(gamma0), params, grid, tol=flow_tol, seed=seed
         )

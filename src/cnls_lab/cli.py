@@ -374,7 +374,7 @@ def _cmd_evolve(cfg, out: Path) -> int:
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print("\n".join(summary))
     if log.aborted:
-        print("run aborted by the amplitude guard", file=sys.stderr)
+        print("run aborted: the amplitude guard tripped or the field stopped being finite", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -40,6 +40,10 @@ __all__ = [
 _DENOM_FLOOR = 1e-300
 _ABS_SWITCH = 1e-10
 
+# larger grids are refused before anything is allocated: 256^3 points,
+# 64 times the largest grid the experiments use
+_MAX_POINTS = 2**24
+
 
 def relative_error(value: float, reference: float) -> float:
     """|value - reference| / |reference|, with the absolute difference
@@ -81,6 +85,8 @@ class Grid:
         n = int(points_per_axis)
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis}")
+        if n**dim > _MAX_POINTS:
+            raise ValueError(f"{n}^{dim} grid points exceed the ceiling of {_MAX_POINTS}")
         if not 0 < half_width < np.inf:
             raise ValueError(f"half_width must be positive and finite, got {half_width}")
         # the spacing, the cell volume and the largest |k|^2 and |x|^2 must

@@ -23,7 +23,7 @@ from scipy.fft import fftn, ifftn
 
 from .core import FieldPair, Grid, SystemParams, _density, _integral, _spectral_gradient_norm_sq
 from .errors import BoundaryDecayError
-from .functionals import _potential, _rates, _variance
+from .functionals import _energy, _potential, _rates, _variance, _virial
 
 __all__ = [
     "EvolveConfig",
@@ -82,9 +82,11 @@ class TrajectoryLog:
     """Sampled observables along one run. variance is nan at samples where
     the field no longer decays at the box boundary (the moment arrays stop
     being meaningful there). blowup_time is the first sampled time at which
-    the gradient guard tripped or the field stopped being finite. steps is
-    the number of Strang steps taken and transform_calls the number of
-    fftn/ifftn calls they made, each over both components."""
+    the gradient guard tripped, or the first sampled or snapshotted time at
+    which the field stopped being finite; the last snapshot is always the
+    latest of those states that is finite. steps is the number of Strang
+    steps taken and transform_calls the number of fftn/ifftn calls they
+    made, each over both components."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
 
@@ -162,6 +164,8 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
     U = np.stack(pair.components)
+    if not np.isfinite(U).all():
+        raise ValueError("the initial state must be finite")
     axes = _axes(U)
 
     rows = []
@@ -184,7 +188,7 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
                 t,
                 _integral(grid, m[0]),
                 _integral(grid, m[1]),
-                0.5 * grad - _potential(grid, m[0], m[1], params),
+                _energy(grad, _potential(grid, m[0], m[1], params)),
                 var,
                 math.sqrt(grad),
             )
@@ -195,6 +199,9 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     guard_level = config.blowup_guard * max(sample(0.0, U, S), 1e-300)
     if config.snapshot_stride:
         snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
+    # the latest observed whole-step state known to be finite: the terminal
+    # state, also when the run is aborted because a later one is not
+    last = (0.0, U)
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into
@@ -217,11 +224,12 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         U = ifftn(half * S, axes=axes)
         calls += 2
         t = s * dt
+        if not np.isfinite(U).all():
+            blowup_time = t
+            aborted = True
+            break
+        last = (t, U)
         if sampling:
-            if not np.isfinite(U).all():
-                blowup_time = t
-                aborted = True
-                break
             gn = sample(t, U, S)
             if gn > guard_level:
                 blowup_time = t
@@ -234,7 +242,7 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
             calls += 1
 
     # the terminal state is always retrievable, snapshot stride or not
-    t_last = t if aborted else n_steps * dt
+    t_last, U = last
     if not snapshots or snapshots[-1][0] != t_last:
         snapshots.append((t_last, FieldPair(grid, U[0], U[1])))
 
@@ -280,11 +288,8 @@ def virial_series(log: TrajectoryLog, *, window: tuple | None = None) -> VirialC
     h = t[1] - t[0]
     if not np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12):
         raise ValueError("virial check needs uniformly spaced samples")
-    n = log.grid.dim
-    p = log.params.p
     g_sq = log.gradnorm**2
-    f_val = 0.5 * g_sq - log.energy
-    r_val = g_sq - n * (p - 1.0) * f_val
+    r_val = _virial(g_sq, 0.5 * g_sq - log.energy, log.grid.dim, log.params.p)
     v_dd = (log.variance[2:] - 2.0 * log.variance[1:-1] + log.variance[:-2]) / h**2
     t_in = t[1:-1]
     expected = 8.0 * r_val[1:-1]

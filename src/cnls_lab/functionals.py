@@ -15,22 +15,12 @@ a standing-wave profile makes both parts vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
+from scipy.fft import fftn
 
-from .core import (
-    FieldPair,
-    Grid,
-    SystemParams,
-    _density,
-    _integral,
-    gradient_norm_sq,
-    gradient_norm_sq_component,
-    l2_norm_sq,
-    relative_error,
-    weighted_l2_norm_sq,
-)
+from .core import FieldPair, Grid, SystemParams, _density, _integral, relative_error
 from .errors import BoundaryDecayError
 
 __all__ = [
@@ -83,15 +73,24 @@ def _density_sums(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float):
     )
 
 
-def _coupling_sums(pair: FieldPair, params: SystemParams):
-    """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p."""
-    return _density_sums(pair.grid, _density(pair.c1), _density(pair.c2), params.p)
+def _coupling(params: SystemParams, i1: float, i2: float, cross: float) -> float:
+    """F(U) from i_j = int |u_j|^2p and cross = int |u1|^p |u2|^p."""
+    return (i1 + i2 + 2.0 * params.beta * cross) / (2.0 * params.p)
+
+
+def _energy(grad, f_val):
+    """E(U) from ||grad U||^2 and F(U)."""
+    return 0.5 * grad - f_val
+
+
+def _virial(grad, f_val, dim: int, p: float):
+    """R(U) from ||grad U||^2 and F(U); also elementwise over sampled series."""
+    return grad - dim * (p - 1.0) * f_val
 
 
 def _potential(grid: Grid, m1: np.ndarray, m2: np.ndarray, params: SystemParams) -> float:
     """F(U) from the squared moduli m1 = |u1|^2 and m2 = |u2|^2."""
-    s1, s2, cross = _density_sums(grid, m1, m2, params.p)
-    return (s1 + s2 + 2.0 * params.beta * cross) / (2.0 * params.p)
+    return _coupling(params, *_density_sums(grid, m1, m2, params.p))
 
 
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
@@ -133,49 +132,139 @@ def coupling_gradient(pair: FieldPair, params: SystemParams):
     return r1 * pair.c1, r2 * pair.c2
 
 
+@dataclass(frozen=True)
+class _Norms:
+    """Quadrature values of a state U = (u1, u2) on a dim-dimensional grid:
+    grad_j = ||grad u_j||^2, m_j = ||u_j||^2, i_j = int |u_j|^2p and
+    cross = int |u1|^p |u2|^p. Every scalar functional, pairing and
+    constraint of the package is an algebraic function of these seven
+    numbers."""
+
+    params: SystemParams
+    dim: int
+    grad1: float
+    grad2: float
+    m1: float
+    m2: float
+    i1: float
+    i2: float
+    cross: float
+
+    @classmethod
+    def of(cls, params, pair, u1h, u2h):
+        """Measure pair, whose spectra are u1h and u2h."""
+        grid = pair.grid
+        w = grid.cell_volume / grid.total_points
+        i1, i2, cross = _density_sums(grid, _density(pair.c1), _density(pair.c2), params.p)
+        s1 = _density(u1h)
+        grad1, m1 = float(np.sum(grid.k2 * s1) * w), float(np.sum(s1) * w)
+        s2 = _density(u2h)
+        grad2, m2 = float(np.sum(grid.k2 * s2) * w), float(np.sum(s2) * w)
+        return cls(params, grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
+
+    @classmethod
+    def measure(cls, pair, params):
+        """Measure pair, transforming each component once."""
+        return cls.of(params, pair, fftn(pair.c1), fftn(pair.c2))
+
+    def scaled(self, t1, t2):
+        """The values for (t1 u1, t2 u2)."""
+        p = self.params.p
+        return replace(
+            self,
+            grad1=t1**2 * self.grad1,
+            grad2=t2**2 * self.grad2,
+            m1=t1**2 * self.m1,
+            m2=t2**2 * self.m2,
+            i1=t1 ** (2 * p) * self.i1,
+            i2=t2 ** (2 * p) * self.i2,
+            cross=t1**p * t2**p * self.cross,
+        )
+
+    @property
+    def F(self):
+        return _coupling(self.params, self.i1, self.i2, self.cross)
+
+    @property
+    def grad(self):
+        return self.grad1 + self.grad2
+
+    @property
+    def h1_parts(self):
+        """(||grad u1||^2 + omega1 ||u1||^2, same for u2)."""
+        return (
+            self.grad1 + self.params.omega1 * self.m1,
+            self.grad2 + self.params.omega2 * self.m2,
+        )
+
+    @property
+    def weighted_mass(self):
+        return self.params.omega1 * self.m1 + self.params.omega2 * self.m2
+
+    @property
+    def h1(self):
+        return self.grad + self.weighted_mass
+
+    @property
+    def energy(self):
+        return _energy(self.grad, self.F)
+
+    @property
+    def action(self):
+        return self.energy + 0.5 * self.weighted_mass
+
+    @property
+    def virial(self):
+        return _virial(self.grad, self.F, self.dim, self.params.p)
+
+    @property
+    def pairing(self):
+        """<I'(U), U> = ||grad U||^2 + ||U||_{2,omega}^2 - 2p F(U)."""
+        return self.h1 - 2.0 * self.params.p * self.F
+
+    @property
+    def partial_pairings(self):
+        """Per-component pairings; the cross term beta int |u1|^p |u2|^p is
+        charged once to each component, matching the structure of the two
+        coupled equations."""
+        a1, a2 = self.h1_parts
+        shared = self.params.beta * self.cross
+        return a1 - self.i1 - shared, a2 - self.i2 - shared
+
+    def partitions(self, m):
+        """The three identities of a zero-virial critical point at action
+        level m, as (value, target) pairs:
+
+            ||grad U||^2 = n m,  F(U) = m/(p-1),  ||U||_{2,omega}^2 = (2p/(p-1) - n) m.
+        """
+        p, n = self.params.p, self.dim
+        return (
+            (self.grad, n * m),
+            (self.F, m / (p - 1.0)),
+            (self.weighted_mass, (2.0 * p / (p - 1.0) - n) * m),
+        )
+
+
 def energy_E(pair: FieldPair, params: SystemParams) -> float:
-    return 0.5 * gradient_norm_sq(pair) - coupling_F(pair, params)
+    return _Norms.measure(pair, params).energy
 
 
 def action_I(pair: FieldPair, params: SystemParams) -> float:
-    return energy_E(pair, params) + 0.5 * weighted_l2_norm_sq(pair, params)
+    return _Norms.measure(pair, params).action
 
 
 def virial_R(pair: FieldPair, params: SystemParams) -> float:
-    n = pair.grid.dim
-    return gradient_norm_sq(pair) - n * (params.p - 1.0) * coupling_F(pair, params)
+    return _Norms.measure(pair, params).virial
 
 
 def nehari_pairing(pair: FieldPair, params: SystemParams) -> float:
     """<I'(U), U> = ||grad U||^2 + ||U||_{2,omega}^2 - 2p F(U)."""
-    return (
-        gradient_norm_sq(pair)
-        + weighted_l2_norm_sq(pair, params)
-        - 2.0 * params.p * coupling_F(pair, params)
-    )
+    return _Norms.measure(pair, params).pairing
 
 
 def partial_pairings(pair: FieldPair, params: SystemParams) -> tuple[float, float]:
-    """Per-component pairings; both vanish on a standing-wave profile.
-
-    The cross term beta int |u1|^p |u2|^p is charged once to each component,
-    matching the structure of the two coupled equations.
-    """
-    g = pair.grid
-    s1, s2, cross = _coupling_sums(pair, params)
-    pair1 = (
-        gradient_norm_sq_component(g, pair.c1)
-        + params.omega1 * l2_norm_sq(g, pair.c1)
-        - s1
-        - params.beta * cross
-    )
-    pair2 = (
-        gradient_norm_sq_component(g, pair.c2)
-        + params.omega2 * l2_norm_sq(g, pair.c2)
-        - s2
-        - params.beta * cross
-    )
-    return pair1, pair2
+    """Per-component pairings; both vanish on a standing-wave profile."""
+    return _Norms.measure(pair, params).partial_pairings
 
 
 @dataclass(frozen=True)
@@ -203,14 +292,10 @@ class PohozaevCheck:
 
 
 def pohozaev_check(pair: FieldPair, params: SystemParams, m: float, *, tol: float = 1e-6) -> PohozaevCheck:
-    n = pair.grid.dim
-    p = params.p
     if m <= 0:
         return PohozaevCheck(np.inf, np.inf, np.inf, m_positive=False, tol=tol)
-    r_grad = relative_error(gradient_norm_sq(pair), n * m)
-    r_coup = relative_error(coupling_F(pair, params), m / (p - 1.0))
-    r_mass = relative_error(weighted_l2_norm_sq(pair, params), (2.0 * p / (p - 1.0) - n) * m)
-    return PohozaevCheck(r_grad, r_coup, r_mass, m_positive=True, tol=tol)
+    residuals = (relative_error(v, t) for v, t in _Norms.measure(pair, params).partitions(m))
+    return PohozaevCheck(*residuals, m_positive=True, tol=tol)
 
 
 def _amplitude_ratio(grid: Grid, dens: np.ndarray) -> float:
@@ -268,38 +353,20 @@ class FunctionalReport:
 
     @classmethod
     def compute(cls, pair: FieldPair, params: SystemParams) -> "FunctionalReport":
-        g = pair.grid
-        f_val = coupling_F(pair, params)
-        grad = gradient_norm_sq(pair)
-        wmass = weighted_l2_norm_sq(pair, params)
-        energy = 0.5 * grad - f_val
-        action = energy + 0.5 * wmass
-        vir = grad - g.dim * (params.p - 1.0) * f_val
-        p1, p2 = partial_pairings(pair, params)
+        n = _Norms.measure(pair, params)
+        p1, p2 = n.partial_pairings
         return cls(
-            coupling=f_val,
-            energy=energy,
-            action=action,
-            virial=vir,
-            mass1=l2_norm_sq(g, pair.c1),
-            mass2=l2_norm_sq(g, pair.c2),
-            weighted_mass=wmass,
-            nehari_pairing=p1 + p2,
+            coupling=n.F,
+            energy=n.energy,
+            action=n.action,
+            virial=n.virial,
+            mass1=n.m1,
+            mass2=n.m2,
+            weighted_mass=n.weighted_mass,
+            nehari_pairing=n.pairing,
             pairing1=p1,
             pairing2=p2,
         )
 
     def csv_row(self) -> str:
-        vals = (
-            self.coupling,
-            self.energy,
-            self.action,
-            self.virial,
-            self.mass1,
-            self.mass2,
-            self.weighted_mass,
-            self.nehari_pairing,
-            self.pairing1,
-            self.pairing2,
-        )
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{v:.17g}" for v in astuple(self))

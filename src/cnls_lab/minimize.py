@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fftn, ifftn
 
 from .core import FieldPair, Grid, SystemParams, _density
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
-from .functionals import _coupling_sums, coupling_gradient
+from .functionals import _Norms, coupling_gradient
 
 __all__ = [
     "ConstraintSpec",
@@ -250,123 +250,45 @@ def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0), *, tol=1e-13, max_
     raise ConvergenceError("two-sided Nehari projection did not converge")
 
 
-@dataclass(frozen=True)
-class _Norms:
-    """Quadrature values of a state U = (u1, u2) on a dim-dimensional grid:
-    grad_j = ||grad u_j||^2, m_j = ||u_j||^2, i_j = int |u_j|^2p and
-    cross = int |u1|^p |u2|^p. Every functional and constraint of the
-    flows is an algebraic function of these seven numbers."""
+def _objective(constraint, norms):
+    """E on sphere constraints, I otherwise."""
+    return norms.energy if constraint.kind in _SPHERE_KINDS else norms.action
 
-    params: SystemParams
-    dim: int
-    grad1: float
-    grad2: float
-    m1: float
-    m2: float
-    i1: float
-    i2: float
-    cross: float
 
-    @classmethod
-    def of(cls, params, pair, u1h, u2h):
-        """Measure pair, whose spectra are u1h and u2h."""
-        grid = pair.grid
-        w = grid.cell_volume / grid.total_points
-        i1, i2, cross = _coupling_sums(pair, params)
-        s1 = _density(u1h)
-        grad1, m1 = float(np.sum(grid.k2 * s1) * w), float(np.sum(s1) * w)
-        s2 = _density(u2h)
-        grad2, m2 = float(np.sum(grid.k2 * s2) * w), float(np.sum(s2) * w)
-        return cls(params, grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
+def _multipliers(constraint, norms):
+    """(nu,) on the weighted sphere and (nu1, nu2) on product spheres (nan
+    for a pinned component), from testing the constrained equation against
+    U; () on ray constraints."""
+    kind = constraint.kind
+    beta = norms.params.beta
+    if kind == "weighted_sphere":
+        return ((2.0 * norms.params.p * norms.F - norms.grad) / constraint.gamma,)
+    if kind in ("product_spheres", "equal_spheres"):
+        nu1 = (norms.i1 + beta * norms.cross - norms.grad1) / constraint.delta1
+        if constraint.delta2 == 0.0:
+            return nu1, math.nan
+        return nu1, (norms.i2 + beta * norms.cross - norms.grad2) / constraint.delta2
+    return ()
 
-    def scaled(self, t1, t2):
-        """The values for (t1 u1, t2 u2)."""
-        p = self.params.p
-        return replace(
-            self,
-            grad1=t1**2 * self.grad1,
-            grad2=t2**2 * self.grad2,
-            m1=t1**2 * self.m1,
-            m2=t2**2 * self.m2,
-            i1=t1 ** (2 * p) * self.i1,
-            i2=t2 ** (2 * p) * self.i2,
-            cross=t1**p * t2**p * self.cross,
+
+def _constraint_residual(constraint, norms):
+    """Relative distance of U from the constraint set."""
+    kind = constraint.kind
+    if kind == "weighted_sphere":
+        return abs(norms.weighted_mass - constraint.gamma) / constraint.gamma
+    if kind in ("product_spheres", "equal_spheres"):
+        r1 = abs(norms.m1 - constraint.delta1) / constraint.delta1
+        r2 = (
+            abs(norms.m2 - constraint.delta2) / constraint.delta2
+            if constraint.delta2 > 0
+            else abs(norms.m2)
         )
-
-    @property
-    def F(self):
-        return (self.i1 + self.i2 + 2.0 * self.params.beta * self.cross) / (2.0 * self.params.p)
-
-    @property
-    def grad(self):
-        return self.grad1 + self.grad2
-
-    @property
-    def h1_parts(self):
-        """(||grad u1||^2 + omega1 ||u1||^2, same for u2)."""
-        return (
-            self.grad1 + self.params.omega1 * self.m1,
-            self.grad2 + self.params.omega2 * self.m2,
-        )
-
-    @property
-    def weighted_mass(self):
-        return self.params.omega1 * self.m1 + self.params.omega2 * self.m2
-
-    @property
-    def h1(self):
-        return self.grad + self.weighted_mass
-
-    @property
-    def energy(self):
-        return 0.5 * self.grad - self.F
-
-    @property
-    def action(self):
-        return self.energy + 0.5 * self.weighted_mass
-
-    def objective(self, constraint):
-        """E on sphere constraints, I otherwise."""
-        return self.energy if constraint.kind in _SPHERE_KINDS else self.action
-
-    def multipliers(self, constraint):
-        """(nu,) on the weighted sphere and (nu1, nu2) on product spheres
-        (nan for a pinned component), from testing the constrained
-        equation against U; () on ray constraints."""
-        kind = constraint.kind
-        beta = self.params.beta
-        if kind == "weighted_sphere":
-            return ((2.0 * self.params.p * self.F - self.grad) / constraint.gamma,)
-        if kind in ("product_spheres", "equal_spheres"):
-            nu1 = (self.i1 + beta * self.cross - self.grad1) / constraint.delta1
-            if constraint.delta2 == 0.0:
-                return nu1, math.nan
-            return nu1, (self.i2 + beta * self.cross - self.grad2) / constraint.delta2
-        return ()
-
-    def constraint_residual(self, constraint):
-        """Relative distance of U from the constraint set."""
-        kind = constraint.kind
-        if kind == "weighted_sphere":
-            return abs(self.weighted_mass - constraint.gamma) / constraint.gamma
-        if kind in ("product_spheres", "equal_spheres"):
-            r1 = abs(self.m1 - constraint.delta1) / constraint.delta1
-            r2 = (
-                abs(self.m2 - constraint.delta2) / constraint.delta2
-                if constraint.delta2 > 0
-                else abs(self.m2)
-            )
-            return max(r1, r2)
-        if kind == "nehari":
-            return abs(self.h1 - 2.0 * self.params.p * self.F) / self.h1
-        if kind == "pohozaev":
-            return abs(self.grad - self.dim * (self.params.p - 1.0) * self.F) / self.grad
-        a1, a2 = self.h1_parts
-        beta = self.params.beta
-        return max(
-            abs(a1 - self.i1 - beta * self.cross) / a1,
-            abs(a2 - self.i2 - beta * self.cross) / a2,
-        )
+        return max(r1, r2)
+    if kind == "nehari":
+        return abs(norms.pairing) / norms.h1
+    if kind == "pohozaev":
+        return abs(norms.virial) / norms.grad
+    return max(abs(q) / a for q, a in zip(norms.partial_pairings, norms.h1_parts))
 
 
 def _scalings(constraint, norms, warm=(1.0, 1.0)):
@@ -422,7 +344,7 @@ def _multiplier_shifts(constraint, norms):
     """(lam1, lam2, shift1, shift2): effective frequencies for the residual
     and the multiplier shifts folded into the semi-implicit denominator."""
     w1, w2 = norms.params.omega1, norms.params.omega2
-    nus = norms.multipliers(constraint)
+    nus = _multipliers(constraint, norms)
     if constraint.kind == "weighted_sphere":
         (nu,) = nus
         return nu * w1, nu * w2, (1.0 - nu) * w1, (1.0 - nu) * w2
@@ -472,7 +394,6 @@ def minimize_on(
     dt0: float = 0.25,
     dt_max: float = 16.0,
     seed: int = 0,
-    record_history: bool = True,
 ) -> MinimizeResult:
     """Run the projected flow for one constraint. Raises ConvergenceError
     if the residual tolerance is not reached, including the case where the
@@ -498,10 +419,10 @@ def minimize_on(
     )
     if constraint.kind == "nehari_set":
         warm = factors
-    obj = norms.objective(constraint)
+    obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
-    history = [obj] if record_history else []
+    history = [obj]
     slack = 4.0 * np.finfo(float).eps
     dt = dt0
     rel_res = math.inf
@@ -537,7 +458,7 @@ def minimize_on(
             except (ConstraintError, ConvergenceError):
                 dt *= 0.5
                 continue
-            obj_new = projected[3].objective(constraint)
+            obj_new = _objective(constraint, projected[3])
             if math.isfinite(obj_new) and obj_new <= obj + slack * max(1.0, abs(obj)):
                 accepted = True
                 break
@@ -548,8 +469,7 @@ def minimize_on(
         obj = obj_new
         if constraint.kind == "nehari_set":
             warm = factors
-        if record_history:
-            history.append(obj)
+        history.append(obj)
         dt = min(dt * 2.0, dt_max)
 
     if not converged:
@@ -561,25 +481,21 @@ def minimize_on(
 
     return MinimizeResult(
         minimizer=U,
-        value=norms.objective(constraint),
+        value=_objective(constraint, norms),
         action=norms.action,
         energy=norms.energy,
-        multipliers=norms.multipliers(constraint),
+        multipliers=_multipliers(constraint, norms),
         iterations=iterations,
         residual=rel_res,
-        constraint_residual=norms.constraint_residual(constraint),
+        constraint_residual=_constraint_residual(constraint, norms),
         history=np.asarray(history, dtype=float),
         classification=_classify(norms.m1, norms.m2),
     )
 
 
-def _measure(pair, params):
-    return _Norms.of(params, pair, fftn(pair.c1), fftn(pair.c2))
-
-
 def nehari_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Nehari set; returns (tU, t)."""
-    t, _ = _scalings(ConstraintSpec.nehari(), _measure(pair, params))
+    t, _ = _scalings(ConstraintSpec.nehari(), _Norms.measure(pair, params))
     return t * pair, t
 
 
@@ -587,7 +503,7 @@ def pohozaev_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, 
     """Scale U along its ray onto the Pohozaev set; returns (tU, t)."""
     if params.criticality(pair.grid.dim) != "supercritical":
         raise ConstraintError("the Pohozaev set is only constraining for p > 1 + 2/n")
-    t, _ = _scalings(ConstraintSpec.pohozaev(), _measure(pair, params))
+    t, _ = _scalings(ConstraintSpec.pohozaev(), _Norms.measure(pair, params))
     return t * pair, t
 
 
@@ -596,7 +512,7 @@ def nehari_set_project(
 ) -> tuple[FieldPair, tuple[float, float]]:
     """Scale the components separately onto the two-sided Nehari set;
     returns ((t1 u1, t2 u2), (t1, t2)). Both components must be nonzero."""
-    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _measure(pair, params), t0)
+    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _Norms.measure(pair, params), t0)
     return FieldPair(pair.grid, t1 * pair.c1, t2 * pair.c2, copy=False, check=False), (t1, t2)
 
 

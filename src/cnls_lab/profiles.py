@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftn, fftshift, ifft, ifftn, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, h1_norm_sq
+from .core import FieldPair, Grid, SystemParams
 from .errors import ConstraintError, SupportError
-from .functionals import nehari_pairing, coupling_F
-from . import core
+from .functionals import _Norms
 
 __all__ = [
     "Family",
@@ -391,14 +390,15 @@ def nehari_to_sphere(
         raise ConstraintError(
             f"sphere transport needs p < 1 + 2/n (got p={params.p}, n={dim})"
         )
-    rel_pairing = abs(nehari_pairing(pair, params)) / h1_norm_sq(pair, params)
+    norms = _Norms.measure(pair, params)
+    rel_pairing = abs(norms.pairing) / norms.h1
     if not rel_pairing < pairing_tol:
         raise ConstraintError(
             f"field is not a Nehari point: relative pairing {rel_pairing:.3e} "
             f"exceeds {pairing_tol:.1e}"
         )
     a = 1.0 / (params.p - 1.0) - dim / 2.0
-    nu = (gamma / core.weighted_l2_norm_sq(pair, params)) ** (1.0 / a)
+    nu = (gamma / norms.weighted_mass) ** (1.0 / a)
     scaling = ScalingParams(mu=nu ** (0.5 / (params.p - 1.0)), lam=np.sqrt(nu))
     return scale_pair(pair, scaling), nu
 
@@ -411,10 +411,10 @@ def lambda_star(pair: FieldPair, params: SystemParams) -> float:
     np1 = dim * (params.p - 1.0)
     if not np1 > 2.0:
         raise ConstraintError(f"lambda_star needs n(p-1) > 2, got {np1:g}")
-    f_val = coupling_F(pair, params)
-    if not f_val > 0:
+    norms = _Norms.measure(pair, params)
+    if not norms.F > 0:
         raise ConstraintError("lambda_star needs F(U) > 0")
-    return (core.gradient_norm_sq(pair) / (np1 * f_val)) ** (1.0 / (np1 - 2.0))
+    return (norms.grad / (np1 * norms.F)) ** (1.0 / (np1 - 2.0))
 
 
 def delta_of_omega(omega: float, beta: float, p: float, dim: int, base_mass: float) -> float:

@@ -31,7 +31,7 @@ from . import core
 from .core import FieldPair, Grid, SystemParams
 from .dynamics import EvolveConfig, evolve
 from .errors import ConstraintError
-from .functionals import action_I, coupling_F, virial_R
+from .functionals import _Norms, action_I
 from .minimize import ground_state
 from .profiles import Family, ScalingParams, SolitonSpec, make_member, scale_pair
 
@@ -379,10 +379,11 @@ def blowup_experiment(
         mode = "amplification"
         datum = factor * base
 
-    r0 = virial_R(datum, params)
+    norms = _Norms.measure(datum, params)
+    r0 = norms.virial
     if not r0 < 0:
         raise ConstraintError(f"prepared datum has R = {r0:g} >= 0; no collapse certificate")
-    action_datum = action_I(datum, params)
+    action_datum = norms.action
     sigma = family_level - action_datum
     if not sigma > 0:
         raise ConstraintError(
@@ -443,6 +444,6 @@ def blowup_experiment(
             "gradnorm": log.gradnorm,
             "window_end": window_end,
             "window_coverage": coverage,
-            "coupling_F_datum": coupling_F(datum, params),
+            "coupling_F_datum": norms.F,
         },
     )

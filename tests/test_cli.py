@@ -1,12 +1,16 @@
 import json
+import tempfile
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
     Family,
+    FieldPair,
     Grid,
     ScalingParams,
     SolitonSpec,
@@ -237,6 +241,99 @@ def test_evolve_from_snapshot_abort_exits_2(tmp_path):
         name="wp.ini",
     )
     assert main(["evolve", str(wrong_params), "--out", str(tmp_path / "o2")]) == 3
+
+
+def test_evolve_nonfinite_run_exits_2(tmp_path):
+    # the first step overflows the rates, so the run stops being finite
+    params = SystemParams(p=4.0, beta=1.0, omega1=1.0, omega2=1.0)
+    grid = Grid(1, 64, 10.0)
+    u = 1e60 * np.exp(-grid.axes[0] ** 2)
+    datum = FieldPair(grid, u, 0.5 * u)
+    snap = tmp_path / "datum.snapshot"
+    save_snapshot(snap, datum, params)
+    cfg = _write(
+        tmp_path,
+        f"""
+        [params]
+        p = 4.0
+        beta = 1.0
+
+        [grid]
+        points = 64
+        half_width = 10.0
+
+        [evolve]
+        initial = snapshot:{snap}
+        t_end = 0.01
+        conservation_stride = 1
+        """,
+    )
+    out = tmp_path / "e"
+    with np.errstate(all="ignore"):
+        assert main(["evolve", str(cfg), "--out", str(out)]) == 2
+    assert "aborted = 1" in (out / "summary.txt").read_text()
+    final, stored = load_snapshot(out / "final.snapshot")
+    assert stored == params
+    assert np.array_equal(final.c1, datum.c1) and np.array_equal(final.c2, datum.c2)
+
+
+# tiny runs: one replaced key must not be able to build a large grid or a
+# long run out of them
+_FUZZ_BASE = {
+    "evolve": {
+        "grid": {"points": "64"},
+        "evolve": {
+            "dt": "1e-3",
+            "t_end": "0.01",
+            "snapshot_stride": "5",
+            "conservation_stride": "2",
+            "eps": "1e-3",
+        },
+    },
+    "profile": {"grid": {"points": "64"}},
+}
+_FUZZ_KEYS = {
+    "params": ("p", "beta", "omega1", "omega2"),
+    "grid": ("dim", "points", "half_width"),
+    "evolve": (
+        "initial",
+        "dt",
+        "t_end",
+        "snapshot_stride",
+        "conservation_stride",
+        "guard",
+        "eps",
+        "perturb_mode",
+    ),
+}
+_FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
+
+
+@st.composite
+def _fuzzed_config(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    sections = ("params", "grid", "evolve") if command == "evolve" else ("params", "grid")
+    section = draw(st.sampled_from(sections))
+    key = draw(st.sampled_from(_FUZZ_KEYS[section]))
+    value = draw(st.sampled_from(_FUZZ_VALUES))
+    cfg = {sec: dict(keys) for sec, keys in _FUZZ_BASE[command].items()}
+    cfg.setdefault(section, {})[key] = value
+    return command, cfg
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_fuzzed_config())
+def test_fuzzed_config_exits_with_a_documented_code(case):
+    command, cfg = case
+    text = "\n".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for sec, keys in cfg.items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        with np.errstate(all="ignore"):
+            code = main([command, str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_sweep_verdict_files(tmp_path):

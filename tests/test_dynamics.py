@@ -248,6 +248,31 @@ def test_guard_aborts_collapsing_run():
     assert log.transform_calls == 2 + 3 * log.steps - 1
 
 
+def test_nonfinite_sample_returns_the_aborted_log():
+    g = Grid(1, 64, 10.0)
+    params = SystemParams(p=4.0, beta=1.0, omega1=1.0, omega2=1.0)
+    u = 1e60 * np.exp(-g.axes[0] ** 2)
+    datum = FieldPair(g, u, 0.5 * u)
+    # the first step overflows; it is observed by a sample, by a snapshot
+    # between samples, or by both
+    for sample_stride, snapshot_stride in ((1, 0), (5, 1), (1, 1)):
+        config = EvolveConfig(
+            dt=1e-3, t_end=0.01, conservation_check_stride=sample_stride, snapshot_stride=snapshot_stride
+        )
+        with np.errstate(all="ignore"):
+            log = evolve(datum, params, config)
+        assert log.aborted and log.blowup_time == pytest.approx(1e-3)
+        # the terminal snapshot is the last finite observed state, the datum
+        assert [t for t, _ in log.snapshots] == [0.0]
+        final = log.final_state()
+        assert np.array_equal(final.c1, datum.c1) and np.array_equal(final.c2, datum.c2)
+        assert log.times.tolist() == [0.0]
+    # a non-finite datum is refused up front
+    bad = FieldPair(g, np.full(g.shape, np.nan), u, check=False)
+    with pytest.raises(ValueError, match="initial state"):
+        evolve(bad, params, EvolveConfig(dt=1e-3, t_end=0.01))
+
+
 def test_virial_series_on_collapse_window():
     g = Grid(1, 2048, 30.0)
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
@@ -18,10 +21,12 @@ from cnls_lab import (
     nehari_pairing,
     partial_pairings,
     pohozaev_check,
+    relative_error,
     variance,
     virial_R,
     weighted_l2_norm_sq,
 )
+from cnls_lab.core import gradient_norm_sq_component
 from cnls_lab.functionals import _rates, boundary_amplitude_ratio
 from cnls_lab.profiles import spectral_shift
 
@@ -213,3 +218,88 @@ def test_functional_report_consistency(grid_1d):
     vals = [float(tok) for tok in row.split(",")]
     assert len(vals) == len(FunctionalReport.CSV_HEADER.split(","))
     assert vals[2] == pytest.approx(rep.action)
+
+
+def test_report_transforms_each_component_once(grid_1d, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy.fft.fftn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cnls_lab") and hasattr(module, "fftn"):
+            monkeypatch.setattr(module, "fftn", counted)
+    FunctionalReport.compute(smooth_pair(grid_1d, 5), SystemParams(p=3.0, beta=1.0, omega1=1.0, omega2=2.0))
+    assert len(calls) == 2
+
+
+_DEFINITION_GRIDS = (Grid(1, 256, 12.0), Grid(2, 32, 10.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    omegas=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    seed=st.integers(0, 10_000),
+)
+def test_functionals_match_their_definitions(dim, p, beta, omegas, seed):
+    grid = _DEFINITION_GRIDS[dim - 1]
+    params = SystemParams(p=p, beta=beta, omega1=omegas[0], omega2=omegas[1])
+    pair = smooth_pair(grid, seed)
+    zero = np.zeros(grid.shape)
+    # the definitions, from the component quadratures and F alone
+    grad = gradient_norm_sq_component(grid, pair.c1) + gradient_norm_sq_component(grid, pair.c2)
+    m1, m2 = l2_norm_sq(grid, pair.c1), l2_norm_sq(grid, pair.c2)
+    wmass = params.omega1 * m1 + params.omega2 * m2
+    f_val = coupling_F(pair, params)
+    # i_j = int |u_j|^2p is 2p F of the pair without the other component
+    i1 = 2.0 * p * coupling_F(FieldPair(grid, pair.c1, zero), params)
+    i2 = 2.0 * p * coupling_F(FieldPair(grid, zero, pair.c2), params)
+    energy = 0.5 * grad - f_val
+    action = energy + 0.5 * wmass
+    virial = grad - dim * (p - 1.0) * f_val
+    pairing = grad + wmass - 2.0 * p * f_val
+    # each part takes its own integral and half of the shared 2 beta cross
+    part1 = (
+        gradient_norm_sq_component(grid, pair.c1) + params.omega1 * m1 - 0.5 * (2.0 * p * f_val + i1 - i2)
+    )
+    part2 = (
+        gradient_norm_sq_component(grid, pair.c2) + params.omega2 * m2 - 0.5 * (2.0 * p * f_val + i2 - i1)
+    )
+    # R and the pairings can cancel to near zero: measure every error
+    # against the size of the terms
+    scale = grad + wmass + 2.0 * p * f_val
+    rep = FunctionalReport.compute(pair, params)
+    checks = {
+        "FunctionalReport": (
+            (rep.coupling, rep.energy, rep.action, rep.virial, rep.mass1, rep.mass2),
+            (f_val, energy, action, virial, m1, m2),
+        ),
+        "FunctionalReport pairings": (
+            (rep.weighted_mass, rep.nehari_pairing, rep.pairing1, rep.pairing2),
+            (wmass, pairing, part1, part2),
+        ),
+        "E, I, R": (
+            (energy_E(pair, params), action_I(pair, params), virial_R(pair, params)),
+            (energy, action, virial),
+        ),
+        "pairings": (
+            (nehari_pairing(pair, params), *partial_pairings(pair, params)),
+            (pairing, part1, part2),
+        ),
+    }
+    for name, (got, expected) in checks.items():
+        assert np.all(np.abs(np.subtract(got, expected)) <= 1e-12 * scale), name
+
+    # the zero-virial partitions at a positive level m
+    m = scale
+    check = pohozaev_check(pair, params, m)
+    for residual, value, target in (
+        (check.residual_gradient, grad, dim * m),
+        (check.residual_coupling, f_val, m / (p - 1.0)),
+        (check.residual_mass, wmass, (2.0 * p / (p - 1.0) - dim) * m),
+    ):
+        assert abs(residual - relative_error(value, target)) * target <= 1e-12 * scale

@@ -48,6 +48,10 @@ def test_grid_validation():
     for dim, bad in ((1, 5e-324), (1, 1e-300), (1, 1.7e308), (3, 1e-150), (3, 1e150)):
         with pytest.raises(ValueError, match="degenerate"):
             Grid(dim, 8, bad)
+    # point counts past the ceiling are refused before anything is allocated
+    for dim, n in ((1, 2**40), (3, 2**14)):
+        with pytest.raises(ValueError, match="ceiling"):
+            Grid(dim, n, 20.0)
 
 
 def test_grid_equality_and_hash():
