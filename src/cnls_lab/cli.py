@@ -506,10 +506,14 @@ def _cmd_profile(cfg, out: Path) -> int:
         shift=shift,
     )
     pair = make_member(spec, params, grid)
-    save_snapshot(out / "profile.snapshot", pair, params)
     report = FunctionalReport.compute(pair, params)
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload["boundary_amplitude_ratio"] = boundary_amplitude_ratio(pair)
+    nonfinite = sorted(k for k, v in payload.items() if not np.isfinite(v))
+    if nonfinite:
+        print(f"numerical failure: the profile's {', '.join(nonfinite)} are not finite", file=sys.stderr)
+        return EXIT_NUMERICAL
+    save_snapshot(out / "profile.snapshot", pair, params)
     payload["family"] = family.value
     _write_json(out / "profile.json", payload)
     print(f"{family.value}: action {report.action:.12g}, "

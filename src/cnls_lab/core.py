@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftfreq, fftn
+from scipy.fft import fft, fftfreq, fftn, ifft, ifftn
 
 from .errors import GridMismatchError
 
@@ -258,8 +258,24 @@ def _integral(grid: Grid, g: np.ndarray) -> float:
     return float(np.sum(g) * grid.cell_volume)
 
 
+def _fft(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """DFT over the trailing grid.dim axes of a field or of a stacked
+    (2, *shape) pair; every grid transform goes through this pair. In 1d,
+    fft gives fftn's result bit for bit without its n-d dispatch."""
+    if grid.dim == 1:
+        return fft(f)
+    return fftn(f, axes=range(f.ndim - grid.dim, f.ndim))
+
+
+def _ifft(grid: Grid, S: np.ndarray) -> np.ndarray:
+    """Inverse of _fft, over the same axes."""
+    if grid.dim == 1:
+        return ifft(S)
+    return ifftn(S, axes=range(S.ndim - grid.dim, S.ndim))
+
+
 def _spectral_gradient_norm_sq(grid: Grid, spectrum: np.ndarray) -> float:
-    """||grad f||_2^2 from spectrum = fftn(f) over the grid axes, by
+    """||grad f||_2^2 from spectrum = _fft(grid, f), by
     Parseval; a stacked (2, *shape) spectrum gives the sum over both
     components."""
     return _integral(grid, grid.k2 * _density(spectrum)) / grid.total_points
@@ -278,7 +294,7 @@ def weighted_l2_norm_sq(pair: FieldPair, params: SystemParams) -> float:
 
 def gradient_norm_sq_component(grid: Grid, f: np.ndarray) -> float:
     """||grad f||_2^2 via the spectral multiplier |k|^2."""
-    return _spectral_gradient_norm_sq(grid, fftn(f))
+    return _spectral_gradient_norm_sq(grid, _fft(grid, f))
 
 
 def gradient_norm_sq(pair: FieldPair) -> float:

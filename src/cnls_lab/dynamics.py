@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 
-from .core import FieldPair, Grid, SystemParams, _density, _integral, _spectral_gradient_norm_sq
+from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft, _integral, _spectral_gradient_norm_sq
 from .errors import BoundaryDecayError
 from .functionals import _energy, _potential, _rates, _variance, _virial
 
@@ -85,7 +84,7 @@ class TrajectoryLog:
     the gradient guard tripped, or the first sampled or snapshotted time at
     which the field stopped being finite; the last snapshot is always the
     latest of those states that is finite. steps is the number of Strang
-    steps taken and transform_calls the number of fftn/ifftn calls they
+    steps taken and transform_calls the number of transform calls they
     made, each over both components."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
@@ -114,16 +113,10 @@ class TrajectoryLog:
         return self.snapshots[-1][1] if self.snapshots else None
 
 
-def _axes(U):
-    """The spatial axes of a stacked (2, *shape) state."""
-    return tuple(range(1, U.ndim))
-
-
-def _kinetic(mult, U):
+def _kinetic(grid, mult, U):
     """Apply the Fourier multiplier mult (a kinetic propagator) to both
     components of the stacked state U, in one transform pair."""
-    axes = _axes(U)
-    return ifftn(mult * fftn(U, axes=axes), axes=axes)
+    return _ifft(grid, mult * _fft(grid, U))
 
 
 def _rotate(U, params, dt):
@@ -143,9 +136,10 @@ def _rotate(U, params, dt):
 def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
     (the step is the exact inverse of the forward one)."""
-    half = np.exp(-0.5j * dt * pair.grid.k2)
-    U = _kinetic(half, _rotate(_kinetic(half, np.stack(pair.components)), params, dt))
-    return FieldPair(pair.grid, U[0], U[1], copy=False, check=False)
+    grid = pair.grid
+    half = np.exp(-0.5j * dt * grid.k2)
+    U = _kinetic(grid, half, _rotate(_kinetic(grid, half, np.stack(pair.components)), params, dt))
+    return FieldPair(grid, U[0], U[1], copy=False, check=False)
 
 
 def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> TrajectoryLog:
@@ -166,7 +160,6 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     U = np.stack(pair.components)
     if not np.isfinite(U).all():
         raise ValueError("the initial state must be finite")
-    axes = _axes(U)
 
     rows = []
     snapshots = []
@@ -195,7 +188,7 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         )
         return rows[-1][5]
 
-    S = fftn(U, axes=axes)
+    S = _fft(grid, U)
     guard_level = config.blowup_guard * max(sample(0.0, U, S), 1e-300)
     if config.snapshot_stride:
         snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
@@ -208,20 +201,20 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     # whole ones, so an interior step costs one transform round trip, not
     # two, and deposits half the roundoff in the otherwise exactly
     # conserved masses
-    U = ifftn(half * S, axes=axes)
+    U = _ifft(grid, half * S)
     calls = 2
     for s in range(1, n_steps + 1):
         U = _rotate(U, params, dt)
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
         if not (sampling or snapping):
-            U = _kinetic(full, U)
+            U = _kinetic(grid, full, U)
             calls += 2
             continue
         # the whole-step state and the next mid-kinetic state both come
         # from this one spectrum
-        S = fftn(U, axes=axes)
-        U = ifftn(half * S, axes=axes)
+        S = _fft(grid, U)
+        U = _ifft(grid, half * S)
         calls += 2
         t = s * dt
         if not np.isfinite(U).all():
@@ -238,7 +231,7 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         if snapping:
             snapshots.append((t, FieldPair(grid, U[0], U[1])))
         if s < n_steps:
-            U = ifftn(full * S, axes=axes)
+            U = _ifft(grid, full * S)
             calls += 1
 
     # the terminal state is always retrievable, snapshot stride or not

@@ -18,9 +18,8 @@ import math
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy.fft import fftn
 
-from .core import FieldPair, Grid, SystemParams, _density, _integral, relative_error
+from .core import FieldPair, Grid, SystemParams, _density, _fft, _integral, relative_error
 from .errors import BoundaryDecayError
 
 __all__ = [
@@ -165,7 +164,7 @@ class _Norms:
     @classmethod
     def measure(cls, pair, params):
         """Measure pair, transforming each component once."""
-        return cls.of(params, pair, fftn(pair.c1), fftn(pair.c2))
+        return cls.of(params, pair, _fft(pair.grid, pair.c1), _fft(pair.grid, pair.c2))
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2)."""

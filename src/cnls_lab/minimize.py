@@ -33,9 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 
-from .core import FieldPair, Grid, SystemParams, _density
+from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _Norms, coupling_gradient
 
@@ -55,6 +54,8 @@ __all__ = [
 _SPHERE_KINDS = ("weighted_sphere", "product_spheres", "equal_spheres")
 _RAY_KINDS = ("nehari", "nehari_set", "pohozaev")
 
+_DT0 = 0.25
+_DT_MAX = 16.0
 _DT_MIN = 1e-12
 
 # a component holding less than this fraction of the total mass counts as absent
@@ -331,7 +332,7 @@ def _project_state(constraint, grid, params, v1h, v2h, warm):
     Returns (U, (u1h, u2h), factors, norms): the projected state, its
     spectra, the scalings (t1, t2) and the _Norms of U.
     """
-    v1, v2 = ifftn(v1h), ifftn(v2h)
+    v1, v2 = _ifft(grid, v1h), _ifft(grid, v2h)
     raw = _Norms.of(params, FieldPair(grid, v1, v2, copy=False, check=False), v1h, v2h)
     t1, t2 = _scalings(constraint, raw, warm)
     for z, t in ((v1, t1), (v2, t2), (v1h, t1), (v2h, t2)):
@@ -391,8 +392,6 @@ def minimize_on(
     init: FieldPair | None = None,
     tol: float = 1e-8,
     max_iter: int = 200_000,
-    dt0: float = 0.25,
-    dt_max: float = 16.0,
     seed: int = 0,
 ) -> MinimizeResult:
     """Run the projected flow for one constraint. Raises ConvergenceError
@@ -415,7 +414,7 @@ def minimize_on(
 
     warm = (1.0, 1.0)
     U, (u1h, u2h), factors, norms = _project_state(
-        constraint, grid, params, fftn(init.c1), fftn(init.c2), warm
+        constraint, grid, params, _fft(grid, init.c1), _fft(grid, init.c2), warm
     )
     if constraint.kind == "nehari_set":
         warm = factors
@@ -424,13 +423,13 @@ def minimize_on(
         raise ConvergenceError("objective is not finite at the starting point")
     history = [obj]
     slack = 4.0 * np.finfo(float).eps
-    dt = dt0
+    dt = _DT0
     rel_res = math.inf
     iterations = 0
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        g1h, g2h = map(fftn, coupling_gradient(U, params))
+        g1h, g2h = (_fft(grid, g) for g in coupling_gradient(U, params))
         lam1, lam2, shift1, shift2 = _multiplier_shifts(constraint, norms)
         rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
         if rel_res < tol:
@@ -470,7 +469,7 @@ def minimize_on(
         if constraint.kind == "nehari_set":
             warm = factors
         history.append(obj)
-        dt = min(dt * 2.0, dt_max)
+        dt = min(dt * 2.0, _DT_MAX)
 
     if not converged:
         raise ConvergenceError(
@@ -558,9 +557,7 @@ def multiplier_extract(
     if constraint.kind not in _SPHERE_KINDS:
         raise ConstraintError("multipliers are defined for sphere constraints only")
     k2 = pair.grid.k2
-    u1h = fftn(pair.c1)
-    u2h = fftn(pair.c2)
-    g1h, g2h = map(fftn, coupling_gradient(pair, params))
+    u1h, u2h, g1h, g2h = (_fft(pair.grid, f) for f in (*pair.components, *coupling_gradient(pair, params)))
 
     def fits(*terms):
         # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given

@@ -27,9 +27,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, fftn, fftshift, ifft, ifftn, next_fast_len
+from scipy.fft import fft, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams
+from .core import FieldPair, Grid, SystemParams, _fft, _ifft
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 
@@ -249,10 +249,10 @@ def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
     """Translate f by the real vector shift via Fourier phases (exact for
     the trigonometric interpolant)."""
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    fh = fftn(np.asarray(f, dtype=complex))
+    fh = _fft(grid, np.asarray(f, dtype=complex))
     for k, y in zip(np.ix_(*grid.wavenumbers), shift, strict=True):
         fh = fh * np.exp(-1j * k * y)
-    return ifftn(fh)
+    return _ifft(grid, fh)
 
 
 def _chebyshev_radius(grid: Grid) -> np.ndarray:
@@ -314,7 +314,7 @@ def scale_field(
     inside = np.abs(lam * grid.axes[0]) < grid.half_width
     post = chirp * np.exp(-0.5j * n * (theta0 + dtheta * j)) * inside / n
     kern = np.exp(-0.5j * dtheta * np.arange(1 - n, n) ** 2)
-    h = fftn(g)
+    h = _fft(grid, g)
     if grid.dim == 1:
         # the chirp convolution by FFTs of length >= 2N - 1, O(N log N)
         nfft = next_fast_len(2 * n - 1)

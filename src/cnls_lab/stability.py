@@ -12,10 +12,11 @@ optimal phases are theta_j = arg C_j(y) and
     dist(y)^2 = ||psi||_H^2 + ||v||_H^2 - 2 (|C_1(y)| + |C_2(y)|),
 
 so minimizing over the orbit reduces to maximizing |C_1| + |C_2| over the
-shift alone. C_j at every grid shift comes from one inverse transform of
-(|k|^2 + omega_j) psi_hat conj(v_hat); the best grid shift seeds a
-quasi-Newton refinement that evaluates the exact plane-wave sums between
-grid points.
+shift alone. C_1 and C_2 at every grid shift come from one stacked inverse
+transform of (|k|^2 + omega_j) psi_hat conj(v_hat); the best grid shift
+seeds a quasi-Newton refinement that evaluates the exact plane-wave sums
+between grid points. The reference spectra are taken once per sweep, so a
+state costs one forward transform plus one inverse per reference.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import core
@@ -64,80 +64,75 @@ def _wrap(y: float, half_width: float) -> float:
     return (y + half_width) % period - half_width
 
 
-def _orbit_distance_single(psi: FieldPair, ref: FieldPair, params: SystemParams, refine: bool):
-    grid = psi.grid
-    dim = grid.dim
-    w = grid.cell_volume / grid.total_points
-    spectra = []
-    for a, b, om in ((psi.c1, ref.c1, params.omega1), (psi.c2, ref.c2, params.omega2)):
-        spectra.append(w * (grid.k2 + om) * fftn(a) * np.conj(fftn(b)))
+class _Orbits:
+    """Reference pairs v measured once, for distances from many states:
+    weight = (dx^n / N) (|k|^2 + omega_j), stacked over the components,
+    and for each reference weight conj(v_hat) and ||v||_H^2. A state's
+    H-norm and its C_j then come from its one stacked spectrum."""
 
-    # |C_1| + |C_2| at every grid shift in one pass
-    cgrids = [grid.total_points * ifftn(P) for P in spectra]
-    score = sum(np.abs(c) for c in cgrids)
-    best = float(score.max())
-    flat = np.flatnonzero(score >= best - 1e-12 * abs(best) - 1e-300)
-    candidates = np.array(np.unravel_index(flat, grid.shape)).T
-    ys = []
-    for idx in candidates:
-        y = tuple(_wrap(i * grid.dx, grid.half_width) for i in idx)
-        ys.append((sum(v * v for v in y), y, tuple(int(i) for i in idx)))
-    ys.sort()
-    _, y0, idx0 = ys[0]
-    y0 = np.asarray(y0, dtype=float)
-    kaxes = np.ix_(*grid.wavenumbers)
+    def __init__(self, refs, params: SystemParams):
+        grid = self.grid = refs[0].grid
+        omegas = np.reshape(params.weights, (2,) + (1,) * grid.dim)
+        self.weight = grid.cell_volume / grid.total_points * (grid.k2 + omegas)
+        spectra = [core._fft(grid, np.stack(ref.components)) for ref in refs]
+        self.refs = [(self.weight * np.conj(vh), self._norm_sq(vh)) for vh in spectra]
+        # columns 1 and i k_ax, for C_j and its shift derivatives in one product
+        ik = [np.broadcast_to(1j * k, grid.shape) for k in np.ix_(*grid.wavenumbers)]
+        self.moments = np.stack([np.ones(grid.shape)] + ik).reshape(grid.dim + 1, -1).T
 
-    def phase_at(y):
-        phase = 1.0
-        for k, yk in zip(kaxes, y):
-            phase = phase * np.exp(1j * k * yk)
-        return phase
+    def _norm_sq(self, spectrum):
+        return float(np.sum(self.weight * core._density(spectrum)))
 
-    if refine:
-        # per-axis parabola through the three neighboring grid shifts
-        for ax in range(dim):
-            lo = list(idx0)
-            hi = list(idx0)
-            lo[ax] = (idx0[ax] - 1) % grid.points_per_axis
-            hi[ax] = (idx0[ax] + 1) % grid.points_per_axis
-            d_lo = float(score[tuple(lo)])
-            d_mid = float(score[tuple(idx0)])
-            d_hi = float(score[tuple(hi)])
-            denom = d_lo - 2.0 * d_mid + d_hi
-            if denom < 0:
-                y0[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
+    def closest(self, psi: FieldPair, refine: bool = True) -> OrbitDistanceResult:
+        psi_h = core._fft(self.grid, np.stack(psi.components))
+        psi_h1 = self._norm_sq(psi_h)
+        results = [self._single(P * psi_h, psi_h1 + h1, refine) + (i,) for i, (P, h1) in enumerate(self.refs)]
+        return OrbitDistanceResult(*min(results, key=lambda r: r[0]))
 
-        def neg_score(y):
-            phase = phase_at(y)
-            val = 0.0
-            grad = np.zeros(dim)
-            for P in spectra:
-                c = complex(np.sum(P * phase))
-                a = abs(c)
-                val += a
-                if a > 0:
-                    for ax in range(dim):
-                        dc = complex(np.sum(1j * kaxes[ax] * P * phase))
-                        grad[ax] += (c.conjugate() * dc).real / a
-            return -val, -grad
+    def _sums(self, P, y):
+        """C_j(y) and dC_j/dy_ax at the shift y, as a (2, 1 + dim) array."""
+        phase = np.exp(self.moments[:, 1:] @ y)
+        return (P.reshape(2, -1) * phase) @ self.moments
 
-        res = _scipy_minimize(neg_score, y0, jac=True, method="BFGS", options={"gtol": 1e-12})
-        if -res.fun >= best:
-            y0 = res.x
-            best = -res.fun
+    def _single(self, P, h1_sum, refine):
+        """(distance, shift, phases) from P = weight conj(v_hat) psi_hat and h1_sum = ||psi||^2 + ||v||^2."""
+        grid = self.grid
+        # |C_1| + |C_2| at every grid shift in one pass
+        score = np.abs(grid.total_points * core._ifft(grid, P)).sum(axis=0)
+        best = float(score.max())
+        # of the near-maximal grid shifts, the one nearest the origin
+        idx = np.argwhere(score >= best - 1e-12 * abs(best) - 1e-300)
+        ys = _wrap(idx * grid.dx, grid.half_width)
+        _, y0, idx0 = min(zip((ys * ys).sum(axis=1).tolist(), ys.tolist(), map(tuple, idx.tolist())))
+        y0 = np.array(y0)
 
-    phase = phase_at(y0)
-    cs = [complex(np.sum(P * phase)) for P in spectra]
-    dist_sq = (
-        core.h1_norm_sq(psi, params)
-        + core.h1_norm_sq(ref, params)
-        - 2.0 * sum(abs(c) for c in cs)
-    )
-    return (
-        math.sqrt(max(dist_sq, 0.0)),
-        tuple(_wrap(v, grid.half_width) for v in y0),
-        tuple(math.atan2(c.imag, c.real) for c in cs),
-    )
+        if refine:
+            # per-axis parabola through the three neighboring grid shifts
+            for ax in range(grid.dim):
+                d_lo, d_mid, d_hi = (float(np.roll(score, s, axis=ax)[idx0]) for s in (1, 0, -1))
+                denom = d_lo - 2.0 * d_mid + d_hi
+                if denom < 0:
+                    y0[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
+
+            def neg_score(y):
+                sums = self._sums(P, y)
+                c, dc = sums[:, 0], sums[:, 1:]
+                a = np.abs(c)
+                live = a > 0
+                grad = (c[live, None].conjugate() * dc[live]).real / a[live, None]
+                return -a.sum(), -grad.sum(axis=0)
+
+            res = _scipy_minimize(neg_score, y0, jac=True, method="BFGS", options={"gtol": 1e-12})
+            if -res.fun >= best:
+                y0 = res.x
+
+        cs = self._sums(P, y0)[:, 0]
+        dist_sq = h1_sum - 2.0 * float(np.abs(cs).sum())
+        return (
+            math.sqrt(max(dist_sq, 0.0)),
+            tuple(_wrap(v, grid.half_width) for v in y0),
+            tuple(math.atan2(c.imag, c.real) for c in cs),
+        )
 
 
 def orbit_distance(
@@ -148,15 +143,9 @@ def orbit_distance(
     refs = [reference] if isinstance(reference, FieldPair) else list(reference)
     if not refs:
         raise ValueError("need at least one reference")
-    best = None
-    for i, ref in enumerate(refs):
+    for ref in refs:
         core.same_grid(psi, ref)
-        d, shift, phases = _orbit_distance_single(psi, ref, params, refine)
-        if best is None or d < best[0]:
-            best = (d, shift, phases, i)
-    return OrbitDistanceResult(
-        distance=best[0], shift=best[1], phases=best[2], reference_index=best[3]
-    )
+    return _Orbits(refs, params).closest(psi, refine)
 
 
 def perturbation_pair(
@@ -248,6 +237,7 @@ def stability_sweep(
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
     stride = max(1, int(round(sample_dt / dt)))
+    orbits = _Orbits(refs, params)
 
     initial_distances = []
     max_excursions = []
@@ -267,9 +257,7 @@ def stability_sweep(
         )
         log = evolve(psi0, params, config)
         times = np.array([t for t, _ in log.snapshots])
-        dists = np.array(
-            [orbit_distance(state, refs, params).distance for _, state in log.snapshots]
-        )
+        dists = np.array([orbits.closest(state).distance for _, state in log.snapshots])
         d0 = float(dists[0])
         peak = float(dists.max())
         if log.aborted:

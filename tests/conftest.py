@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cnls_lab import FieldPair, Grid, SystemParams
+from cnls_lab import FieldPair, Grid, SystemParams, core
 
 # Property tests draw the same examples on every run by default, so a pass
 # or a failure repeats. `pytest --hypothesis-profile explore` draws fresh
@@ -10,6 +10,25 @@ from cnls_lab import FieldPair, Grid, SystemParams
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The input shapes of the transforms made through the core pair
+    core._fft / core._ifft from here on, recorded by wrapping the scipy.fft
+    names that core calls."""
+    calls = []
+
+    def counted(transform):
+        def wrapper(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return transform(x, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(core, name, counted(getattr(core, name)))
+    return calls
 
 
 @pytest.fixture(scope="session")

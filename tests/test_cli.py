@@ -333,7 +333,31 @@ def test_fuzzed_config_exits_with_a_documented_code(case):
         path.write_text(text, encoding="utf-8")
         with np.errstate(all="ignore"):
             code = main([command, str(path), "--out", str(Path(tmp) / "out")])
+        if command == "profile" and code == 0:
+            json.loads((Path(tmp) / "out" / "profile.json").read_text(), parse_constant=_refuse_nonfinite)
     assert code in (0, 2, 3, 4)
+
+
+def _refuse_nonfinite(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+def test_profile_refuses_overflowing_params(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        """
+        [params]
+        omega1 = 1e300
+
+        [grid]
+        points = 64
+        """,
+    )
+    out = tmp_path / "p"
+    with np.errstate(all="ignore"):
+        assert main(["profile", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "profile.json").exists()
 
 
 def test_sweep_verdict_files(tmp_path):

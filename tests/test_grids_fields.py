@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.fft import fftn, ifftn
 
+import cnls_lab
 from cnls_lab import (
     FieldPair,
     Grid,
@@ -14,6 +20,7 @@ from cnls_lab import (
     relative_error,
     weighted_l2_norm_sq,
 )
+from cnls_lab.core import _fft, _ifft
 
 
 def test_grid_axes_and_spacing():
@@ -180,3 +187,36 @@ def test_relative_error_scales():
     assert relative_error(1.0, 1.0) == 0.0
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(1.1, 1.0) == pytest.approx(0.1, rel=1e-12)
+
+
+_PAIR_GRIDS = (Grid(1, 64, 5.0), Grid(2, 16, 5.0), Grid(3, 8, 5.0))
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    stacked=st.booleans(),
+    real=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_transform_pair_equals_fftn_over_the_grid_axes(dim, stacked, real, seed):
+    grid = _PAIR_GRIDS[dim - 1]
+    rng = np.random.default_rng(seed)
+    shape = ((2,) if stacked else ()) + grid.shape
+    f = rng.standard_normal(shape)
+    if not real:
+        f = f + 1j * rng.standard_normal(shape)
+    axes = tuple(range(len(shape) - dim, len(shape)))
+    np.testing.assert_array_equal(_fft(grid, f), fftn(f, axes=axes))
+    np.testing.assert_array_equal(_ifft(grid, f), ifftn(f, axes=axes))
+
+
+def test_only_core_imports_the_nd_transforms():
+    # every grid transform goes through core._fft / core._ifft
+    offenders = []
+    for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in ("fftn", "ifftn")]
+    assert offenders == []

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
     AuditReport,
     AuditRow,
     ConstraintError,
     Family,
+    FieldPair,
     Grid,
     SolitonSpec,
     SystemParams,
     blowup_experiment,
+    h1_distance,
     h1_norm_sq,
     identity_audit,
     make_member,
@@ -19,6 +22,10 @@ from cnls_lab import (
     perturbation_pair,
     stability_sweep,
 )
+from cnls_lab.profiles import spectral_shift
+from cnls_lab.stability import _Orbits
+
+from conftest import smooth_pair
 
 VECTOR = SystemParams(p=2.0, beta=2.0, omega1=1.0, omega2=1.0)
 
@@ -61,6 +68,47 @@ def test_orbit_distance_picks_nearest_reference(grid_1d):
     assert orbit_distance(scalar, refs, VECTOR).reference_index == 0
     with pytest.raises(ValueError):
         orbit_distance(scalar, [], VECTOR)
+
+
+def test_orbit_distance_transform_budget(grid_1d, transform_calls):
+    refs = [make_member(SolitonSpec.for_family(f, VECTOR), VECTOR, grid_1d) for f in Family]
+    psi = refs[2] + 1e-2 * perturbation_pair(grid_1d, VECTOR, seed=1)
+    stacked = (2,) + grid_1d.shape
+    for r in (1, 2, 3):
+        transform_calls.clear()
+        orbit_distance(psi, refs[:r], VECTOR)
+        # each reference and psi transformed once, one inverse per reference
+        assert transform_calls == [stacked] * (1 + 2 * r)
+    # a sweep measures its references once; a state then costs 1 + R
+    orbits = _Orbits(refs, VECTOR)
+    transform_calls.clear()
+    orbits.closest(psi)
+    assert transform_calls == [stacked] * (1 + len(refs))
+
+
+_ORBIT_GRIDS = (Grid(1, 256, 10.0), Grid(2, 32, 8.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    dim=st.sampled_from([1, 2]),
+    seeds=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+    shift=st.floats(-3.0, 3.0),
+    phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+    eps=st.floats(0.05, 1.0),
+    refine=st.booleans(),
+)
+def test_orbit_distance_is_the_distance_to_the_returned_orbit_point(dim, seeds, shift, phases, eps, refine):
+    grid = _ORBIT_GRIDS[dim - 1]
+    params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.7)
+    ref = smooth_pair(grid, seeds[0])
+    moved = [np.exp(1j * t) * spectral_shift(grid, c, (shift,) * dim) for t, c in zip(phases, ref.components)]
+    psi = FieldPair(grid, *moved) + eps * smooth_pair(grid, seeds[1])
+    res = orbit_distance(psi, ref, params, refine=refine)
+    nearest = FieldPair(
+        grid, *(np.exp(1j * t) * spectral_shift(grid, c, res.shift) for t, c in zip(res.phases, ref.components))
+    )
+    assert res.distance == pytest.approx(h1_distance(psi, nearest, params), rel=1e-10)
 
 
 def test_perturbation_pair_normalization_and_modes(grid_1d, cubic):
