@@ -376,6 +376,11 @@ def _cmd_evolve(cfg, out: Path) -> int:
     if log.aborted:
         print("run aborted: the amplitude guard tripped or the field stopped being finite", file=sys.stderr)
         return EXIT_NUMERICAL
+    # a nan variance only marks a field that no longer decays at the box edge
+    nonfinite = [c for c in ("mass1", "mass2", "energy", "gradnorm") if not np.isfinite(getattr(log, c)).all()]
+    if nonfinite:
+        print(f"numerical failure: non-finite {', '.join(nonfinite)} in trajectory.csv", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -167,18 +167,23 @@ class _Norms:
         return cls.of(params, pair, _fft(pair.grid, pair.c1), _fft(pair.grid, pair.c2))
 
     def scaled(self, t1, t2):
-        """The values for (t1 u1, t2 u2)."""
+        """The values for (t1 u1, t2 u2). The powers are taken in numpy
+        floats, so one that overflows gives inf (or nan against a zero
+        component), not OverflowError; the flows reject the non-finite
+        objective that follows."""
         p = self.params.p
-        return replace(
-            self,
-            grad1=t1**2 * self.grad1,
-            grad2=t2**2 * self.grad2,
-            m1=t1**2 * self.m1,
-            m2=t2**2 * self.m2,
-            i1=t1 ** (2 * p) * self.i1,
-            i2=t2 ** (2 * p) * self.i2,
-            cross=t1**p * t2**p * self.cross,
-        )
+        t1, t2 = np.float64(t1), np.float64(t2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = dict(
+                grad1=t1**2 * self.grad1,
+                grad2=t2**2 * self.grad2,
+                m1=t1**2 * self.m1,
+                m2=t2**2 * self.m2,
+                i1=t1 ** (2 * p) * self.i1,
+                i2=t2 ** (2 * p) * self.i2,
+                cross=t1**p * t2**p * self.cross,
+            )
+        return replace(self, **{k: float(v) for k, v in values.items()})
 
     @property
     def F(self):

@@ -2,24 +2,24 @@
 
 One scheme drives every constrained problem: a semi-implicit step
 
-    u_hat <- (u_hat + dt g_hat) / (1 + dt (|k|^2 + omega_j - shift_j)),
+    u_hat <- (u_hat + dt g_hat) / (1 + dt (|k|^2 + lam_j)),
 
 with g the nonlinear gradient of F, followed by an exact projection back
-onto the constraint set (scalar rescalings; a 2x2 Newton solve for the
-two-sided Nehari set). The step size doubles after every accepted step and
-halves until the objective stops increasing, so the recorded objective
-history is monotone up to roundoff.
+onto the constraint set (scalar rescalings; for the two-sided Nehari set,
+one root of a scalar equation in log(t2/t1)). The step size doubles after
+every accepted step and halves until the objective stops increasing, so the
+recorded objective history is monotone up to roundoff.
 
-The shift term keeps constrained problems honest: on mass spheres the
-minimizer solves -Lap u_j + nu omega_j u_j = g_j with an unknown multiplier
-nu, and a plain (1 + dt(|k|^2 + omega_j)) step has no fixed point there
-unless nu = 1. Feeding the running multiplier estimate back through
-shift_j = (1 - nu) omega_j (per component for product spheres) restores the
-correct fixed points, and folding it into the denominator keeps the step
+The effective frequencies lam_j keep constrained problems honest: on mass
+spheres the minimizer solves -Lap u_j + nu omega_j u_j = g_j with an
+unknown multiplier nu, and a plain (1 + dt(|k|^2 + omega_j)) step has no
+fixed point there unless nu = 1. Feeding the running multiplier estimate
+back through lam_j = nu omega_j (lam_j = nu_j on product spheres) restores
+the correct fixed points, and holding it in the denominator keeps the step
 unconditionally stable for nu > 1; a component the minimizer abandons then
 dies geometrically at every step size instead of only below dt = 2/(nu-1).
-Ray-projected constraints (Nehari, Pohozaev) need no shift: their critical
-points solve the equation with nu = 1 exactly.
+Ray-projected constraints (Nehari, Pohozaev) keep lam_j = omega_j: their
+critical points solve the equation with nu = 1 exactly.
 
 Convergence is declared on the strong-form residual r_j = (-Lap + lam_j) u_j
 - g_j, evaluated spectrally and, for sphere constraints, projected off the
@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _SPHERE_KINDS = ("weighted_sphere", "product_spheres", "equal_spheres")
-_RAY_KINDS = ("nehari", "nehari_set", "pohozaev")
 
 _DT0 = 0.25
 _DT_MAX = 16.0
@@ -201,54 +201,58 @@ def gaussian_init(
 # projections
 
 
-def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0), *, tol=1e-13, max_iter=100):
-    """Positive (t1, t2) with t_j^2 a_j = t_j^(2p) b_j + t_1^p t_2^p c,
-    by damped Newton in log coordinates. Monotone in both variables since
-    c >= 0, so the damped iteration is robust from any warm start."""
+def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0)):
+    """Positive (t1, t2) with t_j^2 a_j = t_j^(2p) b_j + t_1^p t_2^p c.
+
+    With r = t2/t1, t1^(2p-2) = a1 / (b1 + c r^p) solves the first equation,
+    and the pair reduces to H(r) = a1 b2 r^p + a1 c - a2 c r^2 - a2 b1 r^(2-p)
+    = 0, solved for the root nearest the warm ratio t0[1]/t0[0]. For c > 0
+    and p != 2, H changes sign between r -> 0 and r -> inf, so a root exists
+    (at beta = p - 1 a proportional pair's is a triple root, which bracketing
+    still finds); at p = 2, H = A r^2 + B misses when A and B share a sign.
+    """
     if min(a1, a2, b1, b2) <= 0:
         raise ConstraintError("the two-sided Nehari projection needs both components nonzero")
     q = 2.0 * p - 2.0
     if c == 0.0:
         return (a1 / b1) ** (1.0 / q), (a2 / b2) ** (1.0 / q)
-    xi = np.log(np.asarray(t0, dtype=float))
+    la1, la2, lb1, lb2, lc = (math.log(v) for v in (a1, a2, b1, b2, c))
+    # the terms of H(e^x) as (log coefficient, power of r), positive then negative
+    logs = (la1 + lb2, la1 + lc, la2 + lc, la2 + lb1)
+    powers = (p, 0.0, 2.0, 2.0 - p)
 
-    def balance(xi):
-        # np.exp, not math.exp: overflow must yield inf for the damping
-        # loop to reject, not raise
-        e1 = float(np.exp(q * xi[0]))
-        e2 = float(np.exp(q * xi[1]))
-        e12 = float(np.exp((p - 2.0) * xi[0] + p * xi[1]))
-        e21 = float(np.exp(p * xi[0] + (p - 2.0) * xi[1]))
-        g = np.array([a1 - b1 * e1 - c * e12, a2 - b2 * e2 - c * e21])
-        return g, (e1, e2, e12, e21)
+    def h(x):
+        # H(e^x) over its largest term, so that no x overflows
+        e = [lg + k * x for lg, k in zip(logs, powers)]
+        top = max(e)
+        t = [math.exp(v - top) for v in e]
+        return t[0] + t[1] - t[2] - t[3]
 
-    g, es = balance(xi)
-    for _ in range(max_iter):
-        if max(abs(g[0]) / a1, abs(g[1]) / a2) < tol:
-            return math.exp(xi[0]), math.exp(xi[1])
-        e1, e2, e12, e21 = es
-        jac = np.array(
-            [
-                [-q * b1 * e1 - (p - 2.0) * c * e12, -p * c * e12],
-                [-p * c * e21, -q * b2 * e2 - (p - 2.0) * c * e21],
-            ]
-        )
-        # lstsq instead of solve: the jacobian degenerates on symmetric
-        # iterates when the cross term matches the self terms (p=2, beta=1)
-        step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        gn = float(np.hypot(g[0], g[1]))
-        damp = 1.0
-        while damp > 1e-8:
-            with np.errstate(over="ignore"):
-                g_new, es_new = balance(xi + damp * step)
-            if np.all(np.isfinite(g_new)) and float(np.hypot(g_new[0], g_new[1])) < gn:
-                break
-            damp *= 0.5
-        else:
-            raise ConvergenceError("two-sided Nehari projection stalled")
-        xi = xi + damp * step
-        g, es = g_new, es_new
-    raise ConvergenceError("two-sided Nehari projection did not converge")
+    x = math.log(t0[1] / t0[0])
+    # H vanishing at the warm ratio within the roundoff of its terms and of
+    # their quadratures keeps it: at p = 2, beta = 1, H is zero for every r
+    # on proportional components, and every r then solves the pair
+    if abs(h(x)) > 64.0 * np.finfo(float).eps:
+        x = _root_near(h, x)
+    lt1 = (la1 - np.logaddexp(lb1, lc + p * x)) / q
+    with np.errstate(over="ignore"):
+        return float(np.exp(lt1)), float(np.exp(lt1 + x))
+
+
+def _root_near(h, x0):
+    """A root of h bracketed by probes x0 -/+ 2^k/64 and refined by brentq;
+    none beyond |x - x0| = 2048, where e^x exceeds any ratio of two floats."""
+    ends = [(x0, h(x0))] * 2
+    step = 1.0 / 64.0
+    while step <= 2048.0:
+        for i, xb in enumerate((x0 - step, x0 + step)):
+            (xa, ha), hb = ends[i], h(xb)
+            # signs, not the product, which underflows where H is roundoff
+            if np.sign(ha) != np.sign(hb):
+                return brentq(h, min(xa, xb), max(xa, xb), xtol=1e-15, maxiter=200)
+            ends[i] = (xb, hb)
+        step *= 2.0
+    raise ConstraintError("the scaling orbit misses the two-sided Nehari set")
 
 
 def _objective(constraint, norms):
@@ -341,21 +345,20 @@ def _project_state(constraint, grid, params, v1h, v2h, warm):
     return U, (v1h, v2h), (t1, t2), raw.scaled(t1, t2)
 
 
-def _multiplier_shifts(constraint, norms):
-    """(lam1, lam2, shift1, shift2): effective frequencies for the residual
-    and the multiplier shifts folded into the semi-implicit denominator."""
+def _effective_frequencies(constraint, norms):
+    """(lam1, lam2): the frequencies of the constrained equation at the
+    running multiplier estimate, for the residual and the semi-implicit
+    denominator."""
     w1, w2 = norms.params.omega1, norms.params.omega2
     nus = _multipliers(constraint, norms)
     if constraint.kind == "weighted_sphere":
         (nu,) = nus
-        return nu * w1, nu * w2, (1.0 - nu) * w1, (1.0 - nu) * w2
+        return nu * w1, nu * w2
     if nus:
         nu1, nu2 = nus
         # a pinned component keeps its own frequency
-        if math.isnan(nu2):
-            nu2 = w2
-        return nu1, nu2, w1 - nu1, w2 - nu2
-    return w1, w2, 0.0, 0.0
+        return nu1, w2 if math.isnan(nu2) else nu2
+    return w1, w2
 
 
 def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
@@ -412,12 +415,10 @@ def minimize_on(
     if init.grid != grid:
         raise GridMismatchError(f"init lives on {init.grid!r}, expected {grid!r}")
 
-    warm = (1.0, 1.0)
+    # each projection's scalings warm-start the next (only nehari_set reads them)
     U, (u1h, u2h), factors, norms = _project_state(
-        constraint, grid, params, _fft(grid, init.c1), _fft(grid, init.c2), warm
+        constraint, grid, params, _fft(grid, init.c1), _fft(grid, init.c2), (1.0, 1.0)
     )
-    if constraint.kind == "nehari_set":
-        warm = factors
     obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
@@ -430,7 +431,7 @@ def minimize_on(
 
     for iterations in range(1, max_iter + 1):
         g1h, g2h = (_fft(grid, g) for g in coupling_gradient(U, params))
-        lam1, lam2, shift1, shift2 = _multiplier_shifts(constraint, norms)
+        lam1, lam2 = _effective_frequencies(constraint, norms)
         rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
         if rel_res < tol:
             converged = True
@@ -438,23 +439,20 @@ def minimize_on(
 
         accepted = False
         while dt >= _DT_MIN:
-            # the multiplier shift must sit in the denominator: treated
-            # explicitly it caps the stable step at 2/(nu - 1) and a dying
-            # component flip-flops at the cap instead of vanishing
-            if (
-                1.0 + dt * (params.omega1 - shift1) <= 1e-12
-                or 1.0 + dt * (params.omega2 - shift2) <= 1e-12
-            ):
+            # the multiplier must sit in the denominator: treated explicitly
+            # it caps the stable step at 2/(nu - 1) and a dying component
+            # flip-flops at the cap instead of vanishing
+            if 1.0 + dt * lam1 <= 1e-12 or 1.0 + dt * lam2 <= 1e-12:
                 dt *= 0.5
                 continue
-            v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.k2 + params.omega1 - shift1))
-            v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.k2 + params.omega2 - shift2))
+            v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.k2 + lam1))
+            v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.k2 + lam2))
             # a rejected attempt's fields must not stay alive through the
             # retry, where they would add four arrays to the peak
             projected = None
             try:
-                projected = _project_state(constraint, grid, params, v1h, v2h, warm)
-            except (ConstraintError, ConvergenceError):
+                projected = _project_state(constraint, grid, params, v1h, v2h, factors)
+            except ConstraintError:
                 dt *= 0.5
                 continue
             obj_new = _objective(constraint, projected[3])
@@ -466,8 +464,6 @@ def minimize_on(
             break
         U, (u1h, u2h), factors, norms = projected
         obj = obj_new
-        if constraint.kind == "nehari_set":
-            warm = factors
         history.append(obj)
         dt = min(dt * 2.0, _DT_MAX)
 
@@ -527,7 +523,10 @@ def ground_state(
     """Minimize the action over the Nehari set from three starts (each pure
     component and a synchronized pair) and keep the lowest level. The scalar
     starts stay scalar under the flow, so the comparison scalar-vs-vector is
-    decided by the final levels, not by the basin of the starting guess."""
+    decided by the final levels, not by the basin of the starting guess.
+    threads (default: one per start) must be at least 1."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     starts = ("first", "second", "both")
 
     def run(idx_mode):
@@ -537,7 +536,7 @@ def ground_state(
             ConstraintSpec.nehari(), params, grid, init=init, tol=tol, max_iter=max_iter
         )
 
-    with ThreadPoolExecutor(max_workers=threads or len(starts)) as pool:
+    with ThreadPoolExecutor(max_workers=len(starts) if threads is None else threads) as pool:
         results = list(pool.map(run, enumerate(starts)))
     best = min(range(len(results)), key=lambda i: (results[i].action, i))
     return results[best]

@@ -17,6 +17,12 @@ transform of (|k|^2 + omega_j) psi_hat conj(v_hat); the best grid shift
 seeds a quasi-Newton refinement that evaluates the exact plane-wave sums
 between grid points. The reference spectra are taken once per sweep, so a
 state costs one forward transform plus one inverse per reference.
+
+The reported distance is not read off the expression above, which loses
+every distance below about 1e-8 ||v||_H to cancellation, but summed
+directly at the chosen orbit point from the spectra in hand:
+
+    dist^2 = sum_k w (|k|^2 + omega_j) |psi_hat_j - e^(i theta_j) e^(-i k.y) v_hat_j|^2.
 """
 
 from __future__ import annotations
@@ -67,15 +73,16 @@ def _wrap(y: float, half_width: float) -> float:
 class _Orbits:
     """Reference pairs v measured once, for distances from many states:
     weight = (dx^n / N) (|k|^2 + omega_j), stacked over the components,
-    and for each reference weight conj(v_hat) and ||v||_H^2. A state's
-    H-norm and its C_j then come from its one stacked spectrum."""
+    and for each reference its stacked spectrum v_hat and weight conj(v_hat).
+    A state's C_j and its distance to the chosen orbit point then come from
+    its one stacked spectrum."""
 
     def __init__(self, refs, params: SystemParams):
         grid = self.grid = refs[0].grid
         omegas = np.reshape(params.weights, (2,) + (1,) * grid.dim)
         self.weight = grid.cell_volume / grid.total_points * (grid.k2 + omegas)
         spectra = [core._fft(grid, np.stack(ref.components)) for ref in refs]
-        self.refs = [(self.weight * np.conj(vh), self._norm_sq(vh)) for vh in spectra]
+        self.refs = [(vh, self.weight * np.conj(vh)) for vh in spectra]
         # columns 1 and i k_ax, for C_j and its shift derivatives in one product
         ik = [np.broadcast_to(1j * k, grid.shape) for k in np.ix_(*grid.wavenumbers)]
         self.moments = np.stack([np.ones(grid.shape)] + ik).reshape(grid.dim + 1, -1).T
@@ -85,8 +92,7 @@ class _Orbits:
 
     def closest(self, psi: FieldPair, refine: bool = True) -> OrbitDistanceResult:
         psi_h = core._fft(self.grid, np.stack(psi.components))
-        psi_h1 = self._norm_sq(psi_h)
-        results = [self._single(P * psi_h, psi_h1 + h1, refine) + (i,) for i, (P, h1) in enumerate(self.refs)]
+        results = [self._single(psi_h, vh, wv, refine) + (i,) for i, (vh, wv) in enumerate(self.refs)]
         return OrbitDistanceResult(*min(results, key=lambda r: r[0]))
 
     def _sums(self, P, y):
@@ -94,9 +100,11 @@ class _Orbits:
         phase = np.exp(self.moments[:, 1:] @ y)
         return (P.reshape(2, -1) * phase) @ self.moments
 
-    def _single(self, P, h1_sum, refine):
-        """(distance, shift, phases) from P = weight conj(v_hat) psi_hat and h1_sum = ||psi||^2 + ||v||^2."""
+    def _single(self, psi_h, vh, wv, refine):
+        """(distance, shift, phases) of psi_hat from the orbit of v_hat, with
+        wv = weight conj(v_hat)."""
         grid = self.grid
+        P = wv * psi_h
         # |C_1| + |C_2| at every grid shift in one pass
         score = np.abs(grid.total_points * core._ifft(grid, P)).sum(axis=0)
         best = float(score.max())
@@ -126,12 +134,14 @@ class _Orbits:
             if -res.fun >= best:
                 y0 = res.x
 
-        cs = self._sums(P, y0)[:, 0]
-        dist_sq = h1_sum - 2.0 * float(np.abs(cs).sum())
+        phases = [math.atan2(c.imag, c.real) for c in self._sums(P, y0)[:, 0]]
+        # e^(i theta_j) e^(-i k.y) v_hat_j, the spectrum of the orbit point
+        shift = np.exp(-1j * sum(k * y for k, y in zip(np.ix_(*grid.wavenumbers), y0)))
+        nearest = np.exp(1j * np.reshape(phases, (2,) + (1,) * grid.dim)) * shift * vh
         return (
-            math.sqrt(max(dist_sq, 0.0)),
+            math.sqrt(self._norm_sq(psi_h - nearest)),
             tuple(_wrap(v, grid.half_width) for v in y0),
-            tuple(math.atan2(c.imag, c.real) for c in cs),
+            tuple(phases),
         )
 
 

@@ -83,6 +83,8 @@ def test_config_rejection_and_io_failure(tmp_path):
     assert main(["ground", str(no_header), "--out", str(tmp_path / "o3")]) == 3
     missing = tmp_path / "not_there.ini"
     assert main(["ground", str(missing), "--out", str(tmp_path / "o4")]) == 4
+    tiny = _write(tmp_path, "[grid]\npoints = 64\n", name="t.ini")
+    assert main(["ground", str(tiny), "--threads", "0", "--out", str(tmp_path / "o5")]) == 3
 
 
 def test_minimize_equal_spheres(tmp_path):
@@ -291,7 +293,14 @@ _FUZZ_BASE = {
         },
     },
     "profile": {"grid": {"points": "64"}},
+    "ground": {"grid": {"points": "64"}, "minimize": {"max_iter": "2000"}},
+    "minimize": {
+        "grid": {"points": "64"},
+        "minimize": {"max_iter": "2000"},
+        "constraint": {"gamma": "4.0", "delta1": "1.0", "delta2": "1.0"},
+    },
 }
+_FUZZ_KINDS = ("nehari", "nehari_set", "pohozaev", "weighted_sphere", "product_spheres", "equal_spheres")
 _FUZZ_KEYS = {
     "params": ("p", "beta", "omega1", "omega2"),
     "grid": ("dim", "points", "half_width"),
@@ -305,6 +314,7 @@ _FUZZ_KEYS = {
         "eps",
         "perturb_mode",
     ),
+    "constraint": ("kind", "gamma", "delta1", "delta2"),
 }
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 
@@ -312,11 +322,13 @@ _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 @st.composite
 def _fuzzed_config(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
-    sections = ("params", "grid", "evolve") if command == "evolve" else ("params", "grid")
-    section = draw(st.sampled_from(sections))
+    own = {"evolve": ("evolve",), "minimize": ("constraint",)}.get(command, ())
+    section = draw(st.sampled_from(("params", "grid") + own))
     key = draw(st.sampled_from(_FUZZ_KEYS[section]))
     value = draw(st.sampled_from(_FUZZ_VALUES))
     cfg = {sec: dict(keys) for sec, keys in _FUZZ_BASE[command].items()}
+    if command == "minimize":
+        cfg["constraint"]["kind"] = draw(st.sampled_from(_FUZZ_KINDS))
     cfg.setdefault(section, {})[key] = value
     return command, cfg
 
@@ -325,17 +337,27 @@ def _fuzzed_config(draw):
 @given(case=_fuzzed_config())
 def test_fuzzed_config_exits_with_a_documented_code(case):
     command, cfg = case
-    text = "\n".join(
-        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for sec, keys in cfg.items()
-    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.ini"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(_ini(cfg), encoding="utf-8")
         with np.errstate(all="ignore"):
             code = main([command, str(path), "--out", str(Path(tmp) / "out")])
         if command == "profile" and code == 0:
             json.loads((Path(tmp) / "out" / "profile.json").read_text(), parse_constant=_refuse_nonfinite)
+        if command == "evolve" and code == 0:
+            _assert_finite_trajectory(Path(tmp) / "out" / "trajectory.csv")
     assert code in (0, 2, 3, 4)
+
+
+def _ini(cfg):
+    return "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for sec, keys in cfg.items())
+
+
+def _assert_finite_trajectory(path):
+    # a nan variance is legitimate: it marks a field that reaches the box edge
+    rows = np.genfromtxt(path, delimiter=",", names=True)
+    for column in ("mass1", "mass2", "energy", "gradnorm"):
+        assert np.isfinite(rows[column]).all(), column
 
 
 def _refuse_nonfinite(token):
@@ -358,6 +380,30 @@ def test_profile_refuses_overflowing_params(tmp_path, capsys):
         assert main(["profile", str(cfg), "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "profile.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("ground", {"params": {"omega1": "1e300"}}),
+        ("ground", {"params": {"omega2": "1e300"}}),
+        ("minimize", {"params": {"omega1": "1e300"}}),
+        ("minimize", {"params": {"omega2": "1e300"}}),
+        ("minimize", {"constraint": {"kind": "weighted_sphere", "gamma": "1e300"}}),
+        ("minimize", {"constraint": {"kind": "product_spheres", "delta1": "1e300", "delta2": "1.0"}}),
+        ("minimize", {"constraint": {"kind": "product_spheres", "delta1": "1.0", "delta2": "1e300"}}),
+        ("evolve", {"params": {"omega1": "1e300"}, "evolve": {"t_end": "0.01"}}),
+    ],
+    ids=["ground-omega1", "ground-omega2", "minimize-omega1", "minimize-omega2", "gamma", "delta1", "delta2", "evolve"],
+)
+def test_overflowing_values_exit_2(tmp_path, capsys, command, override):
+    # finite values whose first projected or sampled state has overflowing functionals
+    cfg = {"grid": {"points": "64"}, **override}
+    if command != "evolve":
+        cfg["minimize"] = {"max_iter": "2000"}
+    with np.errstate(all="ignore"):
+        assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(tmp_path / "o")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_sweep_verdict_files(tmp_path):

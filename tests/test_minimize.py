@@ -123,6 +123,12 @@ def test_zero_virial_flow_matches_gamma_level(grid_1d):
     assert res_zero.action == pytest.approx(m_expect, rel=1e-8)
 
 
+def test_ground_state_refuses_fewer_than_one_thread(grid_1d):
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            ground_state(_cubic(0.5), grid_1d, threads=threads)
+
+
 def test_history_is_monotone(grid_1d):
     res = minimize_on(ConstraintSpec.nehari(), _cubic(1.0), grid_1d)
     slack = 1e-12 * max(1.0, abs(res.value))
@@ -156,15 +162,28 @@ def test_constraint_spec_validation():
     assert ConstraintSpec.equal_spheres(2.0).delta2 == 2.0
 
 
-@settings(deadline=None, max_examples=40)
+def _assert_on_two_sided_set(pair, params):
+    both, (t1, t2) = nehari_set_project(pair, params)
+    assert t1 > 0 and t2 > 0
+    p1, p2 = partial_pairings(both, params)
+    assert max(abs(p1), abs(p2)) < 1e-12 * h1_norm_sq(both, params)
+    return t1, t2
+
+
+@settings(deadline=None, max_examples=60)
 @given(
     p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
     beta=st.floats(0.0, 3.0),
+    pitchfork=st.booleans(),
     seed=st.integers(0, 10_000),
     kappa=st.floats(0.2, 5.0),
     theta=st.floats(-np.pi, np.pi),
 )
-def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, seed, kappa, theta):
+def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, pitchfork, seed, kappa, theta):
+    # at beta = p - 1 the scaling of a proportional pair is a triple root of
+    # the two-sided scaling equation (a pitchfork)
+    if pitchfork:
+        beta = p - 1.0
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
     pair = smooth_pair(grid_1d_wide, seed, width=1.5)
     on_ray, t = nehari_project(pair, params)
@@ -172,21 +191,14 @@ def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, seed, kappa, the
     assert abs(nehari_pairing(on_ray, params)) < 1e-12 * h1_norm_sq(on_ray, params)
 
     # the two-sided set meets the scaling orbit of every pair with
-    # proportional components, but misses that of some others
-    paired = FieldPair(grid_1d_wide, pair.c1, kappa * np.exp(1j * theta) * pair.c1)
-    try:
-        both, (t1, t2) = nehari_set_project(paired, params)
-    except ConvergenceError:
-        # at beta = p - 1 the symmetric scaling is a pitchfork of the
-        # scaling equations (singular Jacobian), and roundoff in the
-        # quadratures can leave no scaling within the solver's tolerance
-        assert abs(beta - (p - 1.0)) < 1e-6
-    else:
-        assert t1 > 0 and t2 > 0
-        p1, p2 = partial_pairings(both, params)
-        assert max(abs(p1), abs(p2)) < 1e-12 * h1_norm_sq(both, params)
+    # proportional components
+    _assert_on_two_sided_set(FieldPair(grid_1d_wide, pair.c1, kappa * np.exp(1j * theta) * pair.c1), params)
 
-    if p == 2.0:
+    if p != 2.0:
+        # and for p != 2 that of every pair: the scaling equation changes
+        # sign between t2/t1 -> 0 and t2/t1 -> inf
+        _assert_on_two_sided_set(pair, params)
+    else:
         # at p = 2 the two-sided scalings solve a linear system in
         # s_j = t_j^2, so the raw pair reaches the set exactly when its
         # solution is positive
@@ -196,11 +208,11 @@ def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, seed, kappa, the
         b = [4.0 * coupling_F(u, params) for u in parts]
         c = 2.0 * coupling_F(pair, params) - 0.5 * (b[0] + b[1])
         s = np.linalg.solve([[b[0], c], [c, b[1]]], a)
-        if s.min() > 1e-3 * s.max():
-            _, (t1, t2) = nehari_set_project(pair, params)
+        if s.min() > 1e-9 * s.max():
+            t1, t2 = _assert_on_two_sided_set(pair, params)
             assert (t1**2, t2**2) == pytest.approx(tuple(s), rel=1e-9)
-        elif s.min() < -1e-3 * s.max():
-            with pytest.raises((ConstraintError, ConvergenceError)):
+        elif s.min() < -1e-9 * s.max():
+            with pytest.raises(ConstraintError):
                 nehari_set_project(pair, params)
 
     if params.criticality(1) == "supercritical":

@@ -111,6 +111,16 @@ def test_orbit_distance_is_the_distance_to_the_returned_orbit_point(dim, seeds, 
     assert res.distance == pytest.approx(h1_distance(psi, nearest, params), rel=1e-10)
 
 
+@pytest.mark.parametrize("family", [Family.VECTOR_B, Family.SCALAR_FIRST])
+def test_orbit_distance_has_no_cancellation_floor(grid_1d, family):
+    member = make_member(SolitonSpec.for_family(family, VECTOR), VECTOR, grid_1d)
+    assert orbit_distance(member, member, VECTOR).distance <= 1e-12 * math.sqrt(h1_norm_sq(member, VECTOR))
+    for seed in range(3):
+        pert = perturbation_pair(grid_1d, VECTOR, seed=seed)
+        slope = [orbit_distance(member + eps * pert, member, VECTOR).distance / eps for eps in (1e-9, 1e-6)]
+        assert slope[0] == pytest.approx(slope[1], rel=1e-3)
+
+
 def test_perturbation_pair_normalization_and_modes(grid_1d, cubic):
     pert = perturbation_pair(grid_1d, cubic, seed=0)
     assert h1_norm_sq(pert, cubic) == pytest.approx(1.0, abs=1e-12)
