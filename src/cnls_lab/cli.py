@@ -201,12 +201,36 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _result_payload(res) -> dict:
+def _nonfinite_keys(payload: dict) -> list:
+    """The keys of payload holding a non-finite number, alone or in a list."""
+
+    def finite(v):
+        if isinstance(v, (list, tuple)):
+            return all(finite(x) for x in v)
+        return not isinstance(v, float) or np.isfinite(v)
+
+    return sorted(k for k, v in payload.items() if not finite(v))
+
+
+def _write_finite_json(path: Path, payload: dict) -> bool:
+    """Write payload unless it holds a non-finite number, which JSON cannot
+    encode; then report a numerical failure and write nothing."""
+    nonfinite = _nonfinite_keys(payload)
+    if nonfinite:
+        print(f"numerical failure: non-finite {', '.join(nonfinite)} in {path.name}", file=sys.stderr)
+        return False
+    _write_json(path, payload)
+    return True
+
+
+def _result_payload(res, pinned: bool = False) -> dict:
+    # a pinned component has no multiplier: null, not NaN
+    multipliers = [None if pinned and i == 1 else m for i, m in enumerate(res.multipliers)]
     return {
         "value": res.value,
         "action": res.action,
         "energy": res.energy,
-        "multipliers": list(res.multipliers),
+        "multipliers": multipliers,
         "iterations": res.iterations,
         "residual": res.residual,
         "constraint_residual": res.constraint_residual,
@@ -246,8 +270,9 @@ def _cmd_ground(cfg, out: Path) -> int:
         seed=cfg.getint("run", "seed"),
         threads=_threads(cfg),
     )
+    if not _write_finite_json(out / "result.json", _result_payload(res)):
+        return EXIT_NUMERICAL
     save_snapshot(out / "ground.snapshot", res.minimizer, params)
-    _write_json(out / "result.json", _result_payload(res))
     _write_pohozaev_csv(out / "pohozaev.csv", res.minimizer, params, res.action)
     print(f"ground state: level {res.action:.12g} ({res.classification}), "
           f"residual {res.residual:.3e}, {res.iterations} iterations")
@@ -290,10 +315,11 @@ def _cmd_minimize(cfg, out: Path) -> int:
         max_iter=cfg.getint("minimize", "max_iter"),
         seed=cfg.getint("run", "seed"),
     )
-    save_snapshot(out / "minimizer.snapshot", res.minimizer, params)
-    payload = _result_payload(res)
+    payload = _result_payload(res, constraint.pinned)
     payload["constraint"] = constraint.describe()
-    _write_json(out / "result.json", payload)
+    if not _write_finite_json(out / "result.json", payload):
+        return EXIT_NUMERICAL
+    save_snapshot(out / "minimizer.snapshot", res.minimizer, params)
     _write_pohozaev_csv(out / "pohozaev.csv", res.minimizer, params, res.action)
     print(f"{constraint.describe()}: value {res.value:.12g} ({res.classification}), "
           f"residual {res.residual:.3e}, {res.iterations} iterations")
@@ -514,13 +540,10 @@ def _cmd_profile(cfg, out: Path) -> int:
     report = FunctionalReport.compute(pair, params)
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload["boundary_amplitude_ratio"] = boundary_amplitude_ratio(pair)
-    nonfinite = sorted(k for k, v in payload.items() if not np.isfinite(v))
-    if nonfinite:
-        print(f"numerical failure: the profile's {', '.join(nonfinite)} are not finite", file=sys.stderr)
+    payload["family"] = family.value
+    if not _write_finite_json(out / "profile.json", payload):
         return EXIT_NUMERICAL
     save_snapshot(out / "profile.snapshot", pair, params)
-    payload["family"] = family.value
-    _write_json(out / "profile.json", payload)
     print(f"{family.value}: action {report.action:.12g}, "
           f"virial {report.virial:.3e}, pairing {report.nehari_pairing:.3e}")
     return EXIT_OK

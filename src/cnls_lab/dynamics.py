@@ -20,7 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft, _integral, _spectral_gradient_norm_sq
+from .core import (
+    FieldPair,
+    Grid,
+    SystemParams,
+    _density,
+    _fft,
+    _ifft,
+    _integral,
+    _spectral_gradient_norm_sq,
+    same_grid,
+)
 from .errors import BoundaryDecayError
 from .functionals import _energy, _potential, _rates, _variance, _virial
 
@@ -85,7 +95,8 @@ class TrajectoryLog:
     which the field stopped being finite; the last snapshot is always the
     latest of those states that is finite. steps is the number of Strang
     steps taken and transform_calls the number of transform calls they
-    made, each over both components."""
+    made, each over both components (and over every member of a batch).
+    companions holds the logs of the further members of a batched run."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
 
@@ -102,6 +113,7 @@ class TrajectoryLog:
     aborted: bool = False
     steps: int = 0
     transform_calls: int = 0
+    companions: tuple = ()
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -114,21 +126,29 @@ class TrajectoryLog:
 
 
 def _kinetic(grid, mult, U):
-    """Apply the Fourier multiplier mult (a kinetic propagator) to both
-    components of the stacked state U, in one transform pair."""
-    return _ifft(grid, mult * _fft(grid, U))
+    """Apply the Fourier multiplier mult (a kinetic propagator) to every
+    component of the stacked state U, in one transform pair."""
+    S = _fft(grid, U)
+    # mult first, as in every product with a propagator here: with fused
+    # multiply-adds a complex product is not symmetric in its operands
+    np.multiply(mult, S, out=S)
+    return _ifft(grid, S)
 
 
-def _rotate(U, params, dt):
-    """The exact nonlinear substep: rotate each phase by dt A_j."""
-    m = _density(U)
+def _rotate(grid, U, params, dt):
+    """The exact nonlinear substep: rotate each phase by dt A_j. U is a
+    stacked (2, *shape) pair or a batch (E, 2, *shape) of them."""
+    m = _density(U).reshape(-1, 2, grid.total_points)
+    theta = np.empty_like(m)
+    for j, rate in enumerate(_rates(m[:, 0], m[:, 1], params)):
+        np.multiply(dt, rate, out=theta[:, j])
     # cos and sin written into the two halves of the phase factor cost
-    # about 2/3 of a complex exp of i dt A_j
-    phase = np.empty_like(U)
-    for j, rate in enumerate(_rates(m[0], m[1], params)):
-        theta = dt * rate
-        np.cos(theta, out=phase[j].real)
-        np.sin(theta, out=phase[j].imag)
+    # about 2/3 of a complex exp of i dt A_j; one call each serves every
+    # member and component
+    phase = np.empty(m.shape, dtype=complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    phase = phase.reshape(U.shape)
     phase *= U
     return phase
 
@@ -138,45 +158,68 @@ def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     (the step is the exact inverse of the forward one)."""
     grid = pair.grid
     half = np.exp(-0.5j * dt * grid.k2)
-    U = _kinetic(grid, half, _rotate(_kinetic(grid, half, np.stack(pair.components)), params, dt))
+    U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, np.stack(pair.components)), params, dt))
     return FieldPair(grid, U[0], U[1], copy=False, check=False)
 
 
-def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> TrajectoryLog:
+def evolve(
+    pair: FieldPair, params: SystemParams, config: EvolveConfig, *, companions=()
+) -> TrajectoryLog:
     """Run Strang splitting from pair for round(t_end/dt) steps, sampling
     observables every conservation_check_stride steps (plus the endpoints).
 
     Equivalent to composing step_strang, but adjacent kinetic half-steps
     are fused except where an observable, a snapshot, or the guard needs
     the state at a whole-step time. Both components are held as one
-    (2, *shape) array, so each transform call serves both."""
-    grid = pair.grid
-    dt = config.dt
-    n_steps = int(round(config.t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end={config.t_end} covers no whole step of dt={dt}")
-    half = np.exp(-0.5j * dt * grid.k2)
-    full = np.exp(-1j * dt * grid.k2)
-    U = np.stack(pair.components)
-    if not np.isfinite(U).all():
-        raise ValueError("the initial state must be finite")
+    (2, *shape) array, so each transform call serves both.
 
-    rows = []
-    snapshots = []
-    blowup_time = None
-    aborted = False
+    companions are further initial pairs on pair's grid, run under the same
+    schedule as one (E, 2, *shape) batch, so that each transform call and
+    each cos/sin call serves every member. Their logs come back, in order,
+    as the returned log's companions; each member's log is bit for bit the
+    one a separate run returns. A member that trips the guard or stops
+    being finite leaves the batch and the others run on."""
+    members = (pair, *companions)
+    for other in members[1:]:
+        same_grid(pair, other)
+    U = np.stack([member.components for member in members])
+    # a lone run is transformed as its (2, *shape) stack
+    log, *others = _evolve_stack(pair.grid, params, config, U if len(members) > 1 else U[0])
+    log.companions = tuple(others)
+    return log
 
-    def sample(t, U, S):
-        # one density serves the masses, the variance and F; the gradient
-        # norm comes from the spectrum S of a state one unitary kinetic
-        # multiplier away from U, so ||grad U||^2 is its Parseval sum
+
+class _Run:
+    """One member of an evolving stack: its samples, snapshots, guard level
+    and latest finite observed state, and the (steps, transform calls) at
+    which it stopped."""
+
+    def __init__(self, grid, params, config, U, S):
+        self.grid, self.params = grid, params
+        self.rows = []
+        self.snapshots = []
+        self.blowup_time = None
+        self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
+        if config.snapshot_stride:
+            self.snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
+        # the latest observed whole-step state known to be finite: the
+        # terminal state, also when the run is aborted because a later one
+        # is not
+        self.last = (0.0, U)
+
+    def sample(self, t, U, S):
+        """Log the observables of the whole-step state U, whose spectrum S
+        is one unitary kinetic multiplier away from U's, so that
+        ||grad U||^2 is its Parseval sum; returns ||grad U||. One density
+        serves the masses, the variance and F."""
+        grid, params = self.grid, self.params
         m = _density(U)
         try:
             var = _variance(grid, m[0] + m[1])
         except BoundaryDecayError:
             var = math.nan
         grad = _spectral_gradient_norm_sq(grid, S)
-        rows.append(
+        self.rows.append(
             (
                 t,
                 _integral(grid, m[0]),
@@ -186,15 +229,66 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
                 math.sqrt(grad),
             )
         )
-        return rows[-1][5]
+        return self.rows[-1][5]
+
+    def observe(self, t, U, S, sampling, snapping) -> bool:
+        """Take the whole-step state U at time t; False when the run stops
+        there, because U is not finite or its gradient passed the guard."""
+        if not np.isfinite(U).all():
+            self.blowup_time = t
+            return False
+        self.last = (t, U)
+        if sampling and self.sample(t, U, S) > self.guard_level:
+            self.blowup_time = t
+            return False
+        if snapping:
+            self.snapshots.append((t, FieldPair(self.grid, U[0], U[1])))
+        return True
+
+    def log(self) -> TrajectoryLog:
+        # the terminal state is always retrievable, snapshot stride or not
+        t_last, U = self.last
+        steps, calls = self.end
+        if not self.snapshots or self.snapshots[-1][0] != t_last:
+            self.snapshots.append((t_last, FieldPair(self.grid, U[0], U[1])))
+        data = np.asarray(self.rows, dtype=float)
+        return TrajectoryLog(
+            grid=self.grid,
+            params=self.params,
+            times=data[:, 0],
+            mass1=data[:, 1],
+            mass2=data[:, 2],
+            energy=data[:, 3],
+            variance=data[:, 4],
+            gradnorm=data[:, 5],
+            snapshots=self.snapshots,
+            blowup_time=self.blowup_time,
+            aborted=self.blowup_time is not None,
+            steps=steps,
+            transform_calls=calls,
+        )
+
+
+def _evolve_stack(grid, params, config, U):
+    """evolve for every member of U, a stacked (2, *shape) pair or a batch
+    (E, 2, *shape) of them; one TrajectoryLog per member. A member that
+    stops is dropped from the live stack, so the transforms and the
+    rotation run over the members still going."""
+    dt = config.dt
+    n_steps = int(round(config.t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end={config.t_end} covers no whole step of dt={dt}")
+    if not np.isfinite(U).all():
+        raise ValueError("the initial state must be finite")
+    half = np.exp(-0.5j * dt * grid.k2)
+    full = np.exp(-1j * dt * grid.k2)
+
+    def members(A):
+        # the (2, *shape) view of each member of a stack
+        return A.reshape((-1, 2) + grid.shape)
 
     S = _fft(grid, U)
-    guard_level = config.blowup_guard * max(sample(0.0, U, S), 1e-300)
-    if config.snapshot_stride:
-        snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
-    # the latest observed whole-step state known to be finite: the terminal
-    # state, also when the run is aborted because a later one is not
-    last = (0.0, U)
+    runs = live = [_Run(grid, params, config, u, s) for u, s in zip(members(U), members(S))]
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into
@@ -204,7 +298,7 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
     U = _ifft(grid, half * S)
     calls = 2
     for s in range(1, n_steps + 1):
-        U = _rotate(U, params, dt)
+        U = _rotate(grid, U, params, dt)
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
         if not (sampling or snapping):
@@ -217,44 +311,21 @@ def evolve(pair: FieldPair, params: SystemParams, config: EvolveConfig) -> Traje
         U = _ifft(grid, half * S)
         calls += 2
         t = s * dt
-        if not np.isfinite(U).all():
-            blowup_time = t
-            aborted = True
-            break
-        last = (t, U)
-        if sampling:
-            gn = sample(t, U, S)
-            if gn > guard_level:
-                blowup_time = t
-                aborted = True
+        going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, members(U), members(S))]
+        if not all(going):
+            for run, on in zip(live, going):
+                if not on:
+                    run.end = (s, calls)
+            live = [run for run, on in zip(live, going) if on]
+            if not live:
                 break
-        if snapping:
-            snapshots.append((t, FieldPair(grid, U[0], U[1])))
+            U, S = members(U)[going], members(S)[going]
         if s < n_steps:
-            U = _ifft(grid, full * S)
+            U = _ifft(grid, np.multiply(full, S, out=S))
             calls += 1
-
-    # the terminal state is always retrievable, snapshot stride or not
-    t_last, U = last
-    if not snapshots or snapshots[-1][0] != t_last:
-        snapshots.append((t_last, FieldPair(grid, U[0], U[1])))
-
-    data = np.asarray(rows, dtype=float)
-    return TrajectoryLog(
-        grid=grid,
-        params=params,
-        times=data[:, 0],
-        mass1=data[:, 1],
-        mass2=data[:, 2],
-        energy=data[:, 3],
-        variance=data[:, 4],
-        gradnorm=data[:, 5],
-        snapshots=snapshots,
-        blowup_time=blowup_time,
-        aborted=aborted,
-        steps=s,
-        transform_calls=calls,
-    )
+    for run in live:
+        run.end = (s, calls)
+    return [run.log() for run in runs]
 
 
 @dataclass(frozen=True)

@@ -113,12 +113,18 @@ def _rates(m1: np.ndarray, m2: np.ndarray, params: SystemParams):
     r1 = _power(m1, p - 1.0)
     r2 = _power(m2, p - 1.0)
     if beta != 0.0:
-        b1, b2 = m1, m2
-        if p < 2:
-            b1 = np.where(m1 > 0, m1, np.inf)
-            b2 = np.where(m2 > 0, m2, np.inf)
-        r1 = r1 + beta * _power(m2, 0.5 * p) * _power(b1, 0.5 * p - 1.0)
-        r2 = r2 + beta * _power(m1, 0.5 * p) * _power(b2, 0.5 * p - 1.0)
+        c1 = beta * _power(m2, 0.5 * p)
+        c2 = beta * _power(m1, 0.5 * p)
+        # at p = 2 the factor m_j^(p/2-1) is 1
+        if p != 2.0:
+            b1, b2 = m1, m2
+            if p < 2:
+                b1 = np.where(m1 > 0, m1, np.inf)
+                b2 = np.where(m2 > 0, m2, np.inf)
+            c1 = c1 * _power(b1, 0.5 * p - 1.0)
+            c2 = c2 * _power(b2, 0.5 * p - 1.0)
+        r1 = r1 + c1
+        r2 = r2 + c2
     return r1, r2
 
 

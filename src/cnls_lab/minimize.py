@@ -58,6 +58,10 @@ _DT0 = 0.25
 _DT_MAX = 16.0
 _DT_MIN = 1e-12
 
+# longer flows are refused up front: at about 0.2 ms an iteration on a
+# 64-point grid they would run for more than five hours
+_MAX_ITER = 10**8
+
 # a component holding less than this fraction of the total mass counts as absent
 VECTOR_MASS_FRACTION = 0.05
 
@@ -112,6 +116,11 @@ class ConstraintSpec:
     @classmethod
     def pohozaev(cls) -> "ConstraintSpec":
         return cls("pohozaev")
+
+    @property
+    def pinned(self) -> bool:
+        """Whether delta2 = 0 pins the second component to zero."""
+        return self.kind == "product_spheres" and self.delta2 == 0.0
 
     def validate(self, params: SystemParams, dim: int) -> None:
         crit = params.criticality(dim)
@@ -215,7 +224,7 @@ def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0)):
         raise ConstraintError("the two-sided Nehari projection needs both components nonzero")
     q = 2.0 * p - 2.0
     if c == 0.0:
-        return (a1 / b1) ** (1.0 / q), (a2 / b2) ** (1.0 / q)
+        return _root(a1 / b1, q), _root(a2 / b2, q)
     la1, la2, lb1, lb2, lc = (math.log(v) for v in (a1, a2, b1, b2, c))
     # the terms of H(e^x) as (log coefficient, power of r), positive then negative
     logs = (la1 + lb2, la1 + lc, la2 + lc, la2 + lb1)
@@ -237,6 +246,13 @@ def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0)):
     lt1 = (la1 - np.logaddexp(lb1, lc + p * x)) / q
     with np.errstate(over="ignore"):
         return float(np.exp(lt1)), float(np.exp(lt1 + x))
+
+
+def _root(x, q):
+    """x^(1/q) for x > 0, in numpy floats: inf or 0 where it leaves the
+    floating-point range, as it does for q near 0, where a float ** raises."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.float64(x) ** (1.0 / q))
 
 
 def _root_near(h, x0):
@@ -297,7 +313,19 @@ def _constraint_residual(constraint, norms):
 
 
 def _scalings(constraint, norms, warm=(1.0, 1.0)):
-    """The factors (t1, t2) that carry U onto the constraint set."""
+    """The factors (t1, t2) that carry U onto the constraint set. A factor
+    that overflows or underflows (a power 1/(2p-2) for p near 1 does)
+    raises ConstraintError; only a pinned component's factor is 0."""
+    t1, t2 = _unchecked_scalings(constraint, norms, warm)
+    if not (0.0 < t1 < math.inf and (0.0 < t2 < math.inf or (constraint.pinned and t2 == 0.0))):
+        raise ConstraintError(
+            f"the scalings onto {constraint.describe()} leave the floating-point range: "
+            f"(t1, t2) = ({t1:.3g}, {t2:.3g}) at p = {norms.params.p:g}"
+        )
+    return t1, t2
+
+
+def _unchecked_scalings(constraint, norms, warm):
     kind = constraint.kind
     p = norms.params.p
     if kind == "weighted_sphere":
@@ -319,7 +347,7 @@ def _scalings(constraint, norms, warm=(1.0, 1.0)):
             ratio = norms.h1 / (2.0 * p * norms.F)
         else:
             ratio = norms.grad / (norms.dim * (p - 1.0) * norms.F)
-        t = ratio ** (1.0 / (2.0 * p - 2.0))
+        t = _root(ratio, 2.0 * p - 2.0)
         return t, t
     if kind == "nehari_set":
         a1, a2 = norms.h1_parts
@@ -387,6 +415,13 @@ def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
+def _check_flow_limits(tol, max_iter):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 1 <= max_iter <= _MAX_ITER:
+        raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
+
+
 def minimize_on(
     constraint: ConstraintSpec,
     params: SystemParams,
@@ -399,10 +434,12 @@ def minimize_on(
 ) -> MinimizeResult:
     """Run the projected flow for one constraint. Raises ConvergenceError
     if the residual tolerance is not reached, including the case where the
-    objective bottoms out at a non-critical constrained infimum."""
+    objective bottoms out at a non-critical constrained infimum. tol must
+    be finite and positive, and max_iter at most 10**8."""
+    _check_flow_limits(tol, max_iter)
     constraint.validate(params, grid.dim)
     if init is None:
-        if constraint.kind in ("product_spheres", "equal_spheres") and constraint.delta2 == 0.0:
+        if constraint.pinned:
             mode = "first"
         elif constraint.kind == "nehari_set":
             # identical components: the two-sided projection degenerates on
@@ -524,7 +561,9 @@ def ground_state(
     component and a synchronized pair) and keep the lowest level. The scalar
     starts stay scalar under the flow, so the comparison scalar-vs-vector is
     decided by the final levels, not by the basin of the starting guess.
-    threads (default: one per start) must be at least 1."""
+    threads (default: one per start) must be at least 1; tol and max_iter
+    are limited as in minimize_on."""
+    _check_flow_limits(tol, max_iter)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     starts = ("first", "second", "both")

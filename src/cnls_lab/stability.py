@@ -14,9 +14,10 @@ optimal phases are theta_j = arg C_j(y) and
 so minimizing over the orbit reduces to maximizing |C_1| + |C_2| over the
 shift alone. C_1 and C_2 at every grid shift come from one stacked inverse
 transform of (|k|^2 + omega_j) psi_hat conj(v_hat); the best grid shift
-seeds a quasi-Newton refinement that evaluates the exact plane-wave sums
-between grid points. The reference spectra are taken once per sweep, so a
-state costs one forward transform plus one inverse per reference.
+seeds Newton steps on the shift, which take C_j and its first and second
+shift derivatives from the exact plane-wave sums between grid points. The
+reference spectra are taken once per sweep, so a state costs one forward
+transform plus one inverse per reference.
 
 The reported distance is not read off the expression above, which loses
 every distance below about 1e-8 ||v||_H to cancellation, but summed
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import core
 from .core import FieldPair, Grid, SystemParams
@@ -70,6 +70,37 @@ def _wrap(y: float, half_width: float) -> float:
     return (y + half_width) % period - half_width
 
 
+# Newton steps per refinement: from the parabola seed the error squares at
+# each step, so the shift reaches roundoff in about three
+_NEWTON_STEPS = 8
+
+
+def _ascent_step(grad, hess):
+    """The Newton step -hess^-1 grad toward a maximum, or None where hess is
+    not negative definite: by a Cholesky factorization L L^T of -hess in
+    Python floats, since for dim <= 3 a LAPACK call costs more than the
+    algebra, and its workspace raises the peak memory of a run."""
+    a, n = (-hess).tolist(), len(grad)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0:
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    # L z = grad, then L^T x = z
+    z = [0.0] * n
+    for i in range(n):
+        z[i] = (grad[i] - sum(low[i][k] * z[k] for k in range(i))) / low[i][i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (z[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))) / low[i][i]
+    return np.array(x)
+
+
 class _Orbits:
     """Reference pairs v measured once, for distances from many states:
     weight = (dx^n / N) (|k|^2 + omega_j), stacked over the components,
@@ -83,9 +114,12 @@ class _Orbits:
         self.weight = grid.cell_volume / grid.total_points * (grid.k2 + omegas)
         spectra = [core._fft(grid, np.stack(ref.components)) for ref in refs]
         self.refs = [(vh, self.weight * np.conj(vh)) for vh in spectra]
-        # columns 1 and i k_ax, for C_j and its shift derivatives in one product
-        ik = [np.broadcast_to(1j * k, grid.shape) for k in np.ix_(*grid.wavenumbers)]
-        self.moments = np.stack([np.ones(grid.shape)] + ik).reshape(grid.dim + 1, -1).T
+        # columns 1, i k_a and -k_a k_b (a <= b), for C_j and its first and
+        # second shift derivatives in one product
+        k = [np.broadcast_to(ka, grid.shape) for ka in np.ix_(*grid.wavenumbers)]
+        self.upper = np.triu_indices(grid.dim)
+        columns = [np.ones(grid.shape)] + [1j * ka for ka in k] + [-k[a] * k[b] for a, b in zip(*self.upper)]
+        self.moments = np.stack(columns).reshape(len(columns), -1).T
 
     def _norm_sq(self, spectrum):
         return float(np.sum(self.weight * core._density(spectrum)))
@@ -96,9 +130,43 @@ class _Orbits:
         return OrbitDistanceResult(*min(results, key=lambda r: r[0]))
 
     def _sums(self, P, y):
-        """C_j(y) and dC_j/dy_ax at the shift y, as a (2, 1 + dim) array."""
-        phase = np.exp(self.moments[:, 1:] @ y)
+        """C_j(y), its gradient and the upper triangle of its Hessian in the
+        shift, as the columns of a (2, 1 + dim + dim(dim+1)/2) array."""
+        phase = np.exp(self.moments[:, 1 : 1 + self.grid.dim] @ y)
         return (P.reshape(2, -1) * phase) @ self.moments
+
+    def _newton(self, P, y):
+        """Newton steps from y toward the nearest maximum of
+        |C_1(y)| + |C_2(y)|, each clipped to dx per axis; they stop where
+        the Hessian is not negative definite or the step is below roundoff.
+        Returns the last shift and its sums."""
+        grid = self.grid
+        dim = grid.dim
+        floor = 4.0 * np.finfo(float).eps
+        for _ in range(_NEWTON_STEPS):
+            sums = self._sums(P, y)
+            live = np.abs(sums[:, 0]) > 0
+            c, dc, ddc = sums[live, 0], sums[live, 1 : 1 + dim], sums[live, 1 + dim :]
+            a = np.abs(c)
+            # d|C|/dy_a = Re(conj(C) dC_a) / |C|, and the Hessian of |C| is
+            # (Re(conj(dC_b) dC_a) + Re(conj(C) d2C_ab) - g_a g_b) / |C|
+            g = (c.conj()[:, None] * dc).real / a[:, None]
+            d2 = np.empty((len(c), dim, dim), dtype=complex)
+            d2[:, self.upper[0], self.upper[1]] = ddc
+            d2[:, self.upper[1], self.upper[0]] = ddc
+            hess = (
+                (dc.conj()[:, None, :] * dc[:, :, None]).real
+                + (c.conj()[:, None, None] * d2).real
+                - g[:, :, None] * g[:, None, :]
+            ) / a[:, None, None]
+            ascent = _ascent_step(g.sum(axis=0), hess.sum(axis=0))
+            if ascent is None:
+                return y, sums
+            step = np.clip(ascent, -grid.dx, grid.dx)
+            y = y + step
+            if np.abs(step).max() <= floor * (np.abs(y).max() + grid.dx):
+                break
+        return y, self._sums(P, y)
 
     def _single(self, psi_h, vh, wv, refine):
         """(distance, shift, phases) of psi_hat from the orbit of v_hat, with
@@ -108,33 +176,33 @@ class _Orbits:
         # |C_1| + |C_2| at every grid shift in one pass
         score = np.abs(grid.total_points * core._ifft(grid, P)).sum(axis=0)
         best = float(score.max())
+        # scores this close to the best are equal within their roundoff
+        near_best = best - 1e-12 * abs(best) - 1e-300
         # of the near-maximal grid shifts, the one nearest the origin
-        idx = np.argwhere(score >= best - 1e-12 * abs(best) - 1e-300)
+        idx = np.argwhere(score >= near_best)
         ys = _wrap(idx * grid.dx, grid.half_width)
         _, y0, idx0 = min(zip((ys * ys).sum(axis=1).tolist(), ys.tolist(), map(tuple, idx.tolist())))
         y0 = np.array(y0)
+        sums = None
 
         if refine:
             # per-axis parabola through the three neighboring grid shifts
+            seed = y0.copy()
             for ax in range(grid.dim):
                 d_lo, d_mid, d_hi = (float(np.roll(score, s, axis=ax)[idx0]) for s in (1, 0, -1))
                 denom = d_lo - 2.0 * d_mid + d_hi
                 if denom < 0:
-                    y0[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
+                    seed[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
+            y, refined = self._newton(P, seed)
+            # a refined shift must score at least the best grid shift; near
+            # the maximum the score is flat to second order, so a shift off
+            # by O(d) gains only O(d^2) there, within roundoff for small d
+            if np.abs(refined[:, 0]).sum() >= near_best:
+                y0, sums = y, refined
+        if sums is None:
+            sums = self._sums(P, y0)
 
-            def neg_score(y):
-                sums = self._sums(P, y)
-                c, dc = sums[:, 0], sums[:, 1:]
-                a = np.abs(c)
-                live = a > 0
-                grad = (c[live, None].conjugate() * dc[live]).real / a[live, None]
-                return -a.sum(), -grad.sum(axis=0)
-
-            res = _scipy_minimize(neg_score, y0, jac=True, method="BFGS", options={"gtol": 1e-12})
-            if -res.fun >= best:
-                y0 = res.x
-
-        phases = [math.atan2(c.imag, c.real) for c in self._sums(P, y0)[:, 0]]
+        phases = [math.atan2(c.imag, c.real) for c in sums[:, 0]]
         # e^(i theta_j) e^(-i k.y) v_hat_j, the spectrum of the orbit point
         shift = np.exp(-1j * sum(k * y for k, y in zip(np.ix_(*grid.wavenumbers), y0)))
         nearest = np.exp(1j * np.reshape(phases, (2,) + (1,) * grid.dim)) * shift * vh
@@ -243,7 +311,11 @@ def stability_sweep(
     tol: float = 1e-8,
 ) -> StabilityVerdict:
     """Evolve family member + epsilon * (unit perturbation) for each epsilon
-    and track the orbit distance at sample_dt intervals."""
+    and track the orbit distance at sample_dt intervals. All the epsilons
+    run as one batch of evolve."""
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons:
+        raise ValueError("need at least one epsilon")
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
     stride = max(1, int(round(sample_dt / dt)))
@@ -256,16 +328,18 @@ def stability_sweep(
     distance_series = []
     time_series = []
 
-    for eps in epsilons:
-        psi0 = base + float(eps) * pert
-        config = EvolveConfig(
-            dt=dt,
-            t_end=t_end,
-            snapshot_stride=stride,
-            conservation_check_stride=stride,
-            blowup_guard=guard_ratio,
-        )
-        log = evolve(psi0, params, config)
+    config = EvolveConfig(
+        dt=dt,
+        t_end=t_end,
+        snapshot_stride=stride,
+        conservation_check_stride=stride,
+        blowup_guard=guard_ratio,
+    )
+    # every epsilon in one batched run
+    first, *rest = (base + eps * pert for eps in epsilons)
+    batch = evolve(first, params, config, companions=rest)
+
+    for eps, log in zip(epsilons, (batch, *batch.companions)):
         times = np.array([t for t, _ in log.snapshots])
         dists = np.array([orbits.closest(state).distance for _, state in log.snapshots])
         d0 = float(dists[0])
@@ -293,7 +367,7 @@ def stability_sweep(
     worst = max(classifications, key=_SEVERITY.index)
     return StabilityVerdict(
         family=family,
-        epsilons=tuple(float(e) for e in epsilons),
+        epsilons=epsilons,
         initial_distances=tuple(initial_distances),
         max_excursions=tuple(max_excursions),
         classifications=tuple(classifications),

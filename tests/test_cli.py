@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import textwrap
@@ -315,6 +316,7 @@ _FUZZ_KEYS = {
         "perturb_mode",
     ),
     "constraint": ("kind", "gamma", "delta1", "delta2"),
+    "minimize": ("tol", "max_iter"),
 }
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 
@@ -322,7 +324,7 @@ _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 @st.composite
 def _fuzzed_config(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
-    own = {"evolve": ("evolve",), "minimize": ("constraint",)}.get(command, ())
+    own = {"evolve": ("evolve",), "ground": ("minimize",), "minimize": ("constraint", "minimize")}.get(command, ())
     section = draw(st.sampled_from(("params", "grid") + own))
     key = draw(st.sampled_from(_FUZZ_KEYS[section]))
     value = draw(st.sampled_from(_FUZZ_VALUES))
@@ -342,8 +344,9 @@ def test_fuzzed_config_exits_with_a_documented_code(case):
         path.write_text(_ini(cfg), encoding="utf-8")
         with np.errstate(all="ignore"):
             code = main([command, str(path), "--out", str(Path(tmp) / "out")])
-        if command == "profile" and code == 0:
-            json.loads((Path(tmp) / "out" / "profile.json").read_text(), parse_constant=_refuse_nonfinite)
+        written = {"profile": "profile.json", "ground": "result.json", "minimize": "result.json"}
+        if command in written and code == 0:
+            json.loads((Path(tmp) / "out" / written[command]).read_text(), parse_constant=_refuse_nonfinite)
         if command == "evolve" and code == 0:
             _assert_finite_trajectory(Path(tmp) / "out" / "trajectory.csv")
     assert code in (0, 2, 3, 4)
@@ -404,6 +407,60 @@ def test_overflowing_values_exit_2(tmp_path, capsys, command, override):
     with np.errstate(all="ignore"):
         assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(tmp_path / "o")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("ground", {}),
+        ("minimize", {"constraint": {"kind": "nehari_set"}}),
+        ("minimize", {"params": {"p": "1.0001", "beta": "1.0"}, "constraint": {"kind": "nehari_set"}}),
+    ],
+    ids=["ground", "nehari_set", "nehari_set-coupled"],
+)
+def test_exponent_near_one_is_refused(tmp_path, capsys, command, override):
+    # the projections' factors are powers 1/(2p - 2) = 5000, which leave the
+    # floating-point range
+    cfg = {"params": {"p": "1.0001"}, "grid": {"points": "64"}, "minimize": {"max_iter": "2000"}}
+    for section, keys in override.items():
+        cfg.setdefault(section, {}).update(keys)
+    assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(tmp_path / "o")]) == 3
+    assert "floating-point range" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "result.json").exists()
+
+
+def test_pinned_multiplier_is_null_in_result_json(tmp_path):
+    cfg = {
+        "grid": {"points": "256"},
+        "constraint": {"kind": "product_spheres", "delta1": "1.0", "delta2": "0"},
+    }
+    out = tmp_path / "m"
+    assert main(["minimize", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 0
+    data = json.loads((out / "result.json").read_text(), parse_constant=_refuse_nonfinite)
+    nu1, nu2 = data["multipliers"]
+    assert np.isfinite(nu1) and nu2 is None
+
+
+def test_result_json_refuses_nonfinite_numbers(tmp_path, capsys, monkeypatch):
+    from cnls_lab import cli
+
+    real = cli.ground_state
+    monkeypatch.setattr(cli, "ground_state", lambda *a, **k: dataclasses.replace(real(*a, **k), residual=np.nan))
+    cfg = {"grid": {"points": "64"}, "minimize": {"max_iter": "2000"}}
+    out = tmp_path / "g"
+    assert main(["ground", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 2
+    assert "non-finite residual in result.json" in capsys.readouterr().err
+    assert not (out / "result.json").exists() and not (out / "ground.snapshot").exists()
+
+
+@pytest.mark.parametrize("command", ["ground", "minimize"])
+@pytest.mark.parametrize("key, value", [("max_iter", str(10**8 + 1)), ("max_iter", "0"), ("tol", "nan"), ("tol", "0")])
+def test_flow_limits_exit_3(tmp_path, capsys, command, key, value):
+    cfg = {"grid": {"points": "64"}, "minimize": {key: value}}
+    if command == "minimize":
+        cfg["constraint"] = {"kind": "nehari"}
+    assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(tmp_path / "o")]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_sweep_verdict_files(tmp_path):

@@ -25,7 +25,7 @@ from cnls_lab import (
     virial_series,
 )
 from cnls_lab.dynamics import TrajectoryLog
-from cnls_lab.errors import BoundaryDecayError
+from cnls_lab.errors import BoundaryDecayError, GridMismatchError
 from cnls_lab.stability import perturbation_pair
 
 from conftest import smooth_pair
@@ -194,6 +194,104 @@ def test_logged_rows_match_the_functionals(grid, p, beta, seed, width, stride):
             assert np.isnan(log.variance[i])
         else:
             assert log.variance[i] == pytest.approx(var, rel=1e-12, abs=0)
+
+
+def _assert_same_log(batched, alone):
+    for name in ("times", "mass1", "mass2", "energy", "variance", "gradnorm"):
+        assert np.array_equal(getattr(batched, name), getattr(alone, name), equal_nan=True), name
+    assert [t for t, _ in batched.snapshots] == [t for t, _ in alone.snapshots]
+    for (_, b), (_, a) in zip(batched.snapshots, alone.snapshots):
+        assert np.array_equal(b.c1, a.c1) and np.array_equal(b.c2, a.c2)
+    assert (batched.blowup_time, batched.aborted) == (alone.blowup_time, alone.aborted)
+    assert (batched.steps, batched.transform_calls) == (alone.steps, alone.transform_calls)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    grid=st.sampled_from(_PROPERTY_GRIDS),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0),
+    seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
+    widths=st.lists(st.sampled_from([0.8, 2.0]), min_size=3, max_size=3),
+    overflow_at=st.none() | st.integers(0, 3),
+    k=st.integers(1, 12),
+    stride=st.integers(1, 5),
+    snap=st.integers(0, 4),
+    dt=st.floats(1e-4, 1e-2),
+)
+def test_batch_members_equal_separate_runs(grid, p, beta, seeds, widths, overflow_at, k, stride, snap, dt):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    members = [_unit_peak(smooth_pair(grid, seed, width=w)) for seed, w in zip(seeds, widths)]
+    if overflow_at is not None:
+        # a member whose density overflows: it stops being finite at the
+        # first observed step, while the others run on to t_end
+        members.insert(min(overflow_at, len(members)), 1e155 * members[0])
+    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap)
+    with np.errstate(all="ignore"):
+        batch = evolve(members[0], params, config, companions=members[1:])
+        alone = [evolve(member, params, config) for member in members]
+    logs = [batch, *batch.companions]
+    assert len(logs) == len(members)
+    for batched, single in zip(logs, alone):
+        _assert_same_log(batched, single)
+    if overflow_at is not None:
+        assert sum(log.aborted for log in logs) == 1
+
+
+def test_batch_member_tripping_the_guard_leaves_the_others_running():
+    g = Grid(1, 256, 20.0)
+    params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
+    member = _member(params, g)
+    collapsing = scale_pair(member, ScalingParams(mu=1.1**0.5, lam=1.1))
+    config = EvolveConfig(dt=1e-3, t_end=1.0, conservation_check_stride=5, snapshot_stride=20, blowup_guard=3.0)
+    batch = evolve(member, params, config, companions=[collapsing, member])
+    logs = [batch, *batch.companions]
+    # the collapsing member trips mid-run; the standing waves run to t_end
+    assert logs[1].aborted and 0.1 < logs[1].blowup_time < 0.9
+    assert not logs[0].aborted and not logs[2].aborted and logs[0].steps == 1000
+    for batched, member_ in zip(logs, (member, collapsing, member)):
+        _assert_same_log(batched, evolve(member_, params, config))
+
+
+def test_batch_transform_budget(grid_1d, cubic, transform_calls):
+    n, stride, snap = 50, 7, 5
+    config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
+    u = _member(cubic, grid_1d)
+    batch = evolve(u, cubic, config, companions=[0.5 * u, 0.9 * u])
+    observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
+    # the budget of one run, every call over the whole (E, 2, *shape) batch
+    assert len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
+    assert set(transform_calls) == {(3, 2) + grid_1d.shape}
+    assert {log.transform_calls for log in (batch, *batch.companions)} == {len(transform_calls)}
+    transform_calls.clear()
+    # an interior step, fused kinetic parts included, is one pair of calls
+    evolve(u, cubic, EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=n), companions=[0.5 * u])
+    assert len(transform_calls) == 2 + 2 * (n - 1) + 3 - 1
+    assert set(transform_calls) == {(2, 2) + grid_1d.shape}
+
+
+@pytest.mark.parametrize("beta", [0.5, 3.0])
+def test_batched_sweep_conserves_every_member_mass(grid_1d, beta):
+    params = SystemParams(p=2.0, beta=beta, omega1=1.0, omega2=1.0)
+    pert = perturbation_pair(grid_1d, params, seed=0)
+    config = EvolveConfig(dt=1e-3, t_end=2.0, snapshot_stride=500, conservation_check_stride=500)
+    for family in (Family.SCALAR_FIRST, Family.VECTOR_B):
+        base = _member(params, grid_1d, family)
+        first, *rest = (base + eps * pert for eps in (0.0, 1e-3, 1e-2))
+        batch = evolve(first, params, config, companions=rest)
+        for log in (batch, *batch.companions):
+            assert not log.aborted
+            total = log.mass1[0] + log.mass2[0]
+            for mass in (log.mass1, log.mass2):
+                scale = mass[0] if mass[0] > 0 else total
+                assert np.abs(mass - mass[0]).max() <= 1e-12 * scale
+
+
+def test_companions_must_share_the_grid(cubic):
+    u = _member(cubic, Grid(1, 256, 10.0))
+    other = _member(cubic, Grid(1, 128, 10.0))
+    with pytest.raises(GridMismatchError):
+        evolve(u, cubic, EvolveConfig(dt=1e-3, t_end=0.01), companions=[other])
 
 
 def test_single_step_matches_evolve(grid_1d, cubic):

@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
@@ -22,6 +25,7 @@ from cnls_lab import (
     perturbation_pair,
     stability_sweep,
 )
+from cnls_lab import stability
 from cnls_lab.profiles import spectral_shift
 from cnls_lab.stability import _Orbits
 
@@ -109,6 +113,67 @@ def test_orbit_distance_is_the_distance_to_the_returned_orbit_point(dim, seeds, 
         grid, *(np.exp(1j * t) * spectral_shift(grid, c, res.shift) for t, c in zip(res.phases, ref.components))
     )
     assert res.distance == pytest.approx(h1_distance(psi, nearest, params), rel=1e-10)
+
+
+def _bfgs_distance(psi, ref, params):
+    """The orbit distance with the shift maximized by scipy's BFGS from the
+    best grid shift: C_j(y) from the spectra of psi and of ref moved by
+    spectral_shift, the distance by h1_distance at the optimal phases."""
+    grid = psi.grid
+    weight = [grid.k2 + w for w in params.weights]
+    spectra = [np.fft.fftn(c) for c in psi.components]
+
+    def sums(y):
+        moved = [spectral_shift(grid, c, tuple(y)) for c in ref.components]
+        return [np.sum(w * s * np.conj(np.fft.fftn(m))) for w, s, m in zip(weight, spectra, moved)], moved
+
+    start = np.array(orbit_distance(psi, ref, params, refine=False).shift)
+    y = scipy.optimize.minimize(lambda y: -sum(abs(c) for c in sums(y)[0]), start, method="BFGS").x
+    c, moved = sums(y)
+    nearest = FieldPair(grid, *(np.exp(1j * np.angle(cj)) * m for cj, m in zip(c, moved)))
+    return h1_distance(psi, nearest, params)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    dim=st.sampled_from([1, 2]),
+    n_refs=st.integers(1, 2),
+    seeds=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000)),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+    eps=st.floats(0.05, 1.0),
+)
+def test_newton_refinement_is_no_worse_than_bfgs(dim, n_refs, seeds, shift, phases, eps):
+    grid = _ORBIT_GRIDS[dim - 1]
+    params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.7)
+    refs = [smooth_pair(grid, seed) for seed in seeds[:n_refs]]
+    moved = [np.exp(1j * t) * spectral_shift(grid, c, shift[:dim]) for t, c in zip(phases, refs[0].components)]
+    psi = FieldPair(grid, *moved) + eps * smooth_pair(grid, seeds[2])
+    oracle = min(_bfgs_distance(psi, ref, params) for ref in refs)
+    assert orbit_distance(psi, refs, params).distance <= oracle * (1.0 + 1e-10)
+
+
+@settings(deadline=None, max_examples=40)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 10_000), shift=st.floats(-3.0, 3.0))
+def test_ascent_step_solves_the_negative_definite_system(dim, seed, shift):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((dim, dim))
+    hess = -(q @ q.T) + shift * np.eye(dim)
+    grad = rng.standard_normal(dim)
+    step = stability._ascent_step(grad, hess)
+    top = np.linalg.eigvalsh(hess).max()
+    if top < -1e-3:
+        assert np.allclose(step, -np.linalg.solve(hess, grad), rtol=1e-8, atol=1e-10)
+    elif top > 1e-3:
+        assert step is None
+
+
+def test_stability_does_not_import_scipy_optimize():
+    # the shift is refined by Newton steps of its own
+    tree = ast.parse(Path(stability.__file__).read_text(encoding="utf-8"))
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in modules if m.startswith("scipy.optimize") or m == "scipy"]
 
 
 @pytest.mark.parametrize("family", [Family.VECTOR_B, Family.SCALAR_FIRST])
