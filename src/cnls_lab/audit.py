@@ -8,10 +8,9 @@ requested parameters, or a flow stopped at a non-critical point.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
-from .core import Grid, SystemParams, relative_error
+from .core import Grid, SystemParams, _csv, relative_error
 from .functionals import _Norms, action_I, energy_E
 from .minimize import ConstraintSpec, minimize_on
 from .profiles import (
@@ -45,12 +44,11 @@ class AuditReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
+    def _table(self) -> tuple:
+        return "name,lhs,rhs,rel_err,ok", [(r.name, r.lhs, r.rhs, r.rel_err, r.ok) for r in self.rows]
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("name,lhs,rhs,rel_err,ok\n")
-        for r in self.rows:
-            buf.write(f"{r.name},{r.lhs:.17g},{r.rhs:.17g},{r.rel_err:.17g},{int(r.ok)}\n")
-        return buf.getvalue()
+        return _csv(*self._table())
 
     def __str__(self):
         return "\n".join(str(r) for r in self.rows)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .audit import identity_audit
-from .core import FieldPair, Grid, SystemParams
+from .core import FieldPair, Grid, SystemParams, _cell, _csv
 from .dynamics import EvolveConfig, evolve
 from .errors import (
     BoundaryDecayError,
@@ -193,40 +193,11 @@ def _float_list(raw: str) -> tuple:
     return vals
 
 
-def _fmt(x) -> str:
-    return "%.17g" % x
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _nonfinite_keys(payload: dict) -> list:
-    """The keys of payload holding a non-finite number, alone or in a list."""
-
-    def finite(v):
-        if isinstance(v, (list, tuple)):
-            return all(finite(x) for x in v)
-        return not isinstance(v, float) or np.isfinite(v)
-
-    return sorted(k for k, v in payload.items() if not finite(v))
-
-
-def _write_finite_json(path: Path, payload: dict) -> bool:
-    """Write payload unless it holds a non-finite number, which JSON cannot
-    encode; then report a numerical failure and write nothing."""
-    nonfinite = _nonfinite_keys(payload)
-    if nonfinite:
-        print(f"numerical failure: non-finite {', '.join(nonfinite)} in {path.name}", file=sys.stderr)
-        return False
-    _write_json(path, payload)
-    return True
-
-
-def _result_payload(res, pinned: bool = False) -> dict:
+def _result_files(res, params, snapshot: str, pinned: bool = False, **extra) -> dict:
+    """result.json, the minimizer's snapshot and pohozaev.csv of a flow."""
     # a pinned component has no multiplier: null, not NaN
     multipliers = [None if pinned and i == 1 else m for i, m in enumerate(res.multipliers)]
-    return {
+    payload = {
         "value": res.value,
         "action": res.action,
         "energy": res.energy,
@@ -235,24 +206,90 @@ def _result_payload(res, pinned: bool = False) -> dict:
         "residual": res.residual,
         "constraint_residual": res.constraint_residual,
         "classification": res.classification,
+        **extra,
+    }
+    pc = pohozaev_check(res.minimizer, params, res.action)
+    pohozaev = (pc.residual_gradient, pc.residual_coupling, pc.residual_mass, pc.m_positive, pc.ok)
+    return {
+        "result.json": payload,
+        snapshot: res.minimizer,
+        "pohozaev.csv": ("residual_gradient,residual_coupling,residual_mass,m_positive,ok", [pohozaev]),
     }
 
 
-def _write_pohozaev_csv(path: Path, pair, params, level: float) -> None:
-    pc = pohozaev_check(pair, params, level)
-    rows = [
-        "residual_gradient,residual_coupling,residual_mass,m_positive,ok",
-        ",".join(
-            (
-                _fmt(pc.residual_gradient),
-                _fmt(pc.residual_coupling),
-                _fmt(pc.residual_mass),
-                str(int(pc.m_positive)),
-                str(int(pc.ok)),
-            )
-        ),
-    ]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+# ---------------------------------------------------------------------------
+# output
+
+# The non-finite numbers that mean something, by file and column, each with
+# a test of the number and its row (column -> value); any other non-finite
+# number is a numerical failure. A JSON number that passes is written null.
+_ALLOWED = {
+    # the field has reached the box edge, so its variance is undefined
+    ("trajectory.csv", "variance"): lambda v, row: np.isnan(v),
+    ("series.csv", "variance"): lambda v, row: np.isnan(v),
+    # a collapsed run has no excursion ratio
+    ("verdict.csv", "max_excursion"): lambda v, row: v == np.inf and row["classification"] == "blow_up",
+    # no relative residual against a level that is not positive
+    **{
+        ("pohozaev.csv", column): lambda v, row: v == np.inf and not row["m_positive"]
+        for column in ("residual_gradient", "residual_coupling", "residual_mass")
+    },
+    # fewer than three finite variance samples in the window
+    ("report.json", "max_second_derivative"): lambda v, row: np.isnan(v),
+}
+
+
+def _nonfinite(x) -> bool:
+    return isinstance(x, float) and not np.isfinite(x)
+
+
+def _unexcused(name: str, content) -> list:
+    """The columns of file `name`, a JSON payload (dict) or a CSV table
+    (header, rows), with a non-finite number that no allowance covers."""
+    if isinstance(content, dict):
+        columns, rows = sorted(content), [[content[k] for k in sorted(content)]]
+    else:
+        columns, rows = content[0].split(","), content[1]
+    bad = set()
+    for row in rows:
+        cells = dict(zip(columns, row))
+        for column, value in cells.items():
+            allowed = _ALLOWED.get((name, column), lambda v, row: False)
+            numbers = value if isinstance(value, list) else [value]
+            if any(_nonfinite(x) and not allowed(x, cells) for x in numbers):
+                bad.add(column)
+    return [c for c in columns if c in bad]
+
+
+def _emit(out: Path, params, files: dict, *, summary=(), note="", failure="") -> int:
+    """Write one command's files under out: all of them, or none when a
+    JSON payload (dict) or CSV table (header, rows) holds a non-finite
+    number that _ALLOWED does not cover (exit 2). A FieldPair is written as
+    a snapshot. summary ("key = value" pairs or plain lines) goes to
+    summary.txt and stdout, note to stdout only. A failure the run already
+    met skips the check: every file is written as its record, and exit 2."""
+    for name, content in () if failure else files.items():
+        bad = [] if isinstance(content, FieldPair) else _unexcused(name, content)
+        if bad:
+            print(f"numerical failure: non-finite {', '.join(bad)} in {name}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    for name, content in files.items():
+        path = out / name
+        path.parent.mkdir(exist_ok=True)
+        if isinstance(content, FieldPair):
+            save_snapshot(path, content, params)
+        elif isinstance(content, dict):
+            payload = {k: None if _nonfinite(v) else v for k, v in content.items()}
+            path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        else:
+            path.write_text(_csv(*content), encoding="utf-8")
+    lines = [ln if isinstance(ln, str) else f"{ln[0]} = {_cell(ln[1])}" for ln in summary]
+    if lines:
+        (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print("\n".join(filter(None, [*lines, note])))
+    if failure:
+        print(failure, file=sys.stderr)
+    return EXIT_NUMERICAL if failure else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +307,9 @@ def _cmd_ground(cfg, out: Path) -> int:
         seed=cfg.getint("run", "seed"),
         threads=_threads(cfg),
     )
-    if not _write_finite_json(out / "result.json", _result_payload(res)):
-        return EXIT_NUMERICAL
-    save_snapshot(out / "ground.snapshot", res.minimizer, params)
-    _write_pohozaev_csv(out / "pohozaev.csv", res.minimizer, params, res.action)
-    print(f"ground state: level {res.action:.12g} ({res.classification}), "
-          f"residual {res.residual:.3e}, {res.iterations} iterations")
-    return EXIT_OK
+    files = _result_files(res, params, "ground.snapshot")
+    return _emit(out, params, files, note=f"ground state: level {res.action:.12g} ({res.classification}), "
+                 f"residual {res.residual:.3e}, {res.iterations} iterations")
 
 
 def _constraint_from(cfg) -> ConstraintSpec:
@@ -315,15 +348,9 @@ def _cmd_minimize(cfg, out: Path) -> int:
         max_iter=cfg.getint("minimize", "max_iter"),
         seed=cfg.getint("run", "seed"),
     )
-    payload = _result_payload(res, constraint.pinned)
-    payload["constraint"] = constraint.describe()
-    if not _write_finite_json(out / "result.json", payload):
-        return EXIT_NUMERICAL
-    save_snapshot(out / "minimizer.snapshot", res.minimizer, params)
-    _write_pohozaev_csv(out / "pohozaev.csv", res.minimizer, params, res.action)
-    print(f"{constraint.describe()}: value {res.value:.12g} ({res.classification}), "
-          f"residual {res.residual:.3e}, {res.iterations} iterations")
-    return EXIT_OK
+    files = _result_files(res, params, "minimizer.snapshot", constraint.pinned, constraint=constraint.describe())
+    return _emit(out, params, files, note=f"{constraint.describe()}: value {res.value:.12g} "
+                 f"({res.classification}), residual {res.residual:.3e}, {res.iterations} iterations")
 
 
 def _initial_state(cfg, params, grid):
@@ -375,39 +402,24 @@ def _cmd_evolve(cfg, out: Path) -> int:
     )
     log = evolve(state, params, config)
 
-    (out / "trajectory.csv").write_text(log.to_csv(), encoding="utf-8")
-    save_snapshot(out / "final.snapshot", log.final_state(), params)
+    files = {"trajectory.csv": log._table(), "final.snapshot": log.final_state()}
     if config.snapshot_stride:
-        snap_dir = out / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        index = ["index,t"]
-        for i, (t, pair) in enumerate(log.snapshots):
-            save_snapshot(snap_dir / f"snap_{i:06d}.snapshot", pair, params)
-            index.append(f"{i},{_fmt(t)}")
-        (snap_dir / "index.csv").write_text("\n".join(index) + "\n", encoding="utf-8")
+        for i, (_, pair) in enumerate(log.snapshots):
+            files[f"snapshots/snap_{i:06d}.snapshot"] = pair
+        files["snapshots/index.csv"] = ("index,t", [(i, t) for i, (t, _) in enumerate(log.snapshots)])
 
     drift1 = np.abs(log.mass1 - log.mass1[0]).max() / max(log.mass1[0], 1e-300)
     drift2 = np.abs(log.mass2 - log.mass2[0]).max() / max(log.mass2[0], 1e-300)
-    e_drift = np.abs(log.energy - log.energy[0]).max()
     summary = [
-        f"t_final = {_fmt(log.times[-1])}",
-        f"mass_drift_rel_1 = {_fmt(drift1)}",
-        f"mass_drift_rel_2 = {_fmt(drift2)}",
-        f"energy_drift_abs = {_fmt(e_drift)}",
-        f"aborted = {int(log.aborted)}",
-        f"blowup_time = {'' if log.blowup_time is None else _fmt(log.blowup_time)}",
+        ("t_final", log.times[-1]),
+        ("mass_drift_rel_1", drift1),
+        ("mass_drift_rel_2", drift2),
+        ("energy_drift_abs", np.abs(log.energy - log.energy[0]).max()),
+        ("aborted", log.aborted),
+        ("blowup_time", log.blowup_time),
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    print("\n".join(summary))
-    if log.aborted:
-        print("run aborted: the amplitude guard tripped or the field stopped being finite", file=sys.stderr)
-        return EXIT_NUMERICAL
-    # a nan variance only marks a field that no longer decays at the box edge
-    nonfinite = [c for c in ("mass1", "mass2", "energy", "gradnorm") if not np.isfinite(getattr(log, c)).all()]
-    if nonfinite:
-        print(f"numerical failure: non-finite {', '.join(nonfinite)} in trajectory.csv", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failure = "run aborted: the amplitude guard tripped or the field stopped being finite"
+    return _emit(out, params, files, summary=summary, failure=failure if log.aborted else "")
 
 
 def _cmd_sweep(cfg, out: Path) -> int:
@@ -427,32 +439,14 @@ def _cmd_sweep(cfg, out: Path) -> int:
         zero_orbit_tol=cfg.getfloat("sweep", "zero_orbit_tol"),
         tol=cfg.getfloat("sweep", "flow_tol"),
     )
-    rows = ["family,epsilon,initial_distance,max_excursion,classification,blowup_time"]
-    for i, eps in enumerate(verdict.epsilons):
-        bt = verdict.blowup_times[i]
-        rows.append(
-            ",".join(
-                (
-                    verdict.family,
-                    _fmt(eps),
-                    _fmt(verdict.initial_distances[i]),
-                    _fmt(verdict.max_excursions[i]),
-                    verdict.classifications[i],
-                    "" if bt is None else _fmt(bt),
-                )
-            )
-        )
-    (out / "verdict.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    for i, (ts, ds) in enumerate(
-        zip(verdict.details["times"], verdict.details["distances"])
-    ):
-        series = ["t,distance"]
-        series += [f"{_fmt(t)},{_fmt(d)}" for t, d in zip(ts, ds)]
-        (out / f"distances_{i}.csv").write_text("\n".join(series) + "\n", encoding="utf-8")
-    summary = [f"family = {verdict.family}", f"classification = {verdict.classification}"]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    print("\n".join(summary))
-    return EXIT_OK
+    rows = zip(verdict.epsilons, verdict.initial_distances, verdict.max_excursions,
+               verdict.classifications, verdict.blowup_times)
+    header = "family,epsilon,initial_distance,max_excursion,classification,blowup_time"
+    files = {"verdict.csv": (header, [(verdict.family, *row) for row in rows])}
+    for i, (ts, ds) in enumerate(zip(verdict.details["times"], verdict.details["distances"])):
+        files[f"distances_{i}.csv"] = ("t,distance", list(zip(ts, ds)))
+    summary = [("family", verdict.family), ("classification", verdict.classification)]
+    return _emit(out, params, files, summary=summary)
 
 
 _CLASS_WORDS = {"blow_up": "BlowUp", "no_blow_up": "NoBlowUp"}
@@ -474,33 +468,20 @@ def _cmd_blowup(cfg, out: Path) -> int:
         tol=cfg.getfloat("blowup", "flow_tol"),
         seed=cfg.getint("run", "seed"),
     )
-    payload = {
-        field.name: getattr(rep, field.name)
-        for field in dataclasses.fields(rep)
-        if field.name != "details"
-    }
+    payload = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "details"}
     payload["classification"] = rep.classification
-    _write_json(out / "report.json", payload)
-
-    series = ["t,variance,gradnorm"]
-    for t, v, g in zip(
-        rep.details["times"], rep.details["variance"], rep.details["gradnorm"]
-    ):
-        series.append(f"{_fmt(t)},{_fmt(v)},{_fmt(g)}")
-    (out / "series.csv").write_text("\n".join(series) + "\n", encoding="utf-8")
-
+    series = zip(rep.details["times"], rep.details["variance"], rep.details["gradnorm"])
+    files = {"report.json": payload, "series.csv": ("t,variance,gradnorm", list(series))}
     summary = [
-        f"classification = {_CLASS_WORDS[rep.classification]}",
-        f"t_star = {'' if rep.blowup_time is None else _fmt(rep.blowup_time)}",
-        f"sigma = {_fmt(rep.sigma)}",
-        f"initial_virial = {_fmt(rep.initial_virial)}",
-        f"concave_variance = {int(rep.concave)}",
-        f"second_derivative_bound = {int(rep.bound_satisfied)}",
-        f"level_gap_ok = {int(rep.lemma_gap_ok)}",
+        ("classification", _CLASS_WORDS[rep.classification]),
+        ("t_star", rep.blowup_time),
+        ("sigma", rep.sigma),
+        ("initial_virial", rep.initial_virial),
+        ("concave_variance", rep.concave),
+        ("second_derivative_bound", rep.bound_satisfied),
+        ("level_gap_ok", rep.lemma_gap_ok),
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    print("\n".join(summary))
-    return EXIT_OK
+    return _emit(out, params, files, summary=summary)
 
 
 def _cmd_audit(cfg, out: Path) -> int:
@@ -514,11 +495,9 @@ def _cmd_audit(cfg, out: Path) -> int:
         flow_tol=cfg.getfloat("audit", "flow_tol"),
         seed=cfg.getint("run", "seed"),
     )
-    (out / "audit.csv").write_text(rep.to_csv(), encoding="utf-8")
-    summary = str(rep) + f"\noverall = {'pass' if rep.ok else 'FAIL'}"
-    (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
-    print(summary)
-    return EXIT_OK if rep.ok else EXIT_NUMERICAL
+    summary = [*map(str, rep.rows), ("overall", "pass" if rep.ok else "FAIL")]
+    code = _emit(out, params, {"audit.csv": rep._table()}, summary=summary)
+    return code or (EXIT_OK if rep.ok else EXIT_NUMERICAL)
 
 
 def _cmd_profile(cfg, out: Path) -> int:
@@ -528,8 +507,6 @@ def _cmd_profile(cfg, out: Path) -> int:
     spec = SolitonSpec.for_family(family, params)
     raw_shift = cfg.get("profile", "shift")
     shift = _float_list(raw_shift) if raw_shift else (0.0,) * grid.dim
-    if len(shift) != grid.dim:
-        raise ValueError(f"shift needs {grid.dim} entries, got {len(shift)}")
     spec = dataclasses.replace(
         spec,
         theta1=cfg.getfloat("profile", "theta1"),
@@ -541,12 +518,9 @@ def _cmd_profile(cfg, out: Path) -> int:
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload["boundary_amplitude_ratio"] = boundary_amplitude_ratio(pair)
     payload["family"] = family.value
-    if not _write_finite_json(out / "profile.json", payload):
-        return EXIT_NUMERICAL
-    save_snapshot(out / "profile.snapshot", pair, params)
-    print(f"{family.value}: action {report.action:.12g}, "
-          f"virial {report.virial:.3e}, pairing {report.nehari_pairing:.3e}")
-    return EXIT_OK
+    files = {"profile.json": payload, "profile.snapshot": pair}
+    return _emit(out, params, files, note=f"{family.value}: action {report.action:.12g}, "
+                 f"virial {report.virial:.3e}, pairing {report.nehari_pairing:.3e}")
 
 
 _DISPATCH = {

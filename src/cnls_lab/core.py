@@ -55,6 +55,21 @@ def relative_error(value: float, reference: float) -> float:
     return diff / max(ref, _DENOM_FLOOR)
 
 
+def _cell(value) -> str:
+    """One CSV cell or summary value: a float to 17 significant digits,
+    which read back exactly; a flag as 0 or 1; None as empty."""
+    if isinstance(value, (bool, np.bool_)):
+        value = int(value)
+    if isinstance(value, float):
+        return "%.17g" % value
+    return "" if value is None else str(value)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line of cells per row."""
+    return "".join(line + "\n" for line in [header, *(",".join(map(_cell, row)) for row in rows)])
+
+
 def default_half_width(omega1: float, omega2: float) -> float:
     """Box half-width 20 / sqrt(min(omega1, omega2, 1)).
 

@@ -24,6 +24,7 @@ from .core import (
     FieldPair,
     Grid,
     SystemParams,
+    _csv,
     _density,
     _fft,
     _ifft,
@@ -115,11 +116,12 @@ class TrajectoryLog:
     transform_calls: int = 0
     companions: tuple = ()
 
+    def _table(self) -> tuple:
+        columns = (self.times, self.mass1, self.mass2, self.energy, self.variance, self.gradnorm)
+        return self.CSV_HEADER, list(zip(*columns))
+
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in zip(self.times, self.mass1, self.mass2, self.energy, self.variance, self.gradnorm):
-            lines.append(",".join("%.17g" % v for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(*self._table())
 
     def final_state(self) -> FieldPair | None:
         return self.snapshots[-1][1] if self.snapshots else None

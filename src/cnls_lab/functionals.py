@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .core import FieldPair, Grid, SystemParams, _density, _fft, _integral, relative_error
+from .core import FieldPair, Grid, SystemParams, _cell, _density, _fft, _integral, relative_error
 from .errors import BoundaryDecayError
 
 __all__ = [
@@ -379,4 +379,4 @@ class FunctionalReport:
         )
 
     def csv_row(self) -> str:
-        return ",".join(f"{v:.17g}" for v in astuple(self))
+        return ",".join(map(_cell, astuple(self)))

@@ -218,8 +218,8 @@ def make_member(spec: SolitonSpec, params: SystemParams, grid: Grid) -> FieldPai
     if spec.beta != params.beta:
         raise ValueError(f"spec.beta={spec.beta} does not match params.beta={params.beta}")
     shift = np.zeros(grid.dim) if spec.shift is None else np.asarray(spec.shift, dtype=float)
-    if shift.size != grid.dim:
-        raise ValueError(f"shift has {shift.size} entries for a dim-{grid.dim} grid")
+    if shift.size != grid.dim or not np.isfinite(shift).all():
+        raise ValueError(f"shift needs {grid.dim} finite entries, got {tuple(shift)}")
     zero = np.zeros(grid.shape, dtype=complex)
     if spec.family is Family.SCALAR_FIRST:
         if spec.omega != params.omega1:
@@ -398,9 +398,16 @@ def nehari_to_sphere(
             f"exceeds {pairing_tol:.1e}"
         )
     a = 1.0 / (params.p - 1.0) - dim / 2.0
-    nu = (gamma / norms.weighted_mass) ** (1.0 / a)
-    scaling = ScalingParams(mu=nu ** (0.5 / (params.p - 1.0)), lam=np.sqrt(nu))
-    return scale_pair(pair, scaling), nu
+    # numpy floats give inf or 0 out of range, where a float ** raises
+    with np.errstate(over="ignore", under="ignore"):
+        nu = (np.float64(gamma) / norms.weighted_mass) ** (1.0 / a)
+        mu, lam = nu ** (0.5 / (params.p - 1.0)), np.sqrt(nu)
+    if not all(0.0 < x < np.inf for x in (nu, mu, lam)):
+        raise ConstraintError(
+            f"gamma={gamma:g} puts the sphere transport's scaling outside the "
+            f"floating-point range (nu={nu:g}, mu={mu:g}, lambda={lam:g})"
+        )
+    return scale_pair(pair, ScalingParams(mu=float(mu), lam=lam)), float(nu)
 
 
 def lambda_star(pair: FieldPair, params: SystemParams) -> float:

@@ -316,6 +316,8 @@ def stability_sweep(
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
+    if not (dt and math.isfinite(sample_dt / dt)):
+        raise ValueError(f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride")
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
     stride = max(1, int(round(sample_dt / dt)))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import tempfile
@@ -56,13 +57,49 @@ def test_ground_outputs(tmp_path):
     assert "[params]" in manifest and "beta = 0.5" in manifest
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = _write(tmp_path, GROUND_CFG)
+# tiny runs of every command that exit 0 and write every kind of output
+_TINY = {
+    "ground": {"grid": {"points": "64"}, "minimize": {"max_iter": "2000"}},
+    "minimize": {
+        "params": {"beta": "2.0"},
+        "grid": {"points": "64"},
+        "minimize": {"max_iter": "2000"},
+        "constraint": {"kind": "nehari_set"},
+    },
+    "evolve": {
+        "grid": {"points": "64"},
+        "evolve": {"t_end": "0.01", "snapshot_stride": "5", "conservation_stride": "2", "eps": "1e-3"},
+    },
+    "sweep": {
+        "params": {"beta": "2.0"},
+        "grid": {"points": "64"},
+        "sweep": {"family": "vector_b", "epsilons": "0.0,1e-3", "t_end": "0.05", "sample_dt": "0.01"},
+    },
+    "blowup": {
+        "params": {"p": "3.0"},
+        "grid": {"points": "64", "half_width": "10.0"},
+        "blowup": {"family": "scalar_first", "t_max": "0.05"},
+    },
+    "audit": {"grid": {"points": "64", "half_width": "10.0"}, "audit": {"gamma_factors": "1.0"}},
+    "profile": {"grid": {"points": "64"}, "profile": {"shift": "1.0", "theta1": "0.3"}},
+}
+
+
+def _files(out):
+    return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_rerun_is_byte_identical(tmp_path, command):
+    cfg = _write(tmp_path, _ini(_TINY[command]))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["ground", str(cfg), "--seed", "3", "--out", str(out1)]) == 0
-    assert main(["ground", str(cfg), "--seed", "3", "--out", str(out2)]) == 0
-    for name in ("result.json", "pohozaev.csv", "ground.snapshot"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert main([command, str(cfg), "--seed", "3", "--out", str(out1)]) == 0
+    assert main([command, str(cfg), "--seed", "3", "--out", str(out2)]) == 0
+    first, second = _files(out1), _files(out2)
+    manifest = Path("manifest.txt")
+    # the manifests differ only in the output directory they echo
+    assert first.pop(manifest).replace(bytes(out1), bytes(out2)) == second.pop(manifest)
+    assert len(first) >= 2 and first == second
     assert "seed = 3" in (out1 / "manifest.txt").read_text()
 
 
@@ -293,13 +330,16 @@ _FUZZ_BASE = {
             "eps": "1e-3",
         },
     },
-    "profile": {"grid": {"points": "64"}},
-    "ground": {"grid": {"points": "64"}, "minimize": {"max_iter": "2000"}},
+    "profile": _TINY["profile"],
+    "ground": _TINY["ground"],
     "minimize": {
         "grid": {"points": "64"},
         "minimize": {"max_iter": "2000"},
         "constraint": {"gamma": "4.0", "delta1": "1.0", "delta2": "1.0"},
     },
+    "sweep": _TINY["sweep"],
+    "blowup": _TINY["blowup"],
+    "audit": _TINY["audit"],
 }
 _FUZZ_KINDS = ("nehari", "nehari_set", "pohozaev", "weighted_sphere", "product_spheres", "equal_spheres")
 _FUZZ_KEYS = {
@@ -317,6 +357,20 @@ _FUZZ_KEYS = {
     ),
     "constraint": ("kind", "gamma", "delta1", "delta2"),
     "minimize": ("tol", "max_iter"),
+    "sweep": (
+        "family",
+        "epsilons",
+        "dt",
+        "t_end",
+        "sample_dt",
+        "perturb_mode",
+        "excursion_ratio",
+        "zero_orbit_tol",
+        "flow_tol",
+    ),
+    "blowup": ("family", "factor", "dt", "t_max", "guard_ratio", "window_fraction", "margin", "flow_tol"),
+    "audit": ("tol", "gamma_factors", "flow_tol"),
+    "profile": ("family", "theta1", "theta2", "shift"),
 }
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 
@@ -324,7 +378,7 @@ _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2**40), "abc")
 @st.composite
 def _fuzzed_config(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
-    own = {"evolve": ("evolve",), "ground": ("minimize",), "minimize": ("constraint", "minimize")}.get(command, ())
+    own = {"ground": ("minimize",), "minimize": ("constraint", "minimize")}.get(command, (command,))
     section = draw(st.sampled_from(("params", "grid") + own))
     key = draw(st.sampled_from(_FUZZ_KEYS[section]))
     value = draw(st.sampled_from(_FUZZ_VALUES))
@@ -335,7 +389,7 @@ def _fuzzed_config(draw):
     return command, cfg
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=300)
 @given(case=_fuzzed_config())
 def test_fuzzed_config_exits_with_a_documented_code(case):
     command, cfg = case
@@ -344,23 +398,44 @@ def test_fuzzed_config_exits_with_a_documented_code(case):
         path.write_text(_ini(cfg), encoding="utf-8")
         with np.errstate(all="ignore"):
             code = main([command, str(path), "--out", str(Path(tmp) / "out")])
-        written = {"profile": "profile.json", "ground": "result.json", "minimize": "result.json"}
-        if command in written and code == 0:
-            json.loads((Path(tmp) / "out" / written[command]).read_text(), parse_constant=_refuse_nonfinite)
-        if command == "evolve" and code == 0:
-            _assert_finite_trajectory(Path(tmp) / "out" / "trajectory.csv")
+        if code == 0:
+            _assert_outputs_finite(Path(tmp) / "out")
     assert code in (0, 2, 3, 4)
+
+
+# The non-finite numbers an output may hold, by file and column, each with
+# the test of its row: the allowances of the README's exit-code rule
+_ALLOWANCES = {
+    ("trajectory.csv", "variance"): lambda v, row: np.isnan(v),
+    ("series.csv", "variance"): lambda v, row: np.isnan(v),
+    ("verdict.csv", "max_excursion"): lambda v, row: v == np.inf and row["classification"] == "blow_up",
+    **{
+        ("pohozaev.csv", column): lambda v, row: v == np.inf and row["m_positive"] == "0"
+        for column in ("residual_gradient", "residual_coupling", "residual_mass")
+    },
+}
+
+
+def _assert_outputs_finite(out):
+    """Every JSON file parses with no non-finite constant, and every number
+    in a CSV file is finite unless an allowance covers it."""
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_refuse_nonfinite)
+        elif path.suffix == ".csv":
+            with path.open(newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for column, cell in row.items():
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            continue
+                        allowed = _ALLOWANCES.get((path.name, column), lambda v, row: False)
+                        assert np.isfinite(value) or allowed(value, row), (path.name, column, row)
 
 
 def _ini(cfg):
     return "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for sec, keys in cfg.items())
-
-
-def _assert_finite_trajectory(path):
-    # a nan variance is legitimate: it marks a field that reaches the box edge
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    for column in ("mass1", "mass2", "energy", "gradnorm"):
-        assert np.isfinite(rows[column]).all(), column
 
 
 def _refuse_nonfinite(token):
@@ -550,3 +625,84 @@ def test_command_is_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_audit_refuses_a_transport_out_of_range(tmp_path, capsys):
+    # the transport's multiplier nu = (gamma / mass)^2 overflows
+    cfg = _write(tmp_path, _ini({"grid": {"points": "64"}, "audit": {"gamma_factors": "1e300"}}))
+    out = tmp_path / "a"
+    assert main(["audit", str(cfg), "--out", str(out)]) == 3
+    assert "floating-point range" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
+
+def test_sweep_refuses_an_infinite_orbit_distance(tmp_path, capsys):
+    # the datum's density overflows, so its orbit distance is infinite
+    cfg = {"params": {"beta": "2.0"}, "grid": {"points": "64"}}
+    cfg["sweep"] = {"family": "vector_b", "epsilons": "1e300", "t_end": "0.05"}
+    out = tmp_path / "s"
+    with np.errstate(all="ignore"):
+        assert main(["sweep", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 2
+    assert "numerical failure: non-finite initial_distance in verdict.csv" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
+
+def test_blowup_report_writes_an_undefined_derivative_as_null(tmp_path):
+    # too short a window for three finite variance samples
+    cfg = {"params": {"p": "3.0"}, "grid": {"points": "256"}}
+    cfg["blowup"] = {"family": "scalar_first", "t_max": "0.002"}
+    out = tmp_path / "b"
+    assert main(["blowup", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_nonfinite)
+    assert report["max_second_derivative"] is None
+    assert np.isfinite(report["sigma"])
+    _assert_outputs_finite(out)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, content, allowed",
+    [
+        ("trajectory.csv", ("t,variance", [(0.0, _NAN)]), True),
+        ("series.csv", ("t,variance", [(0.0, _NAN)]), True),
+        ("trajectory.csv", ("t,variance", [(0.0, _INF)]), False),
+        ("trajectory.csv", ("t,energy", [(0.0, _NAN)]), False),
+        ("distances_0.csv", ("t,variance", [(0.0, _NAN)]), False),
+        ("verdict.csv", ("max_excursion,classification", [(_INF, "blow_up")]), True),
+        ("verdict.csv", ("max_excursion,classification", [(1.0, "blow_up"), (_INF, "excursion_growth")]), False),
+        ("verdict.csv", ("max_excursion,classification", [(_NAN, "blow_up")]), False),
+        ("pohozaev.csv", ("residual_mass,m_positive", [(_INF, False)]), True),
+        ("pohozaev.csv", ("residual_mass,m_positive", [(_INF, True)]), False),
+        ("report.json", {"max_second_derivative": _NAN, "sigma": 1.0}, True),
+        ("report.json", {"max_second_derivative": _INF}, False),
+        ("result.json", {"multipliers": [1.0, _NAN]}, False),
+    ],
+    ids=[
+        "trajectory-nan-variance",
+        "series-nan-variance",
+        "inf-variance",
+        "nan-energy",
+        "distances-nan",
+        "blow-up-inf-excursion",
+        "growth-inf-excursion",
+        "blow-up-nan-excursion",
+        "no-mass-inf-residual",
+        "mass-inf-residual",
+        "nan-second-derivative",
+        "inf-second-derivative",
+        "nan-multiplier",
+    ],
+)
+def test_outputs_are_written_only_when_every_nonfinite_number_is_allowed(tmp_path, capsys, name, content, allowed):
+    from cnls_lab import cli
+
+    files = {"other.csv": ("t", [(0.0,)]), name: content}
+    assert cli._emit(tmp_path, None, files, summary=[("key", 1.0)]) == (0 if allowed else 2)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if allowed:
+        assert written == sorted([name, "other.csv", "summary.txt"])
+        _assert_outputs_finite(tmp_path)
+    else:
+        assert written == [] and "numerical failure: non-finite" in capsys.readouterr().err

@@ -209,6 +209,22 @@ def test_sphere_transport_rejects_non_critical_point(grid_1d, cubic):
         nehari_to_sphere(pair, cubic, 4.0)
 
 
+@pytest.mark.parametrize("gamma", [1e300, 1e-300])
+def test_sphere_transport_refuses_a_scaling_out_of_range(grid_1d, cubic, gamma):
+    # nu = (gamma / 4)^2 leaves the floating-point range, where a float ** raises
+    z = base_profile_1d(2.0, grid_1d)
+    with pytest.raises(ConstraintError, match="floating-point range"):
+        nehari_to_sphere(FieldPair(grid_1d, z, np.zeros_like(z)), cubic, gamma)
+
+
+@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
+def test_member_refuses_a_nonfinite_shift(grid_1d, cubic, shift):
+    # an infinite shift would place the whole profile outside the box
+    spec = SolitonSpec.for_family(Family.SCALAR_FIRST, cubic, shift=shift)
+    with pytest.raises(ValueError, match="finite"):
+        make_member(spec, cubic, grid_1d)
+
+
 def test_dilation_peak_location(grid_1d_wide):
     # lambda_star maximizes the action along the mass-preserving dilation
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)

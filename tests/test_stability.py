@@ -269,6 +269,12 @@ def test_blowup_refusals(grid_1d, cubic):
         blowup_experiment(params, grid_1d, family="everything")
 
 
+@pytest.mark.parametrize("dt, sample_dt", [(0.0, 0.5), (1e-3, math.inf), (1e-3, -math.inf), (1e-3, math.nan)])
+def test_sweep_refuses_a_sampling_stride_that_is_not_finite(grid_1d, cubic, dt, sample_dt):
+    with pytest.raises(ValueError, match="sampling stride"):
+        stability_sweep(cubic, grid_1d, family="scalar_first", dt=dt, t_end=0.01, sample_dt=sample_dt)
+
+
 def test_identity_audit_passes_at_vector_point(grid_1d_wide):
     report = identity_audit(VECTOR, grid_1d_wide, gamma_factors=(1.0, 2.0))
     assert report.ok
