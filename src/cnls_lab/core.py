@@ -270,7 +270,7 @@ def _density(f: np.ndarray) -> np.ndarray:
 
 def _integral(grid: Grid, g: np.ndarray) -> float:
     """Rectangle-rule quadrature sum(g) dx^n, over every entry of g."""
-    return float(np.sum(g) * grid.cell_volume)
+    return float(g.sum() * grid.cell_volume)
 
 
 def _fft(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
@@ -256,7 +255,7 @@ def _root(x, q):
 
 
 def _root_near(h, x0):
-    """A root of h bracketed by probes x0 -/+ 2^k/64 and refined by brentq;
+    """A root of h bracketed by probes x0 -/+ 2^k/64 and refined by _brent;
     none beyond |x - x0| = 2048, where e^x exceeds any ratio of two floats."""
     ends = [(x0, h(x0))] * 2
     step = 1.0 / 64.0
@@ -265,10 +264,74 @@ def _root_near(h, x0):
             (xa, ha), hb = ends[i], h(xb)
             # signs, not the product, which underflows where H is roundoff
             if np.sign(ha) != np.sign(hb):
-                return brentq(h, min(xa, xb), max(xa, xb), xtol=1e-15, maxiter=200)
+                return _brent(h, min(xa, xb), max(xa, xb))
             ends[i] = (xb, hb)
         step *= 2.0
     raise ConstraintError("the scaling orbit misses the two-sided Nehari set")
+
+
+def _brent(h, xa, xb):
+    """The root of h in [xa, xb] by Brent's method, step for step as scipy's
+    brentq (its brentq.c) with xtol = 1e-15, rtol = 4 eps and 200
+    iterations, so it returns brentq's root bit for bit; it spares the
+    package the import of scipy.optimize. Raises ConstraintError where h is
+    NaN, h(xa) and h(xb) share a sign, or the iterations run out."""
+
+    def f(x):
+        fx = h(x)
+        if math.isnan(fx):
+            raise ConstraintError(f"the Nehari scaling equation is NaN at log-ratio {x}")
+        return fx
+
+    xtol, rtol = 1e-15, 4.0 * math.ulp(1.0)
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConstraintError(f"no sign change of the Nehari scaling equation on [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        # brentq.c also asks fpre, fcur != 0: fpre never is here, and a zero
+        # fcur returns below whichever block this sets
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # a zero divisor gives brentq an inf or NaN trial, which bisects
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConstraintError("the Nehari scaling equation did not converge in 200 iterations")
 
 
 def _objective(constraint, norms):

@@ -24,6 +24,7 @@ tolerances.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,8 +135,10 @@ def _closed_form_1d(p: float, omega: float, beta: float, x: np.ndarray) -> np.nd
 
 
 def _periodized_1d(p: float, omega: float, beta: float, grid: Grid, shift: float) -> np.ndarray:
-    x = grid.axes[0] - shift
     period = 2.0 * grid.half_width
+    # the images are summed about the nearest shift modulo the period;
+    # remainder is exact and returns |shift| <= L unchanged
+    x = grid.axes[0] - math.remainder(shift, period)
     out = np.zeros_like(x)
     for m in range(-_IMAGES, _IMAGES + 1):
         out += _closed_form_1d(p, omega, beta, x + m * period)

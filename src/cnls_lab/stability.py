@@ -312,13 +312,20 @@ def stability_sweep(
 ) -> StabilityVerdict:
     """Evolve family member + epsilon * (unit perturbation) for each epsilon
     and track the orbit distance at sample_dt intervals. All the epsilons
-    run as one batch of evolve."""
+    run as one batch of evolve. An epsilon with 0 < |epsilon| <
+    1e-12 ||member||_H raises ValueError."""
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
     if not (dt and math.isfinite(sample_dt / dt)):
         raise ValueError(f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride")
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
+    # d(0) of a smaller perturbation is the roundoff floor of the orbit
+    # distance, so d(t)/d(0) would measure that floor, not the orbit
+    floor = 1e-12 * math.sqrt(core.h1_norm_sq(base, params))
+    tiny = [eps for eps in epsilons if 0.0 < abs(eps) < floor]
+    if tiny:
+        raise ValueError(f"epsilons {tiny} are below the orbit distance floor {floor:.3g} (1e-12 ||member||_H)")
     pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
     stride = max(1, int(round(sample_dt / dt)))
     orbits = _Orbits(refs, params)

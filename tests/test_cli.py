@@ -647,6 +647,16 @@ def test_sweep_refuses_an_infinite_orbit_distance(tmp_path, capsys):
     assert [path.name for path in out.iterdir()] == ["manifest.txt"]
 
 
+def test_sweep_refuses_a_subnormal_epsilon(tmp_path, capsys):
+    # its initial distance would be the roundoff floor of the orbit distance
+    cfg = {"params": {"beta": "2.0"}, "grid": {"points": "64"}}
+    cfg["sweep"] = {"family": "vector_b", "epsilons": "1e-320", "t_end": "0.05"}
+    out = tmp_path / "s"
+    assert main(["sweep", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
+    assert "orbit distance floor" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
+
 def test_blowup_report_writes_an_undefined_derivative_as_null(tmp_path):
     # too short a window for three finite variance samples
     cfg = {"params": {"p": "3.0"}, "grid": {"points": "256"}}

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,3 +223,19 @@ def test_only_core_imports_the_nd_transforms():
             if isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in ("fftn", "ifftn")]
     assert offenders == []
+
+
+def _scipy_modules_after(statement):
+    """The scipy modules loaded by a fresh interpreter that runs statement."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cnls_lab.__file__).parents[1]))
+    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_package_loads_no_scipy_beyond_scipy_fft():
+    # every process pays its imports: scipy.optimize alone would pull in
+    # scipy.linalg, scipy.sparse and scipy.spatial
+    loaded = _scipy_modules_after("import cnls_lab, cnls_lab.cli")
+    assert "scipy.fft" in loaded
+    assert loaded - _scipy_modules_after("import scipy.fft") == set()

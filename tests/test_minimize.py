@@ -1,8 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from cnls_lab import (
     ConstraintError,
@@ -27,6 +29,7 @@ from cnls_lab import (
     virial_R,
     weighted_l2_norm_sq,
 )
+from cnls_lab import minimize
 
 from conftest import smooth_pair
 
@@ -222,6 +225,87 @@ def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, pitchfork, seed,
     else:
         with pytest.raises(ConstraintError):
             pohozaev_project(pair, params)
+
+
+def _brentq(h, xa, xb):
+    return brentq(h, xa, xb, xtol=1e-15, maxiter=200)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    kind=st.sampled_from(["sinh", "tanh", "cubic", "wavy"]),
+    root=st.floats(-50.0, 50.0),
+    rate=st.floats(1e-3, 1e3),
+    bend=st.floats(-0.9, 0.9),
+    log_scale=st.floats(-300.0, 300.0),
+    left=st.floats(1e-12, 2048.0),
+    right=st.floats(1e-12, 2048.0),
+)
+def test_brent_returns_brentq_root_bit_for_bit(kind, root, rate, bend, log_scale, left, right):
+    scale = 10.0**log_scale
+
+    def h(x):
+        y = rate * (x - root)
+        if kind == "sinh":
+            return scale * math.sinh(min(max(y, -700.0), 700.0))
+        if kind == "tanh":
+            return scale * (math.tanh(y) + bend * 1e-3 * y)
+        if kind == "cubic":
+            return scale * y * (1.0 + bend * y + y * y)
+        return scale * y * (1.0 + bend * math.cos(7.0 * x))
+
+    xa, xb = root - left, root + right
+    assume(np.sign(h(xa)) != np.sign(h(xb)))
+    want = _brentq(h, xa, xb)
+    got = minimize._brent(h, xa, xb)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    p=st.one_of(st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.floats(1.05, 6.0)),
+    beta=st.floats(1e-3, 5.0),
+    logs=st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5),
+    warm=st.floats(-3.0, 3.0),
+)
+def test_brent_returns_brentq_root_on_the_nehari_scaling_equation(p, beta, logs, warm):
+    # every bracket the two-sided projection hands to _brent, at random
+    # exponents, couplings and norms, is solved by brentq too
+    calls = []
+    brent = minimize._brent
+
+    def recorded(h, xa, xb):
+        root = brent(h, xa, xb)
+        calls.append((h, xa, xb, root))
+        return root
+
+    a1, a2, b1, b2, cross = (math.exp(v) for v in logs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimize, "_brent", recorded)
+        # at p = 2 the scaling orbit may miss the set, with no bracket
+        with contextlib.suppress(ConstraintError):
+            minimize._nehari_set_scalings(p, a1, a2, b1, b2, beta * cross, (1.0, math.exp(warm)))
+    for h, xa, xb, root in calls:
+        assert root == _brentq(h, xa, xb)
+
+
+def test_brent_refuses_what_brentq_refuses():
+    def nan_inside(x):
+        return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+    def step(x):
+        return math.copysign(1.0, x - 0.3)
+
+    for h, xa, xb, scipy_error in (
+        (nan_inside, -1.0, 2.0, ValueError),
+        (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+        # a sign change too far from the root to bisect down in 200 steps
+        (step, -1e300, 1e300, RuntimeError),
+    ):
+        with pytest.raises(scipy_error):
+            _brentq(h, xa, xb)
+        with pytest.raises(ConstraintError):
+            minimize._brent(h, xa, xb)
 
 
 def test_gaussian_init_modes(grid_1d):

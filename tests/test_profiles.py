@@ -225,6 +225,26 @@ def test_member_refuses_a_nonfinite_shift(grid_1d, cubic, shift):
         make_member(spec, cubic, grid_1d)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    shift=st.floats(-20.0, 20.0),
+    periods=st.integers(-100, 100),
+    family=st.sampled_from([Family.SCALAR_FIRST, Family.VECTOR_B]),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+)
+def test_member_shift_is_periodic_in_the_box(shift, periods, family, p):
+    # a shift by whole periods 2L is no shift on the periodic box
+    grid = Grid(1, 64, 20.0)
+    params = SystemParams(p=p, beta=2.0, omega1=1.0, omega2=1.0)
+
+    def member(y):
+        return make_member(SolitonSpec.for_family(family, params, shift=y), params, grid)
+
+    near, far = member(shift), member(shift + periods * 2.0 * grid.half_width)
+    assert np.abs(far.c1 - near.c1).max() < 1e-10
+    assert np.abs(far.c2 - near.c2).max() < 1e-10
+
+
 def test_dilation_peak_location(grid_1d_wide):
     # lambda_star maximizes the action along the mass-preserving dilation
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)

@@ -275,6 +275,20 @@ def test_sweep_refuses_a_sampling_stride_that_is_not_finite(grid_1d, cubic, dt, 
         stability_sweep(cubic, grid_1d, family="scalar_first", dt=dt, t_end=0.01, sample_dt=sample_dt)
 
 
+@pytest.mark.parametrize("eps", [1e-320, -1e-300, 1e-13])
+def test_sweep_refuses_an_epsilon_below_the_distance_floor(eps):
+    # d(0) of such a perturbation is the roundoff of the orbit distance, so
+    # its excursion would read as growth
+    with pytest.raises(ValueError, match="orbit distance floor"):
+        stability_sweep(VECTOR, Grid(1, 64, 20.0), family="vector_b", epsilons=(0.0, eps), t_end=0.05)
+
+
+def test_sweep_accepts_an_epsilon_above_the_distance_floor():
+    # d(0) is the perturbation's distance to the orbit, at most epsilon
+    verdict = stability_sweep(VECTOR, Grid(1, 64, 20.0), family="vector_b", epsilons=(1e-9,), t_end=0.05)
+    assert 0.5e-9 < verdict.initial_distances[0] <= 1e-9
+
+
 def test_identity_audit_passes_at_vector_point(grid_1d_wide):
     report = identity_audit(VECTOR, grid_1d_wide, gamma_factors=(1.0, 2.0))
     assert report.ok
