@@ -15,9 +15,10 @@ spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, fftfreq, fftn, ifft, ifftn
+from scipy.fft import fft, fftfreq, fftn, ifft, ifftn, irfft, irfftn, rfft, rfftfreq, rfftn
 
 from .errors import GridMismatchError
 
@@ -91,6 +92,9 @@ class Grid:
         axes: per-axis coordinate arrays, x_j = -L + j dx.
         wavenumbers: per-axis spectral wavenumbers 2*pi*fftfreq(N, dx).
         k2: |k|^2 on the full grid (broadcast sum over axes).
+        half_k2, half_weights: |k|^2 on the half spectrum of a real field
+            (the last axis cut to its N/2 + 1 nonnegative columns) and the
+            Parseval multiplicity of each column, computed on first use.
         cell_volume: dx^dim, the quadrature weight.
     """
 
@@ -125,6 +129,22 @@ class Grid:
         self.k2 = sum(kx**2 for kx in np.ix_(*self.wavenumbers))
         self._radius_sq = None
         self._boundary_mask = None
+
+    @cached_property
+    def half_k2(self) -> np.ndarray:
+        """|k|^2 on the half spectrum that _rfft returns."""
+        k_last = 2.0 * np.pi * rfftfreq(self.points_per_axis, d=self.dx)
+        return sum(kx**2 for kx in np.ix_(*self.wavenumbers[:-1], k_last))
+
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """Parseval multiplicities of the half-spectrum columns, along the
+        last axis: 1 at the zero and Nyquist columns, which the real field's
+        full spectrum holds once, and 2 at every other column, which stands
+        for itself and its conjugate mirror."""
+        weights = np.full(self.points_per_axis // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        return weights
 
     def radius_sq(self) -> np.ndarray:
         """|x|^2 measured from the box center (the origin)."""
@@ -275,7 +295,8 @@ def _integral(grid: Grid, g: np.ndarray) -> float:
 
 def _fft(grid: Grid, f: np.ndarray) -> np.ndarray:
     """DFT over the trailing grid.dim axes of a field or of a stacked
-    (2, *shape) pair; every grid transform goes through this pair. In 1d,
+    (2, *shape) pair; every grid transform goes through this pair or its
+    real counterpart _rfft / _irfft. In 1d,
     fft gives fftn's result bit for bit without its n-d dispatch."""
     if grid.dim == 1:
         return fft(f)
@@ -287,6 +308,35 @@ def _ifft(grid: Grid, S: np.ndarray) -> np.ndarray:
     if grid.dim == 1:
         return ifft(S)
     return ifftn(S, axes=range(S.ndim - grid.dim, S.ndim))
+
+
+def _rfft(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real field over the trailing grid.dim axes, the
+    last of them cut to its N/2 + 1 nonnegative columns; a stack of real
+    fields is transformed in one call. The real counterpart of _fft."""
+    if grid.dim == 1:
+        return rfft(f)
+    return rfftn(f, axes=range(f.ndim - grid.dim, f.ndim))
+
+
+def _irfft(grid: Grid, S: np.ndarray) -> np.ndarray:
+    """The real field(s) whose half spectrum _rfft gives S."""
+    if grid.dim == 1:
+        return irfft(S, n=grid.points_per_axis)
+    return irfftn(S, s=grid.shape, axes=range(S.ndim - grid.dim, S.ndim))
+
+
+def _parseval_sums(grid: Grid, spectrum: np.ndarray, *, half: bool = False) -> tuple[float, float]:
+    """(||grad f||_2^2, ||f||_2^2) by Parseval from spectrum = _fft(grid, f),
+    or with half=True from spectrum = _rfft(grid, f) of a real f, whose
+    columns count with grid.half_weights; a stacked spectrum gives the sums
+    over its rows."""
+    w = grid.cell_volume / grid.total_points
+    if half:
+        s = grid.half_weights * _density(spectrum)
+        return float(np.sum(grid.half_k2 * s) * w), float(np.sum(s) * w)
+    s = _density(spectrum)
+    return float(np.sum(grid.k2 * s) * w), float(np.sum(s) * w)
 
 
 def _spectral_gradient_norm_sq(grid: Grid, spectrum: np.ndarray) -> float:

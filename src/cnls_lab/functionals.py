@@ -19,7 +19,17 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .core import FieldPair, Grid, SystemParams, _cell, _density, _fft, _integral, relative_error
+from .core import (
+    FieldPair,
+    Grid,
+    SystemParams,
+    _cell,
+    _density,
+    _fft,
+    _integral,
+    _parseval_sums,
+    relative_error,
+)
 from .errors import BoundaryDecayError
 
 __all__ = [
@@ -156,21 +166,25 @@ class _Norms:
     cross: float
 
     @classmethod
-    def of(cls, params, pair, u1h, u2h):
-        """Measure pair, whose spectra are u1h and u2h."""
-        grid = pair.grid
-        w = grid.cell_volume / grid.total_points
-        i1, i2, cross = _density_sums(grid, _density(pair.c1), _density(pair.c2), params.p)
-        s1 = _density(u1h)
-        grad1, m1 = float(np.sum(grid.k2 * s1) * w), float(np.sum(s1) * w)
-        s2 = _density(u2h)
-        grad2, m2 = float(np.sum(grid.k2 * s2) * w), float(np.sum(s2) * w)
-        return cls(params, grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
+    def of(cls, params, grid, m1, m2, sums1, sums2):
+        """Measure the state whose squared moduli are m_j = |u_j|^2 and whose
+        Parseval sums are sums_j = (||grad u_j||^2, ||u_j||^2)."""
+        i1, i2, cross = _density_sums(grid, m1, m2, params.p)
+        (grad1, mass1), (grad2, mass2) = sums1, sums2
+        return cls(params, grid.dim, grad1, grad2, mass1, mass2, i1, i2, cross)
 
     @classmethod
     def measure(cls, pair, params):
         """Measure pair, transforming each component once."""
-        return cls.of(params, pair, _fft(pair.grid, pair.c1), _fft(pair.grid, pair.c2))
+        grid = pair.grid
+        return cls.of(
+            params,
+            grid,
+            _density(pair.c1),
+            _density(pair.c2),
+            _parseval_sums(grid, _fft(grid, pair.c1)),
+            _parseval_sums(grid, _fft(grid, pair.c2)),
+        )
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2). The powers are taken in numpy

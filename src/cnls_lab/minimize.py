@@ -24,6 +24,15 @@ critical points solve the equation with nu = 1 exactly.
 Convergence is declared on the strong-form residual r_j = (-Lap + lam_j) u_j
 - g_j, evaluated spectrally and, for sphere constraints, projected off the
 constraint normals; the reported quantity is ||r||_2 / ||U||_{H_omega}.
+
+The step multiplier, the rates of g, the scalings and the residual are all
+real, so the flow acts on the real and imaginary parts of U alike and keeps
+a real state real. It runs in real arithmetic: each component is held as
+real rows, one for a real start (every gaussian_init start) and two (real
+and imaginary parts) otherwise, and transformed by the real pair
+core._rfft / core._irfft onto half spectra, whose Parseval sums weigh each
+column by its multiplicity in the full spectrum. A real start's minimizer
+has imaginary parts exactly 0.
 """
 
 from __future__ import annotations
@@ -34,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldPair, Grid, SystemParams, _density, _fft, _ifft
+from .core import FieldPair, Grid, SystemParams, _density, _fft, _irfft, _parseval_sums, _rfft
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
-from .functionals import _Norms, coupling_gradient
+from .functionals import _Norms, _rates, coupling_gradient
 
 __all__ = [
     "ConstraintSpec",
@@ -57,8 +66,8 @@ _DT0 = 0.25
 _DT_MAX = 16.0
 _DT_MIN = 1e-12
 
-# longer flows are refused up front: at about 0.2 ms an iteration on a
-# 64-point grid they would run for more than five hours
+# longer flows are refused up front: at 0.15-0.3 ms an iteration on a
+# 64-point 1d grid (2-core x86_64) they would run for more than four hours
 _MAX_ITER = 10**8
 
 # a component holding less than this fraction of the total mass counts as absent
@@ -155,6 +164,10 @@ class MinimizeResult:
     the weighted sphere and (nu1, nu2) for product spheres (nan for a pinned
     component); ray constraints carry no multiplier. classification is
     'scalar_first', 'scalar_second' or 'vector' by component mass fraction.
+    history holds the objective at the start and after each accepted step,
+    residual_history the relative residual of each iteration (the last is
+    residual), and rejected_trials the number of step sizes the line search
+    halved away.
     """
 
     minimizer: FieldPair
@@ -167,6 +180,8 @@ class MinimizeResult:
     constraint_residual: float
     history: np.ndarray
     classification: str
+    residual_history: np.ndarray
+    rejected_trials: int
 
 
 def _classify(m1: float, m2: float) -> str:
@@ -420,20 +435,43 @@ def _unchecked_scalings(constraint, norms, warm):
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _project_state(constraint, grid, params, v1h, v2h, warm):
-    """Project raw spectra onto the constraint set, scaling v1h and v2h in
-    place once the projection has succeeded.
+def _rows(c: np.ndarray, real: bool) -> np.ndarray:
+    """A complex component as the real rows the flow holds: (1, *shape)
+    with its real part for a real state, else (2, *shape) with its real
+    and imaginary parts."""
+    return c.real[np.newaxis] if real else np.stack((c.real, c.imag))
 
-    Returns (U, (u1h, u2h), factors, norms): the projected state, its
-    spectra, the scalings (t1, t2) and the _Norms of U.
+
+def _complex(u: np.ndarray) -> np.ndarray:
+    """The component whose rows _rows gives u."""
+    return u[0] if len(u) == 1 else u[0] + 1j * u[1]
+
+
+def _moduli(u: np.ndarray) -> np.ndarray:
+    """|u|^2 of a component held as real rows."""
+    return u[0] ** 2 if len(u) == 1 else u[0] ** 2 + u[1] ** 2
+
+
+def _project_state(constraint, grid, params, v1h, v2h, warm):
+    """Project raw half spectra of real rows onto the constraint set,
+    scaling v1h and v2h in place once the projection has succeeded.
+
+    Returns ((u1, u2), (u1h, u2h), factors, norms): the projected rows, their
+    half spectra, the scalings (t1, t2) and the _Norms of U.
     """
-    v1, v2 = _ifft(grid, v1h), _ifft(grid, v2h)
-    raw = _Norms.of(params, FieldPair(grid, v1, v2, copy=False, check=False), v1h, v2h)
+    v1, v2 = _irfft(grid, v1h), _irfft(grid, v2h)
+    raw = _Norms.of(
+        params,
+        grid,
+        _moduli(v1),
+        _moduli(v2),
+        _parseval_sums(grid, v1h, half=True),
+        _parseval_sums(grid, v2h, half=True),
+    )
     t1, t2 = _scalings(constraint, raw, warm)
     for z, t in ((v1, t1), (v2, t2), (v1h, t1), (v2h, t2)):
         z *= t
-    U = FieldPair(grid, v1, v2, copy=False, check=False)
-    return U, (v1h, v2h), (t1, t2), raw.scaled(t1, t2)
+    return (v1, v2), (v1h, v2h), (t1, t2), raw.scaled(t1, t2)
 
 
 def _effective_frequencies(constraint, norms):
@@ -453,28 +491,26 @@ def _effective_frequencies(constraint, norms):
 
 
 def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
-    k2 = grid.k2
+    k2, weights = grid.half_k2, grid.half_weights
     w = grid.cell_volume / grid.total_points
+
+    def dot(a, b):
+        # the L2 product of the real rows whose half spectra are a and b
+        return float(np.sum(weights * (a.real * b.real + a.imag * b.imag)) * w)
+
     r1h = (k2 + lam1) * u1h - g1h
     r2h = (k2 + lam2) * u2h - g2h
-    r_sq = float((np.sum(_density(r1h)) + np.sum(_density(r2h))) * w)
+    r_sq = dot(r1h, r1h) + dot(r2h, r2h)
     kind = constraint.kind
     if kind == "weighted_sphere":
         w1, w2 = norms.params.omega1, norms.params.omega2
-        inner = float(
-            (
-                w1 * np.sum(r1h.real * u1h.real + r1h.imag * u1h.imag)
-                + w2 * np.sum(r2h.real * u2h.real + r2h.imag * u2h.imag)
-            )
-            * w
-        )
+        inner = w1 * dot(r1h, u1h) + w2 * dot(r2h, u2h)
         nn = w1**2 * norms.m1 + w2**2 * norms.m2
         r_sq -= inner**2 / nn
     elif kind in ("product_spheres", "equal_spheres"):
         for rh, uh, mass in ((r1h, u1h, norms.m1), (r2h, u2h, norms.m2)):
             if mass > 0:
-                inner = float(np.sum(rh.real * uh.real + rh.imag * uh.imag) * w)
-                r_sq -= inner**2 / mass
+                r_sq -= dot(rh, uh) ** 2 / mass
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
@@ -515,14 +551,24 @@ def minimize_on(
     if init.grid != grid:
         raise GridMismatchError(f"init lives on {init.grid!r}, expected {grid!r}")
 
+    # the flow acts on real and imaginary parts alike, so a real start is
+    # held as one real row per component and any other start as two
+    real = not (init.c1.imag.any() or init.c2.imag.any())
     # each projection's scalings warm-start the next (only nehari_set reads them)
-    U, (u1h, u2h), factors, norms = _project_state(
-        constraint, grid, params, _fft(grid, init.c1), _fft(grid, init.c2), (1.0, 1.0)
+    (u1, u2), (u1h, u2h), factors, norms = _project_state(
+        constraint,
+        grid,
+        params,
+        _rfft(grid, _rows(init.c1, real)),
+        _rfft(grid, _rows(init.c2, real)),
+        (1.0, 1.0),
     )
     obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
     history = [obj]
+    residuals = []
+    rejected = 0
     slack = 4.0 * np.finfo(float).eps
     dt = _DT0
     rel_res = math.inf
@@ -530,9 +576,11 @@ def minimize_on(
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        g1h, g2h = (_fft(grid, g) for g in coupling_gradient(U, params))
+        r1, r2 = _rates(_moduli(u1), _moduli(u2), params)
+        g1h, g2h = _rfft(grid, r1 * u1), _rfft(grid, r2 * u2)
         lam1, lam2 = _effective_frequencies(constraint, norms)
         rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
+        residuals.append(rel_res)
         if rel_res < tol:
             converged = True
             break
@@ -542,27 +590,26 @@ def minimize_on(
             # the multiplier must sit in the denominator: treated explicitly
             # it caps the stable step at 2/(nu - 1) and a dying component
             # flip-flops at the cap instead of vanishing
-            if 1.0 + dt * lam1 <= 1e-12 or 1.0 + dt * lam2 <= 1e-12:
-                dt *= 0.5
-                continue
-            v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.k2 + lam1))
-            v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.k2 + lam2))
-            # a rejected attempt's fields must not stay alive through the
-            # retry, where they would add four arrays to the peak
-            projected = None
-            try:
-                projected = _project_state(constraint, grid, params, v1h, v2h, factors)
-            except ConstraintError:
-                dt *= 0.5
-                continue
-            obj_new = _objective(constraint, projected[3])
-            if math.isfinite(obj_new) and obj_new <= obj + slack * max(1.0, abs(obj)):
-                accepted = True
-                break
+            if 1.0 + dt * lam1 > 1e-12 and 1.0 + dt * lam2 > 1e-12:
+                v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.half_k2 + lam1))
+                v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.half_k2 + lam2))
+                # a rejected attempt's fields must not stay alive through the
+                # retry, where they would add four arrays to the peak
+                projected = None
+                try:
+                    projected = _project_state(constraint, grid, params, v1h, v2h, factors)
+                except ConstraintError:
+                    pass
+                else:
+                    obj_new = _objective(constraint, projected[3])
+                    if math.isfinite(obj_new) and obj_new <= obj + slack * max(1.0, abs(obj)):
+                        accepted = True
+                        break
             dt *= 0.5
+            rejected += 1
         if not accepted:
             break
-        U, (u1h, u2h), factors, norms = projected
+        (u1, u2), (u1h, u2h), factors, norms = projected
         obj = obj_new
         history.append(obj)
         dt = min(dt * 2.0, _DT_MAX)
@@ -575,7 +622,7 @@ def minimize_on(
         )
 
     return MinimizeResult(
-        minimizer=U,
+        minimizer=FieldPair(grid, _complex(u1), _complex(u2), copy=False, check=False),
         value=_objective(constraint, norms),
         action=norms.action,
         energy=norms.energy,
@@ -585,6 +632,8 @@ def minimize_on(
         constraint_residual=_constraint_residual(constraint, norms),
         history=np.asarray(history, dtype=float),
         classification=_classify(norms.m1, norms.m2),
+        residual_history=np.asarray(residuals, dtype=float),
+        rejected_trials=rejected,
     )
 
 
@@ -624,8 +673,11 @@ def ground_state(
     component and a synchronized pair) and keep the lowest level. The scalar
     starts stay scalar under the flow, so the comparison scalar-vs-vector is
     decided by the final levels, not by the basin of the starting guess.
-    threads (default: one per start) must be at least 1; tol and max_iter
-    are limited as in minimize_on."""
+    The starts run on threads threads, which must be at least 1. The
+    default is one on 1d grids, whose flows are too short to win back a
+    pool's cost, and one per start on 2d and 3d grids; the starts are
+    independent, so the count changes no number. tol and max_iter are
+    limited as in minimize_on."""
     _check_flow_limits(tol, max_iter)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -638,7 +690,9 @@ def ground_state(
             ConstraintSpec.nehari(), params, grid, init=init, tol=tol, max_iter=max_iter
         )
 
-    with ThreadPoolExecutor(max_workers=len(starts) if threads is None else threads) as pool:
+    if threads is None:
+        threads = 1 if grid.dim == 1 else len(starts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run, enumerate(starts)))
     best = min(range(len(results)), key=lambda i: (results[i].action, i))
     return results[best]

@@ -12,22 +12,32 @@ settings.register_profile("explore", derandomize=False)
 settings.load_profile("repeatable")
 
 
+class TransformCall(tuple):
+    """The input shape of one transform call, which it compares equal to;
+    name is the scipy.fft function that was called."""
+
+    def __new__(cls, shape, name):
+        call = super().__new__(cls, shape)
+        call.name = name
+        return call
+
+
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """The input shapes of the transforms made through the core pair
-    core._fft / core._ifft from here on, recorded by wrapping the scipy.fft
-    names that core calls."""
+    """The transforms made through the core pairs core._fft / core._ifft
+    and core._rfft / core._irfft from here on, as TransformCall records,
+    taken by wrapping the scipy.fft names that core calls."""
     calls = []
 
-    def counted(transform):
+    def counted(name, transform):
         def wrapper(x, *args, **kwargs):
-            calls.append(np.shape(x))
+            calls.append(TransformCall(np.shape(x), name))
             return transform(x, *args, **kwargs)
 
         return wrapper
 
-    for name in ("fft", "ifft", "fftn", "ifftn"):
-        monkeypatch.setattr(core, name, counted(getattr(core, name)))
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
     return calls
 
 

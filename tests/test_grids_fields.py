@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.fft import fftn, ifftn
+from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 import cnls_lab
 from cnls_lab import (
@@ -23,7 +23,10 @@ from cnls_lab import (
     relative_error,
     weighted_l2_norm_sq,
 )
-from cnls_lab.core import _fft, _ifft
+from cnls_lab.core import _fft, _ifft, _irfft, _parseval_sums, _rfft
+from cnls_lab.functionals import _Norms
+
+from conftest import smooth_pair
 
 
 def test_grid_axes_and_spacing():
@@ -213,15 +216,59 @@ def test_transform_pair_equals_fftn_over_the_grid_axes(dim, stacked, real, seed)
     np.testing.assert_array_equal(_ifft(grid, f), ifftn(f, axes=axes))
 
 
+@given(dim=st.sampled_from([1, 2, 3]), rows=st.sampled_from([0, 1, 2]), seed=st.integers(0, 10_000))
+def test_real_transform_pair_equals_rfftn_over_the_grid_axes(dim, rows, seed):
+    grid = _PAIR_GRIDS[dim - 1]
+    shape = ((rows,) if rows else ()) + grid.shape
+    f = np.random.default_rng(seed).standard_normal(shape)
+    axes = tuple(range(len(shape) - dim, len(shape)))
+    half = _rfft(grid, f)
+    np.testing.assert_array_equal(half, rfftn(f, axes=axes))
+    np.testing.assert_array_equal(_irfft(grid, half), irfftn(half, s=grid.shape, axes=axes))
+    np.testing.assert_allclose(_irfft(grid, half), f, rtol=0, atol=1e-13)
+    assert half.shape[-1] == grid.points_per_axis // 2 + 1
+    assert grid.half_k2.shape == half.shape[len(shape) - dim :]
+
+
+_HALF_GRIDS = {
+    1: (Grid(1, 2, 5.0), Grid(1, 4, 5.0), Grid(1, 128, 5.0)),
+    2: (Grid(2, 2, 5.0), Grid(2, 8, 5.0), Grid(2, 32, 5.0)),
+    3: (Grid(3, 2, 5.0), Grid(3, 4, 5.0), Grid(3, 16, 5.0)),
+}
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    size=st.integers(0, 2),
+    real=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_half_spectrum_sums_match_the_full_spectrum(dim, size, real, seed):
+    # the 2-point grids hold only the zero and Nyquist modes, both of
+    # multiplicity 1; a real pair is held as one row, a complex one as two
+    grid = _HALF_GRIDS[dim][size]
+    pair = smooth_pair(grid, seed)
+    if real:
+        pair = FieldPair(grid, pair.c1.real, pair.c2.real)
+    norms = _Norms.measure(pair, SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0))
+    for c, full in ((pair.c1, (norms.grad1, norms.m1)), (pair.c2, (norms.grad2, norms.m2))):
+        rows = c.real[np.newaxis] if real else np.stack((c.real, c.imag))
+        half = _parseval_sums(grid, _rfft(grid, rows), half=True)
+        assert full[0] > 0 and full[1] > 0
+        np.testing.assert_allclose(half, full, rtol=1e-13, atol=0)
+
+
 def test_only_core_imports_the_nd_transforms():
-    # every grid transform goes through core._fft / core._ifft
+    # every grid transform goes through core._fft / core._ifft or
+    # core._rfft / core._irfft
     offenders = []
     for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
         if path.stem == "core":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
-                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in ("fftn", "ifftn")]
+                nd = ("fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in nd]
     assert offenders == []
 
 

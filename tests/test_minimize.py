@@ -17,6 +17,7 @@ from cnls_lab import (
     gaussian_init,
     ground_state,
     gradient_norm_sq,
+    h1_distance,
     h1_norm_sq,
     l2_norm_sq,
     minimize_on,
@@ -130,6 +131,125 @@ def test_ground_state_refuses_fewer_than_one_thread(grid_1d):
     for threads in (0, -1):
         with pytest.raises(ValueError):
             ground_state(_cubic(0.5), grid_1d, threads=threads)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 20.0), Grid(2, 32, 10.0)], ids=["1d", "2d"])
+def test_ground_state_thread_count_changes_no_bit(grid):
+    # the default is one thread on 1d grids and one per start otherwise
+    params = SystemParams(p=1.5, beta=2.0, omega1=1.0, omega2=1.0)
+    default = ground_state(params, grid, seed=3)
+    for threads in (1, 3):
+        other = ground_state(params, grid, seed=3, threads=threads)
+        assert (other.action, other.iterations, other.classification) == (
+            default.action,
+            default.iterations,
+            default.classification,
+        )
+        assert np.array_equal(other.minimizer.c1, default.minimizer.c1)
+        assert np.array_equal(other.minimizer.c2, default.minimizer.c2)
+
+
+def test_flow_telemetry(grid_1d):
+    res = minimize_on(ConstraintSpec.weighted_sphere(4.0), _cubic(1.0), grid_1d)
+    assert isinstance(res.residual_history, np.ndarray)
+    assert res.residual_history.dtype == np.float64
+    assert res.residual_history.shape == (res.iterations,)
+    assert res.residual_history[-1] == res.residual
+    assert (res.residual_history[:-1] >= 1e-8).all()
+    assert type(res.rejected_trials) is int and res.rejected_trials >= 0
+    # the start and one objective per accepted step
+    assert len(res.history) == res.iterations
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 20.0), Grid(2, 32, 10.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_flow_transform_budget(grid, phase, transform_calls):
+    # the flow holds a real start as one real row per component and a
+    # complex one as two, and transforms them with the real pair only: two
+    # forward transforms per iteration (and two of the start), two inverse
+    # transforms per projection trial (the start's, then one per accepted
+    # or rejected step)
+    params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
+    init = gaussian_init(grid, params, mode="both", seed=2)
+    init = FieldPair(grid, np.exp(1j * phase) * init.c1, init.c2)
+    transform_calls.clear()
+    res = minimize_on(ConstraintSpec.nehari(), params, grid, init=init)
+    rows = 1 if phase == 0.0 else 2
+    half = (*grid.shape[:-1], grid.points_per_axis // 2 + 1)
+    forward = [c for c in transform_calls if c.name in ("rfft", "rfftn")]
+    inverse = [c for c in transform_calls if c.name in ("irfft", "irfftn")]
+    assert len(forward) + len(inverse) == len(transform_calls)
+    assert forward == [(rows, *grid.shape)] * (2 + 2 * res.iterations)
+    assert inverse == [(rows, *half)] * 2 * (res.iterations + res.rejected_trials)
+    assert res.minimizer.c1.imag.any() == (rows == 2)
+
+
+_PHASE_GRIDS = (Grid(1, 256, 16.0), Grid(2, 32, 10.0))
+
+
+def _smooth_real_start(grid, seed):
+    # two Gaussian bumps per component at random centers, widths and heights
+    rng = np.random.default_rng(seed)
+
+    def component():
+        f = np.zeros(grid.shape)
+        for _ in range(2):
+            center = rng.uniform(-1.5, 1.5, grid.dim)
+            width, height = rng.uniform(0.8, 2.0), rng.uniform(0.3, 1.5)
+            r2 = sum((x - c) ** 2 for x, c in zip(np.ix_(*grid.axes), center))
+            f = f + height * np.exp(-r2 / (2.0 * width**2))
+        return f
+
+    return FieldPair(grid, component(), component(), copy=False)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    dim=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["nehari", "weighted_sphere", "equal_spheres"]),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    beta=st.floats(0.0, 3.0),
+    size=st.floats(0.5, 4.0),
+    phase=st.floats(0.1, 6.2),
+    both=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_flow_commutes_with_phases(dim, kind, p, beta, size, phase, both, seed):
+    # the flow acts on real and imaginary parts alike, so a start times
+    # e^{i phase} (in one or both components) runs the real start's flow up
+    # to roundoff. Near convergence the line search accepts or rejects a
+    # step on an objective change of a few ulps, so roundoff may flip a
+    # trial and move the minimizer by about the last step; a 1e-16 jitter of
+    # the real start does the same. The flows are run to 1e-10, where such
+    # a flip moves the minimizer by less than 1e-10 in the H norm.
+    grid = _PHASE_GRIDS[dim - 1]
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    constraint = {
+        "nehari": ConstraintSpec.nehari(),
+        "weighted_sphere": ConstraintSpec.weighted_sphere(2.0 * size),
+        "equal_spheres": ConstraintSpec.equal_spheres(size),
+    }[kind]
+    assume(kind == "nehari" or params.criticality(dim) == "subcritical")
+    start = _smooth_real_start(grid, seed)
+    rotate = np.exp(1j * phase)
+    phased = FieldPair(grid, rotate * start.c1, rotate * start.c2 if both else start.c2)
+    options = dict(tol=1e-10, max_iter=1500)
+    try:
+        real = minimize_on(constraint, params, grid, init=start, **options)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            minimize_on(constraint, params, grid, init=phased, **options)
+        return
+    turned = minimize_on(constraint, params, grid, init=phased, **options)
+    assert not (real.minimizer.c1.imag.any() or real.minimizer.c2.imag.any())
+    # a different iteration count comes with a differently decided trial
+    assert turned.iterations == real.iterations or turned.rejected_trials != real.rejected_trials
+    assert turned.action == pytest.approx(real.action, rel=1e-12, abs=0)
+    expected = FieldPair(
+        grid, rotate * real.minimizer.c1, rotate * real.minimizer.c2 if both else real.minimizer.c2
+    )
+    scale = math.sqrt(h1_norm_sq(real.minimizer, params))
+    assert h1_distance(turned.minimizer, expected, params) <= 1e-10 * scale
 
 
 def test_history_is_monotone(grid_1d):
