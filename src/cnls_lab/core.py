@@ -225,51 +225,63 @@ class SystemParams:
 
 
 class FieldPair:
-    """A pair of complex fields on a grid. Treat instances as immutable
-    values: operations return new pairs and never write into c1/c2."""
+    """A pair U = (u1, u2) of complex fields on a grid, held as one
+    C-contiguous complex array components of shape (2, *grid.shape), so that
+    one transform or one ufunc call serves both fields; c1 and c2 are views
+    of its two rows. The constructor copies c1 and c2 into a fresh stack and
+    refuses any shape other than grid.shape and any non-finite entry. Treat
+    instances as immutable values: operations return new pairs and never
+    write into components, c1 or c2."""
 
-    __slots__ = ("grid", "c1", "c2")
+    __slots__ = ("grid", "components")
 
-    def __init__(self, grid: Grid, c1, c2, *, copy: bool = True, check: bool = True):
+    def __init__(self, grid: Grid, c1, c2):
+        if np.shape(c1) != grid.shape or np.shape(c2) != grid.shape:
+            raise ValueError(
+                f"component shapes {np.shape(c1)}, {np.shape(c2)} do not match grid shape {grid.shape}"
+            )
+        stack = np.empty((2,) + grid.shape, dtype=complex)
+        stack[0], stack[1] = c1, c2
+        if not np.isfinite(stack).all():
+            raise ValueError("field components must be finite")
         self.grid = grid
-        c1 = np.asarray(c1, dtype=complex)
-        c2 = np.asarray(c2, dtype=complex)
-        if copy:
-            c1 = np.array(c1, dtype=complex, order="C", copy=True)
-            c2 = np.array(c2, dtype=complex, order="C", copy=True)
-        if check:
-            if c1.shape != grid.shape or c2.shape != grid.shape:
-                raise ValueError(
-                    f"component shapes {c1.shape}, {c2.shape} do not match grid shape {grid.shape}"
-                )
-            if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
-                raise ValueError("field components must be finite")
-        self.c1 = c1
-        self.c2 = c2
+        self.components = stack
+
+    @classmethod
+    def _wrap(cls, grid: Grid, U: np.ndarray) -> "FieldPair":
+        """The pair whose components are U, a finite C-contiguous complex
+        (2, *grid.shape) array that nothing writes to afterwards; U is
+        neither copied nor checked."""
+        pair = cls.__new__(cls)
+        pair.grid = grid
+        pair.components = U
+        return pair
 
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
-        z = np.zeros(grid.shape, dtype=complex)
-        return cls(grid, z, z.copy(), copy=False, check=False)
+        return cls._wrap(grid, np.zeros((2,) + grid.shape, dtype=complex))
 
     @property
-    def components(self):
-        return (self.c1, self.c2)
+    def c1(self) -> np.ndarray:
+        return self.components[0]
+
+    @property
+    def c2(self) -> np.ndarray:
+        return self.components[1]
 
     def copy(self) -> "FieldPair":
-        return FieldPair(self.grid, self.c1, self.c2, copy=True, check=False)
+        return FieldPair._wrap(self.grid, self.components.copy())
 
     def __add__(self, other: "FieldPair") -> "FieldPair":
         same_grid(self, other)
-        return FieldPair(self.grid, self.c1 + other.c1, self.c2 + other.c2, copy=False, check=False)
+        return FieldPair._wrap(self.grid, self.components + other.components)
 
     def __sub__(self, other: "FieldPair") -> "FieldPair":
         same_grid(self, other)
-        return FieldPair(self.grid, self.c1 - other.c1, self.c2 - other.c2, copy=False, check=False)
+        return FieldPair._wrap(self.grid, self.components - other.components)
 
     def __mul__(self, scalar) -> "FieldPair":
-        s = complex(scalar)
-        return FieldPair(self.grid, s * self.c1, s * self.c2, copy=False, check=False)
+        return FieldPair._wrap(self.grid, complex(scalar) * self.components)
 
     __rmul__ = __mul__
 
@@ -363,9 +375,10 @@ def gradient_norm_sq_component(grid: Grid, f: np.ndarray) -> float:
 
 
 def gradient_norm_sq(pair: FieldPair) -> float:
-    """||grad c1||_2^2 + ||grad c2||_2^2."""
+    """||grad c1||_2^2 + ||grad c2||_2^2, from one stacked transform."""
     g = pair.grid
-    return gradient_norm_sq_component(g, pair.c1) + gradient_norm_sq_component(g, pair.c2)
+    S = _fft(g, pair.components)
+    return _spectral_gradient_norm_sq(g, S[0]) + _spectral_gradient_norm_sq(g, S[1])
 
 
 def h1_norm_sq(pair: FieldPair, params: SystemParams) -> float:

@@ -160,8 +160,8 @@ def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     (the step is the exact inverse of the forward one)."""
     grid = pair.grid
     half = np.exp(-0.5j * dt * grid.k2)
-    U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, np.stack(pair.components)), params, dt))
-    return FieldPair(grid, U[0], U[1], copy=False, check=False)
+    U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, pair.components), params, dt))
+    return FieldPair._wrap(grid, U)
 
 
 def evolve(
@@ -172,8 +172,8 @@ def evolve(
 
     Equivalent to composing step_strang, but adjacent kinetic half-steps
     are fused except where an observable, a snapshot, or the guard needs
-    the state at a whole-step time. Both components are held as one
-    (2, *shape) array, so each transform call serves both.
+    the state at a whole-step time. The pair's (2, *shape) components are
+    evolved as they are, so each transform call serves both fields.
 
     companions are further initial pairs on pair's grid, run under the same
     schedule as one (E, 2, *shape) batch, so that each transform call and
@@ -184,9 +184,10 @@ def evolve(
     members = (pair, *companions)
     for other in members[1:]:
         same_grid(pair, other)
-    U = np.stack([member.components for member in members])
-    # a lone run is transformed as its (2, *shape) stack
-    log, *others = _evolve_stack(pair.grid, params, config, U if len(members) > 1 else U[0])
+    # a lone run is transformed as its (2, *shape) stack, a batch as the
+    # (E, 2, *shape) array of its members' stacks
+    U = np.array([member.components for member in members]) if len(members) > 1 else pair.components
+    log, *others = _evolve_stack(pair.grid, params, config, U)
     log.companions = tuple(others)
     return log
 
@@ -203,7 +204,7 @@ class _Run:
         self.blowup_time = None
         self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
         if config.snapshot_stride:
-            self.snapshots.append((0.0, FieldPair(grid, U[0], U[1])))
+            self.snapshots.append((0.0, FieldPair._wrap(grid, U)))
         # the latest observed whole-step state known to be finite: the
         # terminal state, also when the run is aborted because a later one
         # is not
@@ -244,7 +245,7 @@ class _Run:
             self.blowup_time = t
             return False
         if snapping:
-            self.snapshots.append((t, FieldPair(self.grid, U[0], U[1])))
+            self.snapshots.append((t, FieldPair._wrap(self.grid, U)))
         return True
 
     def log(self) -> TrajectoryLog:
@@ -252,7 +253,7 @@ class _Run:
         t_last, U = self.last
         steps, calls = self.end
         if not self.snapshots or self.snapshots[-1][0] != t_last:
-            self.snapshots.append((t_last, FieldPair(self.grid, U[0], U[1])))
+            self.snapshots.append((t_last, FieldPair._wrap(self.grid, U)))
         data = np.asarray(self.rows, dtype=float)
         return TrajectoryLog(
             grid=self.grid,

@@ -104,7 +104,7 @@ def _potential(grid: Grid, m1: np.ndarray, m2: np.ndarray, params: SystemParams)
 
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     """Nonlinear potential F(U)."""
-    return _potential(pair.grid, _density(pair.c1), _density(pair.c2), params)
+    return _potential(pair.grid, *_density(pair.components), params)
 
 
 def _rates(m1: np.ndarray, m2: np.ndarray, params: SystemParams):
@@ -143,7 +143,7 @@ def coupling_gradient(pair: FieldPair, params: SystemParams):
 
         g1 = (|u1|^(2p-2) + beta |u1|^(p-2) |u2|^p) u1   and symmetrically g2.
     """
-    r1, r2 = _rates(_density(pair.c1), _density(pair.c2), params)
+    r1, r2 = _rates(*_density(pair.components), params)
     return r1 * pair.c1, r2 * pair.c2
 
 
@@ -175,16 +175,11 @@ class _Norms:
 
     @classmethod
     def measure(cls, pair, params):
-        """Measure pair, transforming each component once."""
+        """Measure pair from one stacked transform of its components."""
         grid = pair.grid
-        return cls.of(
-            params,
-            grid,
-            _density(pair.c1),
-            _density(pair.c2),
-            _parseval_sums(grid, _fft(grid, pair.c1)),
-            _parseval_sums(grid, _fft(grid, pair.c2)),
-        )
+        m1, m2 = _density(pair.components)
+        S = _fft(grid, pair.components)
+        return cls.of(params, grid, m1, m2, _parseval_sums(grid, S[0]), _parseval_sums(grid, S[1]))
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2). The powers are taken in numpy
@@ -333,7 +328,8 @@ def _amplitude_ratio(grid: Grid, dens: np.ndarray) -> float:
 
 def boundary_amplitude_ratio(pair: FieldPair) -> float:
     """Max combined amplitude on the outermost grid layer over the global max."""
-    return _amplitude_ratio(pair.grid, _density(pair.c1) + _density(pair.c2))
+    m1, m2 = _density(pair.components)
+    return _amplitude_ratio(pair.grid, m1 + m2)
 
 
 def _variance(grid: Grid, dens: np.ndarray, boundary_tol: float = BOUNDARY_DECAY_TOL) -> float:
@@ -354,7 +350,8 @@ def variance(pair: FieldPair, *, boundary_tol: float = BOUNDARY_DECAY_TOL) -> fl
     amplitude >= boundary_tol), since the periodic image would corrupt the
     moment.
     """
-    return _variance(pair.grid, _density(pair.c1) + _density(pair.c2), boundary_tol)
+    m1, m2 = _density(pair.components)
+    return _variance(pair.grid, m1 + m2, boundary_tol)
 
 
 @dataclass(frozen=True)

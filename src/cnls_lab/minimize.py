@@ -217,7 +217,7 @@ def gaussian_init(
     else:
         c1 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
         c2 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
-    return FieldPair(grid, c1, c2, copy=False)
+    return FieldPair(grid, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ def minimize_on(
 
     # the flow acts on real and imaginary parts alike, so a real start is
     # held as one real row per component and any other start as two
-    real = not (init.c1.imag.any() or init.c2.imag.any())
+    real = not init.components.imag.any()
     # each projection's scalings warm-start the next (only nehari_set reads them)
     (u1, u2), (u1h, u2h), factors, norms = _project_state(
         constraint,
@@ -622,7 +622,7 @@ def minimize_on(
         )
 
     return MinimizeResult(
-        minimizer=FieldPair(grid, _complex(u1), _complex(u2), copy=False, check=False),
+        minimizer=FieldPair._wrap(grid, np.array([_complex(u1), _complex(u2)], dtype=complex)),
         value=_objective(constraint, norms),
         action=norms.action,
         energy=norms.energy,
@@ -657,7 +657,8 @@ def nehari_set_project(
     """Scale the components separately onto the two-sided Nehari set;
     returns ((t1 u1, t2 u2), (t1, t2)). Both components must be nonzero."""
     t1, t2 = _scalings(ConstraintSpec.nehari_set(), _Norms.measure(pair, params), t0)
-    return FieldPair(pair.grid, t1 * pair.c1, t2 * pair.c2, copy=False, check=False), (t1, t2)
+    factors = np.reshape((t1, t2), (2,) + (1,) * pair.grid.dim)
+    return FieldPair._wrap(pair.grid, factors * pair.components), (t1, t2)
 
 
 def ground_state(
@@ -670,9 +671,11 @@ def ground_state(
     threads: int | None = None,
 ) -> MinimizeResult:
     """Minimize the action over the Nehari set from three starts (each pure
-    component and a synchronized pair) and keep the lowest level. The scalar
-    starts stay scalar under the flow, so the comparison scalar-vs-vector is
-    decided by the final levels, not by the basin of the starting guess.
+    component and a synchronized pair) and keep the lowest level. Levels
+    within 16 eps |lowest| of the lowest tie, and a tie goes to the earliest
+    start (first, second, both). The scalar starts stay scalar under the
+    flow, so the comparison scalar-vs-vector is decided by the final
+    levels, not by the basin of the starting guess.
     The starts run on threads threads, which must be at least 1. The
     default is one on 1d grids, whose flows are too short to win back a
     pool's cost, and one per start on 2d and 3d grids; the starts are
@@ -694,8 +697,12 @@ def ground_state(
         threads = 1 if grid.dim == 1 else len(starts)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run, enumerate(starts)))
-    best = min(range(len(results)), key=lambda i: (results[i].action, i))
-    return results[best]
+    # the mirror scalar starts reach the same level up to a few ulps, so
+    # the earliest start takes a tie and roundoff does not pick the
+    # populated component
+    lowest = min(r.action for r in results)
+    tie = lowest + 16.0 * np.finfo(float).eps * abs(lowest)
+    return next(r for r in results if r.action <= tie)
 
 
 def multiplier_extract(
@@ -711,8 +718,10 @@ def multiplier_extract(
     constraints carry no multiplier and are refused."""
     if constraint.kind not in _SPHERE_KINDS:
         raise ConstraintError("multipliers are defined for sphere constraints only")
-    k2 = pair.grid.k2
-    u1h, u2h, g1h, g2h = (_fft(pair.grid, f) for f in (*pair.components, *coupling_gradient(pair, params)))
+    grid = pair.grid
+    k2 = grid.k2
+    u1h, u2h = _fft(grid, pair.components)
+    g1h, g2h = (_fft(grid, g) for g in coupling_gradient(pair, params))
 
     def fits(*terms):
         # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given

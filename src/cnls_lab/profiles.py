@@ -228,12 +228,12 @@ def make_member(spec: SolitonSpec, params: SystemParams, grid: Grid) -> FieldPai
         if spec.omega != params.omega1:
             raise ValueError(f"spec.omega={spec.omega} does not match omega1={params.omega1}")
         prof = z_beta_omega(params.omega1, 0.0, params.p, grid, shift=shift)
-        return FieldPair(grid, np.exp(1j * spec.theta1) * prof, zero, copy=False)
+        return FieldPair(grid, np.exp(1j * spec.theta1) * prof, zero)
     if spec.family is Family.SCALAR_SECOND:
         if spec.omega != params.omega2:
             raise ValueError(f"spec.omega={spec.omega} does not match omega2={params.omega2}")
         prof = z_beta_omega(params.omega2, 0.0, params.p, grid, shift=shift)
-        return FieldPair(grid, zero, np.exp(1j * spec.theta2) * prof, copy=False)
+        return FieldPair(grid, zero, np.exp(1j * spec.theta2) * prof)
     # VectorB
     if params.omega1 != params.omega2:
         raise ConstraintError(
@@ -243,9 +243,7 @@ def make_member(spec: SolitonSpec, params: SystemParams, grid: Grid) -> FieldPai
     if spec.omega != params.omega1:
         raise ValueError(f"spec.omega={spec.omega} does not match omega1={params.omega1}")
     prof = z_beta_omega(params.omega1, params.beta, params.p, grid, shift=shift)
-    return FieldPair(
-        grid, np.exp(1j * spec.theta1) * prof, np.exp(1j * spec.theta2) * prof, copy=False
-    )
+    return FieldPair(grid, np.exp(1j * spec.theta1) * prof, np.exp(1j * spec.theta2) * prof)
 
 
 def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
@@ -271,9 +269,10 @@ def scale_field(
     scaling: ScalingParams,
     *,
     support_tol: float = SUPPORT_TOL,
-    reference_peak: float | None = None,
 ) -> np.ndarray:
-    """Evaluate u^(mu,lambda)(x) = mu u(lambda x) on the grid.
+    """Evaluate u^(mu,lambda)(x) = mu u(lambda x) on the grid, for a field
+    f or a stack of fields over the trailing grid axes, such as a pair's
+    (2, *shape) components.
 
     Resampling evaluates the trigonometric interpolant of u at the
     stretched points lambda x, which are equispaced, so along each axis it
@@ -283,21 +282,20 @@ def scale_field(
     Requires the rescaled support to stay inside the box: u must have
     decayed below support_tol of its peak outside half-width
     min(L, lambda L). Stretched points outside the box (|lambda x| >= L,
-    only for lambda > 1) are set to zero, which that gate justifies.
-    reference_peak overrides the amplitude the decay is measured against,
-    so that the near-zero component of a pair is not judged by its own
-    noise floor.
+    only for lambda > 1) are set to zero, which that gate justifies. A
+    stack is gated as a whole, against its largest amplitude, so that a
+    near-zero field of a pair is not judged by its own noise floor.
     """
     mu, lam = scaling.mu, scaling.lam
     g = np.asarray(f, dtype=complex)
     if lam == 1.0:
         return mu * g
-    peak = float(np.abs(g).max()) if reference_peak is None else float(reference_peak)
+    peak = float(np.abs(g).max())
     if peak == 0.0:
         return mu * g
     r_req = min(grid.half_width, lam * grid.half_width)
     outside = _chebyshev_radius(grid) >= 0.98 * r_req
-    tail = float(np.abs(g[outside]).max()) / peak if outside.any() else 0.0
+    tail = float(np.abs(g[..., outside]).max()) / peak if outside.any() else 0.0
     if tail >= support_tol:
         raise SupportError(
             f"rescaling by lambda={lam:g} needs decay below {support_tol:.1e} outside "
@@ -321,12 +319,12 @@ def scale_field(
     if grid.dim == 1:
         # the chirp convolution by FFTs of length >= 2N - 1, O(N log N)
         nfft = next_fast_len(2 * n - 1)
-        conv = ifft(fft(pre * fftshift(h), nfft) * fft(kern, nfft))
-        return mu * post * conv[n - 1 : 2 * n - 1]
+        conv = ifft(fft(pre * fftshift(h, axes=-1), nfft) * fft(kern, nfft))
+        return mu * post * conv[..., n - 1 : 2 * n - 1]
     # with N^(d-1) >= N lines per axis, one N x N matrix of the same sum
     # (columns rolled to fft order) is cheaper than padded FFTs of each line
     mat = np.roll(post[:, None] * kern[j[:, None] - j + n - 1] * pre, n // 2, axis=1)
-    for ax in range(grid.dim):
+    for ax in range(h.ndim - grid.dim, h.ndim):
         h = np.moveaxis(np.tensordot(mat, h, axes=(1, ax)), 0, ax)
     return mu * h
 
@@ -334,17 +332,11 @@ def scale_field(
 def scale_pair(
     pair: FieldPair, scaling: ScalingParams, *, support_tol: float = SUPPORT_TOL
 ) -> FieldPair:
-    """Apply scale_field to both components, measuring decay against the
-    pair's combined peak."""
-    g = pair.grid
-    peak = max(float(np.abs(pair.c1).max()), float(np.abs(pair.c2).max()))
-    return FieldPair(
-        g,
-        scale_field(g, pair.c1, scaling, support_tol=support_tol, reference_peak=peak),
-        scale_field(g, pair.c2, scaling, support_tol=support_tol, reference_peak=peak),
-        copy=False,
-        check=False,
-    )
+    """Apply scale_field to the pair's components in one call, which gates
+    the decay against their combined peak."""
+    scaled = scale_field(pair.grid, pair.components, scaling, support_tol=support_tol)
+    # the n-d resampling returns a permuted view's layout
+    return FieldPair._wrap(pair.grid, np.ascontiguousarray(scaled))
 
 
 def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:

@@ -8,12 +8,12 @@ Layout (all little-endian):
     u32           points_per_axis
     f64           half_width
     f64 x 4       p, beta, omega1, omega2
-    c1            points_per_axis^dim complex values, interleaved (re, im) f64,
-                  C order
-    c2            same layout
+    payload       the pair's (2, *shape) components in C order: c1's
+                  points_per_axis^dim complex values, then c2's, each value
+                  interleaved (re, im) f64
 
 Round-trips are bit-exact: the payload is the raw IEEE-754 image of the
-arrays and the header floats.
+components stack and the header floats.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def save_snapshot(path, pair: FieldPair, params: SystemParams) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(pair.c1, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(pair.c2, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(pair.components, dtype="<c16").tobytes())
 
 
 def load_snapshot(path) -> tuple[FieldPair, SystemParams]:
@@ -77,7 +76,6 @@ def load_snapshot(path) -> tuple[FieldPair, SystemParams]:
         raise ValueError(f"snapshot payload has {len(raw)} bytes, expected {expected}: {path}")
     grid = Grid(dim, n, half_width)
     payload = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    c1 = payload[:count].reshape(grid.shape).astype(complex)
-    c2 = payload[count:].reshape(grid.shape).astype(complex)
     params = SystemParams(p=p, beta=beta, omega1=omega1, omega2=omega2)
-    return FieldPair(grid, c1, c2, copy=False), params
+    # the constructor copies the rows out of the read-only buffer
+    return FieldPair(grid, *payload.reshape((2,) + grid.shape)), params

@@ -112,7 +112,7 @@ class _Orbits:
         grid = self.grid = refs[0].grid
         omegas = np.reshape(params.weights, (2,) + (1,) * grid.dim)
         self.weight = grid.cell_volume / grid.total_points * (grid.k2 + omegas)
-        spectra = [core._fft(grid, np.stack(ref.components)) for ref in refs]
+        spectra = [core._fft(grid, ref.components) for ref in refs]
         self.refs = [(vh, self.weight * np.conj(vh)) for vh in spectra]
         # columns 1, i k_a and -k_a k_b (a <= b), for C_j and its first and
         # second shift derivatives in one product
@@ -124,9 +124,9 @@ class _Orbits:
     def _norm_sq(self, spectrum):
         return float(np.sum(self.weight * core._density(spectrum)))
 
-    def closest(self, psi: FieldPair, refine: bool = True) -> OrbitDistanceResult:
-        psi_h = core._fft(self.grid, np.stack(psi.components))
-        results = [self._single(psi_h, vh, wv, refine) + (i,) for i, (vh, wv) in enumerate(self.refs)]
+    def closest(self, psi: FieldPair) -> OrbitDistanceResult:
+        psi_h = core._fft(self.grid, psi.components)
+        results = [self._single(psi_h, vh, wv) + (i,) for i, (vh, wv) in enumerate(self.refs)]
         return OrbitDistanceResult(*min(results, key=lambda r: r[0]))
 
     def _sums(self, P, y):
@@ -168,10 +168,11 @@ class _Orbits:
                 break
         return y, self._sums(P, y)
 
-    def _single(self, psi_h, vh, wv, refine):
+    def _single(self, psi_h, vh, wv):
         """(distance, shift, phases) of psi_hat from the orbit of v_hat, with
         wv = weight conj(v_hat)."""
         grid = self.grid
+        n = grid.points_per_axis
         P = wv * psi_h
         # |C_1| + |C_2| at every grid shift in one pass
         score = np.abs(grid.total_points * core._ifft(grid, P)).sum(axis=0)
@@ -183,23 +184,24 @@ class _Orbits:
         ys = _wrap(idx * grid.dx, grid.half_width)
         _, y0, idx0 = min(zip((ys * ys).sum(axis=1).tolist(), ys.tolist(), map(tuple, idx.tolist())))
         y0 = np.array(y0)
-        sums = None
 
-        if refine:
-            # per-axis parabola through the three neighboring grid shifts
-            seed = y0.copy()
-            for ax in range(grid.dim):
-                d_lo, d_mid, d_hi = (float(np.roll(score, s, axis=ax)[idx0]) for s in (1, 0, -1))
-                denom = d_lo - 2.0 * d_mid + d_hi
-                if denom < 0:
-                    seed[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
-            y, refined = self._newton(P, seed)
-            # a refined shift must score at least the best grid shift; near
-            # the maximum the score is flat to second order, so a shift off
-            # by O(d) gains only O(d^2) there, within roundoff for small d
-            if np.abs(refined[:, 0]).sum() >= near_best:
-                y0, sums = y, refined
-        if sums is None:
+        # per-axis parabola through the three neighboring grid shifts, read
+        # by their wrapped indices
+        seed = y0.copy()
+        for ax in range(grid.dim):
+            d_lo, d_mid, d_hi = (
+                float(score[idx0[:ax] + ((idx0[ax] + s) % n,) + idx0[ax + 1 :]]) for s in (-1, 0, 1)
+            )
+            denom = d_lo - 2.0 * d_mid + d_hi
+            if denom < 0:
+                seed[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
+        y, sums = self._newton(P, seed)
+        # a refined shift must score at least the best grid shift; near the
+        # maximum the score is flat to second order, so a shift off by O(d)
+        # gains only O(d^2) there, within roundoff for small d
+        if np.abs(sums[:, 0]).sum() >= near_best:
+            y0 = y
+        else:
             sums = self._sums(P, y0)
 
         phases = [math.atan2(c.imag, c.real) for c in sums[:, 0]]
@@ -213,9 +215,7 @@ class _Orbits:
         )
 
 
-def orbit_distance(
-    psi: FieldPair, reference, params: SystemParams, *, refine: bool = True
-) -> OrbitDistanceResult:
+def orbit_distance(psi: FieldPair, reference, params: SystemParams) -> OrbitDistanceResult:
     """H_omega distance from psi to the closest of the reference orbits.
     reference is a FieldPair or a sequence of them."""
     refs = [reference] if isinstance(reference, FieldPair) else list(reference)
@@ -223,7 +223,7 @@ def orbit_distance(
         raise ValueError("need at least one reference")
     for ref in refs:
         core.same_grid(psi, ref)
-    return _Orbits(refs, params).closest(psi, refine)
+    return _Orbits(refs, params).closest(psi)
 
 
 def perturbation_pair(
@@ -247,11 +247,11 @@ def perturbation_pair(
 
     zero = np.zeros(grid.shape, dtype=complex)
     if mode == "first":
-        pert = FieldPair(grid, draw(), zero, copy=False)
+        pert = FieldPair(grid, draw(), zero)
     elif mode == "second":
-        pert = FieldPair(grid, zero, draw(), copy=False)
+        pert = FieldPair(grid, zero, draw())
     else:
-        pert = FieldPair(grid, draw(), draw(), copy=False)
+        pert = FieldPair(grid, draw(), draw())
     return (1.0 / math.sqrt(core.h1_norm_sq(pert, params))) * pert
 
 

@@ -74,4 +74,4 @@ def smooth_pair(grid: Grid, seed: int, *, width: float = 2.0) -> FieldPair:
             poly = poly + coeff[0] + coeff[1] * x + coeff[2] * x**2
         return env * poly
 
-    return FieldPair(grid, draw(), draw(), copy=False)
+    return FieldPair(grid, draw(), draw())

@@ -188,9 +188,7 @@ def test_criterion_07_conservation():
     params = _params(3.0)
     member = make_member(SolitonSpec.for_family(Family.VECTOR_B, params), params, grid)
     bump = perturbation_pair(grid, params, mode="both", seed=7)
-    datum = FieldPair(
-        grid, member.c1 + 1e-2 * bump.c1, member.c2 + 1e-2 * bump.c2, copy=False
-    )
+    datum = FieldPair(grid, member.c1 + 1e-2 * bump.c1, member.c2 + 1e-2 * bump.c2)
     log = evolve(datum, params, EvolveConfig(dt=1e-3, t_end=10.0, conservation_check_stride=100))
     mass1 = float(np.abs(log.mass1 - log.mass1[0]).max() / log.mass1[0])
     mass2 = float(np.abs(log.mass2 - log.mass2[0]).max() / log.mass2[0])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 import cnls_lab
@@ -23,7 +23,7 @@ from cnls_lab import (
     relative_error,
     weighted_l2_norm_sq,
 )
-from cnls_lab.core import _fft, _ifft, _irfft, _parseval_sums, _rfft
+from cnls_lab.core import _density, _fft, _ifft, _irfft, _parseval_sums, _rfft, gradient_norm_sq_component
 from cnls_lab.functionals import _Norms
 
 from conftest import smooth_pair
@@ -120,6 +120,91 @@ def test_mixed_grid_arithmetic_raises(grid_1d):
     b = FieldPair.zeros(other)
     with pytest.raises(GridMismatchError):
         _ = a + b
+
+
+_LAYOUT_GRIDS = {1: Grid(1, 64, 8.0), 2: Grid(2, 16, 8.0), 3: Grid(3, 8, 8.0)}
+
+
+@given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 10_000), real=st.booleans(), transposed=st.booleans())
+def test_components_are_one_stack_whose_rows_are_the_fields(dim, seed, real, transposed):
+    grid = _LAYOUT_GRIDS[dim]
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        f = rng.standard_normal(grid.shape)
+        f = f if real else f + 1j * rng.standard_normal(grid.shape)
+        # a non-contiguous input is copied into the stack all the same
+        return f.T if transposed else f
+
+    f1, f2 = draw(), draw()
+    built = FieldPair(grid, f1, f2)
+    assert not np.shares_memory(built.components, f1) and not np.shares_memory(built.components, f2)
+    assert np.array_equal(built.c1, f1) and np.array_equal(built.c2, f2)
+    other = smooth_pair(grid, seed)
+    for pair in (built, built + other, built - other, 2.5 * built, built * 1j, built.copy(), FieldPair.zeros(grid)):
+        U = pair.components
+        assert U.shape == (2,) + grid.shape and U.dtype == np.complex128 and U.flags.c_contiguous
+        for row, c in enumerate((pair.c1, pair.c2)):
+            assert c.base is U and c.shape == grid.shape
+            assert c.__array_interface__["data"][0] == U[row].__array_interface__["data"][0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 10_000),
+    scalar=st.one_of(
+        st.floats(-1e3, 1e3),
+        st.integers(-5, 5),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_pair_arithmetic_and_norms_equal_the_componentwise_expressions(dim, seed, scalar):
+    # the expressions a pair of separate component arrays used, bit for bit
+    grid = _LAYOUT_GRIDS[dim]
+    a, b = smooth_pair(grid, seed), smooth_pair(grid, seed + 1)
+    s = complex(scalar)
+    cases = (
+        (a + b, a.c1 + b.c1, a.c2 + b.c2),
+        (a - b, a.c1 - b.c1, a.c2 - b.c2),
+        (scalar * a, s * a.c1, s * a.c2),
+        (a * scalar, s * a.c1, s * a.c2),
+        (a.copy(), a.c1, a.c2),
+    )
+    for pair, c1, c2 in cases:
+        assert _bits(pair.c1) == _bits(c1) and _bits(pair.c2) == _bits(c2)
+    params = SystemParams(p=1.5 + seed % 3 * 0.5, beta=0.7, omega1=1.0, omega2=1.9)
+    separate = _Norms.of(
+        params,
+        grid,
+        _density(a.c1),
+        _density(a.c2),
+        _parseval_sums(grid, _fft(grid, a.c1)),
+        _parseval_sums(grid, _fft(grid, a.c2)),
+    )
+    assert _Norms.measure(a, params) == separate
+    assert gradient_norm_sq(a) == gradient_norm_sq_component(grid, a.c1) + gradient_norm_sq_component(grid, a.c2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constructor_refuses_other_shapes_and_nonfinite_entries(dim):
+    grid = _LAYOUT_GRIDS[dim]
+    good = np.ones(grid.shape)
+    # each of these would broadcast against the grid shape
+    for shape in ((1,), (), (grid.points_per_axis, 1)):
+        for args in ((np.ones(shape), good), (good, np.ones(shape))):
+            with pytest.raises(ValueError, match="shape"):
+                FieldPair(grid, *args)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)):
+        f = good.astype(complex)
+        f.flat[f.size // 2] = bad
+        for args in ((f, good), (good, f)):
+            with pytest.raises(ValueError, match="finite"):
+                FieldPair(grid, *args)
 
 
 def test_l2_norm_against_gaussian_integral(grid_1d):
@@ -269,6 +354,34 @@ def test_only_core_imports_the_nd_transforms():
             if isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
                 nd = ("fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in nd]
+    assert offenders == []
+
+
+def _call_name(node):
+    return ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+
+
+def test_only_core_builds_or_splits_the_component_stack():
+    # FieldPair.components is the pair's one (2, *shape) array: no module
+    # stacks a pair's fields again, and none asks the constructor to skip
+    # its copy or its checks
+    offenders = []
+    for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = _call_name(node)
+            if name in ("np.stack", "numpy.stack"):
+                fields = [
+                    sub
+                    for arg in node.args
+                    for sub in ast.walk(arg)
+                    if isinstance(sub, ast.Attribute) and sub.attr in ("components", "c1", "c2")
+                ]
+                if fields:
+                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if name.split(".")[-1] == "FieldPair" and any(k.arg in ("copy", "check") for k in node.keywords):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
 
 

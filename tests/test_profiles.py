@@ -163,6 +163,27 @@ def test_scale_field_gaussian_any_dilation(grid_1d, lam, mu):
     assert np.abs(scaled - mu * np.exp(-0.5 * lam**2 * x**2)).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(1, 1024, 24.0), Grid(1, 2048, 24.0), Grid(2, 64, 12.0), Grid(3, 32, 12.0)],
+    ids=["1d-1024", "1d-2048", "2d-64", "3d-32"],
+)
+@pytest.mark.parametrize("lam", [0.8, 1.1])
+def test_scale_pair_is_one_stacked_call(grid, lam, transform_calls):
+    pair = smooth_pair(grid, 4, width=1.0)
+    scaling = ScalingParams(mu=1.3, lam=lam)
+    transform_calls.clear()
+    scaled = scale_pair(pair, scaling)
+    assert transform_calls == [(2,) + grid.shape]
+    assert scaled.components.flags.c_contiguous
+    for got, c in zip((scaled.c1, scaled.c2), pair.components):
+        want = scale_field(grid, c, scaling)
+        if grid.dim == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_scale_field_refuses_wide_support():
     g = Grid(1, 256, 10.0)
     wide = np.exp(-g.axes[0] ** 2 / 60.0)

@@ -10,7 +10,7 @@ def _random_pair(grid, seed):
     rng = np.random.default_rng(seed)
     c1 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     c2 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return FieldPair(grid, c1, c2, copy=False)
+    return FieldPair(grid, c1, c2)
 
 
 def test_round_trip_bit_exact(tmp_path):
