@@ -563,6 +563,9 @@ def minimize_on(
         _rfft(grid, _rows(init.c2, real)),
         (1.0, 1.0),
     )
+    # the flow needs only the start's spectra; a start built here would
+    # otherwise hold one more (2, *shape) complex stack through the flow
+    del init
     obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
