@@ -54,7 +54,6 @@ from .minimize import (
 from .profiles import (
     Family,
     ScalingParams,
-    SolitonSpec,
     base_profile_1d,
     base_profile_nd,
     critical_value_map_T,

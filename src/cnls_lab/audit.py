@@ -8,18 +8,13 @@ requested parameters, or a flow stopped at a non-critical point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Grid, SystemParams, _csv, relative_error
 from .functionals import _Norms, action_I, energy_E
 from .minimize import ConstraintSpec, minimize_on
-from .profiles import (
-    Family,
-    SolitonSpec,
-    critical_value_map_T,
-    make_member,
-    nehari_to_sphere,
-)
+from .profiles import Family, critical_value_map_T, make_member, nehari_to_sphere
 
 
 @dataclass(frozen=True)
@@ -29,7 +24,6 @@ class AuditRow:
     rhs: float
     rel_err: float
     ok: bool
-    note: str = ""
 
     def __str__(self):
         flag = "ok " if self.ok else "FAIL"
@@ -54,19 +48,17 @@ class AuditReport:
         return "\n".join(str(r) for r in self.rows)
 
 
-# row names and notes of the identities, in the order of _Norms.partitions
-_PARTITIONS = (
-    ("grad_partition", "kinetic term of a zero-virial critical point is n times the level"),
-    ("coupling_partition", "potential term pinned by the level"),
-    ("mass_partition", "weighted mass pinned by the level"),
-)
+# row names of the identities of a zero-virial critical point, in the
+# order of _Norms.partitions: the kinetic term is n times the level, and
+# the level pins the potential term and the weighted mass
+_PARTITIONS = ("grad_partition", "coupling_partition", "mass_partition")
 
 
-def _row(name, lhs, rhs, tol, note=""):
+def _row(name, lhs, rhs, tol):
     lhs = float(lhs)
     rhs = float(rhs)
     err = relative_error(lhs, rhs)
-    return AuditRow(name=name, lhs=lhs, rhs=rhs, rel_err=err, ok=err <= tol, note=note)
+    return AuditRow(name=name, lhs=lhs, rhs=rhs, rel_err=err, ok=err <= tol)
 
 
 def identity_audit(
@@ -86,8 +78,11 @@ def identity_audit(
     scaling-transport rows at gamma_factors times the natural mass level;
     supercritical adds the zero-virial ray level match. The synchronized
     pair level is compared against twice the reduced scalar level whenever
-    the frequencies agree.
+    the frequencies agree. A row passes at relative error at most tol,
+    which must be finite and positive (ValueError before any flow).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"audit tol must be finite and positive, got {tol}")
     n = grid.dim
     p = params.p
     rows = []
@@ -96,8 +91,8 @@ def identity_audit(
     U = res_n.minimizer
     m_n = res_n.action
     norms = _Norms.measure(U, params)
-    for (name, note), (lhs, rhs) in zip(_PARTITIONS, norms.partitions(m_n)):
-        rows.append(_row(name, lhs, rhs, tol, note))
+    for name, (lhs, rhs) in zip(_PARTITIONS, norms.partitions(m_n)):
+        rows.append(_row(name, lhs, rhs, tol))
 
     crit = params.criticality(n)
     if crit == "subcritical":
@@ -107,23 +102,12 @@ def identity_audit(
         res_s = minimize_on(
             ConstraintSpec.weighted_sphere(gamma0), params, grid, tol=flow_tol, seed=seed
         )
-        rows.append(_row(
-            "sphere_level_matches_ray_level",
-            res_s.action,
-            m_n,
-            tol,
-            "sphere minimizer at the natural mass level recovers the ray level",
-        ))
+        rows.append(_row("sphere_level_matches_ray_level", res_s.action, m_n, tol))
         for fac in gamma_factors:
             gamma = fac * gamma0
             V, _nu = nehari_to_sphere(U, params, gamma)
-            rows.append(_row(
-                f"transport_energy_x{fac:g}",
-                energy_E(V, params),
-                critical_value_map_T(m_n, gamma, p, n),
-                tol,
-                f"constructive transport to mass level {gamma:.6g}",
-            ))
+            target = critical_value_map_T(m_n, gamma, p, n)
+            rows.append(_row(f"transport_energy_x{fac:g}", energy_E(V, params), target, tol))
 
     if params.omega1 == params.omega2 and params.existence_ok(n):
         res_pair = minimize_on(
@@ -132,28 +116,15 @@ def identity_audit(
         scalar_params = SystemParams(
             p=p, beta=0.0, omega1=params.omega1, omega2=params.omega2
         )
-        member = make_member(
-            SolitonSpec.for_family(Family.SCALAR_FIRST, scalar_params), scalar_params, grid
-        )
+        member = make_member(Family.SCALAR_FIRST, scalar_params, grid)
+        # the two-sided level is twice the reduced one-component level
         m1_reduced = (1.0 + params.beta) ** (-1.0 / (p - 1.0)) * action_I(member, scalar_params)
-        rows.append(_row(
-            "pair_level_twice_scalar",
-            res_pair.action,
-            2.0 * m1_reduced,
-            tol,
-            "two-sided level equals twice the reduced one-component level",
-        ))
+        rows.append(_row("pair_level_twice_scalar", res_pair.action, 2.0 * m1_reduced, tol))
 
     if crit == "supercritical":
         res_p = minimize_on(
             ConstraintSpec.pohozaev(), params, grid, tol=flow_tol, seed=seed
         )
-        rows.append(_row(
-            "zero_virial_level_matches",
-            res_p.action,
-            m_n,
-            tol,
-            "minimizing over the zero-virial set reproduces the ray level",
-        ))
+        rows.append(_row("zero_virial_level_matches", res_p.action, m_n, tol))
 
     return AuditReport(rows=tuple(rows))

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .functionals import FunctionalReport, boundary_amplitude_ratio, pohozaev_check
 from .minimize import ConstraintSpec, ground_state, minimize_on
-from .profiles import Family, SolitonSpec, make_member
+from .profiles import Family, make_member
 from .snapshots import load_snapshot, save_snapshot
 from .stability import blowup_experiment, perturbation_pair, stability_sweep
 
@@ -361,8 +361,7 @@ def _initial_state(cfg, params, grid):
         )
         return res.minimizer
     if spec.startswith("member:"):
-        family = Family(spec.split(":", 1)[1])
-        return make_member(SolitonSpec.for_family(family, params), params, grid)
+        return make_member(Family(spec.split(":", 1)[1]), params, grid)
     if spec.startswith("snapshot:"):
         pair, stored = load_snapshot(spec.split(":", 1)[1])
         if pair.grid != grid:
@@ -504,16 +503,15 @@ def _cmd_profile(cfg, out: Path) -> int:
     params = _params(cfg)
     grid = _grid(cfg)
     family = Family(cfg.get("profile", "family"))
-    spec = SolitonSpec.for_family(family, params)
     raw_shift = cfg.get("profile", "shift")
-    shift = _float_list(raw_shift) if raw_shift else (0.0,) * grid.dim
-    spec = dataclasses.replace(
-        spec,
+    pair = make_member(
+        family,
+        params,
+        grid,
         theta1=cfg.getfloat("profile", "theta1"),
         theta2=cfg.getfloat("profile", "theta2"),
-        shift=shift,
+        shift=_float_list(raw_shift) if raw_shift else None,
     )
-    pair = make_member(spec, params, grid)
     report = FunctionalReport.compute(pair, params)
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload["boundary_amplitude_ratio"] = boundary_amplitude_ratio(pair)

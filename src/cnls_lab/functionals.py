@@ -49,6 +49,9 @@ __all__ = [
 
 BOUNDARY_DECAY_TOL = 1e-8
 
+# largest relative residual at which pohozaev_check passes
+_POHOZAEV_TOL = 1e-6
+
 
 def _power(m: np.ndarray, e: float) -> np.ndarray:
     """m**e for m >= 0. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which
@@ -292,14 +295,14 @@ class PohozaevCheck:
 
         ||grad U||_2^2 = n m,   F(U) = m/(p-1),   ||U||_{2,omega}^2 = (2p/(p-1) - n) m
 
-    for a claimed action level m. A non-positive m is flagged, never passed.
+    for a claimed action level m. It passes when m > 0 and every residual
+    is at most 1e-6; a non-positive m is flagged, never passed.
     """
 
     residual_gradient: float
     residual_coupling: float
     residual_mass: float
     m_positive: bool
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -307,14 +310,15 @@ class PohozaevCheck:
 
     @property
     def ok(self) -> bool:
-        return self.m_positive and self.max_residual <= self.tol
+        return self.m_positive and self.max_residual <= _POHOZAEV_TOL
 
 
-def pohozaev_check(pair: FieldPair, params: SystemParams, m: float, *, tol: float = 1e-6) -> PohozaevCheck:
+def pohozaev_check(pair: FieldPair, params: SystemParams, m: float) -> PohozaevCheck:
+    """The PohozaevCheck of pair at the claimed action level m."""
     if m <= 0:
-        return PohozaevCheck(np.inf, np.inf, np.inf, m_positive=False, tol=tol)
+        return PohozaevCheck(np.inf, np.inf, np.inf, m_positive=False)
     residuals = (relative_error(v, t) for v, t in _Norms.measure(pair, params).partitions(m))
-    return PohozaevCheck(*residuals, m_positive=True, tol=tol)
+    return PohozaevCheck(*residuals, m_positive=True)
 
 
 def _amplitude_ratio(grid: Grid, dens: np.ndarray) -> float:
@@ -332,26 +336,26 @@ def boundary_amplitude_ratio(pair: FieldPair) -> float:
     return _amplitude_ratio(pair.grid, m1 + m2)
 
 
-def _variance(grid: Grid, dens: np.ndarray, boundary_tol: float = BOUNDARY_DECAY_TOL) -> float:
+def _variance(grid: Grid, dens: np.ndarray) -> float:
     """variance() from the combined density |u1|^2 + |u2|^2."""
     ratio = _amplitude_ratio(grid, dens)
-    if ratio >= boundary_tol:
+    if ratio >= BOUNDARY_DECAY_TOL:
         raise BoundaryDecayError(
-            f"boundary amplitude is {ratio:.3e} of the peak (tolerance {boundary_tol:.1e}); "
+            f"boundary amplitude is {ratio:.3e} of the peak (tolerance {BOUNDARY_DECAY_TOL:.1e}); "
             "variance would be contaminated by wrap-around"
         )
     return _integral(grid, grid.radius_sq() * dens)
 
 
-def variance(pair: FieldPair, *, boundary_tol: float = BOUNDARY_DECAY_TOL) -> float:
+def variance(pair: FieldPair) -> float:
     """V(U) = int |x|^2 (|u1|^2 + |u2|^2), x measured from the box center.
 
     Refuses when the field has not decayed at the boundary (relative
-    amplitude >= boundary_tol), since the periodic image would corrupt the
-    moment.
+    amplitude >= BOUNDARY_DECAY_TOL = 1e-8), since the periodic image would
+    corrupt the moment.
     """
     m1, m2 = _density(pair.components)
-    return _variance(pair.grid, m1 + m2, boundary_tol)
+    return _variance(pair.grid, m1 + m2)
 
 
 @dataclass(frozen=True)

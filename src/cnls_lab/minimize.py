@@ -73,6 +73,9 @@ _MAX_ITER = 10**8
 # a component holding less than this fraction of the total mass counts as absent
 VECTOR_MASS_FRACTION = 0.05
 
+# largest relative gap between multiplier_extract's two estimates
+_CROSS_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -224,7 +227,7 @@ def gaussian_init(
 # projections
 
 
-def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0=(1.0, 1.0)):
+def _nehari_set_scalings(p, a1, a2, b1, b2, c, t0):
     """Positive (t1, t2) with t_j^2 a_j = t_j^(2p) b_j + t_1^p t_2^p c.
 
     With r = t2/t1, t1^(2p-2) = a1 / (b1 + c r^p) solves the first equation,
@@ -654,12 +657,11 @@ def pohozaev_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, 
     return t * pair, t
 
 
-def nehari_set_project(
-    pair: FieldPair, params: SystemParams, *, t0: tuple[float, float] = (1.0, 1.0)
-) -> tuple[FieldPair, tuple[float, float]]:
+def nehari_set_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, tuple[float, float]]:
     """Scale the components separately onto the two-sided Nehari set;
-    returns ((t1 u1, t2 u2), (t1, t2)). Both components must be nonzero."""
-    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _Norms.measure(pair, params), t0)
+    returns ((t1 u1, t2 u2), (t1, t2)), with t2/t1 the root nearest 1 of
+    the scaling equation. Both components must be nonzero."""
+    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _Norms.measure(pair, params))
     factors = np.reshape((t1, t2), (2,) + (1,) * pair.grid.dim)
     return FieldPair._wrap(pair.grid, factors * pair.components), (t1, t2)
 
@@ -708,17 +710,11 @@ def ground_state(
     return next(r for r in results if r.action <= tie)
 
 
-def multiplier_extract(
-    pair: FieldPair,
-    params: SystemParams,
-    constraint: ConstraintSpec,
-    *,
-    cross_tol: float = 1e-6,
-) -> tuple:
+def multiplier_extract(pair: FieldPair, params: SystemParams, constraint: ConstraintSpec) -> tuple:
     """Recover the Lagrange multipliers of a sphere-constrained critical
     point two independent ways (plain and gradient-weighted least squares on
-    the strong-form residual) and insist they agree to cross_tol. Ray
-    constraints carry no multiplier and are refused."""
+    the strong-form residual) and insist they agree to a relative 1e-6.
+    Ray constraints carry no multiplier and are refused."""
     if constraint.kind not in _SPHERE_KINDS:
         raise ConstraintError("multipliers are defined for sphere constraints only")
     grid = pair.grid
@@ -738,7 +734,7 @@ def multiplier_extract(
                 den += om**2 * float(np.sum(wt * _density(uh)))
             out.append(num / den)
         nu_a, nu_b = out
-        if abs(nu_a - nu_b) > cross_tol * max(1.0, abs(nu_a)):
+        if abs(nu_a - nu_b) > _CROSS_TOL * max(1.0, abs(nu_a)):
             raise ConvergenceError(
                 f"multiplier estimates disagree ({nu_a:.8g} vs {nu_b:.8g}); "
                 "the field is not a constrained critical point"

@@ -33,10 +33,10 @@ from scipy.fft import fft, fftshift, ifft, next_fast_len
 from .core import FieldPair, Grid, SystemParams, _fft, _ifft
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
+from .minimize import ConstraintSpec, gaussian_init, minimize_on
 
 __all__ = [
     "Family",
-    "SolitonSpec",
     "ScalingParams",
     "base_profile_1d",
     "base_profile_nd",
@@ -57,6 +57,12 @@ _IMAGES = 2
 
 SUPPORT_TOL = 1e-8
 
+# relative residual to which base_profile_nd drives its flow
+_PROFILE_TOL = 1e-10
+
+# largest relative Nehari pairing that nehari_to_sphere accepts
+_PAIRING_TOL = 1e-6
+
 
 class Family(enum.Enum):
     """The three standing-wave families."""
@@ -66,46 +72,8 @@ class Family(enum.Enum):
     VECTOR_B = "vector_b"
 
 
-@dataclass(frozen=True)
-class SolitonSpec:
-    """A family member: frequency, coupling, per-component phases and a
-    translation (None for none, in any dimension). For the scalar families
-    the profile itself does not depend on beta (the cross term vanishes);
-    beta is recorded for bookkeeping."""
-
-    omega: float
-    beta: float
-    theta1: float
-    theta2: float
-    shift: tuple[float, ...] | None
-    family: Family
-
-    @classmethod
-    def for_family(
-        cls,
-        family: Family,
-        params: SystemParams,
-        *,
-        theta1: float = 0.0,
-        theta2: float = 0.0,
-        shift=None,
-    ) -> "SolitonSpec":
-        if family is Family.SCALAR_FIRST:
-            omega = params.omega1
-        elif family is Family.SCALAR_SECOND:
-            omega = params.omega2
-        else:
-            omega = params.omega1
-        if shift is not None:
-            shift = tuple(float(s) for s in np.atleast_1d(np.asarray(shift, dtype=float)))
-        return cls(
-            omega=omega,
-            beta=params.beta,
-            theta1=float(theta1),
-            theta2=float(theta2),
-            shift=shift,
-            family=family,
-        )
+# the components each family populates
+_POPULATED = {Family.SCALAR_FIRST: (0,), Family.SCALAR_SECOND: (1,), Family.VECTOR_B: (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -164,29 +132,17 @@ class BaseProfileResult:
     iterations: int
 
 
-def base_profile_nd(
-    p: float,
-    grid: Grid,
-    *,
-    omega: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    seed: int = 0,
-) -> BaseProfileResult:
+def base_profile_nd(p: float, grid: Grid, *, omega: float = 1.0) -> BaseProfileResult:
     """Radial positive decaying solution of -Lap u + omega u = u^(2p-1) for
-    n >= 2, via the constrained imaginary-time flow driven to relative
-    residual < tol."""
+    n >= 2, via the Nehari flow from the seed-0 Gaussian start, driven to
+    relative residual < 1e-10 within minimize_on's default iteration cap."""
     if grid.dim < 2:
         raise ValueError("base_profile_nd is for dim >= 2; use base_profile_1d in 1d")
     params = SystemParams(p=p, beta=0.0, omega1=omega, omega2=omega)
     if not params.existence_ok(grid.dim):
         raise ConstraintError(f"no decaying profile: p={p} is not below {grid.dim}/{grid.dim - 2}")
-    from .minimize import ConstraintSpec, gaussian_init, minimize_on
-
-    init = gaussian_init(grid, params, mode="first", seed=seed)
-    result = minimize_on(
-        ConstraintSpec.nehari(), params, grid, init=init, tol=tol, max_iter=max_iter
-    )
+    init = gaussian_init(grid, params, mode="first")
+    result = minimize_on(ConstraintSpec.nehari(), params, grid, init=init, tol=_PROFILE_TOL)
     values = np.real(result.minimizer.c1)
     # flow preserves the sign of a positive start; flip if it converged to -u
     if values.sum() < 0:
@@ -211,39 +167,42 @@ def z_beta_omega(omega: float, beta: float, p: float, grid: Grid, *, shift=None)
     return values
 
 
-def make_member(spec: SolitonSpec, params: SystemParams, grid: Grid) -> FieldPair:
-    """Build the field pair for a family member.
+def make_member(
+    family: Family,
+    params: SystemParams,
+    grid: Grid,
+    *,
+    theta1: float = 0.0,
+    theta2: float = 0.0,
+    shift=None,
+) -> FieldPair:
+    """The family member of the system params, with phase theta_j on its
+    populated component j and translated by shift (a scalar in 1d, else
+    one entry per axis; None for none).
 
-    VectorB members require omega1 == omega2: the synchronized pair is only
-    a standing wave at equal frequencies, and no characterization of the
-    unequal-frequency family is available to sample from.
+    params fix the member: SCALAR_FIRST is (e^(i theta1) z(omega1, 0), 0),
+    SCALAR_SECOND is (0, e^(i theta2) z(omega2, 0)), whose profiles do not
+    depend on beta (the cross term vanishes), and VECTOR_B is the
+    synchronized pair e^(i theta_j) z(omega1, beta). VECTOR_B members
+    require omega1 == omega2: the synchronized pair is only a standing wave
+    at equal frequencies, and no characterization of the unequal-frequency
+    family is available to sample from.
     """
-    if spec.beta != params.beta:
-        raise ValueError(f"spec.beta={spec.beta} does not match params.beta={params.beta}")
-    shift = np.zeros(grid.dim) if spec.shift is None else np.asarray(spec.shift, dtype=float)
+    shift = np.zeros(grid.dim) if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
     if shift.size != grid.dim or not np.isfinite(shift).all():
         raise ValueError(f"shift needs {grid.dim} finite entries, got {tuple(shift)}")
-    zero = np.zeros(grid.shape, dtype=complex)
-    if spec.family is Family.SCALAR_FIRST:
-        if spec.omega != params.omega1:
-            raise ValueError(f"spec.omega={spec.omega} does not match omega1={params.omega1}")
-        prof = z_beta_omega(params.omega1, 0.0, params.p, grid, shift=shift)
-        return FieldPair(grid, np.exp(1j * spec.theta1) * prof, zero)
-    if spec.family is Family.SCALAR_SECOND:
-        if spec.omega != params.omega2:
-            raise ValueError(f"spec.omega={spec.omega} does not match omega2={params.omega2}")
-        prof = z_beta_omega(params.omega2, 0.0, params.p, grid, shift=shift)
-        return FieldPair(grid, zero, np.exp(1j * spec.theta2) * prof)
-    # VectorB
-    if params.omega1 != params.omega2:
+    if family is Family.VECTOR_B and params.omega1 != params.omega2:
         raise ConstraintError(
             "VectorB members require omega1 == omega2; the unequal-frequency "
             "vector family is an open case and is refused"
         )
-    if spec.omega != params.omega1:
-        raise ValueError(f"spec.omega={spec.omega} does not match omega1={params.omega1}")
-    prof = z_beta_omega(params.omega1, params.beta, params.p, grid, shift=shift)
-    return FieldPair(grid, np.exp(1j * spec.theta1) * prof, np.exp(1j * spec.theta2) * prof)
+    omega = params.omega2 if family is Family.SCALAR_SECOND else params.omega1
+    beta = params.beta if family is Family.VECTOR_B else 0.0
+    prof = z_beta_omega(omega, beta, params.p, grid, shift=shift)
+    rows = [np.zeros(grid.shape, dtype=complex)] * 2
+    for j in _POPULATED[family]:
+        rows[j] = np.exp(1j * (theta1, theta2)[j]) * prof
+    return FieldPair(grid, *rows)
 
 
 def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
@@ -263,13 +222,7 @@ def _chebyshev_radius(grid: Grid) -> np.ndarray:
     return r
 
 
-def scale_field(
-    grid: Grid,
-    f: np.ndarray,
-    scaling: ScalingParams,
-    *,
-    support_tol: float = SUPPORT_TOL,
-) -> np.ndarray:
+def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray:
     """Evaluate u^(mu,lambda)(x) = mu u(lambda x) on the grid, for a field
     f or a stack of fields over the trailing grid axes, such as a pair's
     (2, *shape) components.
@@ -280,7 +233,7 @@ def scale_field(
     into a chirp convolution: done by FFTs in 1d (O(N log N)), and as one
     N x N matrix per axis on 2d and 3d grids, which have many short lines.
     Requires the rescaled support to stay inside the box: u must have
-    decayed below support_tol of its peak outside half-width
+    decayed below SUPPORT_TOL = 1e-8 of its peak outside half-width
     min(L, lambda L). Stretched points outside the box (|lambda x| >= L,
     only for lambda > 1) are set to zero, which that gate justifies. A
     stack is gated as a whole, against its largest amplitude, so that a
@@ -296,9 +249,9 @@ def scale_field(
     r_req = min(grid.half_width, lam * grid.half_width)
     outside = _chebyshev_radius(grid) >= 0.98 * r_req
     tail = float(np.abs(g[..., outside]).max()) / peak if outside.any() else 0.0
-    if tail >= support_tol:
+    if tail >= SUPPORT_TOL:
         raise SupportError(
-            f"rescaling by lambda={lam:g} needs decay below {support_tol:.1e} outside "
+            f"rescaling by lambda={lam:g} needs decay below {SUPPORT_TOL:.1e} outside "
             f"half-width {r_req:.3g}, but the relative amplitude there is {tail:.3e}"
         )
     n = grid.points_per_axis
@@ -329,12 +282,10 @@ def scale_field(
     return mu * h
 
 
-def scale_pair(
-    pair: FieldPair, scaling: ScalingParams, *, support_tol: float = SUPPORT_TOL
-) -> FieldPair:
+def scale_pair(pair: FieldPair, scaling: ScalingParams) -> FieldPair:
     """Apply scale_field to the pair's components in one call, which gates
     the decay against their combined peak."""
-    scaled = scale_field(pair.grid, pair.components, scaling, support_tol=support_tol)
+    scaled = scale_field(pair.grid, pair.components, scaling)
     # the n-d resampling returns a permuted view's layout
     return FieldPair._wrap(pair.grid, np.ascontiguousarray(scaled))
 
@@ -366,13 +317,7 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
     )
 
 
-def nehari_to_sphere(
-    pair: FieldPair,
-    params: SystemParams,
-    gamma: float,
-    *,
-    pairing_tol: float = 1e-6,
-) -> tuple[FieldPair, float]:
+def nehari_to_sphere(pair: FieldPair, params: SystemParams, gamma: float) -> tuple[FieldPair, float]:
     """Transport a Nehari critical point onto the mass sphere of weight
     gamma: with nu fixed by nu^(1/(p-1) - n/2) = gamma / ||U||_{2,omega}^2,
     the rescaling mu = nu^(1/(2(p-1))), lambda = nu^(1/2) lands on the
@@ -387,10 +332,10 @@ def nehari_to_sphere(
         )
     norms = _Norms.measure(pair, params)
     rel_pairing = abs(norms.pairing) / norms.h1
-    if not rel_pairing < pairing_tol:
+    if not rel_pairing < _PAIRING_TOL:
         raise ConstraintError(
             f"field is not a Nehari point: relative pairing {rel_pairing:.3e} "
-            f"exceeds {pairing_tol:.1e}"
+            f"exceeds {_PAIRING_TOL:.1e}"
         )
     a = 1.0 / (params.p - 1.0) - dim / 2.0
     # numpy floats give inf or 0 out of range, where a float ** raises

@@ -39,7 +39,7 @@ from .dynamics import EvolveConfig, evolve
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
 from .minimize import ground_state
-from .profiles import Family, ScalingParams, SolitonSpec, make_member, scale_pair
+from .profiles import Family, ScalingParams, make_member, scale_pair
 
 __all__ = [
     "OrbitDistanceResult",
@@ -51,7 +51,7 @@ __all__ = [
     "blowup_experiment",
 ]
 
-_FAMILY_NAMES = ("scalar_first", "scalar_second", "vector_b", "ground")
+_FAMILY_NAMES = tuple(f.value for f in Family) + ("ground",)
 
 # severity order for combining per-run classifications
 _SEVERITY = ("stable_within_tolerance", "excursion_growth", "blow_up")
@@ -266,14 +266,14 @@ def _family_state(family: str, params: SystemParams, grid: Grid, *, tol: float, 
         result = ground_state(params, grid, tol=tol, seed=seed)
         if result.classification == "vector":
             return result.minimizer, [result.minimizer]
-        first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid)
-        second = make_member(SolitonSpec.for_family(Family.SCALAR_SECOND, params), params, grid)
+        first = make_member(Family.SCALAR_FIRST, params, grid)
+        second = make_member(Family.SCALAR_SECOND, params, grid)
         if result.classification == "scalar_first":
             refs = [first] + ([second] if params.omega1 == params.omega2 else [])
             return first, refs
         refs = [second] + ([first] if params.omega1 == params.omega2 else [])
         return second, refs
-    member = make_member(SolitonSpec.for_family(Family(family), params), params, grid)
+    member = make_member(Family(family), params, grid)
     return member, [member]
 
 
@@ -307,18 +307,32 @@ def stability_sweep(
     seed: int = 0,
     excursion_ratio: float = 10.0,
     zero_orbit_tol: float = 1e-5,
-    guard_ratio: float = 1e6,
     tol: float = 1e-8,
 ) -> StabilityVerdict:
     """Evolve family member + epsilon * (unit perturbation) for each epsilon
     and track the orbit distance at sample_dt intervals. All the epsilons
-    run as one batch of evolve. An epsilon with 0 < |epsilon| <
-    1e-12 ||member||_H raises ValueError."""
+    run as one batch of evolve, under EvolveConfig's default amplitude
+    guard. A run with epsilon > 0 is stable while max_t d(t)/d(0) stays at
+    most excursion_ratio, and the epsilon = 0 run while d(t) stays at most
+    zero_orbit_tol.
+
+    Raises ValueError before any flow or evolution for a sample_dt that
+    rounds to fewer than one step of dt, an excursion_ratio below 1
+    (d(t)/d(0) >= 1 holds at t = 0, so a lower ratio flags every run) and a
+    zero_orbit_tol that is not positive, or any of these not finite; and
+    before any evolution for an epsilon with 0 < |epsilon| <
+    1e-12 ||member||_H."""
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    if not (dt and math.isfinite(sample_dt / dt)):
-        raise ValueError(f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride")
+    if not (dt and math.isfinite(sample_dt / dt) and round(sample_dt / dt) >= 1):
+        raise ValueError(
+            f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride of at least one step"
+        )
+    if not 1.0 <= excursion_ratio < math.inf:
+        raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
+    if not 0.0 < zero_orbit_tol < math.inf:
+        raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     # d(0) of a smaller perturbation is the roundoff floor of the orbit
     # distance, so d(t)/d(0) would measure that floor, not the orbit
@@ -327,7 +341,7 @@ def stability_sweep(
     if tiny:
         raise ValueError(f"epsilons {tiny} are below the orbit distance floor {floor:.3g} (1e-12 ||member||_H)")
     pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
-    stride = max(1, int(round(sample_dt / dt)))
+    stride = int(round(sample_dt / dt))
     orbits = _Orbits(refs, params)
 
     initial_distances = []
@@ -337,13 +351,7 @@ def stability_sweep(
     distance_series = []
     time_series = []
 
-    config = EvolveConfig(
-        dt=dt,
-        t_end=t_end,
-        snapshot_stride=stride,
-        conservation_check_stride=stride,
-        blowup_guard=guard_ratio,
-    )
+    config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     # every epsilon in one batched run
     first, *rest = (base + eps * pert for eps in epsilons)
     batch = evolve(first, params, config, companions=rest)
@@ -442,9 +450,18 @@ def blowup_experiment(
     its peak at the member; at the critical exponent that dilation leaves
     the action flat, so the datum is the amplified member factor * U
     instead. Subcritical exponents disperse globally and are refused.
+
+    The variance is tested for concavity on the first window_fraction of
+    the run, in (0, 1], and margin, in [0, 1), is the relative slack of
+    that test and of the second-derivative bound; values outside these
+    ranges raise ValueError before any flow or evolution.
     """
     if not factor > 1.0:
         raise ValueError(f"factor must exceed 1, got {factor}")
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must lie in [0, 1), got {margin}")
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(

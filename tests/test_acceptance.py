@@ -21,7 +21,6 @@ from cnls_lab import (
     FieldPair,
     Grid,
     ScalingParams,
-    SolitonSpec,
     SystemParams,
     action_I,
     base_profile_1d,
@@ -148,7 +147,7 @@ def test_criterion_05_equal_spheres_characterization(grid_1d):
     )
     delta = delta_of_omega(1.0, 3.0, 2.0, 1, 4.0)
     res = minimize_on(ConstraintSpec.equal_spheres(delta), params, grid_1d, init=init)
-    ref = make_member(SolitonSpec.for_family(Family.VECTOR_B, params), params, grid_1d)
+    ref = make_member(Family.VECTOR_B, params, grid_1d)
     dist = orbit_distance(res.minimizer, ref, params).distance
     moddiff = float(
         np.sqrt(l2_norm_sq(grid_1d, np.abs(res.minimizer.c1) - np.abs(res.minimizer.c2)))
@@ -186,7 +185,7 @@ def test_criterion_07_conservation():
     t0 = time.perf_counter()
     grid = Grid(1, 2048, 20.0)
     params = _params(3.0)
-    member = make_member(SolitonSpec.for_family(Family.VECTOR_B, params), params, grid)
+    member = make_member(Family.VECTOR_B, params, grid)
     bump = perturbation_pair(grid, params, mode="both", seed=7)
     datum = FieldPair(grid, member.c1 + 1e-2 * bump.c1, member.c2 + 1e-2 * bump.c2)
     log = evolve(datum, params, EvolveConfig(dt=1e-3, t_end=10.0, conservation_check_stride=100))
@@ -218,7 +217,7 @@ def test_criterion_08_standing_wave_exactness(grid_1d):
     details = []
     ok = True
     for family in (Family.SCALAR_FIRST, Family.VECTOR_B):
-        member = make_member(SolitonSpec.for_family(family, params), params, grid_1d)
+        member = make_member(family, params, grid_1d)
         log = evolve(member, params, EvolveConfig(dt=1e-3, t_end=10.0, conservation_check_stride=1000))
         dist = orbit_distance(log.final_state(), member, params).distance
         ok &= dist <= 1e-5
@@ -229,7 +228,7 @@ def test_criterion_08_standing_wave_exactness(grid_1d):
 def test_criterion_09_virial_identity():
     grid = Grid(1, 2048, 30.0)
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
-    member = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid)
+    member = make_member(Family.SCALAR_FIRST, params, grid)
     datum = scale_pair(member, ScalingParams(mu=1.1**0.5, lam=1.1))
     log = evolve(datum, params, EvolveConfig(dt=2e-4, t_end=0.3, conservation_check_stride=1))
     check = virial_series(log, window=(0.0, 0.25))

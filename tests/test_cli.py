@@ -15,7 +15,6 @@ from cnls_lab import (
     FieldPair,
     Grid,
     ScalingParams,
-    SolitonSpec,
     SystemParams,
     load_snapshot,
     make_member,
@@ -182,11 +181,7 @@ def test_profile_member_round_trip(tmp_path):
     assert main(["profile", str(cfg), "--out", str(out)]) == 0
     params = SystemParams(p=2.0, beta=2.0, omega1=1.0, omega2=1.0)
     grid = Grid(1, 256, 20.0)
-    expected = make_member(
-        SolitonSpec.for_family(Family.VECTOR_B, params, theta1=0.3, shift=1.0),
-        params,
-        grid,
-    )
+    expected = make_member(Family.VECTOR_B, params, grid, theta1=0.3, shift=1.0)
     pair, stored = load_snapshot(out / "profile.snapshot")
     assert stored == params
     assert np.array_equal(pair.c1, expected.c1)
@@ -241,7 +236,7 @@ def test_evolve_refuses_absurd_step_count(tmp_path):
 def test_evolve_from_snapshot_abort_exits_2(tmp_path):
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
     grid = Grid(1, 1024, 20.0)
-    member = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid)
+    member = make_member(Family.SCALAR_FIRST, params, grid)
     datum = scale_pair(member, ScalingParams(mu=1.1**0.5, lam=1.1))
     snap = tmp_path / "datum.snapshot"
     save_snapshot(snap, datum, params)
@@ -654,6 +649,31 @@ def test_sweep_refuses_a_subnormal_epsilon(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["sweep", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
     assert "orbit distance floor" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
+
+# sweep, blow-up and audit settings that are not finite or leave their
+# range: each is refused before any flow or evolution runs
+_REFUSED_SETTINGS = [
+    *(
+        ("sweep", key, v)
+        for key in ("excursion_ratio", "zero_orbit_tol", "sample_dt")
+        for v in ("nan", "inf", "-1", "0")
+    ),
+    ("sweep", "excursion_ratio", "0.5"),
+    *(("blowup", "window_fraction", v) for v in ("nan", "inf", "-1", "0", "1.5")),
+    *(("blowup", "margin", v) for v in ("nan", "inf", "-1", "1")),
+    *(("audit", "tol", v) for v in ("nan", "inf", "-1", "0")),
+]
+
+
+@pytest.mark.parametrize("command, key, value", _REFUSED_SETTINGS)
+def test_absurd_settings_exit_3_and_write_only_the_manifest(tmp_path, capsys, command, key, value):
+    cfg = {sec: dict(keys) for sec, keys in _TINY[command].items()}
+    cfg[command][key] = value
+    out = tmp_path / "o"
+    assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["manifest.txt"]
 
 

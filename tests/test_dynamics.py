@@ -10,7 +10,6 @@ from cnls_lab import (
     FieldPair,
     Grid,
     ScalingParams,
-    SolitonSpec,
     SystemParams,
     coupling_F,
     energy_E,
@@ -32,7 +31,7 @@ from conftest import smooth_pair
 
 
 def _member(params, grid, family=Family.SCALAR_FIRST):
-    return make_member(SolitonSpec.for_family(family, params), params, grid)
+    return make_member(family, params, grid)
 
 
 def test_config_validation():

@@ -385,6 +385,31 @@ def test_only_core_builds_or_splits_the_component_stack():
     assert offenders == []
 
 
+def test_every_keyword_only_option_is_passed_somewhere():
+    # an option that no call sets can only hold its default, so it is a
+    # constant: every keyword-only parameter of a public function, or of a
+    # public method of a public class, is passed by name in some call to a
+    # callee of that name in the sources, the tests or the benchmark
+    options = []
+    for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef) and not n.name.startswith("_")]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    options += [(path.stem, node.name, a.arg) for a in node.args.kwonlyargs]
+    root = Path(__file__).resolve().parents[1]
+    passed = set()
+    for pattern in ("src/**/*.py", "tests/*.py", "perfbench/*.py"):
+        for path in root.glob(pattern):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    callee = _call_name(node).split(".")[-1]
+                    passed.update((callee, k.arg) for k in node.keywords)
+    assert options
+    assert [f"{module}.{name}: {arg}" for module, name, arg in options if (name, arg) not in passed] == []
+
+
 def _scipy_modules_after(statement):
     """The scipy modules loaded by a fresh interpreter that runs statement."""
     env = dict(os.environ, PYTHONPATH=str(Path(cnls_lab.__file__).parents[1]))

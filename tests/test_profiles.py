@@ -9,7 +9,6 @@ from cnls_lab import (
     FieldPair,
     Grid,
     ScalingParams,
-    SolitonSpec,
     SupportError,
     SystemParams,
     coupling_F,
@@ -62,28 +61,24 @@ def test_rescaled_profile_formula(grid_1d):
 
 def test_member_component_placement(grid_1d):
     params = SystemParams(p=2.0, beta=1.5, omega1=1.0, omega2=2.0)
-    # the default spec carries no shift, so it builds in every dimension
+    # the default member carries no shift, so it builds in every dimension
     for grid in (grid_1d, Grid(2, 32, 8.0), Grid(3, 16, 8.0)):
-        first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid)
+        first = make_member(Family.SCALAR_FIRST, params, grid)
         assert np.abs(first.c2).max() == 0.0
         assert np.abs(first.c1).max() > 1.0
-        second = make_member(SolitonSpec.for_family(Family.SCALAR_SECOND, params), params, grid)
+        second = make_member(Family.SCALAR_SECOND, params, grid)
         assert np.abs(second.c1).max() == 0.0
     # the scalar member ignores beta: it solves the single equation
-    first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, params), params, grid_1d)
+    first = make_member(Family.SCALAR_FIRST, params, grid_1d)
     solo = SystemParams(p=2.0, beta=0.0, omega1=1.0, omega2=2.0)
-    solo_first = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, solo), solo, grid_1d)
+    solo_first = make_member(Family.SCALAR_FIRST, solo, grid_1d)
     assert np.abs(first.c1 - solo_first.c1).max() < 1e-14
 
 
 def test_member_phase_and_shift(grid_1d):
     params = SystemParams(p=2.0, beta=0.0, omega1=1.0, omega2=1.0)
-    spec = SolitonSpec.for_family(Family.SCALAR_FIRST, params)
-    import dataclasses
-
-    moved = dataclasses.replace(spec, theta1=0.9, shift=(1.5,))
-    pair = make_member(moved, params, grid_1d)
-    plain = make_member(spec, params, grid_1d)
+    pair = make_member(Family.SCALAR_FIRST, params, grid_1d, theta1=0.9, shift=(1.5,))
+    plain = make_member(Family.SCALAR_FIRST, params, grid_1d)
     assert l2_norm_sq(grid_1d, pair.c1) == pytest.approx(
         l2_norm_sq(grid_1d, plain.c1), rel=1e-10
     )
@@ -93,15 +88,40 @@ def test_member_phase_and_shift(grid_1d):
     assert phase == pytest.approx(0.9, abs=1e-6)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    family=st.sampled_from(list(Family)),
+    thetas=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+    shift=st.floats(-20.0, 20.0),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    omega2=st.sampled_from([1.0, 2.5]),
+)
+def test_member_rows_are_the_phased_rescaled_profile(family, thetas, shift, p, omega2):
+    # params fix the member: omega_j of each populated row j, the coupling
+    # for the synchronized pair only, and zeros in an unpopulated row
+    grid = Grid(1, 64, 20.0)
+    beta = 1.5
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0 if family is Family.VECTOR_B else omega2)
+    pair = make_member(family, params, grid, theta1=thetas[0], theta2=thetas[1], shift=shift)
+    populated = {Family.SCALAR_FIRST: (0,), Family.SCALAR_SECOND: (1,), Family.VECTOR_B: (0, 1)}[family]
+    coupling = beta if family is Family.VECTOR_B else 0.0
+    for j, (row, theta, omega) in enumerate(zip(pair.components, thetas, params.weights)):
+        if j in populated:
+            want = np.exp(1j * theta) * z_beta_omega(omega, coupling, p, grid, shift=shift)
+            assert row.tobytes() == want.tobytes()
+        else:
+            assert np.all(row == 0)
+
+
 def test_synchronized_member_needs_equal_frequencies(grid_1d):
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=2.0)
     with pytest.raises(ConstraintError):
-        make_member(SolitonSpec.for_family(Family.VECTOR_B, params), params, grid_1d)
+        make_member(Family.VECTOR_B, params, grid_1d)
 
 
 def test_synchronized_member_components_match(grid_1d):
     params = SystemParams(p=2.0, beta=3.0, omega1=1.0, omega2=1.0)
-    pair = make_member(SolitonSpec.for_family(Family.VECTOR_B, params), params, grid_1d)
+    pair = make_member(Family.VECTOR_B, params, grid_1d)
     assert np.abs(pair.c1 - pair.c2).max() < 1e-14
     assert l2_norm_sq(grid_1d, pair.c1) == pytest.approx(
         delta_of_omega(1.0, 3.0, 2.0, 1, 4.0), rel=1e-9
@@ -241,9 +261,8 @@ def test_sphere_transport_refuses_a_scaling_out_of_range(grid_1d, cubic, gamma):
 @pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
 def test_member_refuses_a_nonfinite_shift(grid_1d, cubic, shift):
     # an infinite shift would place the whole profile outside the box
-    spec = SolitonSpec.for_family(Family.SCALAR_FIRST, cubic, shift=shift)
     with pytest.raises(ValueError, match="finite"):
-        make_member(spec, cubic, grid_1d)
+        make_member(Family.SCALAR_FIRST, cubic, grid_1d, shift=shift)
 
 
 @settings(deadline=None, max_examples=100)
@@ -259,7 +278,7 @@ def test_member_shift_is_periodic_in_the_box(shift, periods, family, p):
     params = SystemParams(p=p, beta=2.0, omega1=1.0, omega2=1.0)
 
     def member(y):
-        return make_member(SolitonSpec.for_family(family, params, shift=y), params, grid)
+        return make_member(family, params, grid, shift=y)
 
     near, far = member(shift), member(shift + periods * 2.0 * grid.half_width)
     assert np.abs(far.c1 - near.c1).max() < 1e-10

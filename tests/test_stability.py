@@ -14,7 +14,6 @@ from cnls_lab import (
     Family,
     FieldPair,
     Grid,
-    SolitonSpec,
     SystemParams,
     blowup_experiment,
     h1_distance,
@@ -25,7 +24,7 @@ from cnls_lab import (
     perturbation_pair,
     stability_sweep,
 )
-from cnls_lab import stability
+from cnls_lab import audit, stability
 from cnls_lab.profiles import spectral_shift
 from cnls_lab.stability import _Orbits
 
@@ -39,11 +38,8 @@ def _angle_diff(a, b):
 
 
 def test_orbit_distance_recovers_planted_symmetry(grid_1d):
-    ref = make_member(SolitonSpec.for_family(Family.VECTOR_B, VECTOR), VECTOR, grid_1d)
-    planted = SolitonSpec.for_family(
-        Family.VECTOR_B, VECTOR, theta1=0.9, theta2=-0.4, shift=1.5
-    )
-    psi = make_member(planted, VECTOR, grid_1d)
+    ref = make_member(Family.VECTOR_B, VECTOR, grid_1d)
+    psi = make_member(Family.VECTOR_B, VECTOR, grid_1d, theta1=0.9, theta2=-0.4, shift=1.5)
     res = orbit_distance(psi, ref, VECTOR)
     assert res.distance < 1e-6
     assert abs(res.shift[0] - 1.5) < 1e-5
@@ -53,19 +49,17 @@ def test_orbit_distance_recovers_planted_symmetry(grid_1d):
 
 
 def test_orbit_distance_grid_aligned(grid_1d):
-    ref = make_member(SolitonSpec.for_family(Family.VECTOR_B, VECTOR), VECTOR, grid_1d)
+    ref = make_member(Family.VECTOR_B, VECTOR, grid_1d)
     y = 8 * grid_1d.dx
-    psi = make_member(
-        SolitonSpec.for_family(Family.VECTOR_B, VECTOR, shift=y), VECTOR, grid_1d
-    )
+    psi = make_member(Family.VECTOR_B, VECTOR, grid_1d, shift=y)
     res = orbit_distance(psi, ref, VECTOR)
     assert res.distance < 1e-8
     assert abs(res.shift[0] - y) < 1e-9
 
 
 def test_orbit_distance_picks_nearest_reference(grid_1d):
-    scalar = make_member(SolitonSpec.for_family(Family.SCALAR_FIRST, VECTOR), VECTOR, grid_1d)
-    vector = make_member(SolitonSpec.for_family(Family.VECTOR_B, VECTOR), VECTOR, grid_1d)
+    scalar = make_member(Family.SCALAR_FIRST, VECTOR, grid_1d)
+    vector = make_member(Family.VECTOR_B, VECTOR, grid_1d)
     refs = [scalar, vector]
     near_vector = vector + 1e-3 * perturbation_pair(grid_1d, VECTOR, seed=3)
     assert orbit_distance(near_vector, refs, VECTOR).reference_index == 1
@@ -75,7 +69,7 @@ def test_orbit_distance_picks_nearest_reference(grid_1d):
 
 
 def test_orbit_distance_transform_budget(grid_1d, transform_calls):
-    refs = [make_member(SolitonSpec.for_family(f, VECTOR), VECTOR, grid_1d) for f in Family]
+    refs = [make_member(f, VECTOR, grid_1d) for f in Family]
     psi = refs[2] + 1e-2 * perturbation_pair(grid_1d, VECTOR, seed=1)
     stacked = (2,) + grid_1d.shape
     for r in (1, 2, 3):
@@ -181,7 +175,7 @@ def test_stability_does_not_import_scipy_optimize():
 
 @pytest.mark.parametrize("family", [Family.VECTOR_B, Family.SCALAR_FIRST])
 def test_orbit_distance_has_no_cancellation_floor(grid_1d, family):
-    member = make_member(SolitonSpec.for_family(family, VECTOR), VECTOR, grid_1d)
+    member = make_member(family, VECTOR, grid_1d)
     assert orbit_distance(member, member, VECTOR).distance <= 1e-12 * math.sqrt(h1_norm_sq(member, VECTOR))
     for seed in range(3):
         pert = perturbation_pair(grid_1d, VECTOR, seed=seed)
@@ -308,7 +302,7 @@ def test_identity_audit_passes_at_vector_point(grid_1d_wide):
 
 def test_audit_report_aggregation_and_csv():
     good = AuditRow(name="a", lhs=1.0, rhs=1.0, rel_err=0.0, ok=True)
-    bad = AuditRow(name="b", lhs=1.0, rhs=2.0, rel_err=0.5, ok=False, note="planted")
+    bad = AuditRow(name="b", lhs=1.0, rhs=2.0, rel_err=0.5, ok=False)
     report = AuditReport(rows=(good, bad))
     assert not report.ok
     assert AuditReport(rows=(good,)).ok
@@ -317,3 +311,36 @@ def test_audit_report_aggregation_and_csv():
     fields = lines[2].split(",")
     assert fields[0] == "b" and float(fields[3]) == 0.5 and fields[4] == "0"
     assert "FAIL" in str(bad) and "ok" in str(good)
+
+
+_SETTING_RUNS = {
+    "sweep": lambda grid, **kw: stability_sweep(VECTOR, grid, family="vector_b", **kw),
+    "blowup": lambda grid, **kw: blowup_experiment(
+        SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0), grid, family="scalar_first", **kw
+    ),
+    "audit": lambda grid, **kw: identity_audit(VECTOR, grid, **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "run, key, value",
+    [
+        *(
+            ("sweep", key, v)
+            for key in ("excursion_ratio", "zero_orbit_tol", "sample_dt")
+            for v in (math.nan, math.inf, -1.0, 0.0)
+        ),
+        ("sweep", "excursion_ratio", 0.5),
+        *(("blowup", "window_fraction", v) for v in (math.nan, math.inf, -1.0, 0.0, 1.5)),
+        *(("blowup", "margin", v) for v in (math.nan, math.inf, -1.0, 1.0)),
+        *(("audit", "tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+    ],
+)
+def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow or evolution ran before the settings were checked")
+
+    for module, name in ((stability, "_family_state"), (stability, "evolve"), (audit, "minimize_on")):
+        monkeypatch.setattr(module, name, no_flow)
+    with pytest.raises(ValueError, match=key):
+        _SETTING_RUNS[run](grid_1d, **{key: value})
