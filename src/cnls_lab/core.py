@@ -181,6 +181,19 @@ class Grid:
         return f"Grid(dim={self.dim}, points_per_axis={self.points_per_axis}, half_width={self.half_width})"
 
 
+def _mass_criticality(p: float, dim: int) -> str:
+    """'subcritical', 'critical' or 'supercritical' as n(p - 1) is below,
+    at or above 2: the one test of p against the mass-critical 1 + 2/n.
+    In 3d the float nearest 5/3 gives n(p - 1) = 2 exactly, where 1 + 2/3
+    rounds one ulp below it."""
+    np1 = dim * (p - 1.0)
+    if np1 < 2.0:
+        return "subcritical"
+    if np1 == 2.0:
+        return "critical"
+    return "supercritical"
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """System parameters: exponent p > 1, coupling beta >= 0 and the
@@ -210,12 +223,7 @@ class SystemParams:
 
     def criticality(self, dim: int) -> str:
         """'subcritical' (p < 1 + 2/n), 'critical' (=) or 'supercritical' (>)."""
-        edge = 1.0 + 2.0 / dim
-        if self.p < edge:
-            return "subcritical"
-        if self.p == edge:
-            return "critical"
-        return "supercritical"
+        return _mass_criticality(self.p, dim)
 
     def existence_ok(self, dim: int) -> bool:
         """Energy-subcritical bound p < n/(n-2) (vacuous for n <= 2)."""

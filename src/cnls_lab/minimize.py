@@ -273,83 +273,37 @@ def _root(x, q):
 
 
 def _root_near(h, x0):
-    """A root of h bracketed by probes x0 -/+ 2^k/64 and refined by _brent;
-    none beyond |x - x0| = 2048, where e^x exceeds any ratio of two floats."""
-    ends = [(x0, h(x0))] * 2
-    step = 1.0 / 64.0
-    while step <= 2048.0:
-        for i, xb in enumerate((x0 - step, x0 + step)):
-            (xa, ha), hb = ends[i], h(xb)
-            # signs, not the product, which underflows where H is roundoff
-            if np.sign(ha) != np.sign(hb):
-                return _brent(h, min(xa, xb), max(xa, xb))
-            ends[i] = (xb, hb)
-        step *= 2.0
-    raise ConstraintError("the scaling orbit misses the two-sided Nehari set")
+    """A root of h: probes x0 -/+ 2^k/64 bracket a sign change, none beyond
+    |x - x0| = 2048, where e^x exceeds any ratio of two floats, and halving
+    the bracket on the sign of h narrows it below 1e-15 + 4 eps |x|.
+    Raises ConstraintError where h is NaN or no probe brackets a root."""
 
-
-def _brent(h, xa, xb):
-    """The root of h in [xa, xb] by Brent's method, step for step as scipy's
-    brentq (its brentq.c) with xtol = 1e-15, rtol = 4 eps and 200
-    iterations, so it returns brentq's root bit for bit; it spares the
-    package the import of scipy.optimize. Raises ConstraintError where h is
-    NaN, h(xa) and h(xb) share a sign, or the iterations run out."""
-
-    def f(x):
-        fx = h(x)
-        if math.isnan(fx):
+    def sign(x):
+        # signs, not products, which underflow where H is roundoff
+        hx = h(x)
+        if math.isnan(hx):
             raise ConstraintError(f"the Nehari scaling equation is NaN at log-ratio {x}")
-        return fx
+        return np.sign(hx)
 
-    xtol, rtol = 1e-15, 4.0 * math.ulp(1.0)
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConstraintError(f"no sign change of the Nehari scaling equation on [{xa}, {xb}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(200):
-        # brentq.c also asks fpre, fcur != 0: fpre never is here, and a zero
-        # fcur returns below whichever block this sets
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # a zero divisor gives brentq an inf or NaN trial, which bisects
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    s0 = sign(x0)
+    # the farthest probes left and right of x0 at which h keeps the sign s0
+    ends = [x0, x0]
+    for side, step in ((side, 2.0**j / 64.0) for j in range(18) for side in (0, 1)):
+        xb = x0 + step if side else x0 - step
+        if sign(xb) != s0:
+            break
+        ends[side] = xb
+    else:
+        raise ConstraintError("the scaling orbit misses the two-sided Nehari set")
+    xa = ends[side]
+    while True:
+        x = 0.5 * (xa + xb)
+        if abs(xb - xa) < 1e-15 + 4.0 * math.ulp(1.0) * abs(x):
+            return x
+        if sign(x) == s0:
+            xa = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ConstraintError("the Nehari scaling equation did not converge in 200 iterations")
+            xb = x
 
 
 def _objective(constraint, norms):
@@ -651,8 +605,7 @@ def nehari_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, fl
 
 def pohozaev_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Pohozaev set; returns (tU, t)."""
-    if params.criticality(pair.grid.dim) != "supercritical":
-        raise ConstraintError("the Pohozaev set is only constraining for p > 1 + 2/n")
+    ConstraintSpec.pohozaev().validate(params, pair.grid.dim)
     t, _ = _scalings(ConstraintSpec.pohozaev(), _Norms.measure(pair, params))
     return t * pair, t
 

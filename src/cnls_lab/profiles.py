@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, _fft, _ifft
+from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _mass_criticality
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 from .minimize import ConstraintSpec, gaussian_init, minimize_on
@@ -304,7 +304,7 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
         raise ValueError(f"m must be positive, got {m}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if not p < 1.0 + 2.0 / dim:
+    if _mass_criticality(p, dim) != "subcritical":
         raise ConstraintError(
             f"the sphere level map needs p < 1 + 2/n (got p={p}, n={dim})"
         )
@@ -326,7 +326,7 @@ def nehari_to_sphere(pair: FieldPair, params: SystemParams, gamma: float) -> tup
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     dim = pair.grid.dim
-    if not params.p < 1.0 + 2.0 / dim:
+    if params.criticality(dim) != "subcritical":
         raise ConstraintError(
             f"sphere transport needs p < 1 + 2/n (got p={params.p}, n={dim})"
         )
@@ -356,7 +356,7 @@ def lambda_star(pair: FieldPair, params: SystemParams) -> float:
     peaks; defined for supercritical exponents n(p-1) > 2 and F(U) > 0."""
     dim = pair.grid.dim
     np1 = dim * (params.p - 1.0)
-    if not np1 > 2.0:
+    if params.criticality(dim) != "supercritical":
         raise ConstraintError(f"lambda_star needs n(p-1) > 2, got {np1:g}")
     norms = _Norms.measure(pair, params)
     if not norms.F > 0:

@@ -266,13 +266,13 @@ def _family_state(family: str, params: SystemParams, grid: Grid, *, tol: float, 
         result = ground_state(params, grid, tol=tol, seed=seed)
         if result.classification == "vector":
             return result.minimizer, [result.minimizer]
-        first = make_member(Family.SCALAR_FIRST, params, grid)
-        second = make_member(Family.SCALAR_SECOND, params, grid)
-        if result.classification == "scalar_first":
-            refs = [first] + ([second] if params.omega1 == params.omega2 else [])
-            return first, refs
-        refs = [second] + ([first] if params.omega1 == params.omega2 else [])
-        return second, refs
+        families = [Family.SCALAR_FIRST, Family.SCALAR_SECOND]
+        if result.classification == "scalar_second":
+            families.reverse()
+        if params.omega1 != params.omega2:
+            del families[1:]
+        refs = [make_member(f, params, grid) for f in families]
+        return refs[0], refs
     member = make_member(Family(family), params, grid)
     return member, [member]
 
@@ -316,15 +316,18 @@ def stability_sweep(
     most excursion_ratio, and the epsilon = 0 run while d(t) stays at most
     zero_orbit_tol.
 
-    Raises ValueError before any flow or evolution for a sample_dt that
-    rounds to fewer than one step of dt, an excursion_ratio below 1
-    (d(t)/d(0) >= 1 holds at t = 0, so a lower ratio flags every run) and a
-    zero_orbit_tol that is not positive, or any of these not finite; and
-    before any evolution for an epsilon with 0 < |epsilon| <
-    1e-12 ||member||_H."""
+    Raises ValueError before any flow or evolution for an epsilon that is
+    not finite, a sample_dt that rounds to fewer than one step of dt, an
+    excursion_ratio below 1 (d(t)/d(0) >= 1 holds at t = 0, so a lower
+    ratio flags every run), a zero_orbit_tol that is not positive, or any
+    of these not finite, a t_end that EvolveConfig refuses and an unknown
+    perturb_mode; and before any evolution for an epsilon with
+    0 < |epsilon| < 1e-12 ||member||_H."""
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("need at least one epsilon")
+    if not all(math.isfinite(e) for e in epsilons):
+        raise ValueError(f"epsilons must be finite, got {epsilons}")
     if not (dt and math.isfinite(sample_dt / dt) and round(sample_dt / dt) >= 1):
         raise ValueError(
             f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride of at least one step"
@@ -333,6 +336,14 @@ def stability_sweep(
         raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
     if not 0.0 < zero_orbit_tol < math.inf:
         raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
+    stride = int(round(sample_dt / dt))
+    config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
+    try:
+        # the perturbation draws from its own generator, so drawing it
+        # before the family's flows changes none of its bits
+        pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"perturb_mode: {exc}") from exc
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     # d(0) of a smaller perturbation is the roundoff floor of the orbit
     # distance, so d(t)/d(0) would measure that floor, not the orbit
@@ -340,8 +351,6 @@ def stability_sweep(
     tiny = [eps for eps in epsilons if 0.0 < abs(eps) < floor]
     if tiny:
         raise ValueError(f"epsilons {tiny} are below the orbit distance floor {floor:.3g} (1e-12 ||member||_H)")
-    pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
-    stride = int(round(sample_dt / dt))
     orbits = _Orbits(refs, params)
 
     initial_distances = []
@@ -351,7 +360,6 @@ def stability_sweep(
     distance_series = []
     time_series = []
 
-    config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     # every epsilon in one batched run
     first, *rest = (base + eps * pert for eps in epsilons)
     batch = evolve(first, params, config, companions=rest)
@@ -454,7 +462,9 @@ def blowup_experiment(
     The variance is tested for concavity on the first window_fraction of
     the run, in (0, 1], and margin, in [0, 1), is the relative slack of
     that test and of the second-derivative bound; values outside these
-    ranges raise ValueError before any flow or evolution.
+    ranges, and a dt, t_max or guard_ratio that EvolveConfig refuses as its
+    dt, t_end or blowup_guard, raise ValueError before any flow or
+    evolution.
     """
     if not factor > 1.0:
         raise ValueError(f"factor must exceed 1, got {factor}")
@@ -462,6 +472,10 @@ def blowup_experiment(
         raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
     if not 0.0 <= margin < 1.0:
         raise ValueError(f"margin must lie in [0, 1), got {margin}")
+    try:
+        config = EvolveConfig(dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio)
+    except ValueError as exc:
+        raise ValueError(f"dt={dt}, t_max={t_max}, guard_ratio={guard_ratio}: {exc}") from exc
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(
@@ -495,9 +509,6 @@ def blowup_experiment(
     # gap inequality: once R < 0, R stays dominated by I - ground level
     lemma_gap_ok = r0 <= action_datum - ground_level + 1e-10 * max(1.0, abs(r0))
 
-    config = EvolveConfig(
-        dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio
-    )
     log = evolve(datum, params, config)
     collapsed = log.blowup_time is not None
     t_star = log.blowup_time if collapsed else log.times[-1]

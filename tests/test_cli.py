@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import tempfile
 import textwrap
@@ -21,7 +22,11 @@ from cnls_lab import (
     save_snapshot,
     scale_pair,
 )
-from cnls_lab.cli import main
+from cnls_lab.audit import identity_audit
+from cnls_lab.cli import _COMMAND_DEFAULTS, _COMMON_DEFAULTS, main
+from cnls_lab.dynamics import EvolveConfig
+from cnls_lab.minimize import ground_state, minimize_on
+from cnls_lab.stability import blowup_experiment, perturbation_pair, stability_sweep
 
 GROUND_CFG = """
     [params]
@@ -664,6 +669,13 @@ _REFUSED_SETTINGS = [
     *(("blowup", "window_fraction", v) for v in ("nan", "inf", "-1", "0", "1.5")),
     *(("blowup", "margin", v) for v in ("nan", "inf", "-1", "1")),
     *(("audit", "tol", v) for v in ("nan", "inf", "-1", "0")),
+    *(("audit", "gamma_factors", v) for v in ("nan", "inf", "-1", "0", "1.0,-1")),
+    *(("sweep", "epsilons", v) for v in ("nan", "0.0,inf", "-inf")),
+    *(("sweep", "t_end", v) for v in ("nan", "inf", "-1", "0", "1e12")),
+    ("sweep", "perturb_mode", "everything"),
+    *(("blowup", "dt", v) for v in ("nan", "inf", "-1", "0")),
+    *(("blowup", "t_max", v) for v in ("nan", "inf", "-1", "0", "1e12")),
+    *(("blowup", "guard_ratio", v) for v in ("nan", "-1", "0", "1")),
 ]
 
 
@@ -736,3 +748,56 @@ def test_outputs_are_written_only_when_every_nonfinite_number_is_allowed(tmp_pat
         _assert_outputs_finite(tmp_path)
     else:
         assert written == [] and "numerical failure: non-finite" in capsys.readouterr().err
+
+
+# each CLI default and the library default it feeds, as (command, section,
+# key, callee, parameter); keys whose callee has no default of its own (the
+# evolve command's dt, t_end, eps and initial, a profile's family, a
+# constraint's kind) are not listed
+_DEFAULT_FEEDS = [
+    *(
+        ("sweep", "sweep", key, stability_sweep, key)
+        for key in ("family", "epsilons", "dt", "t_end", "sample_dt", "perturb_mode",
+                    "excursion_ratio", "zero_orbit_tol")
+    ),
+    ("sweep", "sweep", "flow_tol", stability_sweep, "tol"),
+    *(
+        ("blowup", "blowup", key, blowup_experiment, key)
+        for key in ("family", "factor", "dt", "t_max", "guard_ratio", "window_fraction", "margin")
+    ),
+    ("blowup", "blowup", "flow_tol", blowup_experiment, "tol"),
+    *(("audit", "audit", key, identity_audit, key) for key in ("tol", "gamma_factors", "flow_tol")),
+    *(
+        (command, "minimize", key, callee, key)
+        for command, callee in (("ground", ground_state), ("minimize", minimize_on))
+        for key in ("tol", "max_iter")
+    ),
+    ("evolve", "evolve", "snapshot_stride", EvolveConfig, "snapshot_stride"),
+    ("evolve", "evolve", "conservation_stride", EvolveConfig, "conservation_check_stride"),
+    ("evolve", "evolve", "guard", EvolveConfig, "blowup_guard"),
+    ("evolve", "evolve", "perturb_mode", perturbation_pair, "mode"),
+    *(("profile", "profile", key, make_member, key) for key in ("theta1", "theta2", "shift")),
+]
+
+
+def _parsed(raw, default):
+    """The CLI default string raw as a value of the library default's type."""
+    if default is None:
+        return raw or None
+    if isinstance(default, tuple):
+        return tuple(float(tok) for tok in raw.split(","))
+    return type(default)(raw)
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    for command, section, key, callee, name in _DEFAULT_FEEDS:
+        default = inspect.signature(callee).parameters[name].default
+        assert _parsed(_COMMAND_DEFAULTS[command][section][key], default) == default, (command, key)
+    # the sections that feed one callee feed it every key
+    listed = {(command, key) for command, _, key, _, _ in _DEFAULT_FEEDS}
+    for command in ("sweep", "blowup", "audit", "ground", "minimize"):
+        section = "minimize" if command in ("ground", "minimize") else command
+        assert {(command, key) for key in _COMMAND_DEFAULTS[command][section]} <= listed
+    seed = int(_COMMON_DEFAULTS["run"]["seed"])
+    for callee in (ground_state, minimize_on, stability_sweep, blowup_experiment, identity_audit, perturbation_pair):
+        assert inspect.signature(callee).parameters["seed"].default == seed

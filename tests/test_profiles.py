@@ -25,7 +25,7 @@ from cnls_lab import (
     weighted_l2_norm_sq,
     z_beta_omega,
 )
-from cnls_lab.minimize import nehari_project
+from cnls_lab.minimize import nehari_project, pohozaev_project
 from cnls_lab.profiles import base_profile_1d, base_profile_nd, spectral_shift
 
 from conftest import smooth_pair
@@ -314,3 +314,33 @@ def test_radial_profile_2d_basics():
     center = np.unravel_index(np.argmax(u), u.shape)
     assert g.axes[0][center[0]] == pytest.approx(0.0, abs=g.dx)
     assert g.axes[1][center[1]] == pytest.approx(0.0, abs=g.dx)
+
+
+_EDGE_PAIRS = {dim: smooth_pair(Grid(dim, 8, 4.0), 5) for dim in (1, 2, 3)}
+
+
+def _refused(call, message):
+    # whether call raises the ConstraintError that carries message
+    try:
+        call()
+    except ConstraintError as exc:
+        return message in str(exc)
+    return False
+
+
+@settings(deadline=None, max_examples=60)
+@given(dim=st.sampled_from([1, 2, 3]), ulps=st.integers(-4, 4))
+def test_every_site_draws_the_mass_critical_edge_alike(dim, ulps):
+    # the float nearest 1 + 2/n, and a few ulps to either side of it
+    p = (dim + 2.0) / dim
+    for _ in range(abs(ulps)):
+        p = float(np.nextafter(p, np.inf if ulps > 0 else -np.inf))
+    params = SystemParams(p=p, beta=0.5, omega1=1.0, omega2=1.0)
+    pair = _EDGE_PAIRS[dim]
+    crit = params.criticality(dim)
+    assert crit == ("critical" if ulps == 0 else "subcritical" if ulps < 0 else "supercritical")
+    below, above = crit == "subcritical", crit == "supercritical"
+    assert _refused(lambda: critical_value_map_T(1.0, 1.0, p, dim), "1 + 2/n") != below
+    assert _refused(lambda: nehari_to_sphere(pair, params, 1.0), "1 + 2/n") != below
+    assert _refused(lambda: lambda_star(pair, params), "n(p-1) > 2") != above
+    assert _refused(lambda: pohozaev_project(pair, params), "1 + 2/n") != above

@@ -1,6 +1,7 @@
 import ast
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cnls_lab import (
     perturbation_pair,
     stability_sweep,
 )
-from cnls_lab import audit, stability
+from cnls_lab import audit, profiles, stability
 from cnls_lab.profiles import spectral_shift
 from cnls_lab.stability import _Orbits
 
@@ -334,6 +335,14 @@ _SETTING_RUNS = {
         *(("blowup", "window_fraction", v) for v in (math.nan, math.inf, -1.0, 0.0, 1.5)),
         *(("blowup", "margin", v) for v in (math.nan, math.inf, -1.0, 1.0)),
         *(("audit", "tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+        *(("audit", "gamma_factors", (v,)) for v in (math.nan, math.inf, -1.0, 0.0)),
+        ("audit", "gamma_factors", (1.0, -1.0)),
+        *(("sweep", "epsilons", v) for v in ((math.nan,), (0.0, math.inf), (-math.inf,))),
+        *(("sweep", "t_end", v) for v in (math.nan, math.inf, -1.0, 0.0, 1e12)),
+        ("sweep", "perturb_mode", "everything"),
+        *(("blowup", "dt", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+        *(("blowup", "t_max", v) for v in (math.nan, math.inf, -1.0, 0.0, 1e12)),
+        *(("blowup", "guard_ratio", v) for v in (math.nan, -1.0, 0.0, 1.0)),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
@@ -344,3 +353,38 @@ def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, 
         monkeypatch.setattr(module, name, no_flow)
     with pytest.raises(ValueError, match=key):
         _SETTING_RUNS[run](grid_1d, **{key: value})
+
+
+@pytest.mark.parametrize("omega2", [1.0, 2.0])
+@pytest.mark.parametrize("classification", ["scalar_first", "scalar_second"])
+def test_ground_family_builds_only_the_members_it_returns(monkeypatch, classification, omega2):
+    # on 2d grids each scalar member runs a base-profile flow of its own
+    grid = Grid(2, 16, 8.0)
+    params = SystemParams(p=1.5, beta=0.0, omega1=1.0, omega2=omega2)
+    omegas = []
+
+    def base_profile(p, grid, *, omega=1.0):
+        omegas.append(omega)
+        return profiles.BaseProfileResult(values=np.exp(-omega * grid.radius_sq()), residual=0.0, iterations=0)
+
+    monkeypatch.setattr(profiles, "base_profile_nd", base_profile)
+    monkeypatch.setattr(stability, "ground_state", lambda *a, **kw: SimpleNamespace(classification=classification))
+    base, refs = stability._family_state("ground", params, grid, tol=1e-8, seed=0)
+    families = [Family.SCALAR_FIRST, Family.SCALAR_SECOND]
+    if classification == "scalar_second":
+        families.reverse()
+    if omega2 != 1.0:
+        del families[1:]
+    assert omegas == [params.omega2 if f is Family.SCALAR_SECOND else 1.0 for f in families]
+    assert refs[0] is base
+    for ref, family in zip(refs, families, strict=True):
+        assert np.array_equal(ref.components, make_member(family, params, grid).components)
+
+
+def test_blowup_takes_amplification_at_the_float_nearest_five_thirds_in_3d():
+    # 3 (p - 1) is exactly 2 there: the dilation would leave the action flat
+    params = SystemParams(p=5.0 / 3.0, beta=0.0, omega1=1.0, omega2=1.0)
+    grid = Grid(3, 16, 6.0)
+    assert params.criticality(3) == "critical"
+    report = blowup_experiment(params, grid, family="scalar_first", t_max=0.01)
+    assert report.mode == "amplification" and report.sigma > 0
