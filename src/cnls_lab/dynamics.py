@@ -96,8 +96,9 @@ class TrajectoryLog:
     which the field stopped being finite; the last snapshot is always the
     latest of those states that is finite. steps is the number of Strang
     steps taken and transform_calls the number of transform calls they
-    made, each over both components (and over every member of a batch).
-    companions holds the logs of the further members of a batched run."""
+    made, each over the populated components (and over every member of a
+    batch). companions holds the logs of the further members of a batched
+    run."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
 
@@ -139,11 +140,10 @@ def _kinetic(grid, mult, U):
 
 def _rotate(grid, U, params, dt):
     """The exact nonlinear substep: rotate each phase by dt A_j. U is a
-    stacked (2, *shape) pair or a batch (E, 2, *shape) of them."""
-    m = _density(U).reshape(-1, 2, grid.total_points)
-    theta = np.empty_like(m)
-    for j, rate in enumerate(_rates(m[:, 0], m[:, 1], params)):
-        np.multiply(dt, rate, out=theta[:, j])
+    stack (r, *shape) of r populated components, a (2, *shape) pair when
+    both are, or a batch (E, r, *shape) of such stacks."""
+    m = _density(U).reshape(U.shape[: U.ndim - grid.dim] + (grid.total_points,))
+    theta = np.multiply(dt, _rates(m, params))
     # cos and sin written into the two halves of the phase factor cost
     # about 2/3 of a complex exp of i dt A_j; one call each serves every
     # member and component
@@ -172,8 +172,13 @@ def evolve(
 
     Equivalent to composing step_strang, but adjacent kinetic half-steps
     are fused except where an observable, a snapshot, or the guard needs
-    the state at a whole-step time. The pair's (2, *shape) components are
-    evolved as they are, so each transform call serves both fields.
+    the state at a whole-step time. The pair's components are evolved as
+    one stack, so each transform call serves both fields. A component that
+    is exactly zero (in every member of a batch) stays exactly zero under
+    the Strang map, since the rotation multiplies zero and the kinetic step
+    is linear, so it is left out of the stack: a standing wave with one
+    trivial component is stepped as one row, and its absent component
+    enters the observables as exact zeros.
 
     companions are further initial pairs on pair's grid, run under the same
     schedule as one (E, 2, *shape) batch, so that each transform call and
@@ -195,39 +200,52 @@ def evolve(
 class _Run:
     """One member of an evolving stack: its samples, snapshots, guard level
     and latest finite observed state, and the (steps, transform calls) at
-    which it stopped."""
+    which it stopped. The member is held as the rows of its populated
+    components, whose indices populated gives; the others are zero."""
 
-    def __init__(self, grid, params, config, U, S):
+    def __init__(self, grid, params, config, populated, U, S):
         self.grid, self.params = grid, params
+        self.populated = populated
         self.rows = []
         self.snapshots = []
         self.blowup_time = None
         self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
         if config.snapshot_stride:
-            self.snapshots.append((0.0, FieldPair._wrap(grid, U)))
+            self.snapshots.append((0.0, self.pair(U)))
         # the latest observed whole-step state known to be finite: the
         # terminal state, also when the run is aborted because a later one
         # is not
         self.last = (0.0, U)
 
+    def pair(self, U):
+        """The FieldPair whose populated rows U holds."""
+        if len(self.populated) < 2:
+            rows = U
+            U = np.zeros((2,) + self.grid.shape, dtype=complex)
+            U[list(self.populated)] = rows
+        return FieldPair._wrap(self.grid, U)
+
     def sample(self, t, U, S):
         """Log the observables of the whole-step state U, whose spectrum S
         is one unitary kinetic multiplier away from U's, so that
         ||grad U||^2 is its Parseval sum; returns ||grad U||. One density
-        serves the masses, the variance and F."""
+        serves the masses, the variance and F; an absent component adds
+        exact zeros to each of them."""
         grid, params = self.grid, self.params
         m = _density(U)
+        parts = [None, None]
+        for j, row in zip(self.populated, m):
+            parts[j] = row
         try:
-            var = _variance(grid, m[0] + m[1])
+            var = _variance(grid, m.sum(axis=0))
         except BoundaryDecayError:
             var = math.nan
         grad = _spectral_gradient_norm_sq(grid, S)
         self.rows.append(
             (
                 t,
-                _integral(grid, m[0]),
-                _integral(grid, m[1]),
-                _energy(grad, _potential(grid, m[0], m[1], params)),
+                *(0.0 if part is None else _integral(grid, part) for part in parts),
+                _energy(grad, _potential(grid, *parts, params)),
                 var,
                 math.sqrt(grad),
             )
@@ -245,7 +263,7 @@ class _Run:
             self.blowup_time = t
             return False
         if snapping:
-            self.snapshots.append((t, FieldPair._wrap(self.grid, U)))
+            self.snapshots.append((t, self.pair(U)))
         return True
 
     def log(self) -> TrajectoryLog:
@@ -253,7 +271,7 @@ class _Run:
         t_last, U = self.last
         steps, calls = self.end
         if not self.snapshots or self.snapshots[-1][0] != t_last:
-            self.snapshots.append((t_last, FieldPair._wrap(self.grid, U)))
+            self.snapshots.append((t_last, self.pair(U)))
         data = np.asarray(self.rows, dtype=float)
         return TrajectoryLog(
             grid=self.grid,
@@ -274,9 +292,11 @@ class _Run:
 
 def _evolve_stack(grid, params, config, U):
     """evolve for every member of U, a stacked (2, *shape) pair or a batch
-    (E, 2, *shape) of them; one TrajectoryLog per member. A member that
-    stops is dropped from the live stack, so the transforms and the
-    rotation run over the members still going."""
+    (E, 2, *shape) of them; one TrajectoryLog per member. Only the
+    components that are nonzero in some member are stepped, as an
+    (E, r, *shape) stack. A member that stops is dropped from the live
+    stack, so the transforms and the rotation run over the members still
+    going."""
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     if n_steps < 1:
@@ -285,13 +305,16 @@ def _evolve_stack(grid, params, config, U):
         raise ValueError("the initial state must be finite")
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
+    populated = tuple(j for j in (0, 1) if U.reshape(-1, 2, grid.total_points)[:, j].any())
+    if len(populated) < 2:
+        U = np.take(U, populated, axis=U.ndim - 1 - grid.dim)
 
     def members(A):
-        # the (2, *shape) view of each member of a stack
-        return A.reshape((-1, 2) + grid.shape)
+        # the (r, *shape) view of each member of a stack
+        return A.reshape((-1, len(populated)) + grid.shape)
 
     S = _fft(grid, U)
-    runs = live = [_Run(grid, params, config, u, s) for u, s in zip(members(U), members(S))]
+    runs = live = [_Run(grid, params, config, populated, u, s) for u, s in zip(members(U), members(S))]
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into

@@ -75,9 +75,13 @@ def _power(m: np.ndarray, e: float) -> np.ndarray:
     return m**e
 
 
-def _density_sums(grid: Grid, m1: np.ndarray, m2: np.ndarray, p: float):
+def _density_sums(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, p: float):
     """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p
-    from the squared moduli m1 = |u1|^2 and m2 = |u2|^2."""
+    from the squared moduli m1 = |u1|^2 and m2 = |u2|^2. An absent (None)
+    component contributes exact zeros, as a zero one would."""
+    if m1 is None or m2 is None:
+        i1, i2 = (0.0 if m is None else _integral(grid, _power(m, p)) for m in (m1, m2))
+        return i1, i2, 0.0
     return (
         _integral(grid, _power(m1, p)),
         _integral(grid, _power(m2, p)),
@@ -100,8 +104,9 @@ def _virial(grad, f_val, dim: int, p: float):
     return grad - dim * (p - 1.0) * f_val
 
 
-def _potential(grid: Grid, m1: np.ndarray, m2: np.ndarray, params: SystemParams) -> float:
-    """F(U) from the squared moduli m1 = |u1|^2 and m2 = |u2|^2."""
+def _potential(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, params: SystemParams) -> float:
+    """F(U) from the squared moduli m1 = |u1|^2 and m2 = |u2|^2, either of
+    which may be absent (None) for a zero component."""
     return _coupling(params, *_density_sums(grid, m1, m2, params.p))
 
 
@@ -110,35 +115,32 @@ def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     return _potential(pair.grid, *_density(pair.components), params)
 
 
-def _rates(m1: np.ndarray, m2: np.ndarray, params: SystemParams):
+def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
-    two coupled equations, from the squared moduli m_j = |u_j|^2 as
-    A_j = m_j^(p-1) + beta m_k^(p/2) m_j^(p/2-1). The gradient of F is
-    (A1 u1, A2 u2), and the nonlinear substep of the Schrodinger flow is
-    u_j -> exp(i dt A_j) u_j. A rate may be m_j itself (p = 2, beta = 0),
-    so callers do not write into it.
+    coupled equations, from the squared moduli m_j = |u_j|^2 stacked on
+    the second-to-last axis of m, (..., 2, n) or (..., 1, n), as
+    A_j = m_j^(p-1) + beta m_k^(p/2) m_j^(p/2-1); the stacked rates come
+    back in m's shape. The partner m_k is read through the reversed
+    component axis. A one-row stack holds a component whose partner is
+    exactly zero, which adds exactly nothing, so its rate is m_j^(p-1).
+    The gradient of F is (A1 u1, A2 u2), and the nonlinear substep of the
+    Schrodinger flow is u_j -> exp(i dt A_j) u_j. The rates may be m
+    itself (p = 2, beta = 0), so callers do not write into them.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
     only ever multiplies a zero value; there the base is taken as inf, so
     the factor is 0.
     """
     p, beta = params.p, params.beta
-    r1 = _power(m1, p - 1.0)
-    r2 = _power(m2, p - 1.0)
-    if beta != 0.0:
-        c1 = beta * _power(m2, 0.5 * p)
-        c2 = beta * _power(m1, 0.5 * p)
+    rates = _power(m, p - 1.0)
+    if beta != 0.0 and m.shape[-2] == 2:
+        cross = beta * _power(m[..., ::-1, :], 0.5 * p)
         # at p = 2 the factor m_j^(p/2-1) is 1
         if p != 2.0:
-            b1, b2 = m1, m2
-            if p < 2:
-                b1 = np.where(m1 > 0, m1, np.inf)
-                b2 = np.where(m2 > 0, m2, np.inf)
-            c1 = c1 * _power(b1, 0.5 * p - 1.0)
-            c2 = c2 * _power(b2, 0.5 * p - 1.0)
-        r1 = r1 + c1
-        r2 = r2 + c2
-    return r1, r2
+            base = np.where(m > 0, m, np.inf) if p < 2 else m
+            cross *= _power(base, 0.5 * p - 1.0)
+        rates = rates + cross
+    return rates
 
 
 def coupling_gradient(pair: FieldPair, params: SystemParams):
@@ -146,8 +148,9 @@ def coupling_gradient(pair: FieldPair, params: SystemParams):
 
         g1 = (|u1|^(2p-2) + beta |u1|^(p-2) |u2|^p) u1   and symmetrically g2.
     """
-    r1, r2 = _rates(*_density(pair.components), params)
-    return r1 * pair.c1, r2 * pair.c2
+    m = _density(pair.components)
+    g = _rates(m.reshape(2, -1), params).reshape(m.shape) * pair.components
+    return g[0], g[1]
 
 
 @dataclass(frozen=True)

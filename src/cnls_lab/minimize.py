@@ -404,9 +404,12 @@ def _complex(u: np.ndarray) -> np.ndarray:
     return u[0] if len(u) == 1 else u[0] + 1j * u[1]
 
 
-def _moduli(u: np.ndarray) -> np.ndarray:
-    """|u|^2 of a component held as real rows."""
-    return u[0] ** 2 if len(u) == 1 else u[0] ** 2 + u[1] ** 2
+def _moduli(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^2 of a component held as real rows, written into out if given."""
+    out = np.square(u[0], out=out)
+    if len(u) == 2:
+        out += u[1] ** 2
+    return out
 
 
 def _project_state(constraint, grid, params, v1h, v2h, warm):
@@ -536,7 +539,10 @@ def minimize_on(
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        r1, r2 = _rates(_moduli(u1), _moduli(u2), params)
+        m = np.empty((2,) + grid.shape)
+        _moduli(u1, m[0])
+        _moduli(u2, m[1])
+        r1, r2 = _rates(m.reshape(2, -1), params).reshape(m.shape)
         g1h, g2h = _rfft(grid, r1 * u1), _rfft(grid, r2 * u2)
         lam1, lam2 = _effective_frequencies(constraint, norms)
         rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)

@@ -114,19 +114,49 @@ def test_step_strang_inverts_itself(grid_1d, p, beta, seed, dt):
         assert abs(l2_norm_sq(grid_1d, after) - m0) < 1e-12 * m0
 
 
-def test_transform_budget(grid_1d, cubic, transform_calls):
+def _check_budget(grid, params, state, rows, transform_calls):
     n, stride, snap = 50, 7, 5
     config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
-    log = evolve(_member(cubic, grid_1d), cubic, config)
+    log = evolve(state, params, config)
     observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
     # 2 calls to start (the t = 0 spectrum, the first half step), 2 per
     # interior step, 3 per sampled or snapshotted step, less the half step
-    # after the last one; every call transforms both components at once
+    # after the last one; every call transforms the populated components
+    # at once
     assert log.steps == n
     assert log.transform_calls == len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
-    assert set(transform_calls) == {(2,) + grid_1d.shape}
+    assert set(transform_calls) == {(rows,) + grid.shape}
+    # the snapshots and the terminal state are whole pairs
+    assert {pair.components.shape for _, pair in log.snapshots} == {(2,) + grid.shape}
     # the counts stay out of the trajectory file
     assert {len(row.split(",")) for row in log.to_csv().splitlines()} == {6}
+
+
+def test_transform_budget(grid_1d, cubic, transform_calls):
+    # a scalar_first member's zero second component is not transformed
+    _check_budget(grid_1d, cubic, _member(cubic, grid_1d), 1, transform_calls)
+
+
+def _with_subnormal_second(pair):
+    # one entry of the least positive double in the trivial component
+    c2 = pair.c2.copy()
+    c2[len(c2) // 2] = 5e-324
+    return FieldPair(pair.grid, pair.c1, c2)
+
+
+@pytest.mark.parametrize(
+    "family, edit, rows",
+    [
+        ("scalar_second", lambda u: u, 1),
+        ("vector_b", lambda u: u, 2),
+        # a single subnormal entry makes the second component populated
+        ("scalar_first", _with_subnormal_second, 2),
+    ],
+    ids=["scalar_second", "vector_b", "subnormal_second"],
+)
+def test_transform_budget_covers_the_populated_components(grid_1d, transform_calls, family, edit, rows):
+    params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
+    _check_budget(grid_1d, params, edit(_member(params, grid_1d, Family(family))), rows, transform_calls)
 
 
 _PROPERTY_GRIDS = (Grid(1, 256, 10.0), Grid(2, 32, 8.0))
@@ -138,28 +168,50 @@ def _unit_peak(pair):
     return (1.0 / max(np.abs(pair.c1).max(), np.abs(pair.c2).max())) * pair
 
 
-@settings(deadline=None, max_examples=30)
+def _zeroed(pair, component):
+    # pair with the given component (0 or 1) set exactly to zero
+    if component is None:
+        return pair
+    rows = pair.components.copy()
+    rows[component] = 0.0
+    return FieldPair(pair.grid, *rows)
+
+
+@settings(deadline=None, max_examples=40)
 @given(
     grid=st.sampled_from(_PROPERTY_GRIDS),
     p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
     beta=st.floats(0.0, 3.0),
     seed=st.integers(0, 10_000),
+    zero=st.none() | st.sampled_from([0, 1]),
+    guard=st.sampled_from([1e6]) | st.floats(1.0 + 1e-12, 1.0 + 1e-6),
     k=st.integers(1, 12),
     stride=st.integers(1, 5),
     snap=st.integers(0, 4),
     dt=st.floats(1e-4, 1e-2),
 )
-def test_evolve_equals_composed_steps(grid, p, beta, seed, k, stride, snap, dt):
+def test_evolve_equals_composed_steps(grid, p, beta, seed, zero, guard, k, stride, snap, dt):
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
-    state = _unit_peak(smooth_pair(grid, seed))
-    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap)
+    state = _zeroed(_unit_peak(smooth_pair(grid, seed)), zero)
+    config = EvolveConfig(
+        dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap, blowup_guard=guard
+    )
     log = evolve(state, params, config)
-    stepped = state
-    for _ in range(k):
-        stepped = step_strang(stepped, params, dt)
-    final = log.final_state()
-    peak = max(np.abs(stepped.c1).max(), np.abs(stepped.c2).max())
-    assert max(np.abs(final.c1 - stepped.c1).max(), np.abs(final.c2 - stepped.c2).max()) < 1e-12 * peak
+    # step_strang steps both components, a trivial one included; a run the
+    # guard stopped ends at the state that tripped it
+    stepped = [state]
+    for _ in range(log.steps):
+        stepped.append(step_strang(stepped[-1], params, dt))
+    assert log.snapshots[-1][0] == log.steps * dt
+    for t, snap_pair in log.snapshots:
+        ref = stepped[round(t / dt)]
+        peak = np.abs(ref.components).max()
+        assert np.abs(snap_pair.components - ref.components).max() < 1e-12 * peak
+        if zero is not None:
+            # the trivial component stays exactly zero on both paths
+            assert not snap_pair.components[zero].any() and not ref.components[zero].any()
+    if zero is not None:
+        assert not (log.mass1, log.mass2)[zero].any()
 
 
 @settings(deadline=None, max_examples=30)
@@ -212,20 +264,34 @@ def _assert_same_log(batched, alone):
     beta=st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0),
     seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
     widths=st.lists(st.sampled_from([0.8, 2.0]), min_size=3, max_size=3),
+    zero=st.none() | st.tuples(st.sampled_from([0, 1]), st.sampled_from(["first", "all"])),
     overflow_at=st.none() | st.integers(0, 3),
+    guard=st.sampled_from([1e6]) | st.floats(1.0 + 1e-12, 1.0 + 1e-6),
     k=st.integers(1, 12),
     stride=st.integers(1, 5),
     snap=st.integers(0, 4),
     dt=st.floats(1e-4, 1e-2),
 )
-def test_batch_members_equal_separate_runs(grid, p, beta, seeds, widths, overflow_at, k, stride, snap, dt):
+def test_batch_members_equal_separate_runs(
+    grid, p, beta, seeds, widths, zero, overflow_at, guard, k, stride, snap, dt
+):
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
     members = [_unit_peak(smooth_pair(grid, seed, width=w)) for seed, w in zip(seeds, widths)]
+    if zero is not None:
+        # an exactly zero component in the first member, which alone steps
+        # one row, or in every member, so that the batch steps one row too
+        component, which = zero
+        count = 1 if which == "first" else len(members)
+        members[:count] = [_zeroed(member, component) for member in members[:count]]
     if overflow_at is not None:
         # a member whose density overflows: it stops being finite at the
-        # first observed step, while the others run on to t_end
-        members.insert(min(overflow_at, len(members)), 1e155 * members[0])
-    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap)
+        # first observed step, while the others run on to t_end unless a
+        # tight guard stops them
+        overflow_at = min(overflow_at, len(members))
+        members.insert(overflow_at, 1e155 * members[0])
+    config = EvolveConfig(
+        dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap, blowup_guard=guard
+    )
     with np.errstate(all="ignore"):
         batch = evolve(members[0], params, config, companions=members[1:])
         alone = [evolve(member, params, config) for member in members]
@@ -234,7 +300,9 @@ def test_batch_members_equal_separate_runs(grid, p, beta, seeds, widths, overflo
     for batched, single in zip(logs, alone):
         _assert_same_log(batched, single)
     if overflow_at is not None:
-        assert sum(log.aborted for log in logs) == 1
+        assert logs[overflow_at].aborted
+        if guard == 1e6:
+            assert sum(log.aborted for log in logs) == 1
 
 
 def test_batch_member_tripping_the_guard_leaves_the_others_running():
@@ -252,20 +320,34 @@ def test_batch_member_tripping_the_guard_leaves_the_others_running():
         _assert_same_log(batched, evolve(member_, params, config))
 
 
-def test_batch_transform_budget(grid_1d, cubic, transform_calls):
+def _check_batch_budget(grid, params, u, rows, transform_calls):
     n, stride, snap = 50, 7, 5
     config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
-    u = _member(cubic, grid_1d)
-    batch = evolve(u, cubic, config, companions=[0.5 * u, 0.9 * u])
+    batch = evolve(u, params, config, companions=[0.5 * u, 0.9 * u])
     observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
-    # the budget of one run, every call over the whole (E, 2, *shape) batch
+    # the budget of one run, every call over the whole (E, r, *shape) batch
+    # of the populated components
     assert len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
-    assert set(transform_calls) == {(3, 2) + grid_1d.shape}
+    assert set(transform_calls) == {(3, rows) + grid.shape}
     assert {log.transform_calls for log in (batch, *batch.companions)} == {len(transform_calls)}
     transform_calls.clear()
     # an interior step, fused kinetic parts included, is one pair of calls
-    evolve(u, cubic, EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=n), companions=[0.5 * u])
+    evolve(u, params, EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=n), companions=[0.5 * u])
     assert len(transform_calls) == 2 + 2 * (n - 1) + 3 - 1
+    assert set(transform_calls) == {(2, rows) + grid.shape}
+
+
+def test_batch_transform_budget(grid_1d, cubic, transform_calls):
+    _check_batch_budget(grid_1d, cubic, _member(cubic, grid_1d), 1, transform_calls)
+
+
+def test_batch_transform_budget_of_vector_members(grid_1d, transform_calls):
+    params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
+    vector = _member(params, grid_1d, Family.VECTOR_B)
+    _check_batch_budget(grid_1d, params, vector, 2, transform_calls)
+    transform_calls.clear()
+    # a component populated in one member is stepped for every member
+    evolve(_member(params, grid_1d), params, EvolveConfig(dt=1e-3, t_end=0.01), companions=[vector])
     assert set(transform_calls) == {(2, 2) + grid_1d.shape}
 
 

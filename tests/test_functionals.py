@@ -135,10 +135,25 @@ def test_rates_match_the_float_power_formula(grid_1d, p, beta, seed, holes):
     c2[:: holes[1]] = 0.0
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
     a1, a2 = np.abs(c1), np.abs(c2)
-    for a_own, a_other, rate in zip((a1, a2), (a2, a1), _rates(a1**2, a2**2, params)):
+    m = np.stack((a1**2, a2**2))
+    rates = _rates(m, params)
+    assert rates.shape == m.shape
+    for a_own, a_other, rate in zip((a1, a2), (a2, a1), rates):
         base = np.where(a_own > 0, a_own, np.inf) if p < 2 else a_own
         expected = a_own ** (2 * p - 2) + beta * a_other**p * base ** (p - 2)
         assert np.all(np.abs(rate - expected) <= 1e-13 * np.abs(expected))
+    # a batch of stacks gives each member's rates
+    assert np.array_equal(_rates(np.stack((m, m[::-1])), params), np.stack((rates, rates[::-1])))
+    # a one-row stack has no partner: its rate is m^(p-1), bit for bit the
+    # coupled rate against an exactly zero partner
+    zero = np.zeros_like(m[0])
+    for j, a_own in enumerate((a1, a2)):
+        alone = _rates(m[j : j + 1], params)
+        assert alone.shape == (1,) + m[0].shape
+        assert np.array_equal(alone[0], _rates(np.stack((m[j], zero)), params)[0])
+        assert np.array_equal(alone[0], _rates(np.stack((zero, m[j])), params)[1])
+        expected = a_own ** (2 * p - 2)
+        assert np.all(np.abs(alone[0] - expected) <= 1e-13 * expected)
 
 
 def test_coupling_gradient_subquadratic_exponent(grid_1d):
