@@ -383,15 +383,9 @@ def _initial_state(cfg, params, grid):
 def _cmd_evolve(cfg, out: Path) -> int:
     params = _params(cfg)
     grid = _grid(cfg)
-    state = _initial_state(cfg, params, grid)
-    eps = cfg.getfloat("evolve", "eps")
-    if eps:
-        state = state + eps * perturbation_pair(
-            grid,
-            params,
-            mode=cfg.get("evolve", "perturb_mode"),
-            seed=cfg.getint("run", "seed"),
-        )
+    # the run settings and the perturbation are checked before the initial
+    # state, which may take a ground-state flow; the perturbation draws
+    # from its own generator, so drawing it first changes none of its bits
     config = EvolveConfig(
         dt=cfg.getfloat("evolve", "dt"),
         t_end=cfg.getfloat("evolve", "t_end"),
@@ -399,6 +393,20 @@ def _cmd_evolve(cfg, out: Path) -> int:
         conservation_check_stride=cfg.getint("evolve", "conservation_stride"),
         blowup_guard=cfg.getfloat("evolve", "guard"),
     )
+    eps = cfg.getfloat("evolve", "eps")
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    try:
+        pert = perturbation_pair(
+            grid, params, mode=cfg.get("evolve", "perturb_mode"), seed=cfg.getint("run", "seed")
+        )
+    except ValueError as exc:
+        raise ValueError(f"perturb_mode: {exc}") from exc
+    state = _initial_state(cfg, params, grid)
+    if eps:
+        state = state + eps * pert
+    # not held through the run
+    del pert
     log = evolve(state, params, config)
 
     files = {"trajectory.csv": log._table(), "final.snapshot": log.final_state()}

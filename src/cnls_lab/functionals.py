@@ -55,9 +55,11 @@ _POHOZAEV_TOL = 1e-6
 
 def _power(m: np.ndarray, e: float) -> np.ndarray:
     """m**e for m >= 0. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which
-    p = 2, 3, 4 produce (and p - 1 at p = 3/2), are formed by products and
-    one square root, several times cheaper than a float pow; any other
-    goes to **. Exponent 0 gives the scalar 1, exponent 1 m itself."""
+    p = 2, 3, 4 produce, and 3/4 and -1/4, which p = 3/2 adds, are formed
+    by products and square roots, several times cheaper than a float pow
+    (and than its slow path on the exact zeros and infinities of a scalar
+    state); any other goes to **. Exponent 0 gives the scalar 1, exponent
+    1 m itself."""
     if e == 0.0:
         return 1.0
     if e == 0.5:
@@ -72,6 +74,11 @@ def _power(m: np.ndarray, e: float) -> np.ndarray:
         return m * m * m
     if e == 4.0:
         return np.square(m * m)
+    if e == 0.75:
+        root = np.sqrt(m)
+        return root * np.sqrt(root)
+    if e == -0.25:
+        return 1.0 / np.sqrt(np.sqrt(m))
     return m**e
 
 

@@ -676,13 +676,27 @@ _REFUSED_SETTINGS = [
     *(("blowup", "dt", v) for v in ("nan", "inf", "-1", "0")),
     *(("blowup", "t_max", v) for v in ("nan", "inf", "-1", "0", "1e12")),
     *(("blowup", "guard_ratio", v) for v in ("nan", "-1", "0", "1")),
+    ("evolve", "perturb_mode", "everything"),
+    *(("evolve", key, v) for key in ("t_end", "dt") for v in ("nan", "inf", "-1", "0")),
+    *(("evolve", "guard", v) for v in ("nan", "1")),
+    *(("evolve", "eps", v) for v in ("nan", "inf")),
 ]
 
 
 @pytest.mark.parametrize("command, key, value", _REFUSED_SETTINGS)
-def test_absurd_settings_exit_3_and_write_only_the_manifest(tmp_path, capsys, command, key, value):
+def test_absurd_settings_exit_3_and_write_only_the_manifest(tmp_path, capsys, monkeypatch, command, key, value):
+    from cnls_lab import cli
+
     cfg = {sec: dict(keys) for sec, keys in _TINY[command].items()}
     cfg[command][key] = value
+    if command == "evolve":
+        # the settings are refused before the initial state's flow runs
+        cfg["evolve"]["initial"] = "ground"
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the ground-state flow ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "ground_state", no_flow)
     out = tmp_path / "o"
     assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
     assert key in capsys.readouterr().err

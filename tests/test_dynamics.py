@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cnls_lab import (
     variance,
     virial_series,
 )
-from cnls_lab.dynamics import TrajectoryLog
+from cnls_lab.dynamics import TrajectoryLog, _unit_phase
 from cnls_lab.errors import BoundaryDecayError, GridMismatchError
 from cnls_lab.stability import perturbation_pair
 
@@ -112,6 +113,28 @@ def test_step_strang_inverts_itself(grid_1d, p, beta, seed, dt):
     for before, after in ((state.c1, back.c1), (state.c2, back.c2)):
         m0 = l2_norm_sq(grid_1d, before)
         assert abs(l2_norm_sq(grid_1d, after) - m0) < 1e-12 * m0
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    theta=st.floats(-1e6, 1e6)
+    | st.sampled_from([0.0, -0.0, np.pi, -np.pi, 5e-324, np.nan, np.inf, -np.inf])
+)
+def test_tangent_phase_matches_cos_and_sin(theta):
+    with np.errstate(invalid="ignore"):
+        phase = _unit_phase(np.array([0.5 * theta]))[0]
+    c, s = phase.real, phase.imag
+    if not np.isfinite(theta):
+        assert np.isnan(c) and np.isnan(s)
+        return
+    # libm's cos and sin are within half an eps, the tangent form within
+    # one and a half
+    assert abs(c - math.cos(theta)) <= 2 * _EPS
+    assert abs(s - math.sin(theta)) <= 2 * _EPS
+    assert abs(c * c + s * s - 1.0) <= 4 * _EPS
 
 
 def _check_budget(grid, params, state, rows, transform_calls):
