@@ -316,7 +316,8 @@ def _evolve_stack(grid, params, config, U):
         raise ValueError("the initial state must be finite")
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
-    populated = tuple(j for j in (0, 1) if U.reshape(-1, 2, grid.total_points)[:, j].any())
+    # an all-zero state keeps one row, so that every stack has one
+    populated = tuple(j for j in (0, 1) if U.reshape(-1, 2, grid.total_points)[:, j].any()) or (0,)
     if len(populated) < 2:
         U = np.take(U, populated, axis=U.ndim - 1 - grid.dim)
 

@@ -174,8 +174,10 @@ def _with_subnormal_second(pair):
         ("vector_b", lambda u: u, 2),
         # a single subnormal entry makes the second component populated
         ("scalar_first", _with_subnormal_second, 2),
+        # an all-zero state is stepped as one zero row
+        ("scalar_first", lambda u: 0.0 * u, 1),
     ],
-    ids=["scalar_second", "vector_b", "subnormal_second"],
+    ids=["scalar_second", "vector_b", "subnormal_second", "zero_state"],
 )
 def test_transform_budget_covers_the_populated_components(grid_1d, transform_calls, family, edit, rows):
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
