@@ -74,11 +74,17 @@ def _power(m: np.ndarray, e: float) -> np.ndarray:
         return m * m * m
     if e == 4.0:
         return np.square(m * m)
+    # the last two in place on their own temporaries, which keeps the
+    # flows' peak memory where pow left it
     if e == 0.75:
         root = np.sqrt(m)
-        return root * np.sqrt(root)
+        power = np.sqrt(root)
+        power *= root
+        return power
     if e == -0.25:
-        return 1.0 / np.sqrt(np.sqrt(m))
+        power = np.sqrt(m)
+        np.sqrt(power, out=power)
+        return np.divide(1.0, power, out=power)
     return m**e
 
 
@@ -135,19 +141,27 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     itself (p = 2, beta = 0), so callers do not write into them.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
-    only ever multiplies a zero value; there the base is taken as inf, so
-    the factor is 0.
+    only ever multiplies a zero value; there the factor is taken as 0.
     """
     p, beta = params.p, params.beta
     rates = _power(m, p - 1.0)
-    if beta != 0.0 and m.shape[-2] == 2:
-        cross = beta * _power(m[..., ::-1, :], 0.5 * p)
-        # at p = 2 the factor m_j^(p/2-1) is 1
-        if p != 2.0:
-            base = np.where(m > 0, m, np.inf) if p < 2 else m
-            cross *= _power(base, 0.5 * p - 1.0)
-        rates = rates + cross
-    return rates
+    if beta == 0.0 or m.shape[-2] == 1:
+        return rates
+    partner = m[..., ::-1, :]
+    # at p = 2 the factor m_j^(p/2-1) is 1. Otherwise the products are
+    # taken in place, which keeps the stack's temporaries to two
+    if p == 2.0:
+        cross = beta * partner
+    else:
+        cross = _power(partner, 0.5 * p)
+        cross *= beta
+        with np.errstate(divide="ignore"):
+            factor = _power(m, 0.5 * p - 1.0)
+        if p < 2:
+            factor[m == 0] = 0.0
+        cross *= factor
+    cross += rates
+    return cross
 
 
 def coupling_gradient(pair: FieldPair, params: SystemParams):

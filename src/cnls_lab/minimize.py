@@ -412,6 +412,18 @@ def _moduli(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _gradient_spectra(grid, params, u1, u2):
+    """Half spectra of the coupling gradient (A1 u1, A2 u2) of the states
+    held as real rows u1 and u2. The moduli share one (2, *shape) buffer,
+    and it and the rates are released on return, before the flow's trial
+    steps allocate theirs."""
+    m = np.empty((2,) + grid.shape)
+    _moduli(u1, m[0])
+    _moduli(u2, m[1])
+    r1, r2 = _rates(m.reshape(2, -1), params).reshape(m.shape)
+    return _rfft(grid, r1 * u1), _rfft(grid, r2 * u2)
+
+
 def _project_state(constraint, grid, params, v1h, v2h, warm):
     """Project raw half spectra of real rows onto the constraint set,
     scaling v1h and v2h in place once the projection has succeeded.
@@ -539,11 +551,7 @@ def minimize_on(
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        m = np.empty((2,) + grid.shape)
-        _moduli(u1, m[0])
-        _moduli(u2, m[1])
-        r1, r2 = _rates(m.reshape(2, -1), params).reshape(m.shape)
-        g1h, g2h = _rfft(grid, r1 * u1), _rfft(grid, r2 * u2)
+        g1h, g2h = _gradient_spectra(grid, params, u1, u2)
         lam1, lam2 = _effective_frequencies(constraint, norms)
         rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
         residuals.append(rel_res)
