@@ -316,8 +316,13 @@ def _evolve_stack(grid, params, config, U):
         raise ValueError("the initial state must be finite")
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
-    # an all-zero state keeps one row, so that every stack has one
+    # an all-zero state keeps one row, so that every stack has one. An
+    # absent row adds exactly nothing to a member's gradient sum only when
+    # numpy's pairwise summation splits the stack at the row boundary,
+    # which it does for rows of 8 points or more; smaller grids keep both
     populated = tuple(j for j in (0, 1) if U.reshape(-1, 2, grid.total_points)[:, j].any()) or (0,)
+    if grid.total_points < 8:
+        populated = (0, 1)
     if len(populated) < 2:
         U = np.take(U, populated, axis=U.ndim - 1 - grid.dim)
 

@@ -138,7 +138,8 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     exactly zero, which adds exactly nothing, so its rate is m_j^(p-1).
     The gradient of F is (A1 u1, A2 u2), and the nonlinear substep of the
     Schrodinger flow is u_j -> exp(i dt A_j) u_j. The rates may be m
-    itself (p = 2, beta = 0), so callers do not write into them.
+    itself (p = 2 with beta = 0 or one row), so callers do not write into
+    them.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
     only ever multiplies a zero value; there the factor is taken as 0.

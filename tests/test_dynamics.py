@@ -330,6 +330,21 @@ def test_batch_members_equal_separate_runs(
             assert sum(log.aborted for log in logs) == 1
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 2, 3.0), Grid(1, 4, 3.0), Grid(2, 2, 3.0), Grid(1, 8, 3.0)])
+def test_one_row_member_keeps_its_bits_in_a_two_row_batch(grid):
+    # a lone one-row run must log what the same member logs in a batch
+    # that steps both rows, down to grids of a few points
+    params = SystemParams(p=3.0, beta=1.0, omega1=1.0, omega2=1.0)
+    rng = np.random.default_rng(0)
+    config = EvolveConfig(dt=1e-3, t_end=3e-3, conservation_check_stride=1, snapshot_stride=1)
+    for _ in range(10):
+        a, b = (0.3 * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) for _ in "ab")
+        member = FieldPair(grid, a, np.zeros(grid.shape))
+        alone = evolve(member, params, config)
+        batch = evolve(member, params, config, companions=[FieldPair(grid, a, b)])
+        _assert_same_log(batch, alone)
+
+
 def test_batch_member_tripping_the_guard_leaves_the_others_running():
     g = Grid(1, 256, 20.0)
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
