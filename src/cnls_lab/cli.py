@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .audit import identity_audit
-from .core import FieldPair, Grid, SystemParams, _cell, _csv
+from .core import FieldPair, Grid, SystemParams, _cell, _csv, default_half_width
 from .dynamics import EvolveConfig, evolve
 from .errors import (
     BoundaryDecayError,
@@ -45,80 +46,112 @@ EXIT_IO = 4
 
 _COMMON_DEFAULTS = {
     "params": {"p": "2.0", "beta": "0.0", "omega1": "1.0", "omega2": "1.0"},
-    "grid": {"dim": "1", "points": "1024", "half_width": "20.0"},
-    "run": {"seed": "0", "threads": "", "out": ""},
+    # an empty half_width is resolved to core.default_half_width(omega1, omega2)
+    "grid": {"dim": "1", "points": "1024", "half_width": ""},
+    "run": {"seed": "0", "out": ""},
 }
 
+# the keys whose callee has no default of its own
 _COMMAND_DEFAULTS = {
-    "ground": {
-        "minimize": {"tol": "1e-8", "max_iter": "200000"},
-    },
-    "minimize": {
-        "constraint": {"kind": "nehari", "gamma": "", "delta1": "", "delta2": ""},
-        "minimize": {"tol": "1e-8", "max_iter": "200000"},
-    },
-    "evolve": {
-        "evolve": {
-            "initial": "member:scalar_first",
-            "dt": "1e-3",
-            "t_end": "10.0",
-            "snapshot_stride": "0",
-            "conservation_stride": "100",
-            "guard": "1e6",
-            "eps": "0.0",
-            "perturb_mode": "both",
-        },
-    },
-    "sweep": {
-        "sweep": {
-            "family": "ground",
-            "epsilons": "0.0,1e-3,1e-2",
-            "dt": "1e-3",
-            "t_end": "50.0",
-            "sample_dt": "0.5",
-            "perturb_mode": "both",
-            "excursion_ratio": "10.0",
-            "zero_orbit_tol": "1e-5",
-            "flow_tol": "1e-8",
-        },
-    },
-    "blowup": {
-        "blowup": {
-            "family": "ground",
-            "factor": "1.1",
-            "dt": "1e-3",
-            "t_max": "5.0",
-            "guard_ratio": "20.0",
-            "window_fraction": "0.8",
-            "margin": "0.05",
-            "flow_tol": "1e-8",
-        },
-    },
-    "audit": {
-        "audit": {"tol": "1e-3", "gamma_factors": "1.0,2.0", "flow_tol": "1e-8"},
-    },
-    "profile": {
-        "profile": {
-            "family": "scalar_first",
-            "theta1": "0.0",
-            "theta2": "0.0",
-            "shift": "",
-        },
-    },
+    "minimize": {"constraint": {"kind": "nehari", "gamma": "", "delta1": "", "delta2": ""}},
+    "evolve": {"evolve": {"initial": "member:scalar_first", "dt": "1e-3", "t_end": "10.0", "eps": "0.0"}},
+    "profile": {"profile": {"family": "scalar_first"}},
 }
 
-_COMMANDS = tuple(_COMMAND_DEFAULTS)
+# Each INI key that feeds a library keyword, as (command, section, key,
+# callee, parameter): the key's default is the parameter's default, and its
+# value is read as the type of that default.
+_FEEDS = [
+    *((command, "minimize", key, callee, key)
+      for command, callee in (("ground", ground_state), ("minimize", minimize_on))
+      for key in ("tol", "max_iter")),
+    ("evolve", "evolve", "snapshot_stride", EvolveConfig, "snapshot_stride"),
+    ("evolve", "evolve", "conservation_stride", EvolveConfig, "conservation_check_stride"),
+    ("evolve", "evolve", "guard", EvolveConfig, "blowup_guard"),
+    ("evolve", "evolve", "perturb_mode", perturbation_pair, "mode"),
+    *(("sweep", "sweep", key, stability_sweep, key)
+      for key in ("family", "epsilons", "dt", "t_end", "sample_dt", "perturb_mode",
+                  "excursion_ratio", "zero_orbit_tol")),
+    ("sweep", "sweep", "flow_tol", stability_sweep, "tol"),
+    *(("blowup", "blowup", key, blowup_experiment, key)
+      for key in ("family", "factor", "dt", "t_max", "guard_ratio", "window_fraction", "margin")),
+    ("blowup", "blowup", "flow_tol", blowup_experiment, "tol"),
+    *(("audit", "audit", key, identity_audit, key) for key in ("tol", "gamma_factors", "flow_tol")),
+    *(("profile", "profile", key, make_member, key) for key in ("theta1", "theta2", "shift")),
+    # an evolve run's initial ground state shares the perturbation's seed
+    *((command, "run", "seed", callee, "seed")
+      for command, callee in (("ground", ground_state), ("minimize", minimize_on),
+                              ("evolve", perturbation_pair), ("evolve", ground_state),
+                              ("sweep", stability_sweep), ("blowup", blowup_experiment),
+                              ("audit", identity_audit))),
+]
+
+# the [constraint] keys each kind reads, in the order its factory takes them
+_CONSTRAINT_KEYS = {
+    "nehari": (),
+    "nehari_set": (),
+    "pohozaev": (),
+    "weighted_sphere": ("gamma",),
+    "product_spheres": ("delta1", "delta2"),
+    "equal_spheres": ("delta1",),
+}
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
+def _default(callee, name: str):
+    return inspect.signature(callee).parameters[name].default
+
+
+def _spelled(value) -> str:
+    """A default as the INI value that _read reads back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    if isinstance(value, float):
+        return repr(value)
+    return "" if value is None else str(value)
+
+
+def _read(cfg, section: str, key: str, kind: type):
+    """[section] key as a kind: float, int, str, tuple (a comma-separated
+    float list) or NoneType (empty means None, else a float list)."""
+    raw = cfg.get(section, key)
+    try:
+        if kind is type(None) and not raw:
+            return None
+        if kind in (tuple, type(None)):
+            return _float_list(raw)
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
+
+
+def _float_list(raw: str) -> tuple:
+    vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    if not vals:
+        raise ValueError(f"expected a comma-separated float list, got {raw!r}")
+    return vals
+
+
 def _defaults_for(command: str) -> dict:
     merged = {sec: dict(keys) for sec, keys in _COMMON_DEFAULTS.items()}
-    for sec, keys in _COMMAND_DEFAULTS[command].items():
+    for sec, keys in _COMMAND_DEFAULTS.get(command, {}).items():
         merged.setdefault(sec, {}).update(keys)
+    for cmd, sec, key, callee, name in _FEEDS:
+        if cmd == command:
+            merged.setdefault(sec, {})[key] = _spelled(_default(callee, name))
     return merged
+
+
+def _keywords(cfg, command: str) -> dict:
+    """The library keywords that command's keys feed, by callee name."""
+    kw = {}
+    for cmd, sec, key, callee, name in _FEEDS:
+        if cmd == command:
+            kw.setdefault(callee.__name__, {})[name] = _read(cfg, sec, key, type(_default(callee, name)))
+    return kw
 
 
 def resolve_config(command: str, config_path, overrides) -> configparser.ConfigParser:
@@ -145,12 +178,15 @@ def resolve_config(command: str, config_path, overrides) -> configparser.ConfigP
 
     if overrides.seed is not None:
         cfg.set("run", "seed", str(overrides.seed))
-    if overrides.threads is not None:
-        cfg.set("run", "threads", str(overrides.threads))
     if overrides.out is not None:
         cfg.set("run", "out", overrides.out)
     if not cfg.get("run", "out"):
         cfg.set("run", "out", f"{command}_out")
+    if not cfg.get("grid", "half_width"):
+        omegas = (_read(cfg, "params", key, float) for key in ("omega1", "omega2"))
+        # omegas that SystemParams refuses give a nan or inf width here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cfg.set("grid", "half_width", repr(float(default_half_width(*omegas))))
     return cfg
 
 
@@ -165,32 +201,12 @@ def write_manifest(cfg: configparser.ConfigParser, command: str, out: Path) -> N
 
 
 def _params(cfg) -> SystemParams:
-    return SystemParams(
-        p=cfg.getfloat("params", "p"),
-        beta=cfg.getfloat("params", "beta"),
-        omega1=cfg.getfloat("params", "omega1"),
-        omega2=cfg.getfloat("params", "omega2"),
-    )
+    return SystemParams(*(_read(cfg, "params", key, float) for key in ("p", "beta", "omega1", "omega2")))
 
 
 def _grid(cfg) -> Grid:
-    return Grid(
-        cfg.getint("grid", "dim"),
-        cfg.getint("grid", "points"),
-        cfg.getfloat("grid", "half_width"),
-    )
-
-
-def _threads(cfg):
-    raw = cfg.get("run", "threads")
-    return int(raw) if raw else None
-
-
-def _float_list(raw: str) -> tuple:
-    vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if not vals:
-        raise ValueError(f"expected a comma-separated float list, got {raw!r}")
-    return vals
+    return Grid(_read(cfg, "grid", "dim", int), _read(cfg, "grid", "points", int),
+                _read(cfg, "grid", "half_width", float))
 
 
 def _result_files(res, params, snapshot: str, pinned: bool = False, **extra) -> dict:
@@ -296,17 +312,8 @@ def _emit(out: Path, params, files: dict, *, summary=(), note="", failure="") ->
 # commands
 
 
-def _cmd_ground(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
-    res = ground_state(
-        params,
-        grid,
-        tol=cfg.getfloat("minimize", "tol"),
-        max_iter=cfg.getint("minimize", "max_iter"),
-        seed=cfg.getint("run", "seed"),
-        threads=_threads(cfg),
-    )
+def _cmd_ground(cfg, kw, params, grid, out: Path) -> int:
+    res = ground_state(params, grid, **kw["ground_state"])
     files = _result_files(res, params, "ground.snapshot")
     return _emit(out, params, files, note=f"ground state: level {res.action:.12g} ({res.classification}), "
                  f"residual {res.residual:.3e}, {res.iterations} iterations")
@@ -314,52 +321,30 @@ def _cmd_ground(cfg, out: Path) -> int:
 
 def _constraint_from(cfg) -> ConstraintSpec:
     kind = cfg.get("constraint", "kind")
-
-    def get(key):
-        raw = cfg.get("constraint", key)
-        if not raw:
+    if kind not in _CONSTRAINT_KEYS:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    reads = _CONSTRAINT_KEYS[kind]
+    for key in cfg.options("constraint"):
+        given = bool(cfg.get("constraint", key))
+        if key in reads and not given:
             raise ValueError(f"constraint kind {kind!r} needs [constraint] {key}")
-        return float(raw)
-
-    if kind == "nehari":
-        return ConstraintSpec.nehari()
-    if kind == "nehari_set":
-        return ConstraintSpec.nehari_set()
-    if kind == "pohozaev":
-        return ConstraintSpec.pohozaev()
-    if kind == "weighted_sphere":
-        return ConstraintSpec.weighted_sphere(get("gamma"))
-    if kind == "product_spheres":
-        return ConstraintSpec.product_spheres(get("delta1"), get("delta2"))
-    if kind == "equal_spheres":
-        return ConstraintSpec.equal_spheres(get("delta1"))
-    raise ValueError(f"unknown constraint kind {kind!r}")
+        if key not in (*reads, "kind") and given:
+            raise ValueError(f"constraint kind {kind!r} does not read [constraint] {key}")
+    return getattr(ConstraintSpec, kind)(*(_read(cfg, "constraint", key, float) for key in reads))
 
 
-def _cmd_minimize(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
+def _cmd_minimize(cfg, kw, params, grid, out: Path) -> int:
     constraint = _constraint_from(cfg)
-    res = minimize_on(
-        constraint,
-        params,
-        grid,
-        tol=cfg.getfloat("minimize", "tol"),
-        max_iter=cfg.getint("minimize", "max_iter"),
-        seed=cfg.getint("run", "seed"),
-    )
+    res = minimize_on(constraint, params, grid, **kw["minimize_on"])
     files = _result_files(res, params, "minimizer.snapshot", constraint.pinned, constraint=constraint.describe())
     return _emit(out, params, files, note=f"{constraint.describe()}: value {res.value:.12g} "
                  f"({res.classification}), residual {res.residual:.3e}, {res.iterations} iterations")
 
 
-def _initial_state(cfg, params, grid):
+def _initial_state(cfg, kw, params, grid):
     spec = cfg.get("evolve", "initial")
     if spec == "ground":
-        res = ground_state(
-            params, grid, seed=cfg.getint("run", "seed"), threads=_threads(cfg)
-        )
-        return res.minimizer
+        return ground_state(params, grid, **kw["ground_state"]).minimizer
     if spec.startswith("member:"):
         return make_member(Family(spec.split(":", 1)[1]), params, grid)
     if spec.startswith("snapshot:"):
@@ -380,29 +365,20 @@ def _initial_state(cfg, params, grid):
     )
 
 
-def _cmd_evolve(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
+def _cmd_evolve(cfg, kw, params, grid, out: Path) -> int:
     # the run settings and the perturbation are checked before the initial
     # state, which may take a ground-state flow; the perturbation draws
     # from its own generator, so drawing it first changes none of its bits
-    config = EvolveConfig(
-        dt=cfg.getfloat("evolve", "dt"),
-        t_end=cfg.getfloat("evolve", "t_end"),
-        snapshot_stride=cfg.getint("evolve", "snapshot_stride"),
-        conservation_check_stride=cfg.getint("evolve", "conservation_stride"),
-        blowup_guard=cfg.getfloat("evolve", "guard"),
-    )
-    eps = cfg.getfloat("evolve", "eps")
+    config = EvolveConfig(_read(cfg, "evolve", "dt", float), _read(cfg, "evolve", "t_end", float),
+                          **kw["EvolveConfig"])
+    eps = _read(cfg, "evolve", "eps", float)
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     try:
-        pert = perturbation_pair(
-            grid, params, mode=cfg.get("evolve", "perturb_mode"), seed=cfg.getint("run", "seed")
-        )
+        pert = perturbation_pair(grid, params, **kw["perturbation_pair"])
     except ValueError as exc:
         raise ValueError(f"perturb_mode: {exc}") from exc
-    state = _initial_state(cfg, params, grid)
+    state = _initial_state(cfg, kw, params, grid)
     if eps:
         state = state + eps * pert
     # not held through the run
@@ -429,23 +405,8 @@ def _cmd_evolve(cfg, out: Path) -> int:
     return _emit(out, params, files, summary=summary, failure=failure if log.aborted else "")
 
 
-def _cmd_sweep(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
-    verdict = stability_sweep(
-        params,
-        grid,
-        family=cfg.get("sweep", "family"),
-        epsilons=_float_list(cfg.get("sweep", "epsilons")),
-        dt=cfg.getfloat("sweep", "dt"),
-        t_end=cfg.getfloat("sweep", "t_end"),
-        sample_dt=cfg.getfloat("sweep", "sample_dt"),
-        perturb_mode=cfg.get("sweep", "perturb_mode"),
-        seed=cfg.getint("run", "seed"),
-        excursion_ratio=cfg.getfloat("sweep", "excursion_ratio"),
-        zero_orbit_tol=cfg.getfloat("sweep", "zero_orbit_tol"),
-        tol=cfg.getfloat("sweep", "flow_tol"),
-    )
+def _cmd_sweep(cfg, kw, params, grid, out: Path) -> int:
+    verdict = stability_sweep(params, grid, **kw["stability_sweep"])
     rows = zip(verdict.epsilons, verdict.initial_distances, verdict.max_excursions,
                verdict.classifications, verdict.blowup_times)
     header = "family,epsilon,initial_distance,max_excursion,classification,blowup_time"
@@ -459,22 +420,8 @@ def _cmd_sweep(cfg, out: Path) -> int:
 _CLASS_WORDS = {"blow_up": "BlowUp", "no_blow_up": "NoBlowUp"}
 
 
-def _cmd_blowup(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
-    rep = blowup_experiment(
-        params,
-        grid,
-        family=cfg.get("blowup", "family"),
-        factor=cfg.getfloat("blowup", "factor"),
-        dt=cfg.getfloat("blowup", "dt"),
-        t_max=cfg.getfloat("blowup", "t_max"),
-        guard_ratio=cfg.getfloat("blowup", "guard_ratio"),
-        window_fraction=cfg.getfloat("blowup", "window_fraction"),
-        margin=cfg.getfloat("blowup", "margin"),
-        tol=cfg.getfloat("blowup", "flow_tol"),
-        seed=cfg.getint("run", "seed"),
-    )
+def _cmd_blowup(cfg, kw, params, grid, out: Path) -> int:
+    rep = blowup_experiment(params, grid, **kw["blowup_experiment"])
     payload = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "details"}
     payload["classification"] = rep.classification
     series = zip(rep.details["times"], rep.details["variance"], rep.details["gradnorm"])
@@ -491,35 +438,16 @@ def _cmd_blowup(cfg, out: Path) -> int:
     return _emit(out, params, files, summary=summary)
 
 
-def _cmd_audit(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
-    rep = identity_audit(
-        params,
-        grid,
-        tol=cfg.getfloat("audit", "tol"),
-        gamma_factors=_float_list(cfg.get("audit", "gamma_factors")),
-        flow_tol=cfg.getfloat("audit", "flow_tol"),
-        seed=cfg.getint("run", "seed"),
-    )
+def _cmd_audit(cfg, kw, params, grid, out: Path) -> int:
+    rep = identity_audit(params, grid, **kw["identity_audit"])
     summary = [*map(str, rep.rows), ("overall", "pass" if rep.ok else "FAIL")]
     code = _emit(out, params, {"audit.csv": rep._table()}, summary=summary)
     return code or (EXIT_OK if rep.ok else EXIT_NUMERICAL)
 
 
-def _cmd_profile(cfg, out: Path) -> int:
-    params = _params(cfg)
-    grid = _grid(cfg)
+def _cmd_profile(cfg, kw, params, grid, out: Path) -> int:
     family = Family(cfg.get("profile", "family"))
-    raw_shift = cfg.get("profile", "shift")
-    pair = make_member(
-        family,
-        params,
-        grid,
-        theta1=cfg.getfloat("profile", "theta1"),
-        theta2=cfg.getfloat("profile", "theta2"),
-        shift=_float_list(raw_shift) if raw_shift else None,
-    )
+    pair = make_member(family, params, grid, **kw["make_member"])
     report = FunctionalReport.compute(pair, params)
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload["boundary_amplitude_ratio"] = boundary_amplitude_ratio(pair)
@@ -529,6 +457,9 @@ def _cmd_profile(cfg, out: Path) -> int:
                  f"virial {report.virial:.3e}, pairing {report.nehari_pairing:.3e}")
 
 
+# each command takes the resolved config, the library keywords its keys feed
+# (by callee name, from _keywords), the parameters, the grid and the output
+# directory
 _DISPATCH = {
     "ground": _cmd_ground,
     "minimize": _cmd_minimize,
@@ -551,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"cnls-lab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("config_pos", nargs="?", default=None, metavar="config",
                         help="path to the INI config file")
@@ -559,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to the INI config file")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for multi-start minimization")
     return ap
 
 
@@ -586,7 +515,8 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        return _DISPATCH[args.command](cfg, out)
+        params, grid = _params(cfg), _grid(cfg)
+        return _DISPATCH[args.command](cfg, _keywords(cfg, args.command), params, grid, out)
     except (ConvergenceError, BoundaryDecayError, SupportError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -640,7 +640,6 @@ def ground_state(
     tol: float = 1e-8,
     max_iter: int = 200_000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> MinimizeResult:
     """Minimize the action over the Nehari set from three starts (each pure
     component and a synchronized pair) and keep the lowest level. Levels
@@ -648,14 +647,11 @@ def ground_state(
     start (first, second, both). The scalar starts stay scalar under the
     flow, so the comparison scalar-vs-vector is decided by the final
     levels, not by the basin of the starting guess.
-    The starts run on threads threads, which must be at least 1. The
-    default is one on 1d grids, whose flows are too short to win back a
-    pool's cost, and one per start on 2d and 3d grids; the starts are
-    independent, so the count changes no number. tol and max_iter are
-    limited as in minimize_on."""
+    The starts run one after another on 1d grids, whose flows are too
+    short to win back a pool's cost, and on one thread each on 2d and 3d
+    grids; the starts are independent, so the pool changes no number.
+    tol and max_iter are limited as in minimize_on."""
     _check_flow_limits(tol, max_iter)
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     starts = ("first", "second", "both")
 
     def run(idx_mode):
@@ -665,9 +661,7 @@ def ground_state(
             ConstraintSpec.nehari(), params, grid, init=init, tol=tol, max_iter=max_iter
         )
 
-    if threads is None:
-        threads = 1 if grid.dim == 1 else len(starts)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=1 if grid.dim == 1 else len(starts)) as pool:
         results = list(pool.map(run, enumerate(starts)))
     # the mirror scalar starts reach the same level up to a few ulps, so
     # the earliest start takes a tie and roundoff does not pick the

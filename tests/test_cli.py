@@ -1,7 +1,9 @@
+import argparse
 import csv
 import dataclasses
 import inspect
 import json
+import string
 import tempfile
 import textwrap
 import time
@@ -17,16 +19,24 @@ from cnls_lab import (
     Grid,
     ScalingParams,
     SystemParams,
+    default_half_width,
     load_snapshot,
     make_member,
     save_snapshot,
     scale_pair,
 )
-from cnls_lab.audit import identity_audit
-from cnls_lab.cli import _COMMAND_DEFAULTS, _COMMON_DEFAULTS, main
-from cnls_lab.dynamics import EvolveConfig
-from cnls_lab.minimize import ground_state, minimize_on
-from cnls_lab.stability import blowup_experiment, perturbation_pair, stability_sweep
+from cnls_lab.cli import (
+    _COMMAND_DEFAULTS,
+    _COMMON_DEFAULTS,
+    _CONSTRAINT_KEYS,
+    _DISPATCH,
+    _FEEDS,
+    _keywords,
+    _spelled,
+    main,
+    resolve_config,
+    write_manifest,
+)
 
 GROUND_CFG = """
     [params]
@@ -116,7 +126,7 @@ def test_manifest_reruns_the_same_job(tmp_path):
     assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
 
 
-def test_config_rejection_and_io_failure(tmp_path):
+def test_config_rejection_and_io_failure(tmp_path, capsys):
     bad_key = _write(tmp_path, "[params]\nbogus = 1\n", name="k.ini")
     assert main(["ground", str(bad_key), "--out", str(tmp_path / "o1")]) == 3
     bad_sec = _write(tmp_path, "[nonsense]\na = 1\n", name="s.ini")
@@ -125,8 +135,21 @@ def test_config_rejection_and_io_failure(tmp_path):
     assert main(["ground", str(no_header), "--out", str(tmp_path / "o3")]) == 3
     missing = tmp_path / "not_there.ini"
     assert main(["ground", str(missing), "--out", str(tmp_path / "o4")]) == 4
-    tiny = _write(tmp_path, "[grid]\npoints = 64\n", name="t.ini")
-    assert main(["ground", str(tiny), "--threads", "0", "--out", str(tmp_path / "o5")]) == 3
+    # a value that does not parse as its key's type is named in the message
+    unparsed = [
+        ("ground", "params", "omega1", "x"),
+        ("ground", "grid", "points", "1.5"),
+        ("ground", "minimize", "max_iter", "1e3"),
+        ("blowup", "blowup", "factor", "x"),
+        ("audit", "audit", "gamma_factors", "1.0,x"),
+        ("profile", "profile", "shift", "x"),
+        ("evolve", "evolve", "dt", "x"),
+    ]
+    for command, section, key, value in unparsed:
+        capsys.readouterr()
+        path = _write(tmp_path, f"[{section}]\n{key} = {value}\n", name="u.ini")
+        assert main([command, str(path), "--out", str(tmp_path / "o5")]) == 3
+        assert f"[{section}] {key}" in capsys.readouterr().err, (command, key)
 
 
 def test_minimize_equal_spheres(tmp_path):
@@ -164,6 +187,12 @@ def test_minimize_config_refusals(tmp_path):
         name="s.ini",
     )
     assert main(["minimize", str(supercrit), "--out", str(tmp_path / "o2")]) == 3
+    # a key the kind does not read is refused, not echoed and dropped
+    for name, keys in (("e", "kind = equal_spheres\ndelta1 = 1\ndelta2 = 5\n"), ("n", "kind = nehari\ngamma = 7\n")):
+        unread = _write(tmp_path, f"[grid]\npoints = 64\n\n[constraint]\n{keys}", name=f"{name}.ini")
+        out = tmp_path / name
+        assert main(["minimize", str(unread), "--out", str(out)]) == 3
+        assert [path.name for path in out.iterdir()] == ["manifest.txt"]
 
 
 def test_profile_member_round_trip(tmp_path):
@@ -332,16 +361,13 @@ _FUZZ_BASE = {
     },
     "profile": _TINY["profile"],
     "ground": _TINY["ground"],
-    "minimize": {
-        "grid": {"points": "64"},
-        "minimize": {"max_iter": "2000"},
-        "constraint": {"gamma": "4.0", "delta1": "1.0", "delta2": "1.0"},
-    },
+    "minimize": {"grid": {"points": "64"}, "minimize": {"max_iter": "2000"}},
     "sweep": _TINY["sweep"],
     "blowup": _TINY["blowup"],
     "audit": _TINY["audit"],
 }
-_FUZZ_KINDS = ("nehari", "nehari_set", "pohozaev", "weighted_sphere", "product_spheres", "equal_spheres")
+# the level each sphere kind reads
+_FUZZ_LEVELS = {"gamma": "4.0", "delta1": "1.0", "delta2": "1.0"}
 _FUZZ_KEYS = {
     "params": ("p", "beta", "omega1", "omega2"),
     "grid": ("dim", "points", "half_width"),
@@ -384,7 +410,8 @@ def _fuzzed_config(draw):
     value = draw(st.sampled_from(_FUZZ_VALUES))
     cfg = {sec: dict(keys) for sec, keys in _FUZZ_BASE[command].items()}
     if command == "minimize":
-        cfg["constraint"]["kind"] = draw(st.sampled_from(_FUZZ_KINDS))
+        kind = draw(st.sampled_from(sorted(_CONSTRAINT_KEYS)))
+        cfg["constraint"] = {"kind": kind, **{key: _FUZZ_LEVELS[key] for key in _CONSTRAINT_KEYS[kind]}}
     cfg.setdefault(section, {})[key] = value
     return command, cfg
 
@@ -764,54 +791,80 @@ def test_outputs_are_written_only_when_every_nonfinite_number_is_allowed(tmp_pat
         assert written == [] and "numerical failure: non-finite" in capsys.readouterr().err
 
 
-# each CLI default and the library default it feeds, as (command, section,
-# key, callee, parameter); keys whose callee has no default of its own (the
-# evolve command's dt, t_end, eps and initial, a profile's family, a
-# constraint's kind) are not listed
-_DEFAULT_FEEDS = [
-    *(
-        ("sweep", "sweep", key, stability_sweep, key)
-        for key in ("family", "epsilons", "dt", "t_end", "sample_dt", "perturb_mode",
-                    "excursion_ratio", "zero_orbit_tol")
-    ),
-    ("sweep", "sweep", "flow_tol", stability_sweep, "tol"),
-    *(
-        ("blowup", "blowup", key, blowup_experiment, key)
-        for key in ("family", "factor", "dt", "t_max", "guard_ratio", "window_fraction", "margin")
-    ),
-    ("blowup", "blowup", "flow_tol", blowup_experiment, "tol"),
-    *(("audit", "audit", key, identity_audit, key) for key in ("tol", "gamma_factors", "flow_tol")),
-    *(
-        (command, "minimize", key, callee, key)
-        for command, callee in (("ground", ground_state), ("minimize", minimize_on))
-        for key in ("tol", "max_iter")
-    ),
-    ("evolve", "evolve", "snapshot_stride", EvolveConfig, "snapshot_stride"),
-    ("evolve", "evolve", "conservation_stride", EvolveConfig, "conservation_check_stride"),
-    ("evolve", "evolve", "guard", EvolveConfig, "blowup_guard"),
-    ("evolve", "evolve", "perturb_mode", perturbation_pair, "mode"),
-    *(("profile", "profile", key, make_member, key) for key in ("theta1", "theta2", "shift")),
-]
-
-
-def _parsed(raw, default):
-    """The CLI default string raw as a value of the library default's type."""
-    if default is None:
-        return raw or None
-    if isinstance(default, tuple):
-        return tuple(float(tok) for tok in raw.split(","))
-    return type(default)(raw)
+def _library_default(callee, name):
+    return inspect.signature(callee).parameters[name].default
 
 
 def test_cli_defaults_equal_the_library_defaults():
-    for command, section, key, callee, name in _DEFAULT_FEEDS:
-        default = inspect.signature(callee).parameters[name].default
-        assert _parsed(_COMMAND_DEFAULTS[command][section][key], default) == default, (command, key)
-    # the sections that feed one callee feed it every key
-    listed = {(command, key) for command, _, key, _, _ in _DEFAULT_FEEDS}
-    for command in ("sweep", "blowup", "audit", "ground", "minimize"):
-        section = "minimize" if command in ("ground", "minimize") else command
-        assert {(command, key) for key in _COMMAND_DEFAULTS[command][section]} <= listed
-    seed = int(_COMMON_DEFAULTS["run"]["seed"])
-    for callee in (ground_state, minimize_on, stability_sweep, blowup_experiment, identity_audit, perturbation_pair):
-        assert inspect.signature(callee).parameters["seed"].default == seed
+    overrides = argparse.Namespace(seed=None, out="unused")
+    for command in _DISPATCH:
+        kw = _keywords(resolve_config(command, None, overrides), command)
+        for cmd, section, key, callee, name in _FEEDS:
+            if cmd == command:
+                assert kw[callee.__name__][name] == _library_default(callee, name), (command, key)
+                # the table holds the key's only default
+                assert key not in _COMMAND_DEFAULTS.get(command, {}).get(section, {}), (command, key)
+    # a callee takes every one of its options from the table
+    fed = {(callee, name) for *_, callee, name in _FEEDS}
+    for callee in {callee for callee, _ in fed}:
+        options = {n for n, prm in inspect.signature(callee).parameters.items() if prm.default is not prm.empty}
+        assert {name for c, name in fed if c is callee} == options - {"init"}, callee
+    # a profile run reads no seed, so its default is the run section's
+    for *_, callee, name in _FEEDS:
+        if name == "seed":
+            assert _COMMON_DEFAULTS["run"]["seed"] == _spelled(_library_default(callee, name))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOAT_LISTS = st.lists(_FINITE, min_size=1, max_size=4).map(tuple)
+# a value of each type a library default has
+_VALUES = {
+    float: _FINITE,
+    int: st.integers(),
+    str: st.text(string.ascii_letters + "_:", min_size=1, max_size=12),
+    tuple: _FLOAT_LISTS,
+    type(None): st.none() | _FLOAT_LISTS,
+}
+
+
+@st.composite
+def _table_values(draw):
+    command = draw(st.sampled_from(sorted(_DISPATCH)))
+    values = {}
+    for cmd, section, key, callee, name in _FEEDS:
+        if cmd == command and (section, key) not in values:
+            values[section, key] = draw(_VALUES[type(_library_default(callee, name))])
+    return command, values
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_table_values())
+def test_manifest_reads_back_every_keyword_exactly(case):
+    # no flow runs: the config is resolved, echoed and resolved again
+    command, values = case
+    ini = {}
+    for (section, key), value in values.items():
+        ini.setdefault(section, {})[key] = _spelled(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(_ini(ini), encoding="utf-8")
+        overrides = argparse.Namespace(seed=None, out=tmp)
+        first = resolve_config(command, path, overrides)
+        write_manifest(first, command, Path(tmp))
+        again = resolve_config(command, Path(tmp) / "manifest.txt", overrides)
+    kw = _keywords(first, command)
+    assert _keywords(again, command) == kw
+    for cmd, section, key, callee, name in _FEEDS:
+        if cmd == command:
+            assert kw[callee.__name__][name] == values[section, key]
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.5])
+def test_profile_box_follows_the_frequencies(tmp_path, omega):
+    # a slowly decaying member needs the library's wider box
+    cfg = {"params": {"omega1": repr(omega), "omega2": repr(omega)}, "grid": {"points": "256"}}
+    out = tmp_path / "p"
+    assert main(["profile", str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 0
+    assert json.loads((out / "profile.json").read_text())["boundary_amplitude_ratio"] < 1e-8
+    width = float(default_half_width(omega, omega))
+    assert f"half_width = {width!r}\n" in (out / "manifest.txt").read_text()

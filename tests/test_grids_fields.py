@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from cnls_lab import (
     relative_error,
     weighted_l2_norm_sq,
 )
+from cnls_lab import cli
 from cnls_lab.core import _density, _fft, _ifft, _irfft, _parseval_sums, _rfft, gradient_norm_sq_component
 from cnls_lab.functionals import _Norms
 
@@ -406,6 +408,13 @@ def test_every_keyword_only_option_is_passed_somewhere():
                 if isinstance(node, ast.Call):
                     callee = _call_name(node).split(".")[-1]
                     passed.update((callee, k.arg) for k in node.keywords)
+    # the CLI passes its table's keywords as **kwargs, so each entry counts
+    # once it names a keyword parameter, with a default, of its callee
+    for *_, callee, name in cli._FEEDS:
+        parameter = inspect.signature(callee).parameters[name]
+        assert parameter.kind in (parameter.KEYWORD_ONLY, parameter.POSITIONAL_OR_KEYWORD), (callee, name)
+        assert parameter.default is not parameter.empty, (callee, name)
+        passed.add((callee.__name__, name))
     assert options
     assert [f"{module}.{name}: {arg}" for module, name, arg in options if (name, arg) not in passed] == []
 
