@@ -48,7 +48,8 @@ _COMMON_DEFAULTS = {
     "params": {"p": "2.0", "beta": "0.0", "omega1": "1.0", "omega2": "1.0"},
     # an empty half_width is resolved to core.default_half_width(omega1, omega2)
     "grid": {"dim": "1", "points": "1024", "half_width": ""},
-    "run": {"seed": "0", "out": ""},
+    # the commands that read a seed take its key from _FEEDS
+    "run": {"out": ""},
 }
 
 # the keys whose callee has no default of its own
@@ -177,6 +178,8 @@ def resolve_config(command: str, config_path, overrides) -> configparser.ConfigP
                 cfg.set(sec, key, value)
 
     if overrides.seed is not None:
+        if not cfg.has_option("run", "seed"):
+            raise ValueError(f"command {command!r} reads no seed")
         cfg.set("run", "seed", str(overrides.seed))
     if overrides.out is not None:
         cfg.set("run", "out", overrides.out)

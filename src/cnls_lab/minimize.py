@@ -27,12 +27,13 @@ constraint normals; the reported quantity is ||r||_2 / ||U||_{H_omega}.
 
 The step multiplier, the rates of g, the scalings and the residual are all
 real, so the flow acts on the real and imaginary parts of U alike and keeps
-a real state real. It runs in real arithmetic: each component is held as
-real rows, one for a real start (every gaussian_init start) and two (real
-and imaginary parts) otherwise, and transformed by the real pair
-core._rfft / core._irfft onto half spectra, whose Parseval sums weigh each
-column by its multiplicity in the full spectrum. A real start's minimizer
-has imaginary parts exactly 0.
+a real state real. It runs in real arithmetic on one stacked state U of
+shape (2, q, *shape), the component on axis 0 and its real rows on axis 1:
+q = 1 for a real start (every gaussian_init start), and q = 2 (real and
+imaginary parts) otherwise. One call of the real pair core._rfft /
+core._irfft transforms both components onto the (2, q, *half) half
+spectrum, whose Parseval sums weigh each column by its multiplicity in the
+full spectrum. A real start's minimizer has imaginary parts exactly 0.
 """
 
 from __future__ import annotations
@@ -97,23 +98,23 @@ class ConstraintSpec:
 
     @classmethod
     def weighted_sphere(cls, gamma: float) -> "ConstraintSpec":
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         return cls("weighted_sphere", gamma=float(gamma))
 
     @classmethod
     def product_spheres(cls, delta1: float, delta2: float) -> "ConstraintSpec":
         # delta2 = 0 pins the second component to zero (scalar problem)
-        if not delta1 > 0:
-            raise ValueError(f"delta1 must be positive, got {delta1}")
-        if delta2 < 0:
-            raise ValueError(f"delta2 must be >= 0, got {delta2}")
+        if not 0 < delta1 < math.inf:
+            raise ValueError(f"delta1 must be positive and finite, got {delta1}")
+        if not 0 <= delta2 < math.inf:
+            raise ValueError(f"delta2 must be >= 0 and finite, got {delta2}")
         return cls("product_spheres", delta1=float(delta1), delta2=float(delta2))
 
     @classmethod
     def equal_spheres(cls, delta: float) -> "ConstraintSpec":
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         return cls("equal_spheres", delta1=float(delta), delta2=float(delta))
 
     @classmethod
@@ -392,97 +393,79 @@ def _unchecked_scalings(constraint, norms, warm):
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _rows(c: np.ndarray, real: bool) -> np.ndarray:
-    """A complex component as the real rows the flow holds: (1, *shape)
-    with its real part for a real state, else (2, *shape) with its real
-    and imaginary parts."""
-    return c.real[np.newaxis] if real else np.stack((c.real, c.imag))
+def _moduli(U: np.ndarray) -> np.ndarray:
+    """The (2, *shape) squared moduli |u_j|^2 of the stacked state U."""
+    m = np.square(U[:, 0])
+    if U.shape[1] == 2:
+        m += U[:, 1] ** 2
+    return m
 
 
-def _complex(u: np.ndarray) -> np.ndarray:
-    """The component whose rows _rows gives u."""
-    return u[0] if len(u) == 1 else u[0] + 1j * u[1]
+def _gradient_spectra(grid, params, U):
+    """Half spectrum of the coupling gradient (A1 u1, A2 u2) of the stacked
+    state U. The moduli and the rates are released on return, before the
+    flow's trial steps allocate theirs."""
+    rates = _rates(_moduli(U).reshape(2, -1), params).reshape((2, 1) + grid.shape)
+    return _rfft(grid, rates * U)
 
 
-def _moduli(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|u|^2 of a component held as real rows, written into out if given."""
-    out = np.square(u[0], out=out)
-    if len(u) == 2:
-        out += u[1] ** 2
-    return out
+def _project_state(constraint, grid, params, Vh, warm):
+    """Project the raw half spectrum Vh of a stacked state onto the
+    constraint set, scaling Vh in place once the projection has succeeded.
 
-
-def _gradient_spectra(grid, params, u1, u2):
-    """Half spectra of the coupling gradient (A1 u1, A2 u2) of the states
-    held as real rows u1 and u2. The moduli share one (2, *shape) buffer,
-    and it and the rates are released on return, before the flow's trial
-    steps allocate theirs."""
-    m = np.empty((2,) + grid.shape)
-    _moduli(u1, m[0])
-    _moduli(u2, m[1])
-    r1, r2 = _rates(m.reshape(2, -1), params).reshape(m.shape)
-    return _rfft(grid, r1 * u1), _rfft(grid, r2 * u2)
-
-
-def _project_state(constraint, grid, params, v1h, v2h, warm):
-    """Project raw half spectra of real rows onto the constraint set,
-    scaling v1h and v2h in place once the projection has succeeded.
-
-    Returns ((u1, u2), (u1h, u2h), factors, norms): the projected rows, their
-    half spectra, the scalings (t1, t2) and the _Norms of U.
+    Returns (U, Uh, factors, norms): the projected state, its half spectrum
+    (Vh itself), the scalings (t1, t2) and the _Norms of U.
     """
-    v1, v2 = _irfft(grid, v1h), _irfft(grid, v2h)
+    V = _irfft(grid, Vh)
     raw = _Norms.of(
         params,
         grid,
-        _moduli(v1),
-        _moduli(v2),
-        _parseval_sums(grid, v1h, half=True),
-        _parseval_sums(grid, v2h, half=True),
+        *_moduli(V),
+        _parseval_sums(grid, Vh[0], half=True),
+        _parseval_sums(grid, Vh[1], half=True),
     )
     t1, t2 = _scalings(constraint, raw, warm)
-    for z, t in ((v1, t1), (v2, t2), (v1h, t1), (v2h, t2)):
-        z *= t
-    return (v1, v2), (v1h, v2h), (t1, t2), raw.scaled(t1, t2)
+    t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)
+    V *= t
+    Vh *= t
+    return V, Vh, (t1, t2), raw.scaled(t1, t2)
 
 
 def _effective_frequencies(constraint, norms):
-    """(lam1, lam2): the frequencies of the constrained equation at the
-    running multiplier estimate, for the residual and the semi-implicit
-    denominator."""
-    w1, w2 = norms.params.omega1, norms.params.omega2
+    """The (2, 1, ...) column (lam1, lam2) of the frequencies of the
+    constrained equation at the running multiplier estimate, for the
+    residual and the semi-implicit denominator."""
+    lam = (norms.params.omega1, norms.params.omega2)
     nus = _multipliers(constraint, norms)
     if constraint.kind == "weighted_sphere":
         (nu,) = nus
-        return nu * w1, nu * w2
-    if nus:
+        lam = (nu * lam[0], nu * lam[1])
+    elif nus:
         nu1, nu2 = nus
         # a pinned component keeps its own frequency
-        return nu1, w2 if math.isnan(nu2) else nu2
-    return w1, w2
+        lam = (nu1, lam[1] if math.isnan(nu2) else nu2)
+    return np.reshape(lam, (2, 1) + (1,) * norms.dim)
 
 
-def _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms):
-    k2, weights = grid.half_k2, grid.half_weights
+def _residual(constraint, grid, Uh, G, lam, norms):
     w = grid.cell_volume / grid.total_points
 
     def dot(a, b):
         # the L2 product of the real rows whose half spectra are a and b
-        return float(np.sum(weights * (a.real * b.real + a.imag * b.imag)) * w)
+        return float(np.sum(grid.half_weights * (a.real * b.real + a.imag * b.imag)) * w)
 
-    r1h = (k2 + lam1) * u1h - g1h
-    r2h = (k2 + lam2) * u2h - g2h
-    r_sq = dot(r1h, r1h) + dot(r2h, r2h)
+    R = (grid.half_k2 + lam) * Uh - G
+    r_sq = dot(R[0], R[0]) + dot(R[1], R[1])
     kind = constraint.kind
     if kind == "weighted_sphere":
         w1, w2 = norms.params.omega1, norms.params.omega2
-        inner = w1 * dot(r1h, u1h) + w2 * dot(r2h, u2h)
+        inner = w1 * dot(R[0], Uh[0]) + w2 * dot(R[1], Uh[1])
         nn = w1**2 * norms.m1 + w2**2 * norms.m2
         r_sq -= inner**2 / nn
     elif kind in ("product_spheres", "equal_spheres"):
-        for rh, uh, mass in ((r1h, u1h, norms.m1), (r2h, u2h, norms.m2)):
+        for j, mass in enumerate((norms.m1, norms.m2)):
             if mass > 0:
-                r_sq -= dot(rh, uh) ** 2 / mass
+                r_sq -= dot(R[j], Uh[j]) ** 2 / mass
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
@@ -525,19 +508,13 @@ def minimize_on(
 
     # the flow acts on real and imaginary parts alike, so a real start is
     # held as one real row per component and any other start as two
-    real = not init.components.imag.any()
-    # each projection's scalings warm-start the next (only nehari_set reads them)
-    (u1, u2), (u1h, u2h), factors, norms = _project_state(
-        constraint,
-        grid,
-        params,
-        _rfft(grid, _rows(init.c1, real)),
-        _rfft(grid, _rows(init.c2, real)),
-        (1.0, 1.0),
-    )
-    # the flow needs only the start's spectra; a start built here would
+    C = init.components
+    Vh = _rfft(grid, C.real[:, None] if not C.imag.any() else np.stack((C.real, C.imag), axis=1))
+    # the flow needs only the start's spectrum; a start built here would
     # otherwise hold one more (2, *shape) complex stack through the flow
-    del init
+    del init, C
+    # each projection's scalings warm-start the next (only nehari_set reads them)
+    U, Uh, factors, norms = _project_state(constraint, grid, params, Vh, (1.0, 1.0))
     obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
@@ -551,9 +528,9 @@ def minimize_on(
     converged = False
 
     for iterations in range(1, max_iter + 1):
-        g1h, g2h = _gradient_spectra(grid, params, u1, u2)
-        lam1, lam2 = _effective_frequencies(constraint, norms)
-        rel_res = _residual(constraint, grid, u1h, u2h, g1h, g2h, lam1, lam2, norms)
+        G = _gradient_spectra(grid, params, U)
+        lam = _effective_frequencies(constraint, norms)
+        rel_res = _residual(constraint, grid, Uh, G, lam, norms)
         residuals.append(rel_res)
         if rel_res < tol:
             converged = True
@@ -564,14 +541,13 @@ def minimize_on(
             # the multiplier must sit in the denominator: treated explicitly
             # it caps the stable step at 2/(nu - 1) and a dying component
             # flip-flops at the cap instead of vanishing
-            if 1.0 + dt * lam1 > 1e-12 and 1.0 + dt * lam2 > 1e-12:
-                v1h = (u1h + dt * g1h) / (1.0 + dt * (grid.half_k2 + lam1))
-                v2h = (u2h + dt * g2h) / (1.0 + dt * (grid.half_k2 + lam2))
+            if (1.0 + dt * lam > 1e-12).all():
+                Vh = (Uh + dt * G) / (1.0 + dt * (grid.half_k2 + lam))
                 # a rejected attempt's fields must not stay alive through the
-                # retry, where they would add four arrays to the peak
+                # retry, where they would add two stacks to the peak
                 projected = None
                 try:
-                    projected = _project_state(constraint, grid, params, v1h, v2h, factors)
+                    projected = _project_state(constraint, grid, params, Vh, factors)
                 except ConstraintError:
                     pass
                 else:
@@ -583,7 +559,7 @@ def minimize_on(
             rejected += 1
         if not accepted:
             break
-        (u1, u2), (u1h, u2h), factors, norms = projected
+        U, Uh, factors, norms = projected
         obj = obj_new
         history.append(obj)
         dt = min(dt * 2.0, _DT_MAX)
@@ -595,8 +571,9 @@ def minimize_on(
             "infimum may not be a critical point at these parameters"
         )
 
+    minimizer = U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0].astype(complex)
     return MinimizeResult(
-        minimizer=FieldPair._wrap(grid, np.array([_complex(u1), _complex(u2)], dtype=complex)),
+        minimizer=FieldPair._wrap(grid, minimizer),
         value=_objective(constraint, norms),
         action=norms.action,
         energy=norms.energy,
@@ -681,7 +658,7 @@ def multiplier_extract(pair: FieldPair, params: SystemParams, constraint: Constr
     grid = pair.grid
     k2 = grid.k2
     u1h, u2h = _fft(grid, pair.components)
-    g1h, g2h = (_fft(grid, g) for g in coupling_gradient(pair, params))
+    g1h, g2h = _fft(grid, np.stack(coupling_gradient(pair, params)))
 
     def fits(*terms):
         # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given

@@ -27,7 +27,6 @@ from cnls_lab import (
 )
 from cnls_lab.cli import (
     _COMMAND_DEFAULTS,
-    _COMMON_DEFAULTS,
     _CONSTRAINT_KEYS,
     _DISPATCH,
     _FEEDS,
@@ -107,14 +106,17 @@ def _files(out):
 def test_rerun_is_byte_identical(tmp_path, command):
     cfg = _write(tmp_path, _ini(_TINY[command]))
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main([command, str(cfg), "--seed", "3", "--out", str(out1)]) == 0
-    assert main([command, str(cfg), "--seed", "3", "--out", str(out2)]) == 0
+    # a profile run reads no seed, so it takes none
+    seed = [] if command == "profile" else ["--seed", "3"]
+    assert main([command, str(cfg), *seed, "--out", str(out1)]) == 0
+    assert main([command, str(cfg), *seed, "--out", str(out2)]) == 0
     first, second = _files(out1), _files(out2)
     manifest = Path("manifest.txt")
     # the manifests differ only in the output directory they echo
     assert first.pop(manifest).replace(bytes(out1), bytes(out2)) == second.pop(manifest)
     assert len(first) >= 2 and first == second
-    assert "seed = 3" in (out1 / "manifest.txt").read_text()
+    text = (out1 / "manifest.txt").read_text()
+    assert "seed = 3" in text if seed else "seed" not in text
 
 
 def test_manifest_reruns_the_same_job(tmp_path):
@@ -135,6 +137,11 @@ def test_config_rejection_and_io_failure(tmp_path, capsys):
     assert main(["ground", str(no_header), "--out", str(tmp_path / "o3")]) == 3
     missing = tmp_path / "not_there.ini"
     assert main(["ground", str(missing), "--out", str(tmp_path / "o4")]) == 4
+    # a profile run reads no seed and refuses one, from the flag or the file
+    assert main(["profile", "--seed", "3", "--out", str(tmp_path / "o6")]) == 3
+    seeded = _write(tmp_path, "[run]\nseed = 3\n", name="r.ini")
+    assert main(["profile", str(seeded), "--out", str(tmp_path / "o7")]) == 3
+    assert not (tmp_path / "o6").exists() and not (tmp_path / "o7").exists()
     # a value that does not parse as its key's type is named in the message
     unparsed = [
         ("ground", "params", "omega1", "x"),
@@ -176,7 +183,7 @@ def test_minimize_equal_spheres(tmp_path):
     assert "spheres" in data["constraint"]
 
 
-def test_minimize_config_refusals(tmp_path):
+def test_minimize_config_refusals(tmp_path, capsys):
     # sphere constraint without its mass level
     incomplete = _write(tmp_path, "[constraint]\nkind = weighted_sphere\n", name="i.ini")
     assert main(["minimize", str(incomplete), "--out", str(tmp_path / "o1")]) == 3
@@ -193,6 +200,16 @@ def test_minimize_config_refusals(tmp_path):
         out = tmp_path / name
         assert main(["minimize", str(unread), "--out", str(out)]) == 3
         assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+    # a non-finite size is named by the constraint's factory, before any flow
+    sizes = (
+        ("w", "kind = weighted_sphere\ngamma = inf\n"),
+        ("p", "kind = product_spheres\ndelta1 = 1\ndelta2 = nan\n"),
+    )
+    for name, keys in sizes:
+        capsys.readouterr()
+        sized = _write(tmp_path, f"[constraint]\n{keys}", name=f"{name}.ini")
+        assert main(["minimize", str(sized), "--out", str(tmp_path / name)]) == 3
+        assert "finite, got" in capsys.readouterr().err
 
 
 def test_profile_member_round_trip(tmp_path):
@@ -809,10 +826,11 @@ def test_cli_defaults_equal_the_library_defaults():
     for callee in {callee for callee, _ in fed}:
         options = {n for n, prm in inspect.signature(callee).parameters.items() if prm.default is not prm.empty}
         assert {name for c, name in fed if c is callee} == options - {"init"}, callee
-    # a profile run reads no seed, so its default is the run section's
-    for *_, callee, name in _FEEDS:
-        if name == "seed":
-            assert _COMMON_DEFAULTS["run"]["seed"] == _spelled(_library_default(callee, name))
+    # a command has a seed key exactly when the table feeds it a seed
+    seeded = {cmd for cmd, section, key, *_ in _FEEDS if (section, key) == ("run", "seed")}
+    for command in _DISPATCH:
+        assert resolve_config(command, None, overrides).has_option("run", "seed") == (command in seeded)
+    assert "profile" not in seeded
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

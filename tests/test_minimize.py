@@ -171,11 +171,11 @@ def test_flow_telemetry(grid_1d):
 @pytest.mark.parametrize("grid", [Grid(1, 256, 20.0), Grid(2, 32, 10.0)], ids=["1d", "2d"])
 @pytest.mark.parametrize("phase", [0.0, 0.7])
 def test_flow_transform_budget(grid, phase, transform_calls):
-    # the flow holds a real start as one real row per component and a
-    # complex one as two, and transforms them with the real pair only: two
-    # forward transforms per iteration (and two of the start), two inverse
-    # transforms per projection trial (the start's, then one per accepted
-    # or rejected step)
+    # the flow holds both components as one stacked state, with one real
+    # row each for a real start and two for a complex one, and transforms
+    # it with the real pair only: one forward transform per iteration (and
+    # one of the start), one inverse transform per projection trial (the
+    # start's, then one per accepted or rejected step)
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
     init = gaussian_init(grid, params, mode="both", seed=2)
     init = FieldPair(grid, np.exp(1j * phase) * init.c1, init.c2)
@@ -186,8 +186,8 @@ def test_flow_transform_budget(grid, phase, transform_calls):
     forward = [c for c in transform_calls if c.name in ("rfft", "rfftn")]
     inverse = [c for c in transform_calls if c.name in ("irfft", "irfftn")]
     assert len(forward) + len(inverse) == len(transform_calls)
-    assert forward == [(rows, *grid.shape)] * (2 + 2 * res.iterations)
-    assert inverse == [(rows, *half)] * 2 * (res.iterations + res.rejected_trials)
+    assert forward == [(2, rows, *grid.shape)] * (1 + res.iterations)
+    assert inverse == [(2, rows, *half)] * (res.iterations + res.rejected_trials)
     assert res.minimizer.c1.imag.any() == (rows == 2)
 
 
@@ -259,6 +259,48 @@ def test_flow_commutes_with_phases(dim, kind, p, beta, size, phase, both, seed):
     assert h1_distance(turned.minimizer, expected, params) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("phase", [0.0, 0.7], ids=["real", "complex"])
+@settings(deadline=None, max_examples=8)
+@given(
+    kind=st.sampled_from(["nehari", "weighted_sphere"]),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    beta=st.floats(0.0, 3.0),
+    omegas=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    seed=st.integers(0, 10_000),
+)
+def test_flow_mirrors_with_its_components(dim, kind, p, beta, omegas, phase, seed):
+    # every step of the flow treats the two components alike, so the start
+    # (b, a) with omega1 and omega2 swapped runs the mirror of (a, b)'s
+    # flow bit for bit, for real starts and complex ones alike. Product
+    # spheres and nehari_set are left out: the former's residual subtracts
+    # the two projections in order, and the latter's scalings solve for t1
+    # first, so neither is symmetric at roundoff.
+    grid = _PHASE_GRIDS[dim - 1]
+    params = SystemParams(p=p, beta=beta, omega1=omegas[0], omega2=omegas[1])
+    mirror = SystemParams(p=p, beta=beta, omega1=omegas[1], omega2=omegas[0])
+    assume(kind == "nehari" or params.criticality(dim) == "subcritical")
+    constraint = ConstraintSpec.nehari() if kind == "nehari" else ConstraintSpec.weighted_sphere(2.0)
+    start = _smooth_real_start(grid, seed)
+    a, b = np.exp(1j * phase) * start.c1, start.c2
+    options = dict(tol=1e-10, max_iter=400)
+    try:
+        res = minimize_on(constraint, params, grid, init=FieldPair(grid, a, b), **options)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as mirrored:
+            minimize_on(constraint, mirror, grid, init=FieldPair(grid, b, a), **options)
+        assert str(mirrored.value) == str(exc)
+        return
+    flipped = minimize_on(constraint, mirror, grid, init=FieldPair(grid, b, a), **options)
+    assert flipped.minimizer.components.tobytes() == res.minimizer.components[::-1].tobytes()
+    assert flipped.iterations == res.iterations
+    assert flipped.rejected_trials == res.rejected_trials
+    assert flipped.history.tobytes() == res.history.tobytes()
+    assert flipped.residual_history.tobytes() == res.residual_history.tobytes()
+    assert flipped.action == res.action
+    assert flipped.multipliers == res.multipliers
+
+
 def test_history_is_monotone(grid_1d):
     res = minimize_on(ConstraintSpec.nehari(), _cubic(1.0), grid_1d)
     slack = 1e-12 * max(1.0, abs(res.value))
@@ -290,6 +332,19 @@ def test_constraint_spec_validation():
     with pytest.raises(ValueError):
         ConstraintSpec.product_spheres(1.0, -1.0)
     assert ConstraintSpec.equal_spheres(2.0).delta2 == 2.0
+    # non-finite sizes are refused up front, naming the value
+    for make, value in (
+        (ConstraintSpec.weighted_sphere, math.inf),
+        (ConstraintSpec.weighted_sphere, math.nan),
+        (lambda v: ConstraintSpec.product_spheres(1.0, v), math.inf),
+        (lambda v: ConstraintSpec.product_spheres(1.0, v), math.nan),
+        (lambda v: ConstraintSpec.product_spheres(v, 0.0), math.inf),
+        (lambda v: ConstraintSpec.product_spheres(v, 1.0), math.nan),
+        (ConstraintSpec.equal_spheres, math.inf),
+        (ConstraintSpec.equal_spheres, math.nan),
+    ):
+        with pytest.raises(ValueError, match=str(value)):
+            make(value)
 
 
 def _assert_on_two_sided_set(pair, params):
