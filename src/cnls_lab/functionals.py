@@ -55,9 +55,9 @@ _POHOZAEV_TOL = 1e-6
 
 def _power(m: np.ndarray, e: float) -> np.ndarray:
     """m**e for m >= 0. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which
-    p = 2, 3, 4 produce, and 3/4 and -1/4, which p = 3/2 adds, are formed
-    by products and square roots, several times cheaper than a float pow
-    (and than its slow path on the exact zeros and infinities of a scalar
+    p = 2, 3, 4 produce, and 3/4, which p = 3/2 adds, are formed by
+    products and square roots, several times cheaper than a float pow (and
+    than its slow path on the exact zeros and infinities of a scalar
     state); any other goes to **. Exponent 0 gives the scalar 1, exponent
     1 m itself."""
     if e == 0.0:
@@ -74,17 +74,13 @@ def _power(m: np.ndarray, e: float) -> np.ndarray:
         return m * m * m
     if e == 4.0:
         return np.square(m * m)
-    # the last two in place on their own temporaries, which keeps the
-    # flows' peak memory where pow left it
     if e == 0.75:
+        # in place on its own temporaries, which keeps the flows' peak
+        # memory where pow left it
         root = np.sqrt(m)
         power = np.sqrt(root)
         power *= root
         return power
-    if e == -0.25:
-        power = np.sqrt(m)
-        np.sqrt(power, out=power)
-        return np.divide(1.0, power, out=power)
     return m**e
 
 
@@ -153,6 +149,23 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     # taken in place, which keeps the stack's temporaries to two
     if p == 2.0:
         cross = beta * partner
+    elif p == 1.5:
+        # the rates are s = m^(1/2); one more root r = m^(1/4) gives the
+        # partner's m_k^(3/4) = r_k s_k and, inverted, the factor m_j^(-1/4)
+        s = rates
+        r = np.sqrt(s)
+        cross = r[..., ::-1, :] * s[..., ::-1, :]
+        cross *= beta
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, r, out=r)
+        r[m == 0] = 0.0
+        cross *= r
+    elif p == 3.0:
+        # one root serves the partner's m_k^(3/2) and the factor m_j^(1/2)
+        s = np.sqrt(m)
+        cross = partner * s[..., ::-1, :]
+        cross *= beta
+        cross *= s
     else:
         cross = _power(partner, 0.5 * p)
         cross *= beta
@@ -165,13 +178,18 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     return cross
 
 
+def _gradient(pair: FieldPair, params: SystemParams) -> np.ndarray:
+    """The gradient of F as one (2, *shape) stack (g1, g2)."""
+    m = _density(pair.components)
+    return _rates(m.reshape(2, -1), params).reshape(m.shape) * pair.components
+
+
 def coupling_gradient(pair: FieldPair, params: SystemParams):
     """Gradient of F: the right-hand sides of the two coupled equations,
 
         g1 = (|u1|^(2p-2) + beta |u1|^(p-2) |u2|^p) u1   and symmetrically g2.
     """
-    m = _density(pair.components)
-    g = _rates(m.reshape(2, -1), params).reshape(m.shape) * pair.components
+    g = _gradient(pair, params)
     return g[0], g[1]
 
 

@@ -28,25 +28,28 @@ constraint normals; the reported quantity is ||r||_2 / ||U||_{H_omega}.
 The step multiplier, the rates of g, the scalings and the residual are all
 real, so the flow acts on the real and imaginary parts of U alike and keeps
 a real state real. It runs in real arithmetic on one stacked state U of
-shape (2, q, *shape), the component on axis 0 and its real rows on axis 1:
-q = 1 for a real start (every gaussian_init start), and q = 2 (real and
-imaginary parts) otherwise. One call of the real pair core._rfft /
-core._irfft transforms both components onto the (2, q, *half) half
-spectrum, whose Parseval sums weigh each column by its multiplicity in the
-full spectrum. A real start's minimizer has imaginary parts exactly 0.
+shape (r, q, *shape), the component on axis 0 and its real rows on axis 1.
+r counts the components that are nonzero in the start: a component that
+starts exactly zero stays exactly zero under the flow, so a scalar start
+holds one row (r = 1) and any other start two. q = 1 for a real start
+(every gaussian_init start), and q = 2 (real and imaginary parts)
+otherwise. One call of the real pair core._rfft / core._irfft transforms
+the populated components onto the (r, q, *half) half spectrum, whose
+Parseval sums weigh each column by its multiplicity in the full spectrum.
+The absent component adds exact zeros to every sum, and a real start's
+minimizer has imaginary parts exactly 0.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FieldPair, Grid, SystemParams, _density, _fft, _irfft, _parseval_sums, _rfft
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
-from .functionals import _Norms, _rates, coupling_gradient
+from .functionals import _gradient, _Norms, _rates
 
 __all__ = [
     "ConstraintSpec",
@@ -394,24 +397,44 @@ def _unchecked_scalings(constraint, norms, warm):
 
 
 def _moduli(U: np.ndarray) -> np.ndarray:
-    """The (2, *shape) squared moduli |u_j|^2 of the stacked state U."""
+    """The (r, *shape) squared moduli |u_j|^2 of the stacked state U."""
     m = np.square(U[:, 0])
     if U.shape[1] == 2:
         m += U[:, 1] ** 2
     return m
 
 
+def _populated(C: np.ndarray) -> slice:
+    """The slice of components that the flow holds for the start C: the
+    one nonzero component of a scalar start, both otherwise (an all-zero
+    start fails in its first projection)."""
+    first, second = bool(C[0].any()), bool(C[1].any())
+    if first != second:
+        return slice(0, 1) if first else slice(1, 2)
+    return slice(0, 2)
+
+
+def _per_component(held, values, absent):
+    """[entry of u1, entry of u2]: values, one per held component, for the
+    components in the slice held and absent for the other."""
+    pair = [absent, absent]
+    pair[held] = values
+    return pair
+
+
 def _gradient_spectra(grid, params, U):
-    """Half spectrum of the coupling gradient (A1 u1, A2 u2) of the stacked
+    """Half spectrum of the coupling gradient (A_j u_j) of the stacked
     state U. The moduli and the rates are released on return, before the
     flow's trial steps allocate theirs."""
-    rates = _rates(_moduli(U).reshape(2, -1), params).reshape((2, 1) + grid.shape)
+    r = U.shape[0]
+    rates = _rates(_moduli(U).reshape(r, -1), params).reshape((r, 1) + grid.shape)
     return _rfft(grid, rates * U)
 
 
-def _project_state(constraint, grid, params, Vh, warm):
-    """Project the raw half spectrum Vh of a stacked state onto the
-    constraint set, scaling Vh in place once the projection has succeeded.
+def _project_state(constraint, grid, params, Vh, warm, held):
+    """Project the raw half spectrum Vh of a stacked state, which holds the
+    components in the slice held, onto the constraint set, scaling Vh in
+    place once the projection has succeeded.
 
     Returns (U, Uh, factors, norms): the projected state, its half spectrum
     (Vh itself), the scalings (t1, t2) and the _Norms of U.
@@ -420,12 +443,11 @@ def _project_state(constraint, grid, params, Vh, warm):
     raw = _Norms.of(
         params,
         grid,
-        *_moduli(V),
-        _parseval_sums(grid, Vh[0], half=True),
-        _parseval_sums(grid, Vh[1], half=True),
+        *_per_component(held, _moduli(V), None),
+        *_per_component(held, (_parseval_sums(grid, S, half=True) for S in Vh), (0.0, 0.0)),
     )
     t1, t2 = _scalings(constraint, raw, warm)
-    t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)
+    t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)[held]
     V *= t
     Vh *= t
     return V, Vh, (t1, t2), raw.scaled(t1, t2)
@@ -433,8 +455,9 @@ def _project_state(constraint, grid, params, Vh, warm):
 
 def _effective_frequencies(constraint, norms):
     """The (2, 1, ...) column (lam1, lam2) of the frequencies of the
-    constrained equation at the running multiplier estimate, for the
-    residual and the semi-implicit denominator."""
+    constrained equation at the running multiplier estimate, for the step
+    guard; the residual and the semi-implicit denominator take its rows of
+    the held components."""
     lam = (norms.params.omega1, norms.params.omega2)
     nus = _multipliers(constraint, norms)
     if constraint.kind == "weighted_sphere":
@@ -447,7 +470,10 @@ def _effective_frequencies(constraint, norms):
     return np.reshape(lam, (2, 1) + (1,) * norms.dim)
 
 
-def _residual(constraint, grid, Uh, G, lam, norms):
+def _residual(constraint, grid, Uh, G, lam, norms, held):
+    """The relative residual of the state whose components in the slice
+    held Uh holds; lam is their column of frequencies. An absent
+    component's dot products are exactly 0 and are left out."""
     w = grid.cell_volume / grid.total_points
 
     def dot(a, b):
@@ -455,17 +481,20 @@ def _residual(constraint, grid, Uh, G, lam, norms):
         return float(np.sum(grid.half_weights * (a.real * b.real + a.imag * b.imag)) * w)
 
     R = (grid.half_k2 + lam) * Uh - G
-    r_sq = dot(R[0], R[0]) + dot(R[1], R[1])
+    # (row of R and Uh, component index) of each held component
+    rows = tuple(enumerate(range(2)[held]))
+    r_sq = sum(dot(R[i], R[i]) for i, _ in rows)
     kind = constraint.kind
     if kind == "weighted_sphere":
-        w1, w2 = norms.params.omega1, norms.params.omega2
-        inner = w1 * dot(R[0], Uh[0]) + w2 * dot(R[1], Uh[1])
-        nn = w1**2 * norms.m1 + w2**2 * norms.m2
+        omegas = (norms.params.omega1, norms.params.omega2)
+        inner = sum(omegas[j] * dot(R[i], Uh[i]) for i, j in rows)
+        nn = omegas[0] ** 2 * norms.m1 + omegas[1] ** 2 * norms.m2
         r_sq -= inner**2 / nn
     elif kind in ("product_spheres", "equal_spheres"):
-        for j, mass in enumerate((norms.m1, norms.m2)):
-            if mass > 0:
-                r_sq -= dot(R[j], Uh[j]) ** 2 / mass
+        masses = (norms.m1, norms.m2)
+        for i, j in rows:
+            if masses[j] > 0:
+                r_sq -= dot(R[i], Uh[i]) ** 2 / masses[j]
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
@@ -507,14 +536,17 @@ def minimize_on(
         raise GridMismatchError(f"init lives on {init.grid!r}, expected {grid!r}")
 
     # the flow acts on real and imaginary parts alike, so a real start is
-    # held as one real row per component and any other start as two
+    # held as one real row per populated component and any other start as
+    # two; a component that starts exactly zero stays so and has no row
     C = init.components
+    held = _populated(C)
+    C = C[held]
     Vh = _rfft(grid, C.real[:, None] if not C.imag.any() else np.stack((C.real, C.imag), axis=1))
     # the flow needs only the start's spectrum; a start built here would
     # otherwise hold one more (2, *shape) complex stack through the flow
     del init, C
     # each projection's scalings warm-start the next (only nehari_set reads them)
-    U, Uh, factors, norms = _project_state(constraint, grid, params, Vh, (1.0, 1.0))
+    U, Uh, factors, norms = _project_state(constraint, grid, params, Vh, (1.0, 1.0), held)
     obj = _objective(constraint, norms)
     if not math.isfinite(obj):
         raise ConvergenceError("objective is not finite at the starting point")
@@ -530,7 +562,7 @@ def minimize_on(
     for iterations in range(1, max_iter + 1):
         G = _gradient_spectra(grid, params, U)
         lam = _effective_frequencies(constraint, norms)
-        rel_res = _residual(constraint, grid, Uh, G, lam, norms)
+        rel_res = _residual(constraint, grid, Uh, G, lam[held], norms, held)
         residuals.append(rel_res)
         if rel_res < tol:
             converged = True
@@ -540,14 +572,15 @@ def minimize_on(
         while dt >= _DT_MIN:
             # the multiplier must sit in the denominator: treated explicitly
             # it caps the stable step at 2/(nu - 1) and a dying component
-            # flip-flops at the cap instead of vanishing
+            # flip-flops at the cap instead of vanishing. The guard reads
+            # both frequencies, an absent component's too
             if (1.0 + dt * lam > 1e-12).all():
-                Vh = (Uh + dt * G) / (1.0 + dt * (grid.half_k2 + lam))
+                Vh = (Uh + dt * G) / (1.0 + dt * (grid.half_k2 + lam[held]))
                 # a rejected attempt's fields must not stay alive through the
                 # retry, where they would add two stacks to the peak
                 projected = None
                 try:
-                    projected = _project_state(constraint, grid, params, Vh, factors)
+                    projected = _project_state(constraint, grid, params, Vh, factors, held)
                 except ConstraintError:
                     pass
                 else:
@@ -571,7 +604,8 @@ def minimize_on(
             "infimum may not be a critical point at these parameters"
         )
 
-    minimizer = U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0].astype(complex)
+    minimizer = np.zeros((2,) + grid.shape, dtype=complex)
+    minimizer[held] = U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0]
     return MinimizeResult(
         minimizer=FieldPair._wrap(grid, minimizer),
         value=_objective(constraint, norms),
@@ -624,22 +658,20 @@ def ground_state(
     start (first, second, both). The scalar starts stay scalar under the
     flow, so the comparison scalar-vs-vector is decided by the final
     levels, not by the basin of the starting guess.
-    The starts run one after another on 1d grids, whose flows are too
-    short to win back a pool's cost, and on one thread each on 2d and 3d
-    grids; the starts are independent, so the pool changes no number.
-    tol and max_iter are limited as in minimize_on."""
+    The starts run in turn; a scalar start's flow holds its one populated
+    component only. tol and max_iter are limited as in minimize_on."""
     _check_flow_limits(tol, max_iter)
-    starts = ("first", "second", "both")
-
-    def run(idx_mode):
-        idx, mode = idx_mode
-        init = gaussian_init(grid, params, mode=mode, seed=seed + idx)
-        return minimize_on(
-            ConstraintSpec.nehari(), params, grid, init=init, tol=tol, max_iter=max_iter
+    results = [
+        minimize_on(
+            ConstraintSpec.nehari(),
+            params,
+            grid,
+            init=gaussian_init(grid, params, mode=mode, seed=seed + idx),
+            tol=tol,
+            max_iter=max_iter,
         )
-
-    with ThreadPoolExecutor(max_workers=1 if grid.dim == 1 else len(starts)) as pool:
-        results = list(pool.map(run, enumerate(starts)))
+        for idx, mode in enumerate(("first", "second", "both"))
+    ]
     # the mirror scalar starts reach the same level up to a few ulps, so
     # the earliest start takes a tie and roundoff does not pick the
     # populated component
@@ -658,7 +690,7 @@ def multiplier_extract(pair: FieldPair, params: SystemParams, constraint: Constr
     grid = pair.grid
     k2 = grid.k2
     u1h, u2h = _fft(grid, pair.components)
-    g1h, g2h = _fft(grid, np.stack(coupling_gradient(pair, params)))
+    g1h, g2h = _fft(grid, _gradient(pair, params))
 
     def fits(*terms):
         # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given

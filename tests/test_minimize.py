@@ -1,5 +1,7 @@
 import contextlib
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,8 +141,8 @@ def test_zero_virial_flow_matches_gamma_level(grid_1d):
 
 @pytest.mark.parametrize("grid", [Grid(1, 256, 20.0), Grid(2, 32, 10.0)], ids=["1d", "2d"])
 def test_ground_state_is_the_lowest_of_its_starts_run_in_turn(grid):
-    # the 2d starts run on a pool; the result is still, bit for bit, the
-    # lowest of the three flows run one after another
+    # the result is, bit for bit, the lowest of the three flows run one
+    # after another
     params = SystemParams(p=1.5, beta=2.0, omega1=1.0, omega2=1.0)
     starts = [
         minimize_on(ConstraintSpec.nehari(), params, grid, init=gaussian_init(grid, params, mode=mode, seed=3 + idx))
@@ -154,6 +156,34 @@ def test_ground_state_is_the_lowest_of_its_starts_run_in_turn(grid):
         lowest.classification,
     )
     assert np.array_equal(res.minimizer.components, lowest.minimizer.components)
+
+
+def test_ground_state_starts_no_thread(monkeypatch):
+    # the starts run in turn on the calling thread, at every dimension
+    def refuse(self):
+        raise AssertionError(f"ground_state started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    grid = Grid(2, 32, 10.0)
+    res = ground_state(SystemParams(p=1.5, beta=2.0, omega1=1.0, omega2=1.0), grid, seed=3)
+    assert res.residual < 1e-8
+
+
+def test_scalar_start_holds_one_component():
+    # a first start's flow holds no array for its absent component, so its
+    # peak is about half of a both start's
+    grid = Grid(2, 128, 20.0)
+    params = SystemParams(p=1.5, beta=3.0, omega1=1.0, omega2=1.0)
+    peaks = {}
+    for mode in ("first", "both"):
+        init = gaussian_init(grid, params, mode=mode, seed=4)
+        tracemalloc.start()
+        try:
+            minimize_on(ConstraintSpec.nehari(), params, grid, init=init)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["first"] <= 0.65 * peaks["both"]
 
 
 def test_flow_telemetry(grid_1d):
@@ -170,25 +200,30 @@ def test_flow_telemetry(grid_1d):
 
 @pytest.mark.parametrize("grid", [Grid(1, 256, 20.0), Grid(2, 32, 10.0)], ids=["1d", "2d"])
 @pytest.mark.parametrize("phase", [0.0, 0.7])
-def test_flow_transform_budget(grid, phase, transform_calls):
-    # the flow holds both components as one stacked state, with one real
-    # row each for a real start and two for a complex one, and transforms
-    # it with the real pair only: one forward transform per iteration (and
-    # one of the start), one inverse transform per projection trial (the
-    # start's, then one per accepted or rejected step)
+@pytest.mark.parametrize("mode", ["both", "first", "second"])
+def test_flow_transform_budget(grid, phase, mode, transform_calls):
+    # the flow holds the populated components as one stacked state, with
+    # one real row each for a real start and two for a complex one, and
+    # transforms it with the real pair only: one forward transform per
+    # iteration (and one of the start), one inverse transform per
+    # projection trial (the start's, then one per accepted or rejected
+    # step). A scalar start holds and transforms its one component only
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
-    init = gaussian_init(grid, params, mode="both", seed=2)
-    init = FieldPair(grid, np.exp(1j * phase) * init.c1, init.c2)
+    init = gaussian_init(grid, params, mode=mode, seed=2)
+    init = FieldPair(grid, *(np.exp(1j * phase) * init.components))
     transform_calls.clear()
     res = minimize_on(ConstraintSpec.nehari(), params, grid, init=init)
+    held = 2 if mode == "both" else 1
     rows = 1 if phase == 0.0 else 2
     half = (*grid.shape[:-1], grid.points_per_axis // 2 + 1)
     forward = [c for c in transform_calls if c.name in ("rfft", "rfftn")]
     inverse = [c for c in transform_calls if c.name in ("irfft", "irfftn")]
     assert len(forward) + len(inverse) == len(transform_calls)
-    assert forward == [(2, rows, *grid.shape)] * (1 + res.iterations)
-    assert inverse == [(2, rows, *half)] * (res.iterations + res.rejected_trials)
-    assert res.minimizer.c1.imag.any() == (rows == 2)
+    assert forward == [(held, rows, *grid.shape)] * (1 + res.iterations)
+    assert inverse == [(held, rows, *half)] * (res.iterations + res.rejected_trials)
+    assert res.minimizer.components.imag.any() == (rows == 2)
+    if mode != "both":
+        assert not res.minimizer.components[1 if mode == "first" else 0].any()
 
 
 _PHASE_GRIDS = (Grid(1, 256, 16.0), Grid(2, 32, 10.0))
@@ -266,23 +301,28 @@ def test_flow_commutes_with_phases(dim, kind, p, beta, size, phase, both, seed):
     kind=st.sampled_from(["nehari", "weighted_sphere"]),
     p=st.sampled_from([1.5, 2.0, 3.0]),
     beta=st.floats(0.0, 3.0),
-    omegas=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    omegas=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)).filter(lambda w: w[0] != w[1]),
+    populated=st.sampled_from(["both", "first"]),
     seed=st.integers(0, 10_000),
 )
-def test_flow_mirrors_with_its_components(dim, kind, p, beta, omegas, phase, seed):
+def test_flow_mirrors_with_its_components(dim, kind, p, beta, omegas, phase, populated, seed):
     # every step of the flow treats the two components alike, so the start
     # (b, a) with omega1 and omega2 swapped runs the mirror of (a, b)'s
-    # flow bit for bit, for real starts and complex ones alike. Product
-    # spheres and nehari_set are left out: the former's residual subtracts
-    # the two projections in order, and the latter's scalings solve for t1
-    # first, so neither is symmetric at roundoff.
+    # flow bit for bit, for real starts and complex ones alike. With b = 0
+    # this mirrors a first start's one held row onto a second start's,
+    # and the distinct frequencies catch a row that reads the other
+    # component's. Product spheres and nehari_set are left out: the
+    # former's residual subtracts the two projections in order, and the
+    # latter's scalings solve for t1 first, so neither is symmetric at
+    # roundoff.
     grid = _PHASE_GRIDS[dim - 1]
     params = SystemParams(p=p, beta=beta, omega1=omegas[0], omega2=omegas[1])
     mirror = SystemParams(p=p, beta=beta, omega1=omegas[1], omega2=omegas[0])
     assume(kind == "nehari" or params.criticality(dim) == "subcritical")
     constraint = ConstraintSpec.nehari() if kind == "nehari" else ConstraintSpec.weighted_sphere(2.0)
     start = _smooth_real_start(grid, seed)
-    a, b = np.exp(1j * phase) * start.c1, start.c2
+    a = np.exp(1j * phase) * start.c1
+    b = start.c2 if populated == "both" else np.zeros(grid.shape)
     options = dict(tol=1e-10, max_iter=400)
     try:
         res = minimize_on(constraint, params, grid, init=FieldPair(grid, a, b), **options)
