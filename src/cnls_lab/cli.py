@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .audit import identity_audit
 from .core import FieldPair, Grid, SystemParams, _cell, _csv, default_half_width
-from .dynamics import EvolveConfig, evolve
+from .dynamics import EvolveConfig, _check_hold, evolve
 from .errors import (
     BoundaryDecayError,
     ConstraintError,
@@ -374,6 +374,7 @@ def _cmd_evolve(cfg, kw, params, grid, out: Path) -> int:
     # from its own generator, so drawing it first changes none of its bits
     config = EvolveConfig(_read(cfg, "evolve", "dt", float), _read(cfg, "evolve", "t_end", float),
                           **kw["EvolveConfig"])
+    _check_hold(grid, config)
     eps = _read(cfg, "evolve", "eps", float)
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")

@@ -302,6 +302,37 @@ def same_grid(u: FieldPair, v: FieldPair) -> None:
         raise GridMismatchError(f"fields live on different grids: {u.grid!r} vs {v.grid!r}")
 
 
+# the components that a start or a perturbation of each mode populates
+_MODE_ROWS = {"first": slice(0, 1), "second": slice(1, 2), "both": slice(0, 2), "paired": slice(0, 2)}
+
+
+def _populated(U: np.ndarray, grid: Grid) -> slice:
+    """The slice of the components that are nonzero in some member of U, a
+    (2, *grid.shape) pair or an (E, 2, *grid.shape) batch of them; the first
+    alone when none is. An exactly zero component stays exactly zero under
+    the Strang map and the projected flow, so both hold only these rows."""
+    first, second = U.reshape(-1, 2, grid.total_points).any(axis=(0, 2))
+    if first and second:
+        return slice(0, 2)
+    return slice(1, 2) if second else slice(0, 1)
+
+
+def _per_component(held: slice, values, absent) -> list:
+    """[entry of u1, entry of u2]: values, one per component in the slice
+    held, and absent for the other."""
+    pair = [absent, absent]
+    pair[held] = values
+    return pair
+
+
+def _embed(grid: Grid, rows: np.ndarray, held: slice) -> FieldPair:
+    """The pair whose components in the slice held are rows, the other
+    exactly zero."""
+    U = np.zeros((2,) + grid.shape, dtype=complex)
+    U[held] = rows
+    return FieldPair._wrap(grid, U)
+
+
 def _density(f: np.ndarray) -> np.ndarray:
     """|f|^2 elementwise, as re^2 + im^2; on a stacked (2, *shape) pair it
     gives both components' densities."""
@@ -360,10 +391,12 @@ def _parseval_sums(grid: Grid, spectrum: np.ndarray, *, half: bool = False) -> t
 
 
 def _spectral_gradient_norm_sq(grid: Grid, spectrum: np.ndarray) -> float:
-    """||grad f||_2^2 from spectrum = _fft(grid, f), by
-    Parseval; a stacked (2, *shape) spectrum gives the sum over both
-    components."""
-    return _integral(grid, grid.k2 * _density(spectrum)) / grid.total_points
+    """||grad f||_2^2 from spectrum = _fft(grid, f), by Parseval; a stacked
+    (r, *shape) spectrum gives the sum over its rows. Each row is summed
+    on its own and the row sums are added, so a zero row adds exactly
+    nothing on every grid."""
+    rows = (grid.k2 * _density(spectrum)).reshape(-1, grid.total_points).sum(axis=1)
+    return _integral(grid, rows) / grid.total_points
 
 
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:

@@ -26,9 +26,12 @@ from .core import (
     SystemParams,
     _csv,
     _density,
+    _embed,
     _fft,
     _ifft,
     _integral,
+    _per_component,
+    _populated,
     _spectral_gradient_norm_sq,
     same_grid,
 )
@@ -48,6 +51,10 @@ __all__ = [
 # longer runs are refused up front: even on the smallest grids they would
 # take hours
 _MAX_STEPS = 10**9
+
+# runs whose live stack and kept snapshots would hold more complex values
+# (2 GiB) are refused before their first step
+_MAX_HELD = 2**27
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,10 @@ def evolve(
     one stack, so each transform call serves both fields. A component that
     is exactly zero (in every member of a batch) stays exactly zero under
     the Strang map, since the rotation multiplies zero and the kinetic step
-    is linear, so it is left out of the stack: a standing wave with one
-    trivial component is stepped as one row, and its absent component
-    enters the observables as exact zeros.
+    is linear, so it is left out of the stack by core._populated, the rule
+    the projected flow shares: a standing wave with one trivial component,
+    or an all-zero state, is stepped as one row on every grid, and an
+    absent component enters the observables as exact zeros.
 
     companions are further initial pairs on pair's grid, run under the same
     schedule as one (E, r, *shape) batch, so that each transform call and
@@ -200,6 +208,7 @@ def evolve(
     members = (pair, *companions)
     for other in members[1:]:
         same_grid(pair, other)
+    _check_hold(pair.grid, config, len(members))
     # a lone run is transformed as its (2, *shape) stack, a batch as the
     # (E, 2, *shape) array of its members' stacks
     U = np.array([member.components for member in members]) if len(members) > 1 else pair.components
@@ -208,15 +217,30 @@ def evolve(
     return log
 
 
+def _check_hold(grid, config, members=1):
+    """Refuse, with ValueError, a run of members pairs on grid under config
+    whose live stack and kept snapshots would exceed _MAX_HELD complex
+    values."""
+    n_steps = round(config.t_end / config.dt)
+    kept = n_steps // config.snapshot_stride + 2 if config.snapshot_stride else 1
+    held = members * 2 * grid.total_points * (1 + kept)
+    if held > _MAX_HELD:
+        raise ValueError(
+            f"t_end/dt = {n_steps} steps at snapshot_stride = {config.snapshot_stride} would hold "
+            f"{held} complex values for {members} member(s) on {grid.total_points} points, "
+            f"above the ceiling of {_MAX_HELD}"
+        )
+
+
 class _Run:
     """One member of an evolving stack: its samples, snapshots, guard level
     and latest finite observed state, and the (steps, transform calls) at
-    which it stopped. The member is held as the rows of its populated
-    components, whose indices populated gives; the others are zero."""
+    which it stopped. The member is held as the rows of its components in
+    the slice held; the others are zero."""
 
-    def __init__(self, grid, params, config, populated, U, S):
+    def __init__(self, grid, params, config, held, U, S):
         self.grid, self.params = grid, params
-        self.populated = populated
+        self.held = held
         self.rows = []
         self.snapshots = []
         self.blowup_time = None
@@ -229,12 +253,8 @@ class _Run:
         self.last = (0.0, U)
 
     def pair(self, U):
-        """The FieldPair whose populated rows U holds."""
-        if len(self.populated) < 2:
-            rows = U
-            U = np.zeros((2,) + self.grid.shape, dtype=complex)
-            U[list(self.populated)] = rows
-        return FieldPair._wrap(self.grid, U)
+        """The FieldPair whose held rows U holds."""
+        return _embed(self.grid, U, self.held)
 
     def sample(self, t, U, S):
         """Log the observables of the whole-step state U, whose spectrum S
@@ -244,9 +264,7 @@ class _Run:
         exact zeros to each of them."""
         grid, params = self.grid, self.params
         m = _density(U)
-        parts = [None, None]
-        for j, row in zip(self.populated, m):
-            parts[j] = row
+        parts = _per_component(self.held, m, None)
         try:
             var = _variance(grid, m.sum(axis=0))
         except BoundaryDecayError:
@@ -303,9 +321,9 @@ class _Run:
 
 def _evolve_stack(grid, params, config, U):
     """evolve for every member of U, a stacked (2, *shape) pair or a batch
-    (E, 2, *shape) of them; one TrajectoryLog per member. Only the
-    components that are nonzero in some member are stepped, as an
-    (E, r, *shape) stack. A member that stops is dropped from the live
+    (E, 2, *shape) of them; one TrajectoryLog per member. Only the r
+    components in core._populated's slice are stepped, as an (r, *shape)
+    or (E, r, *shape) stack. A member that stops is dropped from the live
     stack, so the transforms and the rotation run over the members still
     going."""
     dt = config.dt
@@ -316,22 +334,15 @@ def _evolve_stack(grid, params, config, U):
         raise ValueError("the initial state must be finite")
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
-    # an all-zero state keeps one row, so that every stack has one. An
-    # absent row adds exactly nothing to a member's gradient sum only when
-    # numpy's pairwise summation splits the stack at the row boundary,
-    # which it does for rows of 8 points or more; smaller grids keep both
-    populated = tuple(j for j in (0, 1) if U.reshape(-1, 2, grid.total_points)[:, j].any()) or (0,)
-    if grid.total_points < 8:
-        populated = (0, 1)
-    if len(populated) < 2:
-        U = np.take(U, populated, axis=U.ndim - 1 - grid.dim)
+    held = _populated(U, grid)
+    U = U[(..., held) + (slice(None),) * grid.dim]
 
     def members(A):
         # the (r, *shape) view of each member of a stack
-        return A.reshape((-1, len(populated)) + grid.shape)
+        return A.reshape((-1, held.stop - held.start) + grid.shape)
 
     S = _fft(grid, U)
-    runs = live = [_Run(grid, params, config, populated, u, s) for u, s in zip(members(U), members(S))]
+    runs = live = [_Run(grid, params, config, held, u, s) for u, s in zip(members(U), members(S))]
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into

@@ -29,9 +29,10 @@ The step multiplier, the rates of g, the scalings and the residual are all
 real, so the flow acts on the real and imaginary parts of U alike and keeps
 a real state real. It runs in real arithmetic on one stacked state U of
 shape (r, q, *shape), the component on axis 0 and its real rows on axis 1.
-r counts the components that are nonzero in the start: a component that
-starts exactly zero stays exactly zero under the flow, so a scalar start
-holds one row (r = 1) and any other start two. q = 1 for a real start
+A component that starts exactly zero stays exactly zero under the flow,
+so U holds only the r components in core._populated's slice, the rule
+evolve shares: r = 1 for a scalar or an all-zero start (which fails in
+its first projection) and r = 2 otherwise. q = 1 for a real start
 (every gaussian_init start), and q = 2 (real and imaginary parts)
 otherwise. One call of the real pair core._rfft / core._irfft transforms
 the populated components onto the (r, q, *half) half spectrum, whose
@@ -47,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldPair, Grid, SystemParams, _density, _fft, _irfft, _parseval_sums, _rfft
+from .core import (FieldPair, Grid, SystemParams, _density, _embed, _fft, _irfft, _MODE_ROWS,
+                   _parseval_sums, _per_component, _populated, _rfft)
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _gradient, _Norms, _rates
 
@@ -213,18 +215,11 @@ def gaussian_init(
         )
     rng = np.random.default_rng(seed)
     base = np.exp(-0.5 * grid.radius_sq())
-    zero = np.zeros(grid.shape)
-    if mode == "first":
-        c1, c2 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape)), zero
-    elif mode == "second":
-        c1, c2 = zero, base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
-    elif mode == "paired":
-        c1 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
-        c2 = c1.copy()
-    else:
-        c1 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
-        c2 = base * (1.0 + 1e-6 * rng.standard_normal(grid.shape))
-    return FieldPair(grid, c1, c2)
+    held = _MODE_ROWS[mode]
+    rows = [base * (1.0 + 1e-6 * rng.standard_normal(grid.shape)) for _ in range(2)[held]]
+    if mode == "paired":
+        rows[1] = rows[0]
+    return FieldPair(grid, *_per_component(held, rows, np.zeros(grid.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +399,6 @@ def _moduli(U: np.ndarray) -> np.ndarray:
     return m
 
 
-def _populated(C: np.ndarray) -> slice:
-    """The slice of components that the flow holds for the start C: the
-    one nonzero component of a scalar start, both otherwise (an all-zero
-    start fails in its first projection)."""
-    first, second = bool(C[0].any()), bool(C[1].any())
-    if first != second:
-        return slice(0, 1) if first else slice(1, 2)
-    return slice(0, 2)
-
-
-def _per_component(held, values, absent):
-    """[entry of u1, entry of u2]: values, one per held component, for the
-    components in the slice held and absent for the other."""
-    pair = [absent, absent]
-    pair[held] = values
-    return pair
-
-
 def _gradient_spectra(grid, params, U):
     """Half spectrum of the coupling gradient (A_j u_j) of the stacked
     state U. The moduli and the rates are released on return, before the
@@ -539,7 +516,7 @@ def minimize_on(
     # held as one real row per populated component and any other start as
     # two; a component that starts exactly zero stays so and has no row
     C = init.components
-    held = _populated(C)
+    held = _populated(C, grid)
     C = C[held]
     Vh = _rfft(grid, C.real[:, None] if not C.imag.any() else np.stack((C.real, C.imag), axis=1))
     # the flow needs only the start's spectrum; a start built here would
@@ -604,10 +581,8 @@ def minimize_on(
             "infimum may not be a critical point at these parameters"
         )
 
-    minimizer = np.zeros((2,) + grid.shape, dtype=complex)
-    minimizer[held] = U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0]
     return MinimizeResult(
-        minimizer=FieldPair._wrap(grid, minimizer),
+        minimizer=_embed(grid, U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0], held),
         value=_objective(constraint, norms),
         action=norms.action,
         energy=norms.energy,

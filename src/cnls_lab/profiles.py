@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, fftshift, ifft, next_fast_len
+from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _mass_criticality
+from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _mass_criticality, _per_component
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 from .minimize import ConstraintSpec, gaussian_init, minimize_on
@@ -73,7 +73,7 @@ class Family(enum.Enum):
 
 
 # the components each family populates
-_POPULATED = {Family.SCALAR_FIRST: (0,), Family.SCALAR_SECOND: (1,), Family.VECTOR_B: (0, 1)}
+_POPULATED = {Family.SCALAR_FIRST: slice(0, 1), Family.SCALAR_SECOND: slice(1, 2), Family.VECTOR_B: slice(0, 2)}
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,9 @@ def make_member(
     omega = params.omega2 if family is Family.SCALAR_SECOND else params.omega1
     beta = params.beta if family is Family.VECTOR_B else 0.0
     prof = z_beta_omega(omega, beta, params.p, grid, shift=shift)
-    rows = [np.zeros(grid.shape, dtype=complex)] * 2
-    for j in _POPULATED[family]:
-        rows[j] = np.exp(1j * (theta1, theta2)[j]) * prof
-    return FieldPair(grid, *rows)
+    held = _POPULATED[family]
+    rows = [np.exp(1j * theta) * prof for theta in (theta1, theta2)[held]]
+    return FieldPair(grid, *_per_component(held, rows, np.zeros(grid.shape)))
 
 
 def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
@@ -215,9 +214,10 @@ def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
     return _ifft(grid, fh)
 
 
-def _chebyshev_radius(grid: Grid) -> np.ndarray:
-    r = np.zeros(grid.shape)
-    for x in np.ix_(*grid.axes):
+def _chebyshev_radius(axes) -> np.ndarray:
+    """max_j |x_j| on the grid of the per-axis coordinates axes."""
+    r = 0.0
+    for x in np.ix_(*axes):
         r = np.maximum(r, np.abs(x))
     return r
 
@@ -237,7 +237,11 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
     min(L, lambda L). Stretched points outside the box (|lambda x| >= L,
     only for lambda > 1) are set to zero, which that gate justifies. A
     stack is gated as a whole, against its largest amplitude, so that a
-    near-zero field of a pair is not judged by its own noise floor.
+    near-zero field of a pair is not judged by its own noise floor. The
+    SupportError names the limit that applies: the grid's resolution when
+    the spectral tail (the largest |u_hat| at a mode index of at least
+    0.45 N on some axis, relative to the largest |u_hat|) reaches
+    SUPPORT_TOL, the box otherwise.
     """
     mu, lam = scaling.mu, scaling.lam
     g = np.asarray(f, dtype=complex)
@@ -247,12 +251,21 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
     if peak == 0.0:
         return mu * g
     r_req = min(grid.half_width, lam * grid.half_width)
-    outside = _chebyshev_radius(grid) >= 0.98 * r_req
+    outside = _chebyshev_radius(grid.axes) >= 0.98 * r_req
     tail = float(np.abs(g[..., outside]).max()) / peak if outside.any() else 0.0
+    h = _fft(grid, g)
     if tail >= SUPPORT_TOL:
+        spectrum = np.abs(h)
+        # the modes whose index is at least 0.45 N on some axis
+        tail_modes = _chebyshev_radius((fftfreq(grid.points_per_axis),) * grid.dim) >= 0.45
+        resolution = float(spectrum[..., tail_modes].max()) / float(spectrum.max())
+        if resolution >= SUPPORT_TOL:
+            limit = f"the grid is under-resolved: dx={grid.dx:.3g} leaves a spectral tail of {resolution:.3e}"
+        else:
+            limit = f"the box is too small: the relative amplitude outside half-width {r_req:.3g} is {tail:.3e}"
         raise SupportError(
-            f"rescaling by lambda={lam:g} needs decay below {SUPPORT_TOL:.1e} outside "
-            f"half-width {r_req:.3g}, but the relative amplitude there is {tail:.3e}"
+            f"rescaling by lambda={float(lam)!r} needs decay below {SUPPORT_TOL:.1e} "
+            f"outside half-width {r_req:.3g}, but {limit}"
         )
     n = grid.points_per_axis
     # samples are indexed from the box corner, so along each axis the
@@ -268,7 +281,6 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
     inside = np.abs(lam * grid.axes[0]) < grid.half_width
     post = chirp * np.exp(-0.5j * n * (theta0 + dtheta * j)) * inside / n
     kern = np.exp(-0.5j * dtheta * np.arange(1 - n, n) ** 2)
-    h = _fft(grid, g)
     if grid.dim == 1:
         # the chirp convolution by FFTs of length >= 2N - 1, O(N log N)
         nfft = next_fast_len(2 * n - 1)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import core
 from .core import FieldPair, Grid, SystemParams
-from .dynamics import EvolveConfig, evolve
+from .dynamics import EvolveConfig, _check_hold, evolve
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
 from .minimize import ground_state
@@ -245,13 +245,8 @@ def perturbation_pair(
             poly = poly + c1 * x + 0.25 * c2 * x * x
         return envelope * poly
 
-    zero = np.zeros(grid.shape, dtype=complex)
-    if mode == "first":
-        pert = FieldPair(grid, draw(), zero)
-    elif mode == "second":
-        pert = FieldPair(grid, zero, draw())
-    else:
-        pert = FieldPair(grid, draw(), draw())
+    held = core._MODE_ROWS[mode]
+    pert = FieldPair(grid, *core._per_component(held, [draw() for _ in range(2)[held]], np.zeros(grid.shape)))
     return (1.0 / math.sqrt(core.h1_norm_sq(pert, params))) * pert
 
 
@@ -319,8 +314,10 @@ def stability_sweep(
     Raises ValueError before any flow or evolution for an epsilon that is
     not finite, a sample_dt that rounds to fewer than one step of dt, an
     excursion_ratio below 1 (d(t)/d(0) >= 1 holds at t = 0, so a lower
-    ratio flags every run), a zero_orbit_tol that is not positive, or any
-    of these not finite, a t_end that EvolveConfig refuses and an unknown
+    ratio flags every run), a zero_orbit_tol or a flow tol that is not
+    positive, or any of these not finite, a t_end that EvolveConfig
+    refuses, epsilons, t_end and sample_dt whose batch would hold more
+    than evolve's ceiling of 2**27 complex values, and an unknown
     perturb_mode; and before any evolution for an epsilon with
     0 < |epsilon| < 1e-12 ||member||_H."""
     epsilons = tuple(float(e) for e in epsilons)
@@ -336,8 +333,14 @@ def stability_sweep(
         raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
     if not 0.0 < zero_orbit_tol < math.inf:
         raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the flows' tol (flow_tol) must be finite and positive, got {tol}")
     stride = int(round(sample_dt / dt))
     config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
+    try:
+        _check_hold(grid, config, len(epsilons))
+    except ValueError as exc:
+        raise ValueError(f"{len(epsilons)} epsilons, t_end={t_end}, sample_dt={sample_dt}: {exc}") from exc
     try:
         # the perturbation draws from its own generator, so drawing it
         # before the family's flows changes none of its bits

@@ -702,13 +702,17 @@ def test_sweep_refuses_a_subnormal_epsilon(tmp_path, capsys):
 
 
 # sweep, blow-up and audit settings that are not finite or leave their
-# range: each is refused before any flow or evolution runs
+# range, or runs that would hold more than evolve's ceiling of complex
+# values: each is refused before any flow or evolution runs
 _REFUSED_SETTINGS = [
     *(
         ("sweep", key, v)
-        for key in ("excursion_ratio", "zero_orbit_tol", "sample_dt")
+        for key in ("excursion_ratio", "zero_orbit_tol", "sample_dt", "flow_tol")
         for v in ("nan", "inf", "-1", "0")
     ),
+    ("sweep", "t_end", "1e5"),
+    pytest.param("sweep", "epsilons", ",".join(["0"] * 200_000), id="sweep-epsilons-200000_zeros"),
+    ("evolve", "t_end", "1e5"),
     ("sweep", "excursion_ratio", "0.5"),
     *(("blowup", "window_fraction", v) for v in ("nan", "inf", "-1", "0", "1.5")),
     *(("blowup", "margin", v) for v in ("nan", "inf", "-1", "1")),
@@ -731,16 +735,19 @@ _REFUSED_SETTINGS = [
 def test_absurd_settings_exit_3_and_write_only_the_manifest(tmp_path, capsys, monkeypatch, command, key, value):
     from cnls_lab import cli
 
+    from cnls_lab import audit, stability
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow or evolution ran before the settings were checked")
+
+    for module, name in ((cli, "ground_state"), (cli, "evolve"), (stability, "_family_state"),
+                         (stability, "evolve"), (audit, "minimize_on")):
+        monkeypatch.setattr(module, name, no_flow)
     cfg = {sec: dict(keys) for sec, keys in _TINY[command].items()}
     cfg[command][key] = value
     if command == "evolve":
         # the settings are refused before the initial state's flow runs
         cfg["evolve"]["initial"] = "ground"
-
-        def no_flow(*args, **kwargs):
-            raise AssertionError("the ground-state flow ran before the settings were checked")
-
-        monkeypatch.setattr(cli, "ground_state", no_flow)
     out = tmp_path / "o"
     assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
     assert key in capsys.readouterr().err

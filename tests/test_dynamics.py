@@ -168,20 +168,23 @@ def _with_subnormal_second(pair):
 
 
 @pytest.mark.parametrize(
-    "family, edit, rows",
+    "family, edit, rows, points",
     [
-        ("scalar_second", lambda u: u, 1),
-        ("vector_b", lambda u: u, 2),
+        ("scalar_second", lambda u: u, 1, 1024),
+        ("vector_b", lambda u: u, 2, 1024),
         # a single subnormal entry makes the second component populated
-        ("scalar_first", _with_subnormal_second, 2),
+        ("scalar_first", _with_subnormal_second, 2, 1024),
         # an all-zero state is stepped as one zero row
-        ("scalar_first", lambda u: 0.0 * u, 1),
+        ("scalar_first", lambda u: 0.0 * u, 1, 1024),
+        # the rule holds on the smallest grids too
+        ("scalar_first", lambda u: u, 1, 4),
     ],
-    ids=["scalar_second", "vector_b", "subnormal_second", "zero_state"],
+    ids=["scalar_second", "vector_b", "subnormal_second", "zero_state", "scalar_first_4_points"],
 )
-def test_transform_budget_covers_the_populated_components(grid_1d, transform_calls, family, edit, rows):
+def test_transform_budget_covers_the_populated_components(transform_calls, family, edit, rows, points):
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
-    _check_budget(grid_1d, params, edit(_member(params, grid_1d, Family(family))), rows, transform_calls)
+    grid = Grid(1, points, 20.0)
+    _check_budget(grid, params, edit(_member(params, grid, Family(family))), rows, transform_calls)
 
 
 _PROPERTY_GRIDS = (Grid(1, 256, 10.0), Grid(2, 32, 8.0))
@@ -330,7 +333,9 @@ def test_batch_members_equal_separate_runs(
             assert sum(log.aborted for log in logs) == 1
 
 
-@pytest.mark.parametrize("grid", [Grid(1, 2, 3.0), Grid(1, 4, 3.0), Grid(2, 2, 3.0), Grid(1, 8, 3.0)])
+@pytest.mark.parametrize(
+    "grid", [Grid(1, 2, 3.0), Grid(1, 4, 3.0), Grid(2, 2, 3.0), Grid(1, 8, 3.0), Grid(3, 2, 3.0)]
+)
 def test_one_row_member_keeps_its_bits_in_a_two_row_batch(grid):
     # a lone one-row run must log what the same member logs in a batch
     # that steps both rows, down to grids of a few points

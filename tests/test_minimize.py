@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import threading
 import tracemalloc
 
@@ -169,7 +170,18 @@ def test_ground_state_starts_no_thread(monkeypatch):
     assert res.residual < 1e-8
 
 
-def test_scalar_start_holds_one_component():
+_ZERO_START_ERRORS = [
+    (ConstraintSpec.nehari(), 1.5, "Nehari projection needs F(U) > 0"),
+    (ConstraintSpec.weighted_sphere(3.0), 1.5, "cannot project the zero field onto a mass sphere"),
+    (ConstraintSpec.product_spheres(2.0, 1.0), 1.5, "cannot project a vanishing component onto a mass sphere"),
+    (ConstraintSpec.product_spheres(2.0, 0.0), 1.5, "cannot project a vanishing component onto a mass sphere"),
+    (ConstraintSpec.equal_spheres(2.0), 1.5, "cannot project a vanishing component onto a mass sphere"),
+    (ConstraintSpec.nehari_set(), 1.5, "the two-sided Nehari projection needs both components nonzero"),
+    (ConstraintSpec.pohozaev(), 4.0, "Pohozaev projection needs F(U) > 0"),
+]
+
+
+def test_scalar_start_holds_one_component(transform_calls):
     # a first start's flow holds no array for its absent component, so its
     # peak is about half of a both start's
     grid = Grid(2, 128, 20.0)
@@ -184,6 +196,15 @@ def test_scalar_start_holds_one_component():
         finally:
             tracemalloc.stop()
     assert peaks["first"] <= 0.65 * peaks["both"]
+    # an all-zero start holds one zero row too, and its first projection
+    # fails as it did when the flow held both, for every constraint kind
+    small = Grid(1, 64, 10.0)
+    for constraint, p, message in _ZERO_START_ERRORS:
+        params = SystemParams(p=p, beta=1.0, omega1=1.0, omega2=1.0)
+        transform_calls.clear()
+        with pytest.raises(ConstraintError, match=re.escape(message) + "$"):
+            minimize_on(constraint, params, small, init=FieldPair.zeros(small))
+        assert [c for c in transform_calls if c.name == "rfft"] == [(1, 1, *small.shape)]
 
 
 def test_flow_telemetry(grid_1d):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,11 +206,23 @@ def test_scale_pair_is_one_stacked_call(grid, lam, transform_calls):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_scale_field_refuses_wide_support():
-    g = Grid(1, 256, 10.0)
-    wide = np.exp(-g.axes[0] ** 2 / 60.0)
-    with pytest.raises(SupportError):
-        scale_field(g, wide, ScalingParams(mu=1.0, lam=1.5))
+_GATE_GRID = Grid(1, 256, 10.0)
+
+
+@pytest.mark.parametrize(
+    "field, limit",
+    [
+        # 1e-7 of the peak at the edge, with a spectral tail of 1.4e-10
+        (np.exp(-_GATE_GRID.axes[0] ** 2 / 6.0), "the box is too small"),
+        # decayed at the edge but for a Nyquist checkerboard of 1e-6
+        (np.exp(-_GATE_GRID.axes[0] ** 2) + 1e-6 * (-1.0) ** np.arange(256), "the grid is under-resolved: dx=0.0781"),
+    ],
+    ids=["wide_gaussian", "nyquist_checkerboard"],
+)
+def test_scale_field_refuses_wide_support(field, limit):
+    # the error names the limit that applies and lambda in full
+    with pytest.raises(SupportError, match=r"lambda=1\.2000000000000002 .*" + re.escape(limit)):
+        scale_field(_GATE_GRID, field, ScalingParams(mu=1.0, lam=0.4 * 3.0))
 
 
 def test_scaling_params_validation():

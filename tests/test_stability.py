@@ -343,6 +343,10 @@ _SETTING_RUNS = {
         *(("blowup", "dt", v) for v in (math.nan, math.inf, -1.0, 0.0)),
         *(("blowup", "t_max", v) for v in (math.nan, math.inf, -1.0, 0.0, 1e12)),
         *(("blowup", "guard_ratio", v) for v in (math.nan, -1.0, 0.0, 1.0)),
+        *(("sweep", "tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+        # batches that would hold more than evolve's ceiling of complex values
+        ("sweep", "t_end", 1e5),
+        ("sweep", "epsilons", (0.0,) * 200_000),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
