@@ -79,11 +79,13 @@ def identity_audit(
     supercritical adds the zero-virial ray level match. The synchronized
     pair level is compared against twice the reduced scalar level whenever
     the frequencies agree. A row passes at relative error at most tol.
-    tol and every gamma factor must be finite and positive (ValueError
-    before any flow).
+    tol, flow_tol and every gamma factor must be finite and positive
+    (ValueError before any flow).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"audit tol must be finite and positive, got {tol}")
+    if not 0.0 < flow_tol < math.inf:
+        raise ValueError(f"flow_tol must be finite and positive, got {flow_tol}")
     if not all(0.0 < fac < math.inf for fac in gamma_factors):
         raise ValueError(f"gamma_factors must be finite and positive, got {tuple(gamma_factors)}")
     n = grid.dim

@@ -34,7 +34,7 @@ from .errors import (
     SupportError,
 )
 from .functionals import FunctionalReport, boundary_amplitude_ratio, pohozaev_check
-from .minimize import ConstraintSpec, ground_state, minimize_on
+from .minimize import _KINDS, ConstraintSpec, ground_state, minimize_on
 from .profiles import Family, make_member
 from .snapshots import load_snapshot, save_snapshot
 from .stability import blowup_experiment, perturbation_pair, stability_sweep
@@ -52,9 +52,11 @@ _COMMON_DEFAULTS = {
     "run": {"out": ""},
 }
 
-# the keys whose callee has no default of its own
+# the keys whose callee has no default of its own; the [constraint] size
+# keys are the ConstraintSpec fields, and each kind reads those its factory
+# takes
 _COMMAND_DEFAULTS = {
-    "minimize": {"constraint": {"kind": "nehari", "gamma": "", "delta1": "", "delta2": ""}},
+    "minimize": {"constraint": {f.name: "" for f in dataclasses.fields(ConstraintSpec)} | {"kind": "nehari"}},
     "evolve": {"evolve": {"initial": "member:scalar_first", "dt": "1e-3", "t_end": "10.0", "eps": "0.0"}},
     "profile": {"profile": {"family": "scalar_first"}},
 }
@@ -86,16 +88,6 @@ _FEEDS = [
                               ("sweep", stability_sweep), ("blowup", blowup_experiment),
                               ("audit", identity_audit))),
 ]
-
-# the [constraint] keys each kind reads, in the order its factory takes them
-_CONSTRAINT_KEYS = {
-    "nehari": (),
-    "nehari_set": (),
-    "pohozaev": (),
-    "weighted_sphere": ("gamma",),
-    "product_spheres": ("delta1", "delta2"),
-    "equal_spheres": ("delta1",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +316,17 @@ def _cmd_ground(cfg, kw, params, grid, out: Path) -> int:
 
 def _constraint_from(cfg) -> ConstraintSpec:
     kind = cfg.get("constraint", "kind")
-    if kind not in _CONSTRAINT_KEYS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown constraint kind {kind!r}")
-    reads = _CONSTRAINT_KEYS[kind]
+    factory = getattr(ConstraintSpec, kind)
+    reads = tuple(inspect.signature(factory).parameters)
     for key in cfg.options("constraint"):
         given = bool(cfg.get("constraint", key))
         if key in reads and not given:
             raise ValueError(f"constraint kind {kind!r} needs [constraint] {key}")
         if key not in (*reads, "kind") and given:
             raise ValueError(f"constraint kind {kind!r} does not read [constraint] {key}")
-    return getattr(ConstraintSpec, kind)(*(_read(cfg, "constraint", key, float) for key in reads))
+    return factory(*(_read(cfg, "constraint", key, float) for key in reads))
 
 
 def _cmd_minimize(cfg, kw, params, grid, out: Path) -> int:

@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 _SPHERE_KINDS = ("weighted_sphere", "product_spheres", "equal_spheres")
+# every kind, each the name of its ConstraintSpec factory
+_KINDS = _SPHERE_KINDS + ("nehari", "nehari_set", "pohozaev")
 
 _DT0 = 0.25
 _DT_MAX = 16.0
@@ -117,10 +119,10 @@ class ConstraintSpec:
         return cls("product_spheres", delta1=float(delta1), delta2=float(delta2))
 
     @classmethod
-    def equal_spheres(cls, delta: float) -> "ConstraintSpec":
-        if not 0 < delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {delta}")
-        return cls("equal_spheres", delta1=float(delta), delta2=float(delta))
+    def equal_spheres(cls, delta1: float) -> "ConstraintSpec":
+        if not 0 < delta1 < math.inf:
+            raise ValueError(f"delta1 must be positive and finite, got {delta1}")
+        return cls("equal_spheres", delta1=float(delta1), delta2=float(delta1))
 
     @classmethod
     def nehari(cls) -> "ConstraintSpec":
@@ -597,26 +599,32 @@ def minimize_on(
     )
 
 
+def _scale_onto(constraint: ConstraintSpec, pair: FieldPair, params: SystemParams):
+    """Scale the components of pair onto the set of a ray constraint, which
+    is validated first; returns ((t1 u1, t2 u2), (t1, t2))."""
+    constraint.validate(params, pair.grid.dim)
+    t = _scalings(constraint, _Norms.measure(pair, params))
+    factors = np.reshape(t, (2,) + (1,) * pair.grid.dim)
+    return FieldPair._wrap(pair.grid, factors * pair.components), t
+
+
 def nehari_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Nehari set; returns (tU, t)."""
-    t, _ = _scalings(ConstraintSpec.nehari(), _Norms.measure(pair, params))
-    return t * pair, t
+    on_ray, (t, _) = _scale_onto(ConstraintSpec.nehari(), pair, params)
+    return on_ray, t
 
 
 def pohozaev_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
     """Scale U along its ray onto the Pohozaev set; returns (tU, t)."""
-    ConstraintSpec.pohozaev().validate(params, pair.grid.dim)
-    t, _ = _scalings(ConstraintSpec.pohozaev(), _Norms.measure(pair, params))
-    return t * pair, t
+    on_ray, (t, _) = _scale_onto(ConstraintSpec.pohozaev(), pair, params)
+    return on_ray, t
 
 
 def nehari_set_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, tuple[float, float]]:
     """Scale the components separately onto the two-sided Nehari set;
     returns ((t1 u1, t2 u2), (t1, t2)), with t2/t1 the root nearest 1 of
     the scaling equation. Both components must be nonzero."""
-    t1, t2 = _scalings(ConstraintSpec.nehari_set(), _Norms.measure(pair, params))
-    factors = np.reshape((t1, t2), (2,) + (1,) * pair.grid.dim)
-    return FieldPair._wrap(pair.grid, factors * pair.components), (t1, t2)
+    return _scale_onto(ConstraintSpec.nehari_set(), pair, params)
 
 
 def ground_state(

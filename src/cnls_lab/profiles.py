@@ -241,7 +241,9 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
     SupportError names the limit that applies: the grid's resolution when
     the spectral tail (the largest |u_hat| at a mode index of at least
     0.45 N on some axis, relative to the largest |u_hat|) reaches
-    SUPPORT_TOL, the box otherwise.
+    SUPPORT_TOL and exceeds the edge amplitude (the largest |u| on the
+    outermost grid layer, relative to the peak), whose seam in the periodic
+    extension leaves a tail of its own; the box otherwise.
     """
     mu, lam = scaling.mu, scaling.lam
     g = np.asarray(f, dtype=complex)
@@ -259,7 +261,8 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
         # the modes whose index is at least 0.45 N on some axis
         tail_modes = _chebyshev_radius((fftfreq(grid.points_per_axis),) * grid.dim) >= 0.45
         resolution = float(spectrum[..., tail_modes].max()) / float(spectrum.max())
-        if resolution >= SUPPORT_TOL:
+        edge = float(np.abs(g[..., grid.boundary_mask()]).max()) / peak
+        if resolution >= SUPPORT_TOL and resolution > edge:
             limit = f"the grid is under-resolved: dx={grid.dx:.3g} leaves a spectral tail of {resolution:.3e}"
         else:
             limit = f"the box is too small: the relative amplitude outside half-width {r_req:.3g} is {tail:.3e}"

@@ -70,35 +70,22 @@ def _wrap(y: float, half_width: float) -> float:
     return (y + half_width) % period - half_width
 
 
-# Newton steps per refinement: from the parabola seed the error squares at
-# each step, so the shift reaches roundoff in about three
+# Newton steps per refinement: from the best grid shift the error squares
+# at each step, so the shift reaches roundoff in about four
 _NEWTON_STEPS = 8
 
 
 def _ascent_step(grad, hess):
-    """The Newton step -hess^-1 grad toward a maximum, or None where hess is
-    not negative definite: by a Cholesky factorization L L^T of -hess in
-    Python floats, since for dim <= 3 a LAPACK call costs more than the
-    algebra, and its workspace raises the peak memory of a run."""
-    a, n = (-hess).tolist(), len(grad)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-            if i > j:
-                low[i][j] = s / low[j][j]
-            elif s > 0:
-                low[i][i] = math.sqrt(s)
-            else:
-                return None
-    # L z = grad, then L^T x = z
-    z = [0.0] * n
-    for i in range(n):
-        z[i] = (grad[i] - sum(low[i][k] * z[k] for k in range(i))) / low[i][i]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = (z[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))) / low[i][i]
-    return np.array(x)
+    """The Newton step -hess^-1 grad toward a maximum, by a Cholesky
+    factorization L L^T of -hess, or None where hess is not finite or not
+    negative definite."""
+    if not np.isfinite(hess).all():
+        return None
+    try:
+        low = np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(low.T, np.linalg.solve(low, grad))
 
 
 class _Orbits:
@@ -114,11 +101,10 @@ class _Orbits:
         self.weight = grid.cell_volume / grid.total_points * (grid.k2 + omegas)
         spectra = [core._fft(grid, ref.components) for ref in refs]
         self.refs = [(vh, self.weight * np.conj(vh)) for vh in spectra]
-        # columns 1, i k_a and -k_a k_b (a <= b), for C_j and its first and
-        # second shift derivatives in one product
+        # columns 1, i k_a and -k_a k_b, for C_j and its first and second
+        # shift derivatives in one product
         k = [np.broadcast_to(ka, grid.shape) for ka in np.ix_(*grid.wavenumbers)]
-        self.upper = np.triu_indices(grid.dim)
-        columns = [np.ones(grid.shape)] + [1j * ka for ka in k] + [-k[a] * k[b] for a, b in zip(*self.upper)]
+        columns = [np.ones(grid.shape)] + [1j * ka for ka in k] + [-ka * kb for ka in k for kb in k]
         self.moments = np.stack(columns).reshape(len(columns), -1).T
 
     def _norm_sq(self, spectrum):
@@ -130,30 +116,28 @@ class _Orbits:
         return OrbitDistanceResult(*min(results, key=lambda r: r[0]))
 
     def _sums(self, P, y):
-        """C_j(y), its gradient and the upper triangle of its Hessian in the
-        shift, as the columns of a (2, 1 + dim + dim(dim+1)/2) array."""
-        phase = np.exp(self.moments[:, 1 : 1 + self.grid.dim] @ y)
-        return (P.reshape(2, -1) * phase) @ self.moments
+        """C_j(y), its gradient and its Hessian in the shift, of shapes
+        (2,), (2, dim) and (2, dim, dim)."""
+        dim = self.grid.dim
+        phase = np.exp(self.moments[:, 1 : 1 + dim] @ y)
+        sums = (P.reshape(2, -1) * phase) @ self.moments
+        return sums[:, 0], sums[:, 1 : 1 + dim], sums[:, 1 + dim :].reshape(2, dim, dim)
 
     def _newton(self, P, y):
         """Newton steps from y toward the nearest maximum of
         |C_1(y)| + |C_2(y)|, each clipped to dx per axis; they stop where
         the Hessian is not negative definite or the step is below roundoff.
-        Returns the last shift and its sums."""
+        Returns the last shift and its C_j."""
         grid = self.grid
-        dim = grid.dim
         floor = 4.0 * np.finfo(float).eps
         for _ in range(_NEWTON_STEPS):
             sums = self._sums(P, y)
-            live = np.abs(sums[:, 0]) > 0
-            c, dc, ddc = sums[live, 0], sums[live, 1 : 1 + dim], sums[live, 1 + dim :]
+            live = np.abs(sums[0]) > 0
+            c, dc, d2 = (s[live] for s in sums)
             a = np.abs(c)
             # d|C|/dy_a = Re(conj(C) dC_a) / |C|, and the Hessian of |C| is
             # (Re(conj(dC_b) dC_a) + Re(conj(C) d2C_ab) - g_a g_b) / |C|
             g = (c.conj()[:, None] * dc).real / a[:, None]
-            d2 = np.empty((len(c), dim, dim), dtype=complex)
-            d2[:, self.upper[0], self.upper[1]] = ddc
-            d2[:, self.upper[1], self.upper[0]] = ddc
             hess = (
                 (dc.conj()[:, None, :] * dc[:, :, None]).real
                 + (c.conj()[:, None, None] * d2).real
@@ -161,18 +145,17 @@ class _Orbits:
             ) / a[:, None, None]
             ascent = _ascent_step(g.sum(axis=0), hess.sum(axis=0))
             if ascent is None:
-                return y, sums
+                return y, sums[0]
             step = np.clip(ascent, -grid.dx, grid.dx)
             y = y + step
             if np.abs(step).max() <= floor * (np.abs(y).max() + grid.dx):
                 break
-        return y, self._sums(P, y)
+        return y, self._sums(P, y)[0]
 
     def _single(self, psi_h, vh, wv):
         """(distance, shift, phases) of psi_hat from the orbit of v_hat, with
         wv = weight conj(v_hat)."""
         grid = self.grid
-        n = grid.points_per_axis
         P = wv * psi_h
         # |C_1| + |C_2| at every grid shift in one pass
         score = np.abs(grid.total_points * core._ifft(grid, P)).sum(axis=0)
@@ -180,31 +163,18 @@ class _Orbits:
         # scores this close to the best are equal within their roundoff
         near_best = best - 1e-12 * abs(best) - 1e-300
         # of the near-maximal grid shifts, the one nearest the origin
-        idx = np.argwhere(score >= near_best)
-        ys = _wrap(idx * grid.dx, grid.half_width)
-        _, y0, idx0 = min(zip((ys * ys).sum(axis=1).tolist(), ys.tolist(), map(tuple, idx.tolist())))
-        y0 = np.array(y0)
-
-        # per-axis parabola through the three neighboring grid shifts, read
-        # by their wrapped indices
-        seed = y0.copy()
-        for ax in range(grid.dim):
-            d_lo, d_mid, d_hi = (
-                float(score[idx0[:ax] + ((idx0[ax] + s) % n,) + idx0[ax + 1 :]]) for s in (-1, 0, 1)
-            )
-            denom = d_lo - 2.0 * d_mid + d_hi
-            if denom < 0:
-                seed[ax] += np.clip(0.5 * (d_lo - d_hi) / denom, -1.0, 1.0) * grid.dx
-        y, sums = self._newton(P, seed)
+        ys = _wrap(np.argwhere(score >= near_best) * grid.dx, grid.half_width)
+        y0 = np.array(min(zip((ys * ys).sum(axis=1).tolist(), ys.tolist()))[1])
+        y, c = self._newton(P, y0)
         # a refined shift must score at least the best grid shift; near the
         # maximum the score is flat to second order, so a shift off by O(d)
         # gains only O(d^2) there, within roundoff for small d
-        if np.abs(sums[:, 0]).sum() >= near_best:
+        if np.abs(c).sum() >= near_best:
             y0 = y
         else:
-            sums = self._sums(P, y0)
+            c = self._sums(P, y0)[0]
 
-        phases = [math.atan2(c.imag, c.real) for c in sums[:, 0]]
+        phases = [math.atan2(cj.imag, cj.real) for cj in c]
         # e^(i theta_j) e^(-i k.y) v_hat_j, the spectrum of the orbit point
         shift = np.exp(-1j * sum(k * y for k, y in zip(np.ix_(*grid.wavenumbers), y0)))
         nearest = np.exp(1j * np.reshape(phases, (2,) + (1,) * grid.dim)) * shift * vh
@@ -248,6 +218,11 @@ def perturbation_pair(
     held = core._MODE_ROWS[mode]
     pert = FieldPair(grid, *core._per_component(held, [draw() for _ in range(2)[held]], np.zeros(grid.shape)))
     return (1.0 / math.sqrt(core.h1_norm_sq(pert, params))) * pert
+
+
+def _check_flow_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"the flows' tol (flow_tol) must be finite and positive, got {tol}")
 
 
 def _family_state(family: str, params: SystemParams, grid: Grid, *, tol: float, seed: int):
@@ -333,8 +308,7 @@ def stability_sweep(
         raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
     if not 0.0 < zero_orbit_tol < math.inf:
         raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"the flows' tol (flow_tol) must be finite and positive, got {tol}")
+    _check_flow_tol(tol)
     stride = int(round(sample_dt / dt))
     config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     try:
@@ -465,9 +439,9 @@ def blowup_experiment(
     The variance is tested for concavity on the first window_fraction of
     the run, in (0, 1], and margin, in [0, 1), is the relative slack of
     that test and of the second-derivative bound; values outside these
-    ranges, and a dt, t_max or guard_ratio that EvolveConfig refuses as its
-    dt, t_end or blowup_guard, raise ValueError before any flow or
-    evolution.
+    ranges, a dt, t_max or guard_ratio that EvolveConfig refuses as its
+    dt, t_end or blowup_guard, and a flow tol that is not finite and
+    positive raise ValueError before any flow or evolution.
     """
     if not factor > 1.0:
         raise ValueError(f"factor must exceed 1, got {factor}")
@@ -479,6 +453,7 @@ def blowup_experiment(
         config = EvolveConfig(dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio)
     except ValueError as exc:
         raise ValueError(f"dt={dt}, t_max={t_max}, guard_ratio={guard_ratio}: {exc}") from exc
+    _check_flow_tol(tol)
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(

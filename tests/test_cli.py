@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnls_lab import (
+    ConstraintSpec,
     Family,
     FieldPair,
     Grid,
@@ -27,7 +28,6 @@ from cnls_lab import (
 )
 from cnls_lab.cli import (
     _COMMAND_DEFAULTS,
-    _CONSTRAINT_KEYS,
     _DISPATCH,
     _FEEDS,
     _keywords,
@@ -36,6 +36,7 @@ from cnls_lab.cli import (
     resolve_config,
     write_manifest,
 )
+from cnls_lab.minimize import _KINDS
 
 GROUND_CFG = """
     [params]
@@ -427,8 +428,10 @@ def _fuzzed_config(draw):
     value = draw(st.sampled_from(_FUZZ_VALUES))
     cfg = {sec: dict(keys) for sec, keys in _FUZZ_BASE[command].items()}
     if command == "minimize":
-        kind = draw(st.sampled_from(sorted(_CONSTRAINT_KEYS)))
-        cfg["constraint"] = {"kind": kind, **{key: _FUZZ_LEVELS[key] for key in _CONSTRAINT_KEYS[kind]}}
+        # each kind reads the [constraint] keys its factory takes
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        reads = inspect.signature(getattr(ConstraintSpec, kind)).parameters
+        cfg["constraint"] = {"kind": kind, **{key: _FUZZ_LEVELS[key] for key in reads}}
     cfg.setdefault(section, {})[key] = value
     return command, cfg
 
@@ -728,6 +731,7 @@ _REFUSED_SETTINGS = [
     *(("evolve", key, v) for key in ("t_end", "dt") for v in ("nan", "inf", "-1", "0")),
     *(("evolve", "guard", v) for v in ("nan", "1")),
     *(("evolve", "eps", v) for v in ("nan", "inf")),
+    *((command, "flow_tol", v) for command in ("blowup", "audit") for v in ("nan", "inf", "-1", "0")),
 ]
 
 

@@ -359,6 +359,20 @@ def test_only_core_imports_the_nd_transforms():
     assert offenders == []
 
 
+def test_only_minimize_names_the_constraint_sizes():
+    # the [constraint] keys and each kind's reads come from ConstraintSpec's
+    # fields and factories, so no other module spells a size
+    sizes = ("gamma", "delta1", "delta2")
+    offenders = []
+    for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
+        if path.stem == "minimize":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in sizes:
+                offenders.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert offenders == []
+
+
 def _call_name(node):
     return ast.unparse(node.func) if isinstance(node, ast.Call) else ""
 

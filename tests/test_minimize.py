@@ -470,6 +470,16 @@ def test_projection_helpers_land_on_sets(grid_1d_wide, p, beta, pitchfork, seed,
             pohozaev_project(pair, params)
 
 
+def test_nehari_projections_refuse_an_exponent_without_minimizers():
+    # p = 3.5 is not below n/(n-2) = 3 in 3d, where minimize_on refuses the
+    # Nehari kinds; the projections validate the same way, before scaling
+    params = SystemParams(p=3.5, beta=0.5, omega1=1.0, omega2=1.0)
+    pair = smooth_pair(Grid(3, 16, 6.0), 7)
+    for project in (nehari_project, nehari_set_project):
+        with pytest.raises(ConstraintError, match="no decaying minimizers"):
+            project(pair, params)
+
+
 def _width(x):
     # the bracket width at which the root search stops
     return 1e-15 + 4.0 * math.ulp(1.0) * abs(x)

@@ -216,8 +216,11 @@ _GATE_GRID = Grid(1, 256, 10.0)
         (np.exp(-_GATE_GRID.axes[0] ** 2 / 6.0), "the box is too small"),
         # decayed at the edge but for a Nyquist checkerboard of 1e-6
         (np.exp(-_GATE_GRID.axes[0] ** 2) + 1e-6 * (-1.0) ** np.arange(256), "the grid is under-resolved: dx=0.0781"),
+        # 0.19 of the peak at the edge: the seam of its periodic extension
+        # leaves a spectral tail of 1.5e-5, below that edge amplitude
+        (np.exp(-_GATE_GRID.axes[0] ** 2 / 60.0), "the box is too small"),
     ],
-    ids=["wide_gaussian", "nyquist_checkerboard"],
+    ids=["wide_gaussian", "nyquist_checkerboard", "undecayed_edge"],
 )
 def test_scale_field_refuses_wide_support(field, limit):
     # the error names the limit that applies and lambda in full

@@ -152,12 +152,24 @@ def test_newton_refinement_is_no_worse_than_bfgs(dim, n_refs, seeds, shift, phas
 
 
 @settings(deadline=None, max_examples=40)
-@given(dim=st.integers(1, 3), seed=st.integers(0, 10_000), shift=st.floats(-3.0, 3.0))
-def test_ascent_step_solves_the_negative_definite_system(dim, seed, shift):
+@given(
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    shift=st.floats(-3.0, 3.0),
+    poison=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+)
+def test_ascent_step_solves_the_negative_definite_system(dim, seed, shift, poison):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((dim, dim))
     hess = -(q @ q.T) + shift * np.eye(dim)
     grad = rng.standard_normal(dim)
+    if poison is not None:
+        # a Hessian that is not finite has no Newton step, whatever its
+        # other entries; LAPACK passes a NaN through without an error
+        i, j = rng.integers(dim, size=2)
+        hess[i, j] = hess[j, i] = poison
+        assert stability._ascent_step(grad, hess) is None
+        return
     step = stability._ascent_step(grad, hess)
     top = np.linalg.eigvalsh(hess).max()
     if top < -1e-3:
@@ -301,6 +313,15 @@ def test_identity_audit_passes_at_vector_point(grid_1d_wide):
     assert max(r.rel_err for r in report.rows) < 1e-4
 
 
+def test_identity_audit_passes_in_2d():
+    # the transport rows resample the minimizer with scale_field's per-axis
+    # matrix, the path of 2d and 3d grids
+    report = identity_audit(SystemParams(p=1.5, beta=2.0, omega1=1.0, omega2=1.0), Grid(2, 128, 20.0))
+    assert report.ok
+    assert len(report.rows) == 7
+    assert max(r.rel_err for r in report.rows) < 1e-7
+
+
 def test_audit_report_aggregation_and_csv():
     good = AuditRow(name="a", lhs=1.0, rhs=1.0, rel_err=0.0, ok=True)
     bad = AuditRow(name="b", lhs=1.0, rhs=2.0, rel_err=0.5, ok=False)
@@ -347,6 +368,8 @@ _SETTING_RUNS = {
         # batches that would hold more than evolve's ceiling of complex values
         ("sweep", "t_end", 1e5),
         ("sweep", "epsilons", (0.0,) * 200_000),
+        *(("blowup", "tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+        *(("audit", "flow_tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
