@@ -14,6 +14,7 @@ spectrally accurate for smooth periodic integrands.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -289,7 +290,10 @@ class FieldPair:
         return FieldPair._wrap(self.grid, self.components - other.components)
 
     def __mul__(self, scalar) -> "FieldPair":
-        return FieldPair._wrap(self.grid, complex(scalar) * self.components)
+        scalar = complex(scalar)
+        if not cmath.isfinite(scalar):
+            raise ValueError(f"a field pair is scaled only by a finite scalar, got {scalar}")
+        return FieldPair._wrap(self.grid, scalar * self.components)
 
     __rmul__ = __mul__
 
@@ -377,26 +381,21 @@ def _irfft(grid: Grid, S: np.ndarray) -> np.ndarray:
     return irfftn(S, s=grid.shape, axes=range(S.ndim - grid.dim, S.ndim))
 
 
-def _parseval_sums(grid: Grid, spectrum: np.ndarray, *, half: bool = False) -> tuple[float, float]:
-    """(||grad f||_2^2, ||f||_2^2) by Parseval from spectrum = _fft(grid, f),
-    or with half=True from spectrum = _rfft(grid, f) of a real f, whose
-    columns count with grid.half_weights; a stacked spectrum gives the sums
-    over its rows."""
-    w = grid.cell_volume / grid.total_points
+def _parseval_sums(grid: Grid, S: np.ndarray, *, half: bool = False) -> tuple[list, list]:
+    """([||grad f_j||_2^2], [||f_j||_2^2]) by Parseval, one entry per row
+    f_j of the stack whose spectrum S = _fft(grid, f) holds them on its
+    leading axis, each summed over every other axis; with half=True,
+    S = _rfft(grid, f) of real rows, whose columns count with
+    grid.half_weights. Each row is summed on its own, so a zero row adds
+    exactly nothing on every grid."""
+    s = _density(S)
     if half:
-        s = grid.half_weights * _density(spectrum)
-        return float(np.sum(grid.half_k2 * s) * w), float(np.sum(s) * w)
-    s = _density(spectrum)
-    return float(np.sum(grid.k2 * s) * w), float(np.sum(s) * w)
-
-
-def _spectral_gradient_norm_sq(grid: Grid, spectrum: np.ndarray) -> float:
-    """||grad f||_2^2 from spectrum = _fft(grid, f), by Parseval; a stacked
-    (r, *shape) spectrum gives the sum over its rows. Each row is summed
-    on its own and the row sums are added, so a zero row adds exactly
-    nothing on every grid."""
-    rows = (grid.k2 * _density(spectrum)).reshape(-1, grid.total_points).sum(axis=1)
-    return _integral(grid, rows) / grid.total_points
+        s *= grid.half_weights
+    k2 = grid.half_k2 if half else grid.k2
+    w = grid.cell_volume / grid.total_points
+    rows = S.shape[0]
+    grad = (k2 * s).reshape(rows, -1).sum(axis=1) * w
+    return grad.tolist(), (s.reshape(rows, -1).sum(axis=1) * w).tolist()
 
 
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:
@@ -412,14 +411,13 @@ def weighted_l2_norm_sq(pair: FieldPair, params: SystemParams) -> float:
 
 def gradient_norm_sq_component(grid: Grid, f: np.ndarray) -> float:
     """||grad f||_2^2 via the spectral multiplier |k|^2."""
-    return _spectral_gradient_norm_sq(grid, _fft(grid, f))
+    return _parseval_sums(grid, _fft(grid, f[np.newaxis]))[0][0]
 
 
 def gradient_norm_sq(pair: FieldPair) -> float:
     """||grad c1||_2^2 + ||grad c2||_2^2, from one stacked transform."""
-    g = pair.grid
-    S = _fft(g, pair.components)
-    return _spectral_gradient_norm_sq(g, S[0]) + _spectral_gradient_norm_sq(g, S[1])
+    grad1, grad2 = _parseval_sums(pair.grid, _fft(pair.grid, pair.components))[0]
+    return grad1 + grad2
 
 
 def h1_norm_sq(pair: FieldPair, params: SystemParams) -> float:

@@ -16,6 +16,7 @@ scales like dt^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,12 @@ from .core import (
     _embed,
     _fft,
     _ifft,
-    _integral,
-    _per_component,
+    _parseval_sums,
     _populated,
-    _spectral_gradient_norm_sq,
     same_grid,
 )
 from .errors import BoundaryDecayError
-from .functionals import _energy, _potential, _rates, _variance, _virial
+from .functionals import _Norms, _rates, _variance, _virial
 
 __all__ = [
     "EvolveConfig",
@@ -65,8 +64,8 @@ class EvolveConfig:
     once ||grad Phi|| exceeds that multiple of its initial value; on a fixed
     periodic grid the gradient of a unit-mass field cannot exceed
     k_max sqrt(mass), so a focusing run saturates rather than overflows and
-    the guard is the meaningful stopping criterion. t_end / dt may not
-    exceed 10**9 steps.
+    the guard is the meaningful stopping criterion; it must be finite.
+    t_end / dt may not exceed 10**9 steps, and the strides are integers.
     """
 
     dt: float
@@ -86,12 +85,16 @@ class EvolveConfig:
             raise ValueError(
                 f"t_end/dt = {self.t_end / self.dt:.6g} steps exceeds the ceiling of {_MAX_STEPS}"
             )
-        if self.conservation_check_stride < 1:
-            raise ValueError("conservation_check_stride must be >= 1")
-        if self.snapshot_stride < 0:
-            raise ValueError("snapshot_stride must be >= 0")
-        if not self.blowup_guard > 1:
-            raise ValueError("blowup_guard must exceed 1")
+        for name, least in (("conservation_check_stride", 1), ("snapshot_stride", 0)):
+            stride = getattr(self, name)
+            try:
+                whole = operator.index(stride) >= least
+            except TypeError:
+                whole = False
+            if not whole:
+                raise ValueError(f"{name} must be an integer >= {least}, got {stride!r}")
+        if not 1 < self.blowup_guard < math.inf:
+            raise ValueError(f"blowup_guard must be finite and exceed 1, got {self.blowup_guard}")
 
 
 @dataclass
@@ -258,27 +261,18 @@ class _Run:
 
     def sample(self, t, U, S):
         """Log the observables of the whole-step state U, whose spectrum S
-        is one unitary kinetic multiplier away from U's, so that
-        ||grad U||^2 is its Parseval sum; returns ||grad U||. One density
-        serves the masses, the variance and F; an absent component adds
-        exact zeros to each of them."""
-        grid, params = self.grid, self.params
+        is one unitary kinetic multiplier away from U's, so that the masses
+        and ||grad U||^2 are its Parseval sums; returns ||grad U||. One
+        density of U serves the variance and F; an absent component adds
+        exact zeros to every observable."""
+        grid = self.grid
         m = _density(U)
-        parts = _per_component(self.held, m, None)
+        norms = _Norms.of(self.params, grid, self.held, m, _parseval_sums(grid, S))
         try:
             var = _variance(grid, m.sum(axis=0))
         except BoundaryDecayError:
             var = math.nan
-        grad = _spectral_gradient_norm_sq(grid, S)
-        self.rows.append(
-            (
-                t,
-                *(0.0 if part is None else _integral(grid, part) for part in parts),
-                _energy(grad, _potential(grid, *parts, params)),
-                var,
-                math.sqrt(grad),
-            )
-        )
+        self.rows.append((t, norms.m1, norms.m2, norms.energy, var, math.sqrt(norms.grad)))
         return self.rows[-1][5]
 
     def observe(self, t, U, S, sampling, snapping) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     _fft,
     _integral,
     _parseval_sums,
+    _per_component,
     relative_error,
 )
 from .errors import BoundaryDecayError
@@ -58,10 +59,9 @@ def _power(m: np.ndarray, e: float) -> np.ndarray:
     p = 2, 3, 4 produce, and 3/4, which p = 3/2 adds, are formed by
     products and square roots, several times cheaper than a float pow (and
     than its slow path on the exact zeros and infinities of a scalar
-    state); any other goes to **. Exponent 0 gives the scalar 1, exponent
-    1 m itself."""
-    if e == 0.0:
-        return 1.0
+    state); any other goes to **. Exponent 1 gives m itself. Every
+    exponent asked for is positive: _rates returns at p = 2 before the
+    factor m^(p/2 - 1) would ask for exponent 0."""
     if e == 0.5:
         return np.sqrt(m)
     if e == 1.0:
@@ -103,25 +103,14 @@ def _coupling(params: SystemParams, i1: float, i2: float, cross: float) -> float
     return (i1 + i2 + 2.0 * params.beta * cross) / (2.0 * params.p)
 
 
-def _energy(grad, f_val):
-    """E(U) from ||grad U||^2 and F(U)."""
-    return 0.5 * grad - f_val
-
-
 def _virial(grad, f_val, dim: int, p: float):
     """R(U) from ||grad U||^2 and F(U); also elementwise over sampled series."""
     return grad - dim * (p - 1.0) * f_val
 
 
-def _potential(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, params: SystemParams) -> float:
-    """F(U) from the squared moduli m1 = |u1|^2 and m2 = |u2|^2, either of
-    which may be absent (None) for a zero component."""
-    return _coupling(params, *_density_sums(grid, m1, m2, params.p))
-
-
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     """Nonlinear potential F(U)."""
-    return _potential(pair.grid, *_density(pair.components), params)
+    return _coupling(params, *_density_sums(pair.grid, *_density(pair.components), params.p))
 
 
 def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -212,20 +201,21 @@ class _Norms:
     cross: float
 
     @classmethod
-    def of(cls, params, grid, m1, m2, sums1, sums2):
-        """Measure the state whose squared moduli are m_j = |u_j|^2 and whose
-        Parseval sums are sums_j = (||grad u_j||^2, ||u_j||^2)."""
-        i1, i2, cross = _density_sums(grid, m1, m2, params.p)
-        (grad1, mass1), (grad2, mass2) = sums1, sums2
-        return cls(params, grid.dim, grad1, grad2, mass1, mass2, i1, i2, cross)
+    def of(cls, params, grid, held, m, sums):
+        """Measure the state whose components in the slice held have the
+        stacked squared moduli m = |u_j|^2 and the Parseval sums
+        sums = core._parseval_sums(...), one entry per held component; the
+        other component is exactly zero and adds exact zeros."""
+        grads, masses = (_per_component(held, values, 0.0) for values in sums)
+        i1, i2, cross = _density_sums(grid, *_per_component(held, m, None), params.p)
+        return cls(params, grid.dim, *grads, *masses, i1, i2, cross)
 
     @classmethod
     def measure(cls, pair, params):
         """Measure pair from one stacked transform of its components."""
         grid = pair.grid
-        m1, m2 = _density(pair.components)
         S = _fft(grid, pair.components)
-        return cls.of(params, grid, m1, m2, _parseval_sums(grid, S[0]), _parseval_sums(grid, S[1]))
+        return cls.of(params, grid, slice(0, 2), _density(pair.components), _parseval_sums(grid, S))
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2). The powers are taken in numpy
@@ -272,7 +262,7 @@ class _Norms:
 
     @property
     def energy(self):
-        return _energy(self.grad, self.F)
+        return 0.5 * self.grad - self.F
 
     @property
     def action(self):

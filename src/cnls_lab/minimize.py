@@ -419,12 +419,7 @@ def _project_state(constraint, grid, params, Vh, warm, held):
     (Vh itself), the scalings (t1, t2) and the _Norms of U.
     """
     V = _irfft(grid, Vh)
-    raw = _Norms.of(
-        params,
-        grid,
-        *_per_component(held, _moduli(V), None),
-        *_per_component(held, (_parseval_sums(grid, S, half=True) for S in Vh), (0.0, 0.0)),
-    )
+    raw = _Norms.of(params, grid, held, _moduli(V), _parseval_sums(grid, Vh, half=True))
     t1, t2 = _scalings(constraint, raw, warm)
     t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)[held]
     V *= t

@@ -84,8 +84,8 @@ class ScalingParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.lam > 0):
-            raise ValueError(f"mu and lam must be positive, got mu={self.mu}, lam={self.lam}")
+        if not (0 < self.mu < math.inf and 0 < self.lam < math.inf):
+            raise ValueError(f"mu and lam must be finite and positive, got mu={self.mu}, lam={self.lam}")
 
     def inverse(self) -> "ScalingParams":
         return ScalingParams(mu=1.0 / self.mu, lam=1.0 / self.lam)

@@ -70,8 +70,9 @@ def _wrap(y: float, half_width: float) -> float:
     return (y + half_width) % period - half_width
 
 
-# Newton steps per refinement: from the best grid shift the error squares
-# at each step, so the shift reaches roundoff in about four
+# Newton steps per refinement, a cap: from the best grid shift the error
+# squares at each step, and the refinement stops at the first step that
+# no longer shrinks, which is roundoff, after three or four steps
 _NEWTON_STEPS = 8
 
 
@@ -126,10 +127,13 @@ class _Orbits:
     def _newton(self, P, y):
         """Newton steps from y toward the nearest maximum of
         |C_1(y)| + |C_2(y)|, each clipped to dx per axis; they stop where
-        the Hessian is not negative definite or the step is below roundoff.
+        the Hessian is not negative definite, or after a step that is below
+        roundoff or, unclipped, at least half its predecessor: Newton steps
+        shrink quadratically until gradient roundoff sets their size.
         Returns the last shift and its C_j."""
         grid = self.grid
         floor = 4.0 * np.finfo(float).eps
+        previous = np.inf
         for _ in range(_NEWTON_STEPS):
             sums = self._sums(P, y)
             live = np.abs(sums[0]) > 0
@@ -148,8 +152,12 @@ class _Orbits:
                 return y, sums[0]
             step = np.clip(ascent, -grid.dx, grid.dx)
             y = y + step
-            if np.abs(step).max() <= floor * (np.abs(y).max() + grid.dx):
+            size = np.abs(step).max()
+            if size <= floor * (np.abs(y).max() + grid.dx):
                 break
+            if size >= 0.5 * previous and (step == ascent).all():
+                break
+            previous = size
         return y, self._sums(P, y)[0]
 
     def _single(self, psi_h, vh, wv):
@@ -439,12 +447,13 @@ def blowup_experiment(
     The variance is tested for concavity on the first window_fraction of
     the run, in (0, 1], and margin, in [0, 1), is the relative slack of
     that test and of the second-derivative bound; values outside these
-    ranges, a dt, t_max or guard_ratio that EvolveConfig refuses as its
-    dt, t_end or blowup_guard, and a flow tol that is not finite and
-    positive raise ValueError before any flow or evolution.
+    ranges, a factor that is not finite, a dt, t_max or guard_ratio that
+    EvolveConfig refuses as its dt, t_end or blowup_guard, and a flow tol
+    that is not finite and positive raise ValueError before any flow or
+    evolution.
     """
-    if not factor > 1.0:
-        raise ValueError(f"factor must exceed 1, got {factor}")
+    if not 1.0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and exceed 1, got {factor}")
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
     if not 0.0 <= margin < 1.0:

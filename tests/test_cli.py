@@ -732,6 +732,9 @@ _REFUSED_SETTINGS = [
     *(("evolve", "guard", v) for v in ("nan", "1")),
     *(("evolve", "eps", v) for v in ("nan", "inf")),
     *((command, "flow_tol", v) for command in ("blowup", "audit") for v in ("nan", "inf", "-1", "0")),
+    ("blowup", "factor", "inf"),
+    ("blowup", "guard_ratio", "inf"),
+    ("evolve", "guard", "inf"),
 ]
 
 

@@ -52,6 +52,19 @@ def test_config_validation():
     with pytest.raises(ValueError, match="1e\\+303 steps"):
         EvolveConfig(dt=1e-3, t_end=1e300)
     EvolveConfig(dt=1e-3, t_end=1e6)
+    # a stride of 0.5 would snapshot every step and a nan one sample only
+    # the endpoints, so the strides are integers, as the step counter is;
+    # an infinite guard never trips
+    for key, values in (
+        ("snapshot_stride", (-1, 0.5, 2.0, np.nan, np.inf)),
+        ("conservation_check_stride", (0, 0.5, 1.0, np.nan, np.inf)),
+        ("blowup_guard", (np.nan, np.inf)),
+    ):
+        for value in values:
+            with pytest.raises(ValueError, match=key):
+                EvolveConfig(dt=1e-3, t_end=1.0, **{key: value})
+    config = EvolveConfig(dt=1e-3, t_end=1.0, snapshot_stride=np.int64(2), conservation_check_stride=np.int32(5))
+    assert (config.snapshot_stride, config.conservation_check_stride) == (2, 5)
 
 
 def test_standing_wave_phase_rotation(grid_1d, cubic):
@@ -250,10 +263,14 @@ def test_evolve_equals_composed_steps(grid, p, beta, seed, zero, guard, k, strid
     seed=st.integers(0, 10_000),
     width=st.sampled_from([0.8, 2.0]),
     stride=st.integers(1, 4),
+    populated=st.sampled_from(["first", "second", "both"]),
 )
-def test_logged_rows_match_the_functionals(grid, p, beta, seed, width, stride):
+def test_logged_rows_match_the_functionals(grid, p, beta, seed, width, stride, populated):
+    # a state with one exactly zero component is evolved as one row, and
+    # the absent row must log what the functionals give
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
-    state = _unit_peak(smooth_pair(grid, seed, width=width))
+    zero = {"first": 1, "second": 0, "both": None}[populated]
+    state = _zeroed(_unit_peak(smooth_pair(grid, seed, width=width)), zero)
     dt = 5e-3
     config = EvolveConfig(dt=dt, t_end=3 * stride * dt, conservation_check_stride=stride, snapshot_stride=stride)
     log = evolve(state, params, config)

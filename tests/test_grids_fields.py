@@ -180,13 +180,15 @@ def test_pair_arithmetic_and_norms_equal_the_componentwise_expressions(dim, seed
     for pair, c1, c2 in cases:
         assert _bits(pair.c1) == _bits(c1) and _bits(pair.c2) == _bits(c2)
     params = SystemParams(p=1.5 + seed % 3 * 0.5, beta=0.7, omega1=1.0, omega2=1.9)
+    # each component's sums from its own transform
+    (grad1,), (mass1,) = _parseval_sums(grid, _fft(grid, a.c1[np.newaxis]))
+    (grad2,), (mass2,) = _parseval_sums(grid, _fft(grid, a.c2[np.newaxis]))
     separate = _Norms.of(
         params,
         grid,
-        _density(a.c1),
-        _density(a.c2),
-        _parseval_sums(grid, _fft(grid, a.c1)),
-        _parseval_sums(grid, _fft(grid, a.c2)),
+        slice(0, 2),
+        np.stack((_density(a.c1), _density(a.c2))),
+        ((grad1, grad2), (mass1, mass2)),
     )
     assert _Norms.measure(a, params) == separate
     assert gradient_norm_sq(a) == gradient_norm_sq_component(grid, a.c1) + gradient_norm_sq_component(grid, a.c2)
@@ -207,6 +209,14 @@ def test_constructor_refuses_other_shapes_and_nonfinite_entries(dim):
         for args in ((f, good), (good, f)):
             with pytest.raises(ValueError, match="finite"):
                 FieldPair(grid, *args)
+
+
+@pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+def test_scaling_a_pair_refuses_a_scalar_that_is_not_finite(scalar):
+    pair = smooth_pair(_LAYOUT_GRIDS[1], 0)
+    for scale in (lambda: scalar * pair, lambda: pair * scalar):
+        with pytest.raises(ValueError, match="finite scalar"):
+            scale()
 
 
 def test_l2_norm_against_gaussian_integral(grid_1d):
@@ -340,7 +350,8 @@ def test_half_spectrum_sums_match_the_full_spectrum(dim, size, real, seed):
     norms = _Norms.measure(pair, SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0))
     for c, full in ((pair.c1, (norms.grad1, norms.m1)), (pair.c2, (norms.grad2, norms.m2))):
         rows = c.real[np.newaxis] if real else np.stack((c.real, c.imag))
-        half = _parseval_sums(grid, _rfft(grid, rows), half=True)
+        (grad,), (mass,) = _parseval_sums(grid, _rfft(grid, rows[np.newaxis]), half=True)
+        half = (grad, mass)
         assert full[0] > 0 and full[1] > 0
         np.testing.assert_allclose(half, full, rtol=1e-13, atol=0)
 
@@ -356,6 +367,22 @@ def test_only_core_imports_the_nd_transforms():
             if isinstance(node, ast.ImportFrom) and node.module == "scipy.fft":
                 nd = ("fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in nd]
+    assert offenders == []
+
+
+def test_only_functionals_forms_the_functionals():
+    # the other modules reach the functionals through _Norms and the
+    # pointwise kernels, never through a private helper of their own route
+    shared = {"_Norms", "_rates", "_gradient", "_variance", "_virial"}
+    offenders = []
+    for path in sorted(Path(cnls_lab.__file__).parent.glob("*.py")):
+        if path.stem == "functionals":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("functionals", "cnls_lab.functionals"):
+                offenders += [
+                    f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_") and a.name not in shared
+                ]
     assert offenders == []
 
 

@@ -233,6 +233,10 @@ def test_scaling_params_validation():
         ScalingParams(mu=0.0, lam=1.0)
     with pytest.raises(ValueError):
         ScalingParams(mu=1.0, lam=-2.0)
+    for bad in (np.nan, np.inf):
+        for mu, lam in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ScalingParams(mu=mu, lam=lam)
     s = ScalingParams(mu=2.0, lam=0.5)
     inv = s.inverse()
     assert inv.mu * s.mu == pytest.approx(1.0)

@@ -370,6 +370,8 @@ _SETTING_RUNS = {
         ("sweep", "epsilons", (0.0,) * 200_000),
         *(("blowup", "tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
         *(("audit", "flow_tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
+        ("blowup", "factor", math.inf),
+        ("blowup", "guard_ratio", math.inf),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
