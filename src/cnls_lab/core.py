@@ -238,7 +238,8 @@ class FieldPair:
     C-contiguous complex array components of shape (2, *grid.shape), so that
     one transform or one ufunc call serves both fields; c1 and c2 are views
     of its two rows. The constructor copies c1 and c2 into a fresh stack and
-    refuses any shape other than grid.shape and any non-finite entry. Treat
+    refuses any shape other than grid.shape and any non-finite entry; sums,
+    differences and scalar multiples refuse a result that overflows. Treat
     instances as immutable values: operations return new pairs and never
     write into components, c1 or c2."""
 
@@ -267,6 +268,14 @@ class FieldPair:
         return pair
 
     @classmethod
+    def _finite(cls, grid: Grid, U: np.ndarray) -> "FieldPair":
+        """_wrap for U computed from finite operands, which an overflow can
+        still leave non-finite: that raises ValueError."""
+        if not np.isfinite(U).all():
+            raise ValueError("the resulting field pair is not finite: the operation overflowed")
+        return cls._wrap(grid, U)
+
+    @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
         return cls._wrap(grid, np.zeros((2,) + grid.shape, dtype=complex))
 
@@ -278,22 +287,19 @@ class FieldPair:
     def c2(self) -> np.ndarray:
         return self.components[1]
 
-    def copy(self) -> "FieldPair":
-        return FieldPair._wrap(self.grid, self.components.copy())
-
     def __add__(self, other: "FieldPair") -> "FieldPair":
         same_grid(self, other)
-        return FieldPair._wrap(self.grid, self.components + other.components)
+        return FieldPair._finite(self.grid, self.components + other.components)
 
     def __sub__(self, other: "FieldPair") -> "FieldPair":
         same_grid(self, other)
-        return FieldPair._wrap(self.grid, self.components - other.components)
+        return FieldPair._finite(self.grid, self.components - other.components)
 
     def __mul__(self, scalar) -> "FieldPair":
         scalar = complex(scalar)
         if not cmath.isfinite(scalar):
             raise ValueError(f"a field pair is scaled only by a finite scalar, got {scalar}")
-        return FieldPair._wrap(self.grid, scalar * self.components)
+        return FieldPair._finite(self.grid, scalar * self.components)
 
     __rmul__ = __mul__
 

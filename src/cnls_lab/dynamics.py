@@ -204,7 +204,8 @@ def evolve(
 
     companions are further initial pairs on pair's grid, run under the same
     schedule as one (E, r, *shape) batch, so that each transform call and
-    each pass of the rotation serves every member. Their logs come back,
+    each pass of the rotation serves every member; a lone run is a batch of
+    one. Their logs come back,
     in order, as the returned log's companions; each member's log is bit
     for bit the one a separate run returns. A member that trips the guard or stops
     being finite leaves the batch and the others run on."""
@@ -212,9 +213,7 @@ def evolve(
     for other in members[1:]:
         same_grid(pair, other)
     _check_hold(pair.grid, config, len(members))
-    # a lone run is transformed as its (2, *shape) stack, a batch as the
-    # (E, 2, *shape) array of its members' stacks
-    U = np.array([member.components for member in members]) if len(members) > 1 else pair.components
+    U = np.array([member.components for member in members])
     log, *others = _evolve_stack(pair.grid, params, config, U)
     log.companions = tuple(others)
     return log
@@ -314,12 +313,11 @@ class _Run:
 
 
 def _evolve_stack(grid, params, config, U):
-    """evolve for every member of U, a stacked (2, *shape) pair or a batch
-    (E, 2, *shape) of them; one TrajectoryLog per member. Only the r
-    components in core._populated's slice are stepped, as an (r, *shape)
-    or (E, r, *shape) stack. A member that stops is dropped from the live
-    stack, so the transforms and the rotation run over the members still
-    going."""
+    """evolve for every member of U, a batch (E, 2, *shape) of stacked
+    pairs, a lone run too; one TrajectoryLog per member. Only the r
+    components in core._populated's slice are stepped, as an (E, r, *shape)
+    stack. A member that stops is dropped from the live stack, so the
+    transforms and the rotation run over the members still going."""
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     if n_steps < 1:
@@ -329,14 +327,9 @@ def _evolve_stack(grid, params, config, U):
     half = np.exp(-0.5j * dt * grid.k2)
     full = np.exp(-1j * dt * grid.k2)
     held = _populated(U, grid)
-    U = U[(..., held) + (slice(None),) * grid.dim]
-
-    def members(A):
-        # the (r, *shape) view of each member of a stack
-        return A.reshape((-1, held.stop - held.start) + grid.shape)
-
+    U = U[:, held]
     S = _fft(grid, U)
-    runs = live = [_Run(grid, params, config, held, u, s) for u, s in zip(members(U), members(S))]
+    runs = live = [_Run(grid, params, config, held, u, s) for u, s in zip(U, S)]
 
     # stage at the mid-kinetic point: between observation boundaries the
     # trailing and leading kinetic halves of consecutive steps merge into
@@ -359,7 +352,7 @@ def _evolve_stack(grid, params, config, U):
         U = _ifft(grid, half * S)
         calls += 2
         t = s * dt
-        going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, members(U), members(S))]
+        going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, U, S)]
         if not all(going):
             for run, on in zip(live, going):
                 if not on:
@@ -367,7 +360,7 @@ def _evolve_stack(grid, params, config, U):
             live = [run for run, on in zip(live, going) if on]
             if not live:
                 break
-            U, S = members(U)[going], members(S)[going]
+            U, S = U[going], S[going]
         if s < n_steps:
             U = _ifft(grid, np.multiply(full, S, out=S))
             calls += 1
@@ -391,8 +384,10 @@ class VirialCheck:
 def virial_series(log: TrajectoryLog, *, window: tuple | None = None) -> VirialCheck:
     """Check d^2/dt^2 int |x|^2 rho = 8 R on the sampled trajectory.
 
-    Uses interior sample points with uniform spacing and finite variance;
-    max_residual is relative to the largest |8R| in the window.
+    Uses the centered second differences of uniformly spaced samples whose
+    three variance samples are finite and, for a window (t0, t1), all lie
+    in t0 <= t <= t1; max_residual is relative to the largest |8R| among
+    them.
     """
     t = log.times
     if len(t) < 3:
@@ -407,7 +402,8 @@ def virial_series(log: TrajectoryLog, *, window: tuple | None = None) -> VirialC
     expected = 8.0 * r_val[1:-1]
     keep = np.isfinite(v_dd)
     if window is not None:
-        keep &= (t_in >= window[0]) & (t_in <= window[1])
+        inside = (t >= window[0]) & (t <= window[1])
+        keep &= inside[:-2] & inside[1:-1] & inside[2:]
     if not keep.any():
         raise ValueError("no usable samples in the requested window")
     scale = np.abs(expected[keep]).max()

@@ -472,11 +472,11 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
-def _check_flow_limits(tol, max_iter):
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not 1 <= max_iter <= _MAX_ITER:
-        raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
+def _check_flow_tol(tol, key="tol"):
+    """Refuse, with ValueError naming the caller's key, a residual
+    tolerance for the flows that is not finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {tol}")
 
 
 def minimize_on(
@@ -493,7 +493,9 @@ def minimize_on(
     if the residual tolerance is not reached, including the case where the
     objective bottoms out at a non-critical constrained infimum. tol must
     be finite and positive, and max_iter at most 10**8."""
-    _check_flow_limits(tol, max_iter)
+    _check_flow_tol(tol)
+    if not 1 <= max_iter <= _MAX_ITER:
+        raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
     constraint.validate(params, grid.dim)
     if init is None:
         if constraint.pinned:
@@ -600,7 +602,7 @@ def _scale_onto(constraint: ConstraintSpec, pair: FieldPair, params: SystemParam
     constraint.validate(params, pair.grid.dim)
     t = _scalings(constraint, _Norms.measure(pair, params))
     factors = np.reshape(t, (2,) + (1,) * pair.grid.dim)
-    return FieldPair._wrap(pair.grid, factors * pair.components), t
+    return FieldPair._finite(pair.grid, factors * pair.components), t
 
 
 def nehari_project(pair: FieldPair, params: SystemParams) -> tuple[FieldPair, float]:
@@ -637,8 +639,8 @@ def ground_state(
     flow, so the comparison scalar-vs-vector is decided by the final
     levels, not by the basin of the starting guess.
     The starts run in turn; a scalar start's flow holds its one populated
-    component only. tol and max_iter are limited as in minimize_on."""
-    _check_flow_limits(tol, max_iter)
+    component only. tol and max_iter are limited as in minimize_on, whose
+    first call refuses them before any flow runs."""
     results = [
         minimize_on(
             ConstraintSpec.nehari(),

@@ -302,7 +302,7 @@ def scale_pair(pair: FieldPair, scaling: ScalingParams) -> FieldPair:
     the decay against their combined peak."""
     scaled = scale_field(pair.grid, pair.components, scaling)
     # the n-d resampling returns a permuted view's layout
-    return FieldPair._wrap(pair.grid, np.ascontiguousarray(scaled))
+    return FieldPair._finite(pair.grid, np.ascontiguousarray(scaled))
 
 
 def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:

@@ -35,10 +35,10 @@ import numpy as np
 
 from . import core
 from .core import FieldPair, Grid, SystemParams
-from .dynamics import EvolveConfig, _check_hold, evolve
+from .dynamics import EvolveConfig, _check_hold, evolve, virial_series
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
-from .minimize import ground_state
+from .minimize import _check_flow_tol, ground_state
 from .profiles import Family, ScalingParams, make_member, scale_pair
 
 __all__ = [
@@ -228,11 +228,6 @@ def perturbation_pair(
     return (1.0 / math.sqrt(core.h1_norm_sq(pert, params))) * pert
 
 
-def _check_flow_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"the flows' tol (flow_tol) must be finite and positive, got {tol}")
-
-
 def _family_state(family: str, params: SystemParams, grid: Grid, *, tol: float, seed: int):
     """The unperturbed state for a family plus the reference orbits used to
     measure distances. For 'ground' the scalar branch references are the
@@ -257,10 +252,11 @@ def _family_state(family: str, params: SystemParams, grid: Grid, *, tol: float, 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Per-epsilon outcomes of a perturbation sweep. For epsilon > 0 the
+    """Per-epsilon outcomes of a perturbation sweep. For epsilon != 0 the
     excursion is max_t d(t)/d(0); for epsilon = 0 it is the absolute orbit
-    distance floor of the scheme itself. classification is the most severe
-    of the per-run classifications."""
+    distance floor of the scheme itself; for an aborted run it is inf.
+    classification is the most severe of the per-run classifications, and
+    details holds each run's sample times and distances."""
 
     family: str
     epsilons: tuple
@@ -290,9 +286,9 @@ def stability_sweep(
     """Evolve family member + epsilon * (unit perturbation) for each epsilon
     and track the orbit distance at sample_dt intervals. All the epsilons
     run as one batch of evolve, under EvolveConfig's default amplitude
-    guard. A run with epsilon > 0 is stable while max_t d(t)/d(0) stays at
-    most excursion_ratio, and the epsilon = 0 run while d(t) stays at most
-    zero_orbit_tol.
+    guard. A run that aborts is blow_up; any other is stable while its
+    excursion stays at most its bound, which is excursion_ratio for
+    epsilon != 0 and zero_orbit_tol for epsilon = 0.
 
     Raises ValueError before any flow or evolution for an epsilon that is
     not finite, a sample_dt that rounds to fewer than one step of dt, an
@@ -316,7 +312,7 @@ def stability_sweep(
         raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
     if not 0.0 < zero_orbit_tol < math.inf:
         raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
-    _check_flow_tol(tol)
+    _check_flow_tol(tol, "the flows' tol (flow_tol)")
     stride = int(round(sample_dt / dt))
     config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     try:
@@ -338,57 +334,35 @@ def stability_sweep(
         raise ValueError(f"epsilons {tiny} are below the orbit distance floor {floor:.3g} (1e-12 ||member||_H)")
     orbits = _Orbits(refs, params)
 
-    initial_distances = []
-    max_excursions = []
-    classifications = []
-    blowup_times = []
-    distance_series = []
-    time_series = []
-
     # every epsilon in one batched run
     first, *rest = (base + eps * pert for eps in epsilons)
     batch = evolve(first, params, config, companions=rest)
 
+    runs = []
     for eps, log in zip(epsilons, (batch, *batch.companions)):
-        times = np.array([t for t, _ in log.snapshots])
-        dists = np.array([orbits.closest(state).distance for _, state in log.snapshots])
+        times, states = zip(*log.snapshots)
+        dists = np.array([orbits.closest(state).distance for state in states])
         d0 = float(dists[0])
-        peak = float(dists.max())
         if log.aborted:
-            cls = "blow_up"
             excursion = math.inf
-        elif eps == 0.0:
-            excursion = peak
-            cls = "stable_within_tolerance" if peak <= zero_orbit_tol else "excursion_growth"
+            cls = "blow_up"
         else:
-            excursion = peak / d0
-            cls = (
-                "stable_within_tolerance"
-                if excursion <= excursion_ratio
-                else "excursion_growth"
-            )
-        initial_distances.append(d0)
-        max_excursions.append(excursion)
-        classifications.append(cls)
-        blowup_times.append(log.blowup_time)
-        distance_series.append(dists)
-        time_series.append(times)
+            # relative to d(0), except the epsilon = 0 run's absolute floor
+            excursion = float(dists.max()) / (d0 if eps else 1.0)
+            bound = excursion_ratio if eps else zero_orbit_tol
+            cls = "stable_within_tolerance" if excursion <= bound else "excursion_growth"
+        runs.append((d0, excursion, cls, log.blowup_time, np.array(times), dists))
+    initial_distances, max_excursions, classifications, blowup_times, times, dists = zip(*runs)
 
-    worst = max(classifications, key=_SEVERITY.index)
     return StabilityVerdict(
         family=family,
         epsilons=epsilons,
-        initial_distances=tuple(initial_distances),
-        max_excursions=tuple(max_excursions),
-        classifications=tuple(classifications),
-        blowup_times=tuple(blowup_times),
-        classification=worst,
-        details={
-            "times": time_series,
-            "distances": distance_series,
-            "excursion_ratio": excursion_ratio,
-            "zero_orbit_tol": zero_orbit_tol,
-        },
+        initial_distances=initial_distances,
+        max_excursions=max_excursions,
+        classifications=classifications,
+        blowup_times=blowup_times,
+        classification=max(classifications, key=_SEVERITY.index),
+        details={"times": times, "distances": dists},
     )
 
 
@@ -444,13 +418,13 @@ def blowup_experiment(
     the action flat, so the datum is the amplified member factor * U
     instead. Subcritical exponents disperse globally and are refused.
 
-    The variance is tested for concavity on the first window_fraction of
-    the run, in (0, 1], and margin, in [0, 1), is the relative slack of
-    that test and of the second-derivative bound; values outside these
-    ranges, a factor that is not finite, a dt, t_max or guard_ratio that
-    EvolveConfig refuses as its dt, t_end or blowup_guard, and a flow tol
-    that is not finite and positive raise ValueError before any flow or
-    evolution.
+    The variance is tested for concavity by virial_series on the first
+    window_fraction of the run, in (0, 1], and margin, in [0, 1), is the
+    relative slack of that test and of the second-derivative bound; values
+    outside these ranges, a factor that is not finite, a dt, t_max or
+    guard_ratio that EvolveConfig refuses as its dt, t_end or blowup_guard,
+    and a flow tol that is not finite and positive raise ValueError before
+    any flow or evolution.
     """
     if not 1.0 < factor < math.inf:
         raise ValueError(f"factor must be finite and exceed 1, got {factor}")
@@ -462,7 +436,7 @@ def blowup_experiment(
         config = EvolveConfig(dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio)
     except ValueError as exc:
         raise ValueError(f"dt={dt}, t_max={t_max}, guard_ratio={guard_ratio}: {exc}") from exc
-    _check_flow_tol(tol)
+    _check_flow_tol(tol, "the flows' tol (flow_tol)")
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(
@@ -500,24 +474,20 @@ def blowup_experiment(
     collapsed = log.blowup_time is not None
     t_star = log.blowup_time if collapsed else log.times[-1]
 
-    window_end = window_fraction * t_star
-    in_window = log.times <= window_end
-    var = log.variance[in_window]
-    times = log.times[in_window]
+    # the first window_fraction of the run, which runs backward for dt < 0
+    window = sorted((0.0, window_fraction * t_star))
     # the variance integrand loses meaning once shed radiation reaches the box
-    # edge and its samples turn NaN; test concavity on the finite stretch only
-    finite = np.isfinite(var)
-    concave = False
-    bound_satisfied = False
-    max_vdd = math.nan
-    coverage = float(finite.mean()) if len(var) else 0.0
-    triple = finite[2:] & finite[1:-1] & finite[:-2]
-    if len(var) >= 3 and triple.any():
-        h = times[1] - times[0]
-        vdd = (var[2:] - 2.0 * var[1:-1] + var[:-2])[triple] / h**2
-        max_vdd = float(vdd.max())
-        concave = max_vdd <= margin * 8.0 * sigma
-        bound_satisfied = max_vdd <= -8.0 * sigma * (1.0 - margin)
+    # edge and its samples turn NaN; the concavity test reads the second
+    # differences of finite samples only
+    finite = np.isfinite(log.variance[(log.times >= window[0]) & (log.times <= window[1])])
+    coverage = float(finite.mean())
+    try:
+        max_vdd = float(virial_series(log, window=window).second_derivative.max())
+    except ValueError:
+        # no three consecutive finite samples in the window
+        max_vdd = math.nan
+    concave = max_vdd <= margin * 8.0 * sigma
+    bound_satisfied = max_vdd <= -8.0 * sigma * (1.0 - margin)
 
     return BlowupReport(
         family=family,
@@ -538,8 +508,6 @@ def blowup_experiment(
             "times": log.times,
             "variance": log.variance,
             "gradnorm": log.gradnorm,
-            "window_end": window_end,
             "window_coverage": coverage,
-            "coupling_F_datum": norms.F,
         },
     )

@@ -161,7 +161,7 @@ def _check_budget(grid, params, state, rows, transform_calls):
     # at once
     assert log.steps == n
     assert log.transform_calls == len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
-    assert set(transform_calls) == {(rows,) + grid.shape}
+    assert set(transform_calls) == {(1, rows) + grid.shape}
     # the snapshots and the terminal state are whole pairs
     assert {pair.components.shape for _, pair in log.snapshots} == {(2,) + grid.shape}
     # the counts stay out of the trajectory file
@@ -512,6 +512,49 @@ def test_virial_series_on_collapse_window():
     assert check.max_residual < 0.02
     # the datum has negative virial, so the variance must be concave
     assert check.second_derivative.max() < 0.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(0, 8),
+    n=st.integers(3, 80),
+    coeffs=st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)),
+    ends=st.tuples(st.integers(-5, 85), st.integers(-5, 85)),
+    shift=st.sampled_from([0.0, 0.25, 0.5]),
+    gap=st.none() | st.tuples(st.integers(0, 79), st.integers(1, 5)),
+    backward=st.booleans(),
+)
+def test_virial_series_keeps_the_differences_inside_the_window(k, n, coeffs, ends, shift, gap, backward):
+    # times i h with |h| = 2^-k, a run backward in time for h < 0, and a
+    # quadratic variance with integer coefficients: every sample and second
+    # difference is exact in binary
+    h = -(2.0**-k) if backward else 2.0**-k
+    t = np.arange(n) * h
+    a, b, c = coeffs
+    var = a + b * t + c * t * t
+    if gap is not None:
+        var[gap[0] : gap[0] + gap[1]] = np.nan
+    ones = np.ones(n)
+    log = TrajectoryLog(
+        grid=Grid(1, 64, 10.0),
+        params=SystemParams(p=2.0, beta=0.0, omega1=1.0, omega2=1.0),
+        times=t, mass1=ones, mass2=0.0 * ones, energy=-ones, variance=var, gradnorm=ones,
+    )
+    # window ends between samples as well as on them
+    window = sorted((e + shift) * h for e in ends)
+    kept = [
+        i for i in range(1, n - 1)
+        if all(window[0] <= t[j] <= window[1] and np.isfinite(var[j]) for j in (i - 1, i, i + 1))
+    ]
+    if not kept:
+        with pytest.raises(ValueError):
+            virial_series(log, window=window)
+        return
+    check = virial_series(log, window=window)
+    assert np.array_equal(check.times, t[kept])
+    for step in (-h, h):
+        assert ((window[0] <= check.times + step) & (check.times + step <= window[1])).all()
+    assert (check.second_derivative == 2.0 * c).all()
 
 
 def test_virial_series_rejects_nonuniform_times(grid_1d, cubic):

@@ -228,6 +228,14 @@ def test_stability_sweep_vector_member_short(grid_1d):
     assert verdict.max_excursions[1] < 10.0
     assert verdict.blowup_times == (None, None)
     assert len(verdict.details["distances"][1]) == 5
+    # one rule for every run: its excursion, relative to d(0) except at
+    # epsilon = 0, against the bound of its kind
+    for eps, dists, excursion, cls in zip(
+        verdict.epsilons, verdict.details["distances"], verdict.max_excursions, verdict.classifications
+    ):
+        assert excursion == dists.max() / (dists[0] if eps else 1.0)
+        bound = 10.0 if eps else 1e-5
+        assert cls == ("stable_within_tolerance" if excursion <= bound else "excursion_growth")
     with pytest.raises(ValueError):
         stability_sweep(VECTOR, grid_1d, family="everything")
 
@@ -254,6 +262,21 @@ def test_blowup_supercritical_dilation_collapses():
     assert report.bound_satisfied
     assert report.max_second_derivative < 0.0
     assert report.details["window_coverage"] == pytest.approx(1.0)
+
+
+def test_blowup_backward_in_time_tests_its_first_window():
+    # a real datum run backward is the conjugate of the forward run, so the
+    # concavity test must read the same first window_fraction of it
+    g = Grid(1, 512, 30.0)
+    params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
+    forward, backward = (
+        blowup_experiment(params, g, family="scalar_first", dt=sign * 5e-4, t_max=sign * 1.0, guard_ratio=10.0)
+        for sign in (1.0, -1.0)
+    )
+    assert backward.blowup_time == -forward.blowup_time
+    assert backward.concave and backward.bound_satisfied
+    assert backward.max_second_derivative == pytest.approx(forward.max_second_derivative, rel=1e-6)
+    assert backward.details["window_coverage"] > 0.9
 
 
 def test_blowup_critical_uses_amplification(grid_1d):
