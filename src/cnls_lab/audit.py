@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import Grid, SystemParams, _csv, relative_error
 from .functionals import _Norms, action_I, energy_E
-from .minimize import ConstraintSpec, _check_flow_tol, minimize_on
+from .minimize import ConstraintSpec, _check_positive, minimize_on
 from .profiles import Family, critical_value_map_T, make_member, nehari_to_sphere
 
 
@@ -82,9 +82,8 @@ def identity_audit(
     tol, flow_tol and every gamma factor must be finite and positive
     (ValueError before any flow).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"audit tol must be finite and positive, got {tol}")
-    _check_flow_tol(flow_tol, "flow_tol")
+    _check_positive(tol, "audit tol")
+    _check_positive(flow_tol, "flow_tol")
     if not all(0.0 < fac < math.inf for fac in gamma_factors):
         raise ValueError(f"gamma_factors must be finite and positive, got {tuple(gamma_factors)}")
     n = grid.dim

@@ -156,15 +156,8 @@ class Grid:
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of the outermost grid layer (any axis at its edge)."""
         if self._boundary_mask is None:
-            mask = np.zeros(self.shape, dtype=bool)
-            n = self.points_per_axis
-            for ax in range(self.dim):
-                idx = [slice(None)] * self.dim
-                idx[ax] = 0
-                mask[tuple(idx)] = True
-                idx[ax] = n - 1
-                mask[tuple(idx)] = True
-            self._boundary_mask = mask
+            interior = np.zeros((self.points_per_axis - 2,) * self.dim, dtype=bool)
+            self._boundary_mask = np.pad(interior, 1, constant_values=True)
         return self._boundary_mask
 
     def __eq__(self, other) -> bool:

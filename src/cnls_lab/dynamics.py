@@ -170,19 +170,21 @@ def _rotate(grid, U, params, dt):
     stack (r, *shape) of r populated components, a (2, *shape) pair when
     both are, or a batch (E, r, *shape) of such stacks; one pass of each
     operation serves every member and component."""
-    m = _density(U).reshape(U.shape[: U.ndim - grid.dim] + (grid.total_points,))
-    phase = _unit_phase(np.multiply(0.5 * dt, _rates(m, params))).reshape(U.shape)
+    phase = _unit_phase(np.multiply(0.5 * dt, _rates(_density(U), params, grid.dim)))
     phase *= U
     return phase
 
 
 def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
-    (the step is the exact inverse of the forward one)."""
+    (the step is the exact inverse of the forward one) but must be finite;
+    a step whose result overflows raises ValueError."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     grid = pair.grid
     half = np.exp(-0.5j * dt * grid.k2)
     U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, pair.components), params, dt))
-    return FieldPair._wrap(grid, U)
+    return FieldPair._finite(grid, U)
 
 
 def evolve(
@@ -248,15 +250,11 @@ class _Run:
         self.blowup_time = None
         self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
         if config.snapshot_stride:
-            self.snapshots.append((0.0, self.pair(U)))
+            self.snapshots.append((0.0, _embed(grid, U, held)))
         # the latest observed whole-step state known to be finite: the
         # terminal state, also when the run is aborted because a later one
         # is not
         self.last = (0.0, U)
-
-    def pair(self, U):
-        """The FieldPair whose held rows U holds."""
-        return _embed(self.grid, U, self.held)
 
     def sample(self, t, U, S):
         """Log the observables of the whole-step state U, whose spectrum S
@@ -285,7 +283,7 @@ class _Run:
             self.blowup_time = t
             return False
         if snapping:
-            self.snapshots.append((t, self.pair(U)))
+            self.snapshots.append((t, _embed(self.grid, U, self.held)))
         return True
 
     def log(self) -> TrajectoryLog:
@@ -293,7 +291,7 @@ class _Run:
         t_last, U = self.last
         steps, calls = self.end
         if not self.snapshots or self.snapshots[-1][0] != t_last:
-            self.snapshots.append((t_last, self.pair(U)))
+            self.snapshots.append((t_last, _embed(self.grid, U, self.held)))
         data = np.asarray(self.rows, dtype=float)
         return TrajectoryLog(
             grid=self.grid,
@@ -331,39 +329,37 @@ def _evolve_stack(grid, params, config, U):
     S = _fft(grid, U)
     runs = live = [_Run(grid, params, config, held, u, s) for u, s in zip(U, S)]
 
-    # stage at the mid-kinetic point: between observation boundaries the
-    # trailing and leading kinetic halves of consecutive steps merge into
-    # whole ones, so an interior step costs one transform round trip, not
-    # two, and deposits half the roundoff in the otherwise exactly
-    # conserved masses
-    U = _ifft(grid, half * S)
-    calls = 2
+    # every step applies the kinetic multiplier to the spectrum in hand,
+    # inverts, rotates and transforms forward. The first spectrum is the
+    # whole-step state's, so its multiplier is a half step; every later one
+    # is a rotated state's, a half step short of a whole step, so its
+    # multiplier is a whole step: between observations the trailing and
+    # leading kinetic halves of consecutive steps merge, so a step costs
+    # one transform round trip, not two, and deposits half the roundoff in
+    # the otherwise exactly conserved masses
+    mult = half
+    calls = 1
     for s in range(1, n_steps + 1):
-        U = _rotate(grid, U, params, dt)
+        U = _rotate(grid, _ifft(grid, np.multiply(mult, S, out=S)), params, dt)
+        S = _fft(grid, U)
+        mult = full
+        calls += 2
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
-        if not (sampling or snapping):
-            U = _kinetic(grid, full, U)
-            calls += 2
-            continue
-        # the whole-step state and the next mid-kinetic state both come
-        # from this one spectrum
-        S = _fft(grid, U)
-        U = _ifft(grid, half * S)
-        calls += 2
-        t = s * dt
-        going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, U, S)]
-        if not all(going):
-            for run, on in zip(live, going):
-                if not on:
-                    run.end = (s, calls)
-            live = [run for run, on in zip(live, going) if on]
-            if not live:
-                break
-            U, S = U[going], S[going]
-        if s < n_steps:
-            U = _ifft(grid, np.multiply(full, S, out=S))
+        if sampling or snapping:
+            # the whole-step state is one trailing half-step away
+            U = _ifft(grid, half * S)
             calls += 1
+            t = s * dt
+            going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, U, S)]
+            if not all(going):
+                for run, on in zip(live, going):
+                    if not on:
+                        run.end = (s, calls)
+                live = [run for run, on in zip(live, going) if on]
+                if not live:
+                    break
+                S = S[going]
     for run in live:
         run.end = (s, calls)
     return [run.log() for run in runs]

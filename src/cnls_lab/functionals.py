@@ -113,10 +113,11 @@ def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     return _coupling(params, *_density_sums(pair.grid, *_density(pair.components), params.p))
 
 
-def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
+def _rates(m: np.ndarray, params: SystemParams, dim: int) -> np.ndarray:
     """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
-    coupled equations, from the squared moduli m_j = |u_j|^2 stacked on
-    the second-to-last axis of m, (..., 2, n) or (..., 1, n), as
+    coupled equations, from the squared moduli m_j = |u_j|^2 of fields on a
+    dim-dimensional grid, stacked on the component axis -1 - dim of m,
+    (..., 2, *shape) or (..., 1, *shape), as
     A_j = m_j^(p-1) + beta m_k^(p/2) m_j^(p/2-1); the stacked rates come
     back in m's shape. The partner m_k is read through the reversed
     component axis. A one-row stack holds a component whose partner is
@@ -131,9 +132,12 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     """
     p, beta = params.p, params.beta
     rates = _power(m, p - 1.0)
-    if beta == 0.0 or m.shape[-2] == 1:
+    if beta == 0.0 or m.shape[-1 - dim] == 1:
         return rates
-    partner = m[..., ::-1, :]
+    # one index tuple reverses the component axis of m and of its powers;
+    # it costs less per call than np.flip
+    swap = (Ellipsis, slice(None, None, -1)) + (slice(None),) * dim
+    partner = m[swap]
     # at p = 2 the factor m_j^(p/2-1) is 1. Otherwise the products are
     # taken in place, which keeps the stack's temporaries to two
     if p == 2.0:
@@ -143,7 +147,7 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
         # partner's m_k^(3/4) = r_k s_k and, inverted, the factor m_j^(-1/4)
         s = rates
         r = np.sqrt(s)
-        cross = r[..., ::-1, :] * s[..., ::-1, :]
+        cross = r[swap] * s[swap]
         cross *= beta
         with np.errstate(divide="ignore"):
             np.divide(1.0, r, out=r)
@@ -152,7 +156,7 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
     elif p == 3.0:
         # one root serves the partner's m_k^(3/2) and the factor m_j^(1/2)
         s = np.sqrt(m)
-        cross = partner * s[..., ::-1, :]
+        cross = partner * s[swap]
         cross *= beta
         cross *= s
     else:
@@ -169,8 +173,7 @@ def _rates(m: np.ndarray, params: SystemParams) -> np.ndarray:
 
 def _gradient(pair: FieldPair, params: SystemParams) -> np.ndarray:
     """The gradient of F as one (2, *shape) stack (g1, g2)."""
-    m = _density(pair.components)
-    return _rates(m.reshape(2, -1), params).reshape(m.shape) * pair.components
+    return _rates(_density(pair.components), params, pair.grid.dim) * pair.components
 
 
 def coupling_gradient(pair: FieldPair, params: SystemParams):

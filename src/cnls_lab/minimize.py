@@ -405,9 +405,7 @@ def _gradient_spectra(grid, params, U):
     """Half spectrum of the coupling gradient (A_j u_j) of the stacked
     state U. The moduli and the rates are released on return, before the
     flow's trial steps allocate theirs."""
-    r = U.shape[0]
-    rates = _rates(_moduli(U).reshape(r, -1), params).reshape((r, 1) + grid.shape)
-    return _rfft(grid, rates * U)
+    return _rfft(grid, _rates(_moduli(U), params, grid.dim)[:, None] * U)
 
 
 def _project_state(constraint, grid, params, Vh, warm, held):
@@ -472,11 +470,12 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
-def _check_flow_tol(tol, key="tol"):
-    """Refuse, with ValueError naming the caller's key, a residual
-    tolerance for the flows that is not finite and positive."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"{key} must be finite and positive, got {tol}")
+def _check_positive(value, key="tol"):
+    """Refuse, with ValueError naming the caller's key, a value that is not
+    finite and positive: a residual tolerance for the flows, a level or a
+    mass."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value}")
 
 
 def minimize_on(
@@ -493,7 +492,7 @@ def minimize_on(
     if the residual tolerance is not reached, including the case where the
     objective bottoms out at a non-critical constrained infimum. tol must
     be finite and positive, and max_iter at most 10**8."""
-    _check_flow_tol(tol)
+    _check_positive(tol)
     if not 1 <= max_iter <= _MAX_ITER:
         raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
     constraint.validate(params, grid.dim)

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _mass_criticality, _per_component
+from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _per_component
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
-from .minimize import ConstraintSpec, gaussian_init, minimize_on
+from .minimize import ConstraintSpec, _check_positive, gaussian_init, minimize_on
 
 __all__ = [
     "Family",
@@ -118,8 +118,7 @@ def base_profile_1d(p: float, grid: Grid) -> np.ndarray:
     (periodized) on the grid."""
     if grid.dim != 1:
         raise ValueError(f"base_profile_1d needs a 1d grid, got dim={grid.dim}")
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    SystemParams(p=p, beta=0.0, omega1=1.0, omega2=1.0)
     return _periodized_1d(p, 1.0, 0.0, grid, 0.0)
 
 
@@ -152,19 +151,27 @@ def base_profile_nd(p: float, grid: Grid, *, omega: float = 1.0) -> BaseProfileR
 
 def z_beta_omega(omega: float, beta: float, p: float, grid: Grid, *, shift=None) -> np.ndarray:
     """The rescaled profile z(omega, beta) solving
-    -Lap z + omega z = (1+beta) |z|^(2p-2) z, sampled on the grid."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    -Lap z + omega z = (1+beta) |z|^(2p-2) z, sampled on the grid and
+    translated by shift, as make_member takes it."""
+    SystemParams(p=p, beta=beta, omega1=omega, omega2=omega)
+    shift = _shift_vector(grid, shift)
     if grid.dim == 1:
-        y = 0.0 if shift is None else float(np.atleast_1d(shift)[0])
-        return _periodized_1d(p, omega, beta, grid, y)
+        return _periodized_1d(p, omega, beta, grid, float(shift[0]))
     base = base_profile_nd(p, grid, omega=omega).values
     values = (1.0 + beta) ** (-0.5 / (p - 1.0)) * base
-    if shift is not None and np.any(np.asarray(shift) != 0):
+    if shift.any():
         values = spectral_shift(grid, values, shift)
     return values
+
+
+def _shift_vector(grid: Grid, shift) -> np.ndarray:
+    """shift as grid.dim floats: a scalar in 1d, else one entry per axis,
+    and None for no shift. Anything but grid.dim finite entries raises
+    ValueError."""
+    shift = np.zeros(grid.dim) if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
+    if shift.size != grid.dim or not np.isfinite(shift).all():
+        raise ValueError(f"shift needs {grid.dim} finite entries, got {tuple(shift)}")
+    return shift
 
 
 def make_member(
@@ -188,9 +195,6 @@ def make_member(
     at equal frequencies, and no characterization of the unequal-frequency
     family is available to sample from.
     """
-    shift = np.zeros(grid.dim) if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.size != grid.dim or not np.isfinite(shift).all():
-        raise ValueError(f"shift needs {grid.dim} finite entries, got {tuple(shift)}")
     if family is Family.VECTOR_B and params.omega1 != params.omega2:
         raise ConstraintError(
             "VectorB members require omega1 == omega2; the unequal-frequency "
@@ -207,9 +211,9 @@ def make_member(
 def spectral_shift(grid: Grid, f: np.ndarray, shift) -> np.ndarray:
     """Translate f by the real vector shift via Fourier phases (exact for
     the trigonometric interpolant)."""
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    shift = _shift_vector(grid, shift)
     fh = _fft(grid, np.asarray(f, dtype=complex))
-    for k, y in zip(np.ix_(*grid.wavenumbers), shift, strict=True):
+    for k, y in zip(np.ix_(*grid.wavenumbers), shift):
         fh = fh * np.exp(-1j * k * y)
     return _ifft(grid, fh)
 
@@ -243,10 +247,13 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
     0.45 N on some axis, relative to the largest |u_hat|) reaches
     SUPPORT_TOL and exceeds the edge amplitude (the largest |u| on the
     outermost grid layer, relative to the peak), whose seam in the periodic
-    extension leaves a tail of its own; the box otherwise.
+    extension leaves a tail of its own; the box otherwise. A field that is
+    not finite raises ValueError.
     """
     mu, lam = scaling.mu, scaling.lam
     g = np.asarray(f, dtype=complex)
+    if not np.isfinite(g).all():
+        raise ValueError("the field to rescale must be finite")
     if lam == 1.0:
         return mu * g
     peak = float(np.abs(g).max())
@@ -315,11 +322,9 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
     Only meaningful at mass-subcritical exponents (p < 1 + 2/n), where the
     sphere-constrained minimization is well posed; refused otherwise.
     """
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if _mass_criticality(p, dim) != "subcritical":
+    if not (0 < m < math.inf and 0 < gamma < math.inf):
+        raise ValueError(f"m and gamma must be finite and positive, got m={m}, gamma={gamma}")
+    if SystemParams(p=p, beta=0.0, omega1=1.0, omega2=1.0).criticality(dim) != "subcritical":
         raise ConstraintError(
             f"the sphere level map needs p < 1 + 2/n (got p={p}, n={dim})"
         )
@@ -385,6 +390,6 @@ def delta_of_omega(omega: float, beta: float, p: float, dim: int, base_mass: flo
         delta(omega) = omega^(1/(p-1) - n/2) / (beta+1)^(1/(p-1)) * base_mass,
 
     where base_mass is ||z(1, 0)||_2^2 for the same p and n."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    SystemParams(p=p, beta=beta, omega1=omega, omega2=omega)
+    _check_positive(base_mass, "base_mass")
     return omega ** (1.0 / (p - 1.0) - dim / 2.0) / (beta + 1.0) ** (1.0 / (p - 1.0)) * base_mass

@@ -38,7 +38,7 @@ from .core import FieldPair, Grid, SystemParams
 from .dynamics import EvolveConfig, _check_hold, evolve, virial_series
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
-from .minimize import _check_flow_tol, ground_state
+from .minimize import _check_positive, ground_state
 from .profiles import Family, ScalingParams, make_member, scale_pair
 
 __all__ = [
@@ -310,9 +310,8 @@ def stability_sweep(
         )
     if not 1.0 <= excursion_ratio < math.inf:
         raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
-    if not 0.0 < zero_orbit_tol < math.inf:
-        raise ValueError(f"zero_orbit_tol must be finite and positive, got {zero_orbit_tol}")
-    _check_flow_tol(tol, "the flows' tol (flow_tol)")
+    _check_positive(zero_orbit_tol, "zero_orbit_tol")
+    _check_positive(tol, "the flows' tol (flow_tol)")
     stride = int(round(sample_dt / dt))
     config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     try:
@@ -436,7 +435,7 @@ def blowup_experiment(
         config = EvolveConfig(dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio)
     except ValueError as exc:
         raise ValueError(f"dt={dt}, t_max={t_max}, guard_ratio={guard_ratio}: {exc}") from exc
-    _check_flow_tol(tol, "the flows' tol (flow_tol)")
+    _check_positive(tol, "the flows' tol (flow_tol)")
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(

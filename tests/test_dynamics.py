@@ -155,10 +155,9 @@ def _check_budget(grid, params, state, rows, transform_calls):
     config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
     log = evolve(state, params, config)
     observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
-    # 2 calls to start (the t = 0 spectrum, the first half step), 2 per
-    # interior step, 3 per sampled or snapshotted step, less the half step
-    # after the last one; every call transforms the populated components
-    # at once
+    # 1 call to start (the t = 0 spectrum), 2 per step and 1 more per
+    # sampled or snapshotted step (its whole-step state), the same total;
+    # every call transforms the populated components at once
     assert log.steps == n
     assert log.transform_calls == len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
     assert set(transform_calls) == {(1, rows) + grid.shape}

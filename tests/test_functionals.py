@@ -136,24 +136,49 @@ def test_rates_match_the_float_power_formula(grid_1d, p, beta, seed, holes):
     params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
     a1, a2 = np.abs(c1), np.abs(c2)
     m = np.stack((a1**2, a2**2))
-    rates = _rates(m, params)
+    rates = _rates(m, params, 1)
     assert rates.shape == m.shape
     for a_own, a_other, rate in zip((a1, a2), (a2, a1), rates):
         base = np.where(a_own > 0, a_own, np.inf) if p < 2 else a_own
         expected = a_own ** (2 * p - 2) + beta * a_other**p * base ** (p - 2)
         assert np.all(np.abs(rate - expected) <= 1e-13 * np.abs(expected))
     # a batch of stacks gives each member's rates
-    assert np.array_equal(_rates(np.stack((m, m[::-1])), params), np.stack((rates, rates[::-1])))
+    assert np.array_equal(_rates(np.stack((m, m[::-1])), params, 1), np.stack((rates, rates[::-1])))
     # a one-row stack has no partner: its rate is m^(p-1), bit for bit the
     # coupled rate against an exactly zero partner
     zero = np.zeros_like(m[0])
     for j, a_own in enumerate((a1, a2)):
-        alone = _rates(m[j : j + 1], params)
+        alone = _rates(m[j : j + 1], params, 1)
         assert alone.shape == (1,) + m[0].shape
-        assert np.array_equal(alone[0], _rates(np.stack((m[j], zero)), params)[0])
-        assert np.array_equal(alone[0], _rates(np.stack((zero, m[j])), params)[1])
+        assert np.array_equal(alone[0], _rates(np.stack((m[j], zero)), params, 1)[0])
+        assert np.array_equal(alone[0], _rates(np.stack((zero, m[j])), params, 1)[1])
         expected = a_own ** (2 * p - 2)
         assert np.all(np.abs(alone[0] - expected) <= 1e-13 * expected)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    dim=st.integers(1, 3),
+    members=st.integers(1, 3),
+    rows=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+)
+def test_rates_read_the_component_axis_of_any_layout(dim, members, rows, p, beta, seed):
+    # an (E, r, *shape) stack of squared moduli, with exact zeros
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 9, size=dim))
+    m = rng.exponential(size=(members, rows) + shape)
+    m[rng.random(m.shape) < 0.2] = 0.0
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    rates = _rates(m, params, dim)
+    assert rates.shape == m.shape
+    for member, rate in zip(m, rates):
+        # bit for bit the member's rows flattened into a 1d (r, n) stack
+        flat = _rates(member.reshape(rows, -1), params, 1)
+        assert np.array_equal(rate.reshape(rows, -1), flat)
+        assert np.array_equal(_rates(member, params, dim), rate)
 
 
 def test_coupling_gradient_subquadratic_exponent(grid_1d):

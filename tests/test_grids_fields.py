@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 import cnls_lab
 from cnls_lab import (
+    Family,
     FieldPair,
     Grid,
     GridMismatchError,
@@ -22,8 +24,10 @@ from cnls_lab import (
     h1_distance,
     h1_norm_sq,
     l2_norm_sq,
+    make_member,
     relative_error,
     scale_pair,
+    step_strang,
     weighted_l2_norm_sq,
 )
 from cnls_lab import cli, minimize
@@ -217,6 +221,13 @@ def test_scaling_a_pair_refuses_a_scalar_that_is_not_finite(scalar):
             scale()
 
 
+_QUARTIC = SystemParams(p=4.0, beta=1.0, omega1=1.0, omega2=1.0)
+
+
+def _quartic_member():
+    return make_member(Family.VECTOR_B, _QUARTIC, Grid(1, 64, 10.0))
+
+
 def _peaked(peak):
     # a pair of 1d Gaussians on 64 points whose larger component peaks at peak
     grid = _LAYOUT_GRIDS[1]
@@ -234,10 +245,14 @@ def _peaked(peak):
         lambda: scale_pair(_peaked(1e10), ScalingParams(1e300, 1.0)),
         lambda: scale_pair(_peaked(1e10), ScalingParams(1e300, 1.1)),
         lambda: minimize.nehari_project(_peaked(1e10), SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)),
+        # the rates |u|^6 of a finite quartic pair overflow
+        lambda: step_strang(1e60 * _quartic_member(), _QUARTIC, 1e-3),
+        lambda: step_strang(_quartic_member(), _QUARTIC, math.nan),
+        lambda: step_strang(_quartic_member(), _QUARTIC, math.inf),
     ],
     ids=[
         "scalar_times_pair", "pair_times_scalar", "sum", "difference", "scale_pair", "scale_pair_stretched",
-        "ray_projection",
+        "ray_projection", "strang_step", "strang_step_nan_dt", "strang_step_inf_dt",
     ],
 )
 def test_pair_arithmetic_refuses_a_result_that_is_not_finite(monkeypatch, operation):
@@ -246,6 +261,17 @@ def test_pair_arithmetic_refuses_a_result_that_is_not_finite(monkeypatch, operat
     monkeypatch.setattr(minimize, "_scalings", lambda constraint, norms: (1e300, 1e300))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
         operation()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 4, 8, 64])
+def test_boundary_mask_is_the_outermost_layer(dim, n):
+    # a point is on the boundary when some index is at either edge
+    index = np.indices((n,) * dim)
+    expected = ((index == 0) | (index == n - 1)).any(axis=0)
+    mask = Grid(dim, n, 5.0).boundary_mask()
+    assert mask.dtype == bool
+    assert np.array_equal(mask, expected)
 
 
 def test_l2_norm_against_gaussian_integral(grid_1d):

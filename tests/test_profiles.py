@@ -279,11 +279,56 @@ def test_sphere_transport_refuses_a_scaling_out_of_range(grid_1d, cubic, gamma):
         nehari_to_sphere(FieldPair(grid_1d, z, np.zeros_like(z)), cubic, gamma)
 
 
-@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
-def test_member_refuses_a_nonfinite_shift(grid_1d, cubic, shift):
+_SHIFTED = (
+    ("", lambda grid, params, shift: make_member(Family.SCALAR_FIRST, params, grid, shift=shift)),
+    ("z_beta_omega-", lambda grid, params, shift: z_beta_omega(1.0, 0.0, params.p, grid, shift=shift)),
+    ("spectral_shift-", lambda grid, params, shift: spectral_shift(grid, base_profile_1d(params.p, grid), shift)),
+)
+
+
+@pytest.mark.parametrize(
+    "build, shift",
+    [pytest.param(build, y, id=f"{name}{y}") for name, build in _SHIFTED for y in (np.inf, -np.inf, np.nan)],
+)
+def test_member_refuses_a_nonfinite_shift(grid_1d, cubic, build, shift):
     # an infinite shift would place the whole profile outside the box
     with pytest.raises(ValueError, match="finite"):
-        make_member(Family.SCALAR_FIRST, cubic, grid_1d, shift=shift)
+        build(grid_1d, cubic, shift)
+
+
+_SMALL = Grid(1, 64, 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: z_beta_omega(np.inf, 0.0, 2.0, _SMALL), "finite"),
+        (lambda: z_beta_omega(1.0, np.nan, 2.0, _SMALL), "finite"),
+        (lambda: z_beta_omega(1.0, 0.0, np.nan, _SMALL), "finite"),
+        (lambda: z_beta_omega(1.0, 0.0, 1.0, _SMALL), "p must be > 1"),
+        (lambda: z_beta_omega(1.0, 0.0, 0.5, _SMALL), "p must be > 1"),
+        (lambda: z_beta_omega(1.0, 0.0, 2.0, _SMALL, shift=[1.0, 2.0]), "1 finite entries"),
+        (lambda: delta_of_omega(1.0, np.nan, 2.0, 1, 4.0), "finite"),
+        (lambda: delta_of_omega(np.inf, 0.0, 2.0, 1, 4.0), "finite"),
+        (lambda: delta_of_omega(1.0, 0.0, 1.0, 1, 4.0), "p must be > 1"),
+        (lambda: delta_of_omega(1.0, 0.0, 2.0, 1, np.inf), "base_mass must be finite and positive"),
+        (lambda: base_profile_1d(np.inf, _SMALL), "finite"),
+        (lambda: critical_value_map_T(1.0, np.inf, 1.5, 1), "finite and positive, got m=1.0, gamma=inf"),
+        (lambda: critical_value_map_T(np.inf, 1.0, 1.5, 1), "finite and positive, got m=inf, gamma=1.0"),
+        (lambda: scale_field(_SMALL, np.full(64, np.nan), ScalingParams(1.0, 1.2)), "finite"),
+        (lambda: scale_field(_SMALL, np.full(64, np.inf), ScalingParams(1.0, 1.0)), "finite"),
+    ],
+    ids=[
+        "z_omega_inf", "z_beta_nan", "z_p_nan", "z_p_1", "z_p_half", "z_two_shifts_in_1d",
+        "delta_beta_nan", "delta_omega_inf", "delta_p_1", "delta_base_mass_inf", "base_profile_p_inf",
+        "level_map_gamma_inf", "level_map_m_inf", "scale_nan_field", "scale_inf_field",
+    ],
+)
+def test_profiles_refuse_what_system_params_refuses(call, message):
+    # each of these gave a non-finite result, a finite one for p < 1, or
+    # an error other than ValueError
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @settings(deadline=None, max_examples=100)
