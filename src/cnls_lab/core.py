@@ -81,6 +81,13 @@ def default_half_width(omega1: float, omega2: float) -> float:
     return 20.0 / np.sqrt(min(omega1, omega2, 1.0))
 
 
+def _check_dim(dim) -> None:
+    """Refuse, with ValueError, a spatial dimension other than 1, 2 or 3:
+    the one rule of Grid and of the level formulas."""
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+
+
 class Grid:
     """Uniform periodic box [-L, L)^n.
 
@@ -100,8 +107,7 @@ class Grid:
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
-        if dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        _check_dim(dim)
         n = int(points_per_axis)
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis}")
@@ -159,6 +165,12 @@ class Grid:
             interior = np.zeros((self.points_per_axis - 2,) * self.dim, dtype=bool)
             self._boundary_mask = np.pad(interior, 1, constant_values=True)
         return self._boundary_mask
+
+    @cached_property
+    def boundary_indices(self) -> np.ndarray:
+        """Flat indices of the outermost grid layer, the entries of a
+        field's reshape(-1) that boundary_mask() picks."""
+        return np.flatnonzero(self.boundary_mask())
 
     def __eq__(self, other) -> bool:
         return (
@@ -330,7 +342,8 @@ def _per_component(held: slice, values, absent) -> list:
 
 def _embed(grid: Grid, rows: np.ndarray, held: slice) -> FieldPair:
     """The pair whose components in the slice held are rows, the other
-    exactly zero."""
+    exactly zero; a single row fills every component in held, as evolve's
+    synchronized row fills both."""
     U = np.zeros((2,) + grid.shape, dtype=complex)
     U[held] = rows
     return FieldPair._wrap(grid, U)

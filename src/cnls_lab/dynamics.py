@@ -30,12 +30,10 @@ from .core import (
     _embed,
     _fft,
     _ifft,
-    _parseval_sums,
     _populated,
     same_grid,
 )
-from .errors import BoundaryDecayError
-from .functionals import _Norms, _rates, _variance, _virial
+from .functionals import _Norms, _rates, _virial
 
 __all__ = [
     "EvolveConfig",
@@ -105,10 +103,14 @@ class TrajectoryLog:
     the gradient guard tripped, or the first sampled or snapshotted time at
     which the field stopped being finite; the last snapshot is always the
     latest of those states that is finite. steps is the number of Strang
-    steps taken and transform_calls the number of transform calls they
-    made, each over the populated components (and over every member of a
-    batch). companions holds the logs of the further members of a batched
-    run."""
+    steps taken and transform_calls the number of transform calls made up
+    to the last of them, 2 * steps + 2 whatever the strides: one to start,
+    one forward and one inverse per step, and one for the last step's
+    whole-step state, since an observed step before the last inverts its
+    whole-step state and the next step's pre-rotation state in one call.
+    Each call serves the stepped rows (the populated components, or one row
+    for a synchronized pair) of every live member of a batch. companions
+    holds the logs of the further members of a batched run."""
 
     CSV_HEADER = "t,mass1,mass2,energy,variance,gradnorm"
 
@@ -165,12 +167,16 @@ def _unit_phase(half):
     return phase
 
 
-def _rotate(grid, U, params, dt):
+def _rotate(grid, U, params, dt, synchronized=False):
     """The exact nonlinear substep: rotate each phase by dt A_j. U is a
     stack (r, *shape) of r populated components, a (2, *shape) pair when
     both are, or a batch (E, r, *shape) of such stacks; one pass of each
-    operation serves every member and component."""
-    phase = _unit_phase(np.multiply(0.5 * dt, _rates(_density(U), params, grid.dim)))
+    operation serves every member and component. synchronized marks a
+    one-row stack that holds a synchronized pair (u, u)."""
+    # the rates are the rotation's own (its density, or formed from it),
+    # so the half angles are written into them
+    half = _rates(_density(U), params, grid.dim, synchronized=synchronized)
+    phase = _unit_phase(np.multiply(0.5 * dt, half, out=half))
     phase *= U
     return phase
 
@@ -195,14 +201,22 @@ def evolve(
 
     Equivalent to composing step_strang, but adjacent kinetic half-steps
     are fused except where an observable, a snapshot, or the guard needs
-    the state at a whole-step time. The pair's components are evolved as
-    one stack, so each transform call serves both fields. A component that
+    the state at a whole-step time; there one inverse transform of the
+    stacked half and whole kinetic steps gives both the whole-step state
+    and the next step's pre-rotation state, so a run of n steps makes
+    2n + 2 transform calls. The pair's components are evolved as one
+    stack, so each transform call serves both fields. A component that
     is exactly zero (in every member of a batch) stays exactly zero under
     the Strang map, since the rotation multiplies zero and the kinetic step
     is linear, so it is left out of the stack by core._populated, the rule
     the projected flow shares: a standing wave with one trivial component,
     or an all-zero state, is stepped as one row on every grid, and an
-    absent component enters the observables as exact zeros.
+    absent component enters the observables as exact zeros. Two populated
+    components that are equal bit for bit (in every member of a batch),
+    such as a vector_b member and its dilated or amplified datum, stay
+    equal, since the Strang map treats both alike, so they are stepped as
+    one row too, which the rotation reads as its own partner and the
+    observables count for both.
 
     companions are further initial pairs on pair's grid, run under the same
     schedule as one (E, r, *shape) batch, so that each transform call and
@@ -236,50 +250,63 @@ def _check_hold(grid, config, members=1):
         )
 
 
+def _synchronized(U: np.ndarray) -> bool:
+    """True when the two components of every member of U, an
+    (E, 2, *shape) batch, are equal bit for bit."""
+    bits = U.reshape(len(U), 2, -1).view(np.uint64)
+    return np.array_equal(bits[:, 0], bits[:, 1])
+
+
 class _Run:
     """One member of an evolving stack: its samples, snapshots, guard level
     and latest finite observed state, and the (steps, transform calls) at
-    which it stopped. The member is held as the rows of its components in
-    the slice held; the others are zero."""
+    which it stopped. The member is held as the rows that the sampler's
+    layout gives: its components in the slice held, or one row standing
+    for both; the others are zero."""
 
-    def __init__(self, grid, params, config, held, U, S):
-        self.grid, self.params = grid, params
-        self.held = held
+    def __init__(self, sampler, config, U, S, buf):
+        self.sampler = sampler
+        self.grid, self.params, self.held = sampler.grid, sampler.params, sampler.held
         self.rows = []
         self.snapshots = []
         self.blowup_time = None
-        self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
+        # the initial state is finite, so it is always sampled
+        self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S, buf), 1e-300)
         if config.snapshot_stride:
-            self.snapshots.append((0.0, _embed(grid, U, held)))
+            self.snapshots.append((0.0, _embed(self.grid, U, self.held)))
         # the latest observed whole-step state known to be finite: the
         # terminal state, also when the run is aborted because a later one
         # is not
         self.last = (0.0, U)
 
-    def sample(self, t, U, S):
-        """Log the observables of the whole-step state U, whose spectrum S
-        is one unitary kinetic multiplier away from U's, so that the masses
-        and ||grad U||^2 are its Parseval sums; returns ||grad U||. One
-        density of U serves the variance and F; an absent component adds
-        exact zeros to every observable."""
-        grid = self.grid
-        m = _density(U)
-        norms = _Norms.of(self.params, grid, self.held, m, _parseval_sums(grid, S))
-        try:
-            var = _variance(grid, m.sum(axis=0))
-        except BoundaryDecayError:
-            var = math.nan
+    def sample(self, t, U, S, buf):
+        """Log the observables of the whole-step state U, with S its
+        spectrum up to a unitary kinetic multiplier, through the sampler
+        into buf; returns ||grad U||, or None, logging nothing, when U is
+        not finite. An absent component adds exact zeros to every
+        observable."""
+        measured = self.sampler.measure(buf, U, S)
+        if measured is None:
+            return None
+        norms, var = measured
         self.rows.append((t, norms.m1, norms.m2, norms.energy, var, math.sqrt(norms.grad)))
         return self.rows[-1][5]
 
-    def observe(self, t, U, S, sampling, snapping) -> bool:
-        """Take the whole-step state U at time t; False when the run stops
-        there, because U is not finite or its gradient passed the guard."""
-        if not np.isfinite(U).all():
+    def observe(self, t, U, S, buf, snapping) -> bool:
+        """Take the whole-step state U at time t, sampled into buf unless
+        buf is None; False when the run stops there, because U is not
+        finite or its gradient passed the guard."""
+        if buf is None:
+            grad = None
+            finite = np.isfinite(U).all()
+        else:
+            grad = self.sample(t, U, S, buf)
+            finite = grad is not None
+        if not finite:
             self.blowup_time = t
             return False
         self.last = (t, U)
-        if sampling and self.sample(t, U, S) > self.guard_level:
+        if grad is not None and grad > self.guard_level:
             self.blowup_time = t
             return False
         if snapping:
@@ -310,12 +337,24 @@ class _Run:
         )
 
 
+def _inverse_pair(grid, half, full, S):
+    """The inverse transforms of half * S and full * S, an (E, r, *shape)
+    stack of spectra, from one call on their (2E, r, *shape) stack."""
+    E = len(S)
+    Z = np.empty((2 * E,) + S.shape[1:], dtype=complex)
+    np.multiply(half, S, out=Z[:E])
+    np.multiply(full, S, out=Z[E:])
+    W = _ifft(grid, Z)
+    return W[:E], W[E:]
+
+
 def _evolve_stack(grid, params, config, U):
     """evolve for every member of U, a batch (E, 2, *shape) of stacked
     pairs, a lone run too; one TrajectoryLog per member. Only the r
     components in core._populated's slice are stepped, as an (E, r, *shape)
-    stack. A member that stops is dropped from the live stack, so the
-    transforms and the rotation run over the members still going."""
+    stack, and two that are synchronized as one row. A member that stops
+    is dropped from the live stack, so the transforms and the rotation run
+    over the members still going."""
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     if n_steps < 1:
@@ -326,8 +365,14 @@ def _evolve_stack(grid, params, config, U):
     full = np.exp(-1j * dt * grid.k2)
     held = _populated(U, grid)
     U = U[:, held]
+    synchronized = U.shape[1] == 2 and _synchronized(U)
+    if synchronized:
+        U = U[:, :1]
+    sampler = _Norms.sampler(params, grid, held, synchronized)
     S = _fft(grid, U)
-    runs = live = [_Run(grid, params, config, held, u, s) for u, s in zip(U, S)]
+    buf = sampler.buffer()
+    runs = live = [_Run(sampler, config, u, s, buf) for u, s in zip(U, S)]
+    del buf
 
     # every step applies the kinetic multiplier to the spectrum in hand,
     # inverts, rotates and transforms forward. The first spectrum is the
@@ -336,22 +381,35 @@ def _evolve_stack(grid, params, config, U):
     # multiplier is a whole step: between observations the trailing and
     # leading kinetic halves of consecutive steps merge, so a step costs
     # one transform round trip, not two, and deposits half the roundoff in
-    # the otherwise exactly conserved masses
+    # the otherwise exactly conserved masses. An observed step before the
+    # last inverts the half and the whole step of its spectrum in one call:
+    # the whole-step state and the next step's pre-rotation state V
     mult = half
+    V = None
     calls = 1
     for s in range(1, n_steps + 1):
-        U = _rotate(grid, _ifft(grid, np.multiply(mult, S, out=S)), params, dt)
+        if V is None:
+            V = _ifft(grid, np.multiply(mult, S, out=S))
+            calls += 1
+        U = _rotate(grid, V, params, dt, synchronized)
         S = _fft(grid, U)
         mult = full
-        calls += 2
+        V = None
+        calls += 1
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
         if sampling or snapping:
-            # the whole-step state is one trailing half-step away
-            U = _ifft(grid, half * S)
+            if s < n_steps:
+                U, V = _inverse_pair(grid, half, full, S)
+            else:
+                U = _ifft(grid, half * S)
             calls += 1
             t = s * dt
-            going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, U, S)]
+            # one sample buffer serves every live member; it is dropped
+            # before the next step, as the first one is
+            buf = sampler.buffer() if sampling else None
+            going = [run.observe(t, u, sp, buf, snapping) for run, u, sp in zip(live, U, S)]
+            del buf
             if not all(going):
                 for run, on in zip(live, going):
                     if not on:
@@ -359,7 +417,8 @@ def _evolve_stack(grid, params, config, U):
                 live = [run for run, on in zip(live, going) if on]
                 if not live:
                     break
-                S = S[going]
+                if V is not None:
+                    V = V[going]
     for run in live:
         run.end = (s, calls)
     return [run.log() for run in runs]

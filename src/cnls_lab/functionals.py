@@ -54,34 +54,36 @@ BOUNDARY_DECAY_TOL = 1e-8
 _POHOZAEV_TOL = 1e-6
 
 
-def _power(m: np.ndarray, e: float) -> np.ndarray:
-    """m**e for m >= 0. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which
-    p = 2, 3, 4 produce, and 3/4, which p = 3/2 adds, are formed by
-    products and square roots, several times cheaper than a float pow (and
-    than its slow path on the exact zeros and infinities of a scalar
-    state); any other goes to **. Exponent 1 gives m itself. Every
+def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """m**e for m >= 0, written into out when it is given; out may be m
+    itself. The exponents 0, 1/2, 1, 3/2, 2, 3 and 4, which p = 2, 3, 4
+    produce, and 3/4, which p = 3/2 adds, are formed by products and square
+    roots, several times cheaper than a float pow (and than its slow path
+    on the exact zeros and infinities of a scalar state); any other goes to
+    pow. Exponent 1 gives m itself, so an out given for it is m. Every
     exponent asked for is positive: _rates returns at p = 2 before the
     factor m^(p/2 - 1) would ask for exponent 0."""
     if e == 0.5:
-        return np.sqrt(m)
+        return np.sqrt(m, out=out)
     if e == 1.0:
         return m
     if e == 1.5:
-        return m * np.sqrt(m)
+        return np.multiply(m, np.sqrt(m), out=out)
     if e == 2.0:
-        return m * m
+        return np.multiply(m, m, out=out)
     if e == 3.0:
-        return m * m * m
+        return np.multiply(m * m, m, out=out)
     if e == 4.0:
-        return np.square(m * m)
+        square = np.multiply(m, m, out=out)
+        return np.square(square, out=square)
     if e == 0.75:
         # in place on its own temporaries, which keeps the flows' peak
         # memory where pow left it
         root = np.sqrt(m)
-        power = np.sqrt(root)
+        power = np.sqrt(root, out=out)
         power *= root
         return power
-    return m**e
+    return np.power(m, e, out=out)
 
 
 def _density_sums(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, p: float):
@@ -113,7 +115,7 @@ def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     return _coupling(params, *_density_sums(pair.grid, *_density(pair.components), params.p))
 
 
-def _rates(m: np.ndarray, params: SystemParams, dim: int) -> np.ndarray:
+def _rates(m: np.ndarray, params: SystemParams, dim: int, *, synchronized: bool = False) -> np.ndarray:
     """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
     coupled equations, from the squared moduli m_j = |u_j|^2 of fields on a
     dim-dimensional grid, stacked on the component axis -1 - dim of m,
@@ -121,21 +123,25 @@ def _rates(m: np.ndarray, params: SystemParams, dim: int) -> np.ndarray:
     A_j = m_j^(p-1) + beta m_k^(p/2) m_j^(p/2-1); the stacked rates come
     back in m's shape. The partner m_k is read through the reversed
     component axis. A one-row stack holds a component whose partner is
-    exactly zero, which adds exactly nothing, so its rate is m_j^(p-1).
-    The gradient of F is (A1 u1, A2 u2), and the nonlinear substep of the
-    Schrodinger flow is u_j -> exp(i dt A_j) u_j. The rates may be m
-    itself (p = 2 with beta = 0 or one row), so callers do not write into
-    them.
+    exactly zero, which adds exactly nothing, so its rate is m_j^(p-1);
+    with synchronized=True it holds instead a synchronized pair (u, u), and
+    the row is read as its own partner, which gives either component's
+    rate bit for bit as a two-row stack of the pair does. The gradient of F
+    is (A1 u1, A2 u2), and the nonlinear substep of the Schrodinger flow is
+    u_j -> exp(i dt A_j) u_j. The rates may be m itself (p = 2 with
+    beta = 0 or a partner that is exactly zero), so callers do not write
+    into them unless they own m.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
     only ever multiplies a zero value; there the factor is taken as 0.
     """
     p, beta = params.p, params.beta
     rates = _power(m, p - 1.0)
-    if beta == 0.0 or m.shape[-1 - dim] == 1:
+    if beta == 0.0 or (m.shape[-1 - dim] == 1 and not synchronized):
         return rates
-    # one index tuple reverses the component axis of m and of its powers;
-    # it costs less per call than np.flip
+    # one index tuple reverses the component axis of m and of its powers
+    # (on a synchronized row it is the identity); it costs less per call
+    # than np.flip
     swap = (Ellipsis, slice(None, None, -1)) + (slice(None),) * dim
     partner = m[swap]
     # at p = 2 the factor m_j^(p/2-1) is 1. Otherwise the products are
@@ -212,6 +218,14 @@ class _Norms:
         grads, masses = (_per_component(held, values, 0.0) for values in sums)
         i1, i2, cross = _density_sums(grid, *_per_component(held, m, None), params.p)
         return cls(params, grid.dim, *grads, *masses, i1, i2, cross)
+
+    @classmethod
+    def sampler(cls, params, grid, held, synchronized):
+        """The fused kernel, a _Sampler, that measures evolve's whole-step
+        samples of a stack holding the components in the slice held, or,
+        synchronized, one row that stands for both; other modules reach it
+        through _Norms, as they reach every functional."""
+        return _Sampler(params, grid, held, synchronized)
 
     @classmethod
     def measure(cls, pair, params):
@@ -303,6 +317,84 @@ class _Norms:
         )
 
 
+class _Sampler:
+    """evolve's sample kernel: the _Norms record and the variance of a
+    whole-step state, with the bits that _Norms.of and _variance give.
+
+    The stack holds r rows: the components in the slice held, or, when
+    synchronized, one row that stands for both of two equal components, so
+    that it counts for both in the masses, the norms and F, and as
+    |u1|^p |u2|^p = |u|^2p in the cross term. measure() writes the state's
+    densities and its Parseval, power and variance integrands into the
+    rows of one (K, n) buffer from buffer(), one buffer serving every
+    member in turn, and sums them with one call, row by row; every row
+    holds the values the separate routes sum, so every sum keeps its
+    bits."""
+
+    def __init__(self, params, grid, held, synchronized):
+        self.params, self.grid = params, grid
+        self.held, self.synchronized = held, synchronized
+        self.r = r = 1 if synchronized else len(range(2)[held])
+        # a cross integrand, and a combined density apart from the rows
+        self.crossed = synchronized or r == 2
+        # the summed rows: |S_j|^2, |k|^2 |S_j|^2, m_j^p, the cross term
+        # and the variance integrand, then the densities m_j and their sum
+        self.summed = 3 * r + self.crossed + 1
+        self.shape = (self.summed + r + self.crossed, grid.total_points)
+        w = grid.cell_volume / grid.total_points
+        self.scale = np.array([w] * (2 * r) + [grid.cell_volume] * (self.summed - 2 * r))
+        self.k2 = grid.k2.reshape(-1)
+        self.r2 = grid.radius_sq().reshape(-1)
+
+    def buffer(self) -> np.ndarray:
+        return np.empty(self.shape)
+
+    def measure(self, buf, U, S):
+        """(norms, variance) of the whole-step state U, an (r, *shape)
+        stack, whose spectrum S is one unitary kinetic multiplier away from
+        U's, so that the masses and ||grad U||^2 are its Parseval sums;
+        variance is nan where U has not decayed at the box edge. None when
+        U is not finite: that shows in the peak of its density, unless the
+        density overflows, which a finite state is still sampled through."""
+        r, k, p = self.r, self.summed, self.params.p
+        U = U.reshape(r, -1)
+        S = S.reshape(r, -1)
+        mass, grad, power = buf[:r], buf[r : 2 * r], buf[2 * r : 3 * r]
+        m = buf[k : k + r]
+        # the scratch parts of each square: the power rows, the gradient rows
+        np.square(U.real, out=m)
+        m += np.square(U.imag, out=power)
+        dens = np.add(m[0], m[-1], out=buf[-1]) if self.crossed else m[0]
+        peak = float(dens.max())
+        if not math.isfinite(peak) and not np.isfinite(U).all():
+            return None
+        np.square(S.real, out=mass)
+        mass += np.square(S.imag, out=grad)
+        np.multiply(self.k2, mass, out=grad)
+        _power(m, p, out=power)
+        if self.crossed:
+            cross = np.multiply(m[0], m[-1], out=buf[3 * r])
+            _power(cross, 0.5 * p, out=cross)
+        # one rule with _variance: a ratio at the tolerance, or above it,
+        # leaves the variance out
+        decayed = not _amplitude_ratio(self.grid, dens, peak) >= BOUNDARY_DECAY_TOL
+        if decayed:
+            np.multiply(self.r2, dens, out=buf[k - 1])
+        else:
+            k -= 1
+        values = (buf[:k].sum(axis=1) * self.scale[:k]).tolist()
+        masses, grads, powers = values[:r], values[r : 2 * r], values[2 * r : 3 * r]
+        if self.synchronized:
+            # the one row counts for both components
+            parts = [sums * 2 for sums in (masses, grads, powers)]
+        else:
+            parts = [_per_component(self.held, sums, 0.0) for sums in (masses, grads, powers)]
+        (m1, m2), (grad1, grad2), (i1, i2) = parts
+        cross = values[3 * r] if self.crossed else 0.0
+        norms = _Norms(self.params, self.grid.dim, grad1, grad2, m1, m2, i1, i2, cross)
+        return norms, values[k - 1] if decayed else math.nan
+
+
 def energy_E(pair: FieldPair, params: SystemParams) -> float:
     return _Norms.measure(pair, params).energy
 
@@ -357,13 +449,15 @@ def pohozaev_check(pair: FieldPair, params: SystemParams, m: float) -> PohozaevC
     return PohozaevCheck(*residuals, m_positive=True)
 
 
-def _amplitude_ratio(grid: Grid, dens: np.ndarray) -> float:
+def _amplitude_ratio(grid: Grid, dens: np.ndarray, peak: float | None = None) -> float:
     """Max combined amplitude on the outermost grid layer over the global
-    max, from the combined density |u1|^2 + |u2|^2."""
-    peak = float(dens.max())
+    max, from the combined density |u1|^2 + |u2|^2; peak, when given, is
+    dens.max()."""
+    if peak is None:
+        peak = float(dens.max())
     if peak == 0.0:
         return 0.0
-    return math.sqrt(float(dens[grid.boundary_mask()].max()) / peak)
+    return math.sqrt(float(dens.reshape(-1)[grid.boundary_indices].max()) / peak)
 
 
 def boundary_amplitude_ratio(pair: FieldPair) -> float:

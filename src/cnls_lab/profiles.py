@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, _fft, _ifft, _per_component
+from .core import FieldPair, Grid, SystemParams, _check_dim, _fft, _ifft, _per_component
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 from .minimize import ConstraintSpec, _check_positive, gaussian_init, minimize_on
@@ -320,10 +320,12 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
                                 * (1/m)^(2/(2/(p-1)-n)),   p' = p/(p-1).
 
     Only meaningful at mass-subcritical exponents (p < 1 + 2/n), where the
-    sphere-constrained minimization is well posed; refused otherwise.
+    sphere-constrained minimization is well posed; refused otherwise. A dim
+    other than 1, 2 or 3 raises ValueError, as Grid does.
     """
     if not (0 < m < math.inf and 0 < gamma < math.inf):
         raise ValueError(f"m and gamma must be finite and positive, got m={m}, gamma={gamma}")
+    _check_dim(dim)
     if SystemParams(p=p, beta=0.0, omega1=1.0, omega2=1.0).criticality(dim) != "subcritical":
         raise ConstraintError(
             f"the sphere level map needs p < 1 + 2/n (got p={p}, n={dim})"
@@ -389,7 +391,9 @@ def delta_of_omega(omega: float, beta: float, p: float, dim: int, base_mass: flo
 
         delta(omega) = omega^(1/(p-1) - n/2) / (beta+1)^(1/(p-1)) * base_mass,
 
-    where base_mass is ||z(1, 0)||_2^2 for the same p and n."""
+    where base_mass is ||z(1, 0)||_2^2 for the same p and n. A dim other
+    than 1, 2 or 3 raises ValueError, as Grid does."""
     SystemParams(p=p, beta=beta, omega1=omega, omega2=omega)
     _check_positive(base_mass, "base_mass")
+    _check_dim(dim)
     return omega ** (1.0 / (p - 1.0) - dim / 2.0) / (beta + 1.0) ** (1.0 / (p - 1.0)) * base_mass

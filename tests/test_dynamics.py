@@ -150,17 +150,29 @@ def test_tangent_phase_matches_cos_and_sin(theta):
     assert abs(c * c + s * s - 1.0) <= 4 * _EPS
 
 
+def _observed(n, stride, snap):
+    # the sampled or snapshotted steps, the last step always among them
+    return sum(1 for s in range(1, n + 1) if s % stride == 0 or (snap and s % snap == 0) or s == n)
+
+
+def _check_calls(transform_calls, n, observed, members, rows, shape):
+    # 1 call to start (the t = 0 spectrum), 2 per step and 1 for the last
+    # step's whole-step state: an observed step before the last inverts its
+    # trailing half step and the next step's whole step as one (2E, r,
+    # *shape) stack, which stands in for that next step's inverse. Every
+    # other call transforms the (E, r, *shape) stack of the populated rows
+    assert len(transform_calls) == 2 * n + 2
+    assert transform_calls.count((2 * members, rows) + shape) == observed - 1
+    assert transform_calls.count((members, rows) + shape) == 2 * n + 3 - observed
+
+
 def _check_budget(grid, params, state, rows, transform_calls):
     n, stride, snap = 50, 7, 5
     config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
     log = evolve(state, params, config)
-    observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
-    # 1 call to start (the t = 0 spectrum), 2 per step and 1 more per
-    # sampled or snapshotted step (its whole-step state), the same total;
-    # every call transforms the populated components at once
     assert log.steps == n
-    assert log.transform_calls == len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
-    assert set(transform_calls) == {(1, rows) + grid.shape}
+    assert log.transform_calls == len(transform_calls)
+    _check_calls(transform_calls, n, _observed(n, stride, snap), 1, rows, grid.shape)
     # the snapshots and the terminal state are whole pairs
     assert {pair.components.shape for _, pair in log.snapshots} == {(2,) + grid.shape}
     # the counts stay out of the trajectory file
@@ -170,6 +182,11 @@ def _check_budget(grid, params, state, rows, transform_calls):
 def test_transform_budget(grid_1d, cubic, transform_calls):
     # a scalar_first member's zero second component is not transformed
     _check_budget(grid_1d, cubic, _member(cubic, grid_1d), 1, transform_calls)
+
+
+def _phased_second(pair):
+    # a vector pair whose components are no longer equal bit for bit
+    return FieldPair(pair.grid, pair.c1, np.exp(0.5j) * pair.c2)
 
 
 def _with_subnormal_second(pair):
@@ -183,7 +200,9 @@ def _with_subnormal_second(pair):
     "family, edit, rows, points",
     [
         ("scalar_second", lambda u: u, 1, 1024),
-        ("vector_b", lambda u: u, 2, 1024),
+        # a synchronized pair (u, u) is stepped as one row
+        ("vector_b", lambda u: u, 1, 1024),
+        ("vector_b", _phased_second, 2, 1024),
         # a single subnormal entry makes the second component populated
         ("scalar_first", _with_subnormal_second, 2, 1024),
         # an all-zero state is stepped as one zero row
@@ -191,7 +210,8 @@ def _with_subnormal_second(pair):
         # the rule holds on the smallest grids too
         ("scalar_first", lambda u: u, 1, 4),
     ],
-    ids=["scalar_second", "vector_b", "subnormal_second", "zero_state", "scalar_first_4_points"],
+    ids=["scalar_second", "vector_b", "vector_b_phased", "subnormal_second", "zero_state",
+         "scalar_first_4_points"],
 )
 def test_transform_budget_covers_the_populated_components(transform_calls, family, edit, rows, points):
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
@@ -349,6 +369,84 @@ def test_batch_members_equal_separate_runs(
             assert sum(log.aborted for log in logs) == 1
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    grid=st.sampled_from(_PROPERTY_GRIDS),
+    p=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seeds=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+    width=st.sampled_from([0.8, 2.0]),
+    # None: a guard that trips mid-run
+    guard=st.sampled_from([None, 1e6]) | st.floats(1.0 + 1e-12, 1.0 + 1e-6),
+    k=st.integers(2, 12),
+    stride=st.integers(1, 3),
+    snap=st.integers(0, 4),
+    dt=st.floats(1e-4, 1e-2),
+    last=st.booleans(),
+)
+def test_synchronized_member_keeps_its_bits_in_a_two_row_batch(
+    grid, p, beta, seeds, width, guard, k, stride, snap, dt, last
+):
+    # a synchronized pair (u, u) alone is stepped as one row; batched with
+    # a companion whose components differ, the batch steps two rows, and
+    # the member must log the same bits either way
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    u = _unit_peak(smooth_pair(grid, seeds[0], width=width)).c1
+    member = FieldPair(grid, u, u)
+    companion = _unit_peak(smooth_pair(grid, seeds[1]))
+    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=stride, snapshot_stride=snap)
+    if guard is None:
+        # halfway to the largest gradient ratio of the free run, in the
+        # direction of time in which the gradient grows
+        for config in (config, dataclasses.replace(config, dt=-dt, t_end=-k * dt)):
+            free = evolve(member, params, config)
+            ratio = free.gradnorm.max() / free.gradnorm[0]
+            if ratio > 1.0 + 1e-12:
+                break
+        guard = 1.0 + 0.5 * (ratio - 1.0) if ratio > 1.0 + 1e-12 else 1e6
+    config = dataclasses.replace(config, blowup_guard=guard)
+    members = [companion, member] if last else [member, companion]
+    batch = evolve(members[0], params, config, companions=members[1:])
+    batched = (batch, *batch.companions)[members.index(member)]
+    alone = evolve(member, params, config)
+    _assert_same_log(batched, alone)
+    assert np.array_equal(alone.mass1, alone.mass2)
+    for _, pair in alone.snapshots:
+        assert np.array_equal(pair.c1, pair.c2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    grid=st.sampled_from(_PROPERTY_GRIDS),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seed=st.integers(0, 10_000),
+    synchronized=st.booleans(),
+    k=st.integers(2, 12),
+    # a stride past k observes the last step only
+    stride=st.integers(2, 13),
+    snap=st.integers(0, 5),
+    dt=st.floats(1e-4, 1e-2),
+)
+def test_observing_a_step_leaves_the_trajectory_bit_for_bit(grid, p, beta, seed, synchronized, k, stride, snap, dt):
+    # an observed step takes the next step's pre-rotation state from the
+    # stacked inverse of its whole-step state, an unobserved one from an
+    # inverse of its own; both must give the same bits
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    pair = _unit_peak(smooth_pair(grid, seed))
+    if synchronized:
+        pair = FieldPair(grid, pair.c1, pair.c1)
+    config = EvolveConfig(dt=dt, t_end=k * dt, conservation_check_stride=1, snapshot_stride=1)
+    every = evolve(pair, params, config)
+    some = evolve(pair, params, dataclasses.replace(config, conservation_check_stride=stride, snapshot_stride=snap))
+    kept = np.isin(every.times, some.times)
+    for name in ("times", "mass1", "mass2", "energy", "variance", "gradnorm"):
+        assert np.array_equal(getattr(every, name)[kept], getattr(some, name), equal_nan=True), name
+    states = dict(every.snapshots)
+    for t, state in some.snapshots:
+        assert np.array_equal(states[t].components, state.components)
+
+
 @pytest.mark.parametrize(
     "grid", [Grid(1, 2, 3.0), Grid(1, 4, 3.0), Grid(2, 2, 3.0), Grid(1, 8, 3.0), Grid(3, 2, 3.0)]
 )
@@ -385,17 +483,14 @@ def _check_batch_budget(grid, params, u, rows, transform_calls):
     n, stride, snap = 50, 7, 5
     config = EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=stride, snapshot_stride=snap)
     batch = evolve(u, params, config, companions=[0.5 * u, 0.9 * u])
-    observed = sum(1 for s in range(1, n + 1) if s % stride == 0 or s % snap == 0 or s == n)
-    # the budget of one run, every call over the whole (E, r, *shape) batch
-    # of the populated components
-    assert len(transform_calls) == 2 + 2 * (n - observed) + 3 * observed - 1
-    assert set(transform_calls) == {(3, rows) + grid.shape}
+    # the budget of one run, every call over the whole batch of the
+    # populated components
+    _check_calls(transform_calls, n, _observed(n, stride, snap), 3, rows, grid.shape)
     assert {log.transform_calls for log in (batch, *batch.companions)} == {len(transform_calls)}
     transform_calls.clear()
     # an interior step, fused kinetic parts included, is one pair of calls
     evolve(u, params, EvolveConfig(dt=1e-3, t_end=n * 1e-3, conservation_check_stride=n), companions=[0.5 * u])
-    assert len(transform_calls) == 2 + 2 * (n - 1) + 3 - 1
-    assert set(transform_calls) == {(2, rows) + grid.shape}
+    _check_calls(transform_calls, n, 1, 2, rows, grid.shape)
 
 
 def test_batch_transform_budget(grid_1d, cubic, transform_calls):
@@ -405,11 +500,18 @@ def test_batch_transform_budget(grid_1d, cubic, transform_calls):
 def test_batch_transform_budget_of_vector_members(grid_1d, transform_calls):
     params = SystemParams(p=2.0, beta=1.0, omega1=1.0, omega2=1.0)
     vector = _member(params, grid_1d, Family.VECTOR_B)
-    _check_batch_budget(grid_1d, params, vector, 2, transform_calls)
+    # synchronized members, scaled alike, are stepped as one row
+    _check_batch_budget(grid_1d, params, vector, 1, transform_calls)
     transform_calls.clear()
-    # a component populated in one member is stepped for every member
-    evolve(_member(params, grid_1d), params, EvolveConfig(dt=1e-3, t_end=0.01), companions=[vector])
-    assert set(transform_calls) == {(2, 2) + grid_1d.shape}
+    _check_batch_budget(grid_1d, params, _phased_second(vector), 2, transform_calls)
+    transform_calls.clear()
+    # a component populated in one member is stepped for every member, and
+    # a synchronized member batched with one that is not takes two rows
+    config = EvolveConfig(dt=1e-3, t_end=0.01)
+    for first in (_member(params, grid_1d), _phased_second(vector)):
+        evolve(first, params, config, companions=[vector])
+        assert set(transform_calls) == {(2, 2) + grid_1d.shape}
+        transform_calls.clear()
 
 
 @pytest.mark.parametrize("beta", [0.5, 3.0])
@@ -470,10 +572,10 @@ def test_guard_aborts_collapsing_run():
     assert log.aborted
     assert log.blowup_time is not None and log.blowup_time < 1.0
     assert log.final_state() is not None
-    # every step up to the abort was sampled; the aborting one made no
-    # further half step
+    # every step up to the abort was sampled, each observation's inverse
+    # standing in for the next step's
     assert log.steps == round(log.blowup_time / 2e-4)
-    assert log.transform_calls == 2 + 3 * log.steps - 1
+    assert log.transform_calls == 2 * log.steps + 2
 
 
 def test_nonfinite_sample_returns_the_aborted_log():

@@ -23,8 +23,8 @@ from cnls_lab import (
     virial_R,
     weighted_l2_norm_sq,
 )
-from cnls_lab.core import gradient_norm_sq_component
-from cnls_lab.functionals import _rates, boundary_amplitude_ratio
+from cnls_lab.core import _density, _fft, _parseval_sums, gradient_norm_sq_component
+from cnls_lab.functionals import _Norms, _rates, _variance, boundary_amplitude_ratio
 from cnls_lab.profiles import spectral_shift
 
 from conftest import smooth_pair
@@ -154,6 +154,11 @@ def test_rates_match_the_float_power_formula(grid_1d, p, beta, seed, holes):
         assert np.array_equal(alone[0], _rates(np.stack((zero, m[j])), params, 1)[1])
         expected = a_own ** (2 * p - 2)
         assert np.all(np.abs(alone[0] - expected) <= 1e-13 * expected)
+        # a synchronized one-row stack is its own partner: bit for bit
+        # either row of the pair (u_j, u_j)
+        both = _rates(np.stack((m[j], m[j])), params, 1)
+        synced = _rates(m[j : j + 1], params, 1, synchronized=True)
+        assert np.array_equal(synced[0], both[0]) and np.array_equal(synced[0], both[1])
 
 
 @settings(deadline=None, max_examples=100)
@@ -179,6 +184,83 @@ def test_rates_read_the_component_axis_of_any_layout(dim, members, rows, p, beta
         flat = _rates(member.reshape(rows, -1), params, 1)
         assert np.array_equal(rate.reshape(rows, -1), flat)
         assert np.array_equal(_rates(member, params, dim), rate)
+    if rows == 1:
+        # a synchronized row reads itself as its partner, as a two-row
+        # stack of equal rows does, in every layout
+        both = _rates(np.concatenate((m, m), axis=1), params, dim)
+        synced = _rates(m, params, dim, synchronized=True)
+        assert np.array_equal(synced, both[:, :1]) and np.array_equal(synced, both[:, 1:])
+
+
+_SAMPLER_HELD = {"first": slice(0, 1), "second": slice(1, 2), "both": slice(0, 2), "synchronized": slice(0, 2)}
+_NORM_FIELDS = ("grad1", "grad2", "m1", "m2", "i1", "i2", "cross")
+
+
+def _separate_sample(grid, params, held, U, S):
+    # the record and the variance by the routes the flows and variance()
+    # take, or None for a state that is not finite
+    if not np.isfinite(U).all():
+        return None
+    m = _density(U)
+    norms = _Norms.of(params, grid, held, m, _parseval_sums(grid, S))
+    try:
+        var = _variance(grid, m.sum(axis=0))
+    except BoundaryDecayError:
+        var = np.nan
+    return norms, var
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    grid=st.sampled_from([Grid(1, 64, 8.0), Grid(2, 16, 6.0), Grid(3, 8, 5.0)]),
+    p=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
+    beta=st.floats(0.0, 3.0),
+    seeds=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+    layout=st.sampled_from(sorted(_SAMPLER_HELD)),
+    # a wide envelope has not decayed at the box edge
+    width=st.sampled_from([0.8, 2.0, 50.0]),
+    edit=st.sampled_from([None, "nan", "inf", "huge"]),
+)
+def test_sampler_matches_the_norms_and_the_variance(grid, p, beta, seeds, layout, width, edit):
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    held = _SAMPLER_HELD[layout]
+    synchronized = layout == "synchronized"
+    sampler = _Norms.sampler(params, grid, held, synchronized)
+    buf = sampler.buffer()
+
+    def stack(seed, width):
+        U = smooth_pair(grid, seed, width=width).components
+        return U[:1].copy() if synchronized else U[held].copy()
+
+    # the buffer serves another state first, so stale rows would show
+    before = stack(seeds[1], 50.0 if width < 50.0 else 0.8)
+    with np.errstate(all="ignore"):
+        sampler.measure(buf, before, _fft(grid, before))
+    U = stack(seeds[0], width)
+    if edit == "huge":
+        # finite, but its density overflows
+        U *= 1e156
+    elif edit is not None:
+        U.flat[U.size // 3] = np.nan if edit == "nan" else np.inf
+    S = _fft(grid, U)
+    # the separate routes see the synchronized row as the pair (u, u)
+    whole, whole_S = (np.concatenate((U, U)), np.concatenate((S, S))) if synchronized else (U, S)
+    with np.errstate(all="ignore"):
+        got = sampler.measure(buf, U, S)
+        want = _separate_sample(grid, params, held, whole, whole_S)
+    if want is None:
+        # a state that is not finite is not sampled
+        assert got is None and edit in ("nan", "inf")
+        return
+    (norms, var), (ref, ref_var) = got, want
+    values = [getattr(norms, name) for name in _NORM_FIELDS] + [var]
+    expected = [getattr(ref, name) for name in _NORM_FIELDS] + [ref_var]
+    assert np.array_equal(values, expected, equal_nan=True)
+    assert (norms.params, norms.dim) == (params, grid.dim)
+    if edit == "huge":
+        assert not np.isfinite(values).all()
+    if width == 50.0:
+        assert np.isnan(var)
 
 
 def test_coupling_gradient_subquadratic_exponent(grid_1d):

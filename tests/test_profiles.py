@@ -253,6 +253,17 @@ def test_level_map_closed_form_values():
         critical_value_map_T(m, 4.0, 3.0, 1)
 
 
+@pytest.mark.parametrize("dim", [0, 2.5, -3, 7], ids=["0", "2.5", "-3", "7"])
+def test_level_formulas_refuse_a_dimension_that_grid_refuses(dim):
+    # the rule of Grid: 1, 2 or 3
+    with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+        Grid(dim, 8, 1.0)
+    with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+        critical_value_map_T(1.0, 2.0, 1.5, dim)
+    with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+        delta_of_omega(2.0, 0.0, 2.0, dim, 1.0)
+
+
 def test_sphere_transport_lands_on_sphere(grid_1d, cubic):
     z = base_profile_1d(2.0, grid_1d)
     pair = FieldPair(grid_1d, z, np.zeros_like(z))
