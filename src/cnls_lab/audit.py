@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Grid, SystemParams, _csv, relative_error
+from .core import Grid, SystemParams, _check_positive, _csv, relative_error
 from .functionals import _Norms, action_I, energy_E
-from .minimize import ConstraintSpec, _check_positive, minimize_on
+from .minimize import ConstraintSpec, minimize_on
 from .profiles import Family, critical_value_map_T, make_member, nehari_to_sphere
 
 

@@ -15,6 +15,8 @@ spectrally accurate for smooth periodic integrands.
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,11 +83,33 @@ def default_half_width(omega1: float, omega2: float) -> float:
     return 20.0 / np.sqrt(min(omega1, omega2, 1.0))
 
 
-def _check_dim(dim) -> None:
-    """Refuse, with ValueError, a spatial dimension other than 1, 2 or 3:
-    the one rule of Grid and of the level formulas."""
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+def _integer(value) -> int | None:
+    """value as an int when it is an integer, read through operator.index;
+    None for anything else, a bool or a float or string that holds a whole
+    number included."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_dim(dim) -> int:
+    """dim as an int; ValueError for a spatial dimension other than the
+    integers 1, 2 and 3: the one rule of Grid and of the level formulas."""
+    whole = _integer(dim)
+    if whole not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {dim!r}")
+    return whole
+
+
+def _check_positive(value, key="tol"):
+    """Refuse, with ValueError naming the caller's key, a value that is not
+    finite and positive: a residual tolerance for the flows, a level or a
+    mass."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value}")
 
 
 class Grid:
@@ -107,10 +131,10 @@ class Grid:
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
-        _check_dim(dim)
-        n = int(points_per_axis)
-        if n < 2 or n & (n - 1) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis}")
+        dim = _check_dim(dim)
+        n = _integer(points_per_axis)
+        if n is None or n < 2 or n & (n - 1) != 0:
+            raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis!r}")
         if n**dim > _MAX_POINTS:
             raise ValueError(f"{n}^{dim} grid points exceed the ceiling of {_MAX_POINTS}")
         if not 0 < half_width < np.inf:

@@ -16,7 +16,6 @@ scales like dt^2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .core import (
     _embed,
     _fft,
     _ifft,
+    _integer,
     _populated,
     same_grid,
 )
@@ -63,7 +63,8 @@ class EvolveConfig:
     periodic grid the gradient of a unit-mass field cannot exceed
     k_max sqrt(mass), so a focusing run saturates rather than overflows and
     the guard is the meaningful stopping criterion; it must be finite.
-    t_end / dt may not exceed 10**9 steps, and the strides are integers.
+    t_end / dt may not exceed 10**9 steps, and the strides are integers, not
+    bools.
     """
 
     dt: float
@@ -85,11 +86,8 @@ class EvolveConfig:
             )
         for name, least in (("conservation_check_stride", 1), ("snapshot_stride", 0)):
             stride = getattr(self, name)
-            try:
-                whole = operator.index(stride) >= least
-            except TypeError:
-                whole = False
-            if not whole:
+            whole = _integer(stride)
+            if whole is None or whole < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {stride!r}")
         if not 1 < self.blowup_guard < math.inf:
             raise ValueError(f"blowup_guard must be finite and exceed 1, got {self.blowup_guard}")
@@ -103,12 +101,12 @@ class TrajectoryLog:
     the gradient guard tripped, or the first sampled or snapshotted time at
     which the field stopped being finite; the last snapshot is always the
     latest of those states that is finite. steps is the number of Strang
-    steps taken and transform_calls the number of transform calls made up
-    to the last of them, 2 * steps + 2 whatever the strides: one to start,
-    one forward and one inverse per step, and one for the last step's
-    whole-step state, since an observed step before the last inverts its
-    whole-step state and the next step's pre-rotation state in one call.
-    Each call serves the stepped rows (the populated components, or one row
+    steps taken, and transform_calls, derived from it, the number of
+    transform calls made up to the last of them, 2 * steps + 2 whatever
+    the strides: one to start, one for the first kinetic half step, and
+    one forward and one inverse per step, since an observed step before
+    the last inverts its whole-step state and the next step's pre-rotation
+    state in one call. Each call serves the stepped rows (the populated components, or one row
     for a synchronized pair) of every live member of a batch. companions
     holds the logs of the further members of a batched run."""
 
@@ -203,8 +201,9 @@ def evolve(
     are fused except where an observable, a snapshot, or the guard needs
     the state at a whole-step time; there one inverse transform of the
     stacked half and whole kinetic steps gives both the whole-step state
-    and the next step's pre-rotation state, so a run of n steps makes
-    2n + 2 transform calls. The pair's components are evolved as one
+    and the next step's pre-rotation state. So the loop carries only the
+    spectrum in hand, and a run of n steps makes 2n + 2 transform calls,
+    the count its log reports. The pair's components are evolved as one
     stack, so each transform call serves both fields. A component that
     is exactly zero (in every member of a batch) stays exactly zero under
     the Strang map, since the rotation multiplies zero and the kinetic step
@@ -259,19 +258,19 @@ def _synchronized(U: np.ndarray) -> bool:
 
 class _Run:
     """One member of an evolving stack: its samples, snapshots, guard level
-    and latest finite observed state, and the (steps, transform calls) at
-    which it stopped. The member is held as the rows that the sampler's
-    layout gives: its components in the slice held, or one row standing
-    for both; the others are zero."""
+    and latest finite observed state, and the step at which it stopped. The
+    member is held as the rows that the sampler's layout gives: its
+    components in the slice held, or one row standing for both; the others
+    are zero."""
 
-    def __init__(self, sampler, config, U, S, buf):
+    def __init__(self, sampler, config, U, S):
         self.sampler = sampler
         self.grid, self.params, self.held = sampler.grid, sampler.params, sampler.held
         self.rows = []
         self.snapshots = []
         self.blowup_time = None
         # the initial state is finite, so it is always sampled
-        self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S, buf), 1e-300)
+        self.guard_level = config.blowup_guard * max(self.sample(0.0, U, S), 1e-300)
         if config.snapshot_stride:
             self.snapshots.append((0.0, _embed(self.grid, U, self.held)))
         # the latest observed whole-step state known to be finite: the
@@ -279,29 +278,28 @@ class _Run:
         # is not
         self.last = (0.0, U)
 
-    def sample(self, t, U, S, buf):
+    def sample(self, t, U, S):
         """Log the observables of the whole-step state U, with S its
-        spectrum up to a unitary kinetic multiplier, through the sampler
-        into buf; returns ||grad U||, or None, logging nothing, when U is
-        not finite. An absent component adds exact zeros to every
-        observable."""
-        measured = self.sampler.measure(buf, U, S)
+        spectrum up to a unitary kinetic multiplier; returns ||grad U||, or
+        None, logging nothing, when U is not finite. An absent component
+        adds exact zeros to every observable."""
+        measured = self.sampler.measure(U, S)
         if measured is None:
             return None
         norms, var = measured
         self.rows.append((t, norms.m1, norms.m2, norms.energy, var, math.sqrt(norms.grad)))
         return self.rows[-1][5]
 
-    def observe(self, t, U, S, buf, snapping) -> bool:
-        """Take the whole-step state U at time t, sampled into buf unless
-        buf is None; False when the run stops there, because U is not
-        finite or its gradient passed the guard."""
-        if buf is None:
+    def observe(self, t, U, S, sampling, snapping) -> bool:
+        """Take the whole-step state U at time t, sampled if sampling; False
+        when the run stops there, because U is not finite or its gradient
+        passed the guard."""
+        if sampling:
+            grad = self.sample(t, U, S)
+            finite = grad is not None
+        else:
             grad = None
             finite = np.isfinite(U).all()
-        else:
-            grad = self.sample(t, U, S, buf)
-            finite = grad is not None
         if not finite:
             self.blowup_time = t
             return False
@@ -316,7 +314,6 @@ class _Run:
     def log(self) -> TrajectoryLog:
         # the terminal state is always retrievable, snapshot stride or not
         t_last, U = self.last
-        steps, calls = self.end
         if not self.snapshots or self.snapshots[-1][0] != t_last:
             self.snapshots.append((t_last, _embed(self.grid, U, self.held)))
         data = np.asarray(self.rows, dtype=float)
@@ -332,8 +329,8 @@ class _Run:
             snapshots=self.snapshots,
             blowup_time=self.blowup_time,
             aborted=self.blowup_time is not None,
-            steps=steps,
-            transform_calls=calls,
+            steps=self.steps,
+            transform_calls=2 * self.steps + 2,
         )
 
 
@@ -370,57 +367,41 @@ def _evolve_stack(grid, params, config, U):
         U = U[:, :1]
     sampler = _Norms.sampler(params, grid, held, synchronized)
     S = _fft(grid, U)
-    buf = sampler.buffer()
-    runs = live = [_Run(sampler, config, u, s, buf) for u, s in zip(U, S)]
-    del buf
+    runs = live = [_Run(sampler, config, u, s) for u, s in zip(U, S)]
 
-    # every step applies the kinetic multiplier to the spectrum in hand,
-    # inverts, rotates and transforms forward. The first spectrum is the
-    # whole-step state's, so its multiplier is a half step; every later one
-    # is a rotated state's, a half step short of a whole step, so its
-    # multiplier is a whole step: between observations the trailing and
-    # leading kinetic halves of consecutive steps merge, so a step costs
-    # one transform round trip, not two, and deposits half the roundoff in
-    # the otherwise exactly conserved masses. An observed step before the
-    # last inverts the half and the whole step of its spectrum in one call:
-    # the whole-step state and the next step's pre-rotation state V
-    mult = half
-    V = None
-    calls = 1
+    # V is the state before the next rotation: the whole-step state moved
+    # on by a kinetic half step, here the first spectrum's. Every step
+    # rotates V and transforms it forward; between observations the
+    # trailing half step of one step and the leading one of the next merge
+    # into one whole step, so a step costs one transform round trip, not
+    # two, and deposits half the roundoff in the otherwise exactly
+    # conserved masses. An observed step before the last inverts the half
+    # and the whole step of its spectrum in one call: its whole-step state
+    # U and the next V
+    V = _ifft(grid, np.multiply(half, S, out=S))
     for s in range(1, n_steps + 1):
-        if V is None:
-            V = _ifft(grid, np.multiply(mult, S, out=S))
-            calls += 1
-        U = _rotate(grid, V, params, dt, synchronized)
-        S = _fft(grid, U)
-        mult = full
-        V = None
-        calls += 1
+        S = _fft(grid, _rotate(grid, V, params, dt, synchronized))
         sampling = s % config.conservation_check_stride == 0 or s == n_steps
         snapping = config.snapshot_stride and s % config.snapshot_stride == 0
-        if sampling or snapping:
-            if s < n_steps:
-                U, V = _inverse_pair(grid, half, full, S)
-            else:
-                U = _ifft(grid, half * S)
-            calls += 1
-            t = s * dt
-            # one sample buffer serves every live member; it is dropped
-            # before the next step, as the first one is
-            buf = sampler.buffer() if sampling else None
-            going = [run.observe(t, u, sp, buf, snapping) for run, u, sp in zip(live, U, S)]
-            del buf
-            if not all(going):
-                for run, on in zip(live, going):
-                    if not on:
-                        run.end = (s, calls)
-                live = [run for run, on in zip(live, going) if on]
-                if not live:
-                    break
-                if V is not None:
-                    V = V[going]
+        if s == n_steps:
+            U = _ifft(grid, half * S)
+        elif sampling or snapping:
+            U, V = _inverse_pair(grid, half, full, S)
+        else:
+            V = _ifft(grid, np.multiply(full, S, out=S))
+            continue
+        t = s * dt
+        going = [run.observe(t, u, sp, sampling, snapping) for run, u, sp in zip(live, U, S)]
+        if not all(going):
+            for run, on in zip(live, going):
+                if not on:
+                    run.steps = s
+            live = [run for run, on in zip(live, going) if on]
+            if not live:
+                break
+            V = V[going]
     for run in live:
-        run.end = (s, calls)
+        run.steps = s
     return [run.log() for run in runs]
 
 

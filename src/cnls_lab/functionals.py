@@ -326,10 +326,9 @@ class _Sampler:
     that it counts for both in the masses, the norms and F, and as
     |u1|^p |u2|^p = |u|^2p in the cross term. measure() writes the state's
     densities and its Parseval, power and variance integrands into the
-    rows of one (K, n) buffer from buffer(), one buffer serving every
-    member in turn, and sums them with one call, row by row; every row
-    holds the values the separate routes sum, so every sum keeps its
-    bits."""
+    rows of one (K, n) array of its own and sums them with one call, row by
+    row; every row holds the values the separate routes sum, so every sum
+    keeps its bits."""
 
     def __init__(self, params, grid, held, synchronized):
         self.params, self.grid = params, grid
@@ -346,10 +345,7 @@ class _Sampler:
         self.k2 = grid.k2.reshape(-1)
         self.r2 = grid.radius_sq().reshape(-1)
 
-    def buffer(self) -> np.ndarray:
-        return np.empty(self.shape)
-
-    def measure(self, buf, U, S):
+    def measure(self, U, S):
         """(norms, variance) of the whole-step state U, an (r, *shape)
         stack, whose spectrum S is one unitary kinetic multiplier away from
         U's, so that the masses and ||grad U||^2 are its Parseval sums;
@@ -359,6 +355,7 @@ class _Sampler:
         r, k, p = self.r, self.summed, self.params.p
         U = U.reshape(r, -1)
         S = S.reshape(r, -1)
+        buf = np.empty(self.shape)
         mass, grad, power = buf[:r], buf[r : 2 * r], buf[2 * r : 3 * r]
         m = buf[k : k + r]
         # the scratch parts of each square: the power rows, the gradient rows

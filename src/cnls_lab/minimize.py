@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FieldPair, Grid, SystemParams, _density, _embed, _fft, _irfft, _MODE_ROWS,
-                   _parseval_sums, _per_component, _populated, _rfft)
+from .core import (FieldPair, Grid, SystemParams, _check_positive, _density, _embed, _fft, _irfft,
+                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _rfft)
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _gradient, _Norms, _rates
 
@@ -468,14 +468,6 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
             if masses[j] > 0:
                 r_sq -= dot(R[i], Uh[i]) ** 2 / masses[j]
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
-
-
-def _check_positive(value, key="tol"):
-    """Refuse, with ValueError naming the caller's key, a value that is not
-    finite and positive: a residual tolerance for the flows, a level or a
-    mass."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{key} must be finite and positive, got {value}")
 
 
 def minimize_on(

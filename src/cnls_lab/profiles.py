@@ -30,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
-from .core import FieldPair, Grid, SystemParams, _check_dim, _fft, _ifft, _per_component
+from .core import (FieldPair, Grid, SystemParams, _check_dim, _check_positive, _fft, _ifft,
+                   _per_component)
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
-from .minimize import ConstraintSpec, _check_positive, gaussian_init, minimize_on
+from .minimize import ConstraintSpec, gaussian_init, minimize_on
 
 __all__ = [
     "Family",

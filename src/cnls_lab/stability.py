@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import FieldPair, Grid, SystemParams
+from .core import FieldPair, Grid, SystemParams, _check_positive
 from .dynamics import EvolveConfig, _check_hold, evolve, virial_series
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
-from .minimize import _check_positive, ground_state
+from .minimize import ground_state
 from .profiles import Family, ScalingParams, make_member, scale_pair
 
 __all__ = [

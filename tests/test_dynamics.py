@@ -56,8 +56,8 @@ def test_config_validation():
     # the endpoints, so the strides are integers, as the step counter is;
     # an infinite guard never trips
     for key, values in (
-        ("snapshot_stride", (-1, 0.5, 2.0, np.nan, np.inf)),
-        ("conservation_check_stride", (0, 0.5, 1.0, np.nan, np.inf)),
+        ("snapshot_stride", (-1, 0.5, 2.0, np.nan, np.inf, True, "2")),
+        ("conservation_check_stride", (0, 0.5, 1.0, np.nan, np.inf, True, "5")),
         ("blowup_guard", (np.nan, np.inf)),
     ):
         for value in values:
@@ -564,10 +564,11 @@ def test_subquadratic_exponent_runs_finite(grid_1d):
     assert not log.aborted
 
 
-def test_guard_aborts_collapsing_run():
+def test_guard_aborts_collapsing_run(transform_calls):
     g = Grid(1, 1024, 20.0)
     params = SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0)
     datum = scale_pair(_member(params, g), ScalingParams(mu=1.1**0.5, lam=1.1))
+    transform_calls.clear()
     log = evolve(datum, params, EvolveConfig(dt=2e-4, t_end=2.0, conservation_check_stride=1, blowup_guard=10.0))
     assert log.aborted
     assert log.blowup_time is not None and log.blowup_time < 1.0
@@ -576,6 +577,8 @@ def test_guard_aborts_collapsing_run():
     # standing in for the next step's
     assert log.steps == round(log.blowup_time / 2e-4)
     assert log.transform_calls == 2 * log.steps + 2
+    # the derived count is the count of calls made
+    assert len(transform_calls) == log.transform_calls
 
 
 def test_nonfinite_sample_returns_the_aborted_log():

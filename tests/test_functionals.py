@@ -226,16 +226,15 @@ def test_sampler_matches_the_norms_and_the_variance(grid, p, beta, seeds, layout
     held = _SAMPLER_HELD[layout]
     synchronized = layout == "synchronized"
     sampler = _Norms.sampler(params, grid, held, synchronized)
-    buf = sampler.buffer()
 
     def stack(seed, width):
         U = smooth_pair(grid, seed, width=width).components
         return U[:1].copy() if synchronized else U[held].copy()
 
-    # the buffer serves another state first, so stale rows would show
+    # the sampler serves another state first, so stale rows would show
     before = stack(seeds[1], 50.0 if width < 50.0 else 0.8)
     with np.errstate(all="ignore"):
-        sampler.measure(buf, before, _fft(grid, before))
+        sampler.measure(before, _fft(grid, before))
     U = stack(seeds[0], width)
     if edit == "huge":
         # finite, but its density overflows
@@ -246,7 +245,7 @@ def test_sampler_matches_the_norms_and_the_variance(grid, p, beta, seeds, layout
     # the separate routes see the synchronized row as the pair (u, u)
     whole, whole_S = (np.concatenate((U, U)), np.concatenate((S, S))) if synchronized else (U, S)
     with np.errstate(all="ignore"):
-        got = sampler.measure(buf, U, S)
+        got = sampler.measure(U, S)
         want = _separate_sample(grid, params, held, whole, whole_S)
     if want is None:
         # a state that is not finite is not sampled

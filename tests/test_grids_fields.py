@@ -69,6 +69,22 @@ def test_grid_validation():
     for dim, bad in ((1, 5e-324), (1, 1e-300), (1, 1.7e308), (3, 1e-150), (3, 1e150)):
         with pytest.raises(ValueError, match="degenerate"):
             Grid(dim, 8, bad)
+    # the dimension and the point count are integers: a float, a string or
+    # a bool is refused by name, even when it holds a whole number
+    for dim, n, key in (
+        (1, 1024.7, "points_per_axis"),
+        (1, 64.0, "points_per_axis"),
+        (1, "64", "points_per_axis"),
+        (1, True, "points_per_axis"),
+        (1.0, 64, "dim"),
+        (2.0, 16, "dim"),
+        (True, 64, "dim"),
+        ("1", 64, "dim"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            Grid(dim, n, 10.0)
+    g = Grid(np.int64(2), np.int32(16), 5.0)
+    assert g == Grid(2, 16, 5.0) and (type(g.dim), type(g.points_per_axis)) == (int, int)
     # point counts past the ceiling are refused before anything is allocated
     for dim, n in ((1, 2**40), (3, 2**14)):
         with pytest.raises(ValueError, match="ceiling"):

@@ -84,6 +84,19 @@ def test_pinned_second_component_stays_zero(grid_1d):
     assert res.energy == pytest.approx(-2.0 / 3.0, rel=1e-7)
 
 
+def test_product_spheres_with_unequal_targets_decouple(grid_1d):
+    # at beta = 0 each component solves its own sphere problem, so the two
+    # targets give the gamma = 4 and gamma = 8 values of the sphere flow
+    constraint = ConstraintSpec.product_spheres(4.0, 8.0)
+    res = minimize_on(constraint, _cubic(0.0), grid_1d)
+    assert res.energy == pytest.approx(-2.0 / 3.0 - 16.0 / 3.0, rel=1e-7)
+    assert l2_norm_sq(grid_1d, res.minimizer.c1) == pytest.approx(4.0, rel=1e-12)
+    assert l2_norm_sq(grid_1d, res.minimizer.c2) == pytest.approx(8.0, rel=1e-12)
+    assert res.multipliers == pytest.approx((1.0, 4.0), rel=1e-6)
+    extracted = multiplier_extract(res.minimizer, _cubic(0.0), constraint)
+    assert extracted == pytest.approx(res.multipliers, rel=1e-6)
+
+
 def test_equal_spheres_reaches_synchronized_level(grid_1d):
     beta = 2.0
     delta = 4.0 / (1.0 + beta)
