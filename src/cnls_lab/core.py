@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,6 +96,18 @@ def _integer(value) -> int | None:
         return None
 
 
+def _real(value) -> float | None:
+    """value as a float when it is a real number (an int, a float or a
+    numpy real), an int beyond the float range as an infinity; None for
+    anything else, a bool, a string or a complex number included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_dim(dim) -> int:
     """dim as an int; ValueError for a spatial dimension other than the
     integers 1, 2 and 3: the one rule of Grid and of the level formulas."""
@@ -104,12 +117,14 @@ def _check_dim(dim) -> int:
     return whole
 
 
-def _check_positive(value, key="tol"):
-    """Refuse, with ValueError naming the caller's key, a value that is not
-    finite and positive: a residual tolerance for the flows, a level or a
-    mass."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{key} must be finite and positive, got {value}")
+def _check_positive(value, key="tol") -> float:
+    """value as a float; ValueError naming the caller's key for a value
+    that is not a finite and positive real number: a residual tolerance
+    for the flows, a level, a mass or a length."""
+    real = _real(value)
+    if real is None or not 0.0 < real < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {value!r}")
+    return real
 
 
 class Grid:
@@ -137,8 +152,7 @@ class Grid:
             raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis!r}")
         if n**dim > _MAX_POINTS:
             raise ValueError(f"{n}^{dim} grid points exceed the ceiling of {_MAX_POINTS}")
-        if not 0 < half_width < np.inf:
-            raise ValueError(f"half_width must be positive and finite, got {half_width}")
+        half_width = _check_positive(half_width, "half_width")
         # the spacing, the cell volume and the largest |k|^2 and |x|^2 must
         # be positive and finite too, which bounds half_width on both sides
         dx = np.float64(2.0 * half_width / n)
@@ -148,7 +162,7 @@ class Grid:
             raise ValueError(f"half_width={half_width} on {n} points per axis gives a degenerate {dim}d grid")
         self.dim = dim
         self.points_per_axis = n
-        self.half_width = float(half_width)
+        self.half_width = half_width
         self.dx = 2.0 * self.half_width / n
         self.shape = (n,) * dim
         self.total_points = n**dim
@@ -235,11 +249,10 @@ class SystemParams:
     omega2: float
 
     def __post_init__(self):
-        if not all(np.isfinite((self.p, self.beta, self.omega1, self.omega2))):
-            raise ValueError(
-                f"p, beta, omega1, omega2 must be finite, got "
-                f"{self.p}, {self.beta}, {self.omega1}, {self.omega2}"
-            )
+        for key in ("p", "beta", "omega1", "omega2"):
+            real = _real(getattr(self, key))
+            if real is None or not math.isfinite(real):
+                raise ValueError(f"{key} must be a finite real number, got {getattr(self, key)!r}")
         if not self.p > 1:
             raise ValueError(f"p must be > 1, got {self.p}")
         if self.beta < 0:
@@ -303,10 +316,6 @@ class FieldPair:
         if not np.isfinite(U).all():
             raise ValueError("the resulting field pair is not finite: the operation overflowed")
         return cls._wrap(grid, U)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "FieldPair":
-        return cls._wrap(grid, np.zeros((2,) + grid.shape, dtype=complex))
 
     @property
     def c1(self) -> np.ndarray:

@@ -31,6 +31,7 @@ from .core import (
     _ifft,
     _integer,
     _populated,
+    _real,
     same_grid,
 )
 from .functionals import _Norms, _rates, _virial
@@ -74,23 +75,23 @@ class EvolveConfig:
     blowup_guard: float = 1e6
 
     def __post_init__(self):
-        if self.dt == 0:
-            raise ValueError("dt must be nonzero")
-        if not (math.isfinite(self.dt) and math.isfinite(self.t_end / self.dt)):
-            raise ValueError(f"dt={self.dt} and t_end={self.t_end} must give a finite step count")
-        if self.t_end / self.dt <= 0:
+        dt, t_end = _real(self.dt), _real(self.t_end)
+        if not dt:
+            raise ValueError(f"dt must be a nonzero real number, got {self.dt!r}")
+        if t_end is None or not (math.isfinite(dt) and math.isfinite(t_end / dt)):
+            raise ValueError(f"dt={self.dt!r} and t_end={self.t_end!r} must give a finite step count")
+        if t_end / dt <= 0:
             raise ValueError("t_end must have the same sign as dt")
-        if self.t_end / self.dt > _MAX_STEPS:
-            raise ValueError(
-                f"t_end/dt = {self.t_end / self.dt:.6g} steps exceeds the ceiling of {_MAX_STEPS}"
-            )
+        if t_end / dt > _MAX_STEPS:
+            raise ValueError(f"t_end/dt = {t_end / dt:.6g} steps exceeds the ceiling of {_MAX_STEPS}")
         for name, least in (("conservation_check_stride", 1), ("snapshot_stride", 0)):
             stride = getattr(self, name)
             whole = _integer(stride)
             if whole is None or whole < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {stride!r}")
-        if not 1 < self.blowup_guard < math.inf:
-            raise ValueError(f"blowup_guard must be finite and exceed 1, got {self.blowup_guard}")
+        guard = _real(self.blowup_guard)
+        if guard is None or not 1 < guard < math.inf:
+            raise ValueError(f"blowup_guard must be finite and exceed 1, got {self.blowup_guard!r}")
 
 
 @dataclass

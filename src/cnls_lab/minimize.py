@@ -10,20 +10,25 @@ one root of a scalar equation in log(t2/t1)). The step size doubles after
 every accepted step and halves until the objective stops increasing, so the
 recorded objective history is monotone up to roundoff.
 
-The effective frequencies lam_j keep constrained problems honest: on mass
-spheres the minimizer solves -Lap u_j + nu omega_j u_j = g_j with an
-unknown multiplier nu, and a plain (1 + dt(|k|^2 + omega_j)) step has no
-fixed point there unless nu = 1. Feeding the running multiplier estimate
-back through lam_j = nu omega_j (lam_j = nu_j on product spheres) restores
-the correct fixed points, and holding it in the denominator keeps the step
-unconditionally stable for nu > 1; a component the minimizer abandons then
-dies geometrically at every step size instead of only below dt = 2/(nu-1).
-Ray-projected constraints (Nehari, Pohozaev) keep lam_j = omega_j: their
-critical points solve the equation with nu = 1 exactly.
+A mass sphere is read as rows ((a1, a2), c), each the condition
+a1 ||u1||^2 + a2 ||u2||^2 = c with one multiplier nu: the weighted sphere
+is ((omega1, omega2), gamma), product and equal spheres are ((1, 0), delta1)
+and ((0, 1), delta2), less the second for a pinned component (delta2 = 0).
+No component lies on two rows.
+
+The effective frequencies lam_j keep constrained problems honest: on a row
+the minimizer solves -Lap u_j + nu a_j u_j = g_j with an unknown nu, and a
+plain (1 + dt(|k|^2 + omega_j)) step has no fixed point there unless
+nu a_j = omega_j. Feeding the running estimate back through lam_j = nu a_j
+restores the correct fixed points, and holding it in the denominator keeps
+the step unconditionally stable for nu > 1; a component the minimizer
+abandons then dies geometrically at every step size instead of only below
+dt = 2/(nu-1). A component on no row keeps lam_j = omega_j: ray-projected
+critical points (Nehari, Pohozaev) solve the equation with nu = 1 exactly.
 
 Convergence is declared on the strong-form residual r_j = (-Lap + lam_j) u_j
-- g_j, evaluated spectrally and, for sphere constraints, projected off the
-constraint normals; the reported quantity is ||r||_2 / ||U||_{H_omega}.
+- g_j, evaluated spectrally and projected off each row's normal
+(a1 u1, a2 u2); the reported quantity is ||r||_2 / ||U||_{H_omega}.
 
 The step multiplier, the rates of g, the scalings and the residual are all
 real, so the flow acts on the real and imaginary parts of U alike and keeps
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FieldPair, Grid, SystemParams, _check_positive, _density, _embed, _fft, _irfft,
-                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _rfft)
+                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _real, _rfft)
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _gradient, _Norms, _rates
 
@@ -96,6 +101,9 @@ class ConstraintSpec:
         nehari            <I'(U), U> = 0                            (minimizes I)
         nehari_set        both partial pairings vanish              (minimizes I)
         pohozaev          ||grad U||^2 = n(p-1) F(U)                (minimizes I)
+
+    The flow reads a sphere kind only as its rows of mass conditions (see
+    the module docstring); delta2 = 0 pins the second component to zero.
     """
 
     kind: str
@@ -105,24 +113,20 @@ class ConstraintSpec:
 
     @classmethod
     def weighted_sphere(cls, gamma: float) -> "ConstraintSpec":
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        return cls("weighted_sphere", gamma=float(gamma))
+        return cls("weighted_sphere", gamma=_check_positive(gamma, "gamma"))
 
     @classmethod
     def product_spheres(cls, delta1: float, delta2: float) -> "ConstraintSpec":
-        # delta2 = 0 pins the second component to zero (scalar problem)
-        if not 0 < delta1 < math.inf:
-            raise ValueError(f"delta1 must be positive and finite, got {delta1}")
-        if not 0 <= delta2 < math.inf:
-            raise ValueError(f"delta2 must be >= 0 and finite, got {delta2}")
-        return cls("product_spheres", delta1=float(delta1), delta2=float(delta2))
+        delta1 = _check_positive(delta1, "delta1")
+        real = _real(delta2)
+        if real is None or not 0 <= real < math.inf:
+            raise ValueError(f"delta2 must be >= 0 and finite, got {delta2!r}")
+        return cls("product_spheres", delta1=delta1, delta2=real)
 
     @classmethod
     def equal_spheres(cls, delta1: float) -> "ConstraintSpec":
-        if not 0 < delta1 < math.inf:
-            raise ValueError(f"delta1 must be positive and finite, got {delta1}")
-        return cls("equal_spheres", delta1=float(delta1), delta2=float(delta1))
+        delta1 = _check_positive(delta1, "delta1")
+        return cls("equal_spheres", delta1=delta1, delta2=delta1)
 
     @classmethod
     def nehari(cls) -> "ConstraintSpec":
@@ -159,11 +163,9 @@ class ConstraintSpec:
             )
 
     def describe(self) -> str:
-        if self.kind == "weighted_sphere":
-            return f"weighted_sphere(gamma={self.gamma:g})"
-        if self.kind in ("product_spheres", "equal_spheres"):
-            return f"{self.kind}(delta1={self.delta1:g}, delta2={self.delta2:g})"
-        return self.kind
+        sizes = {"gamma": self.gamma, "delta1": self.delta1, "delta2": self.delta2}
+        args = ", ".join(f"{key}={value:g}" for key, value in sizes.items() if value is not None)
+        return f"{self.kind}({args})" if args else self.kind
 
 
 @dataclass(frozen=True)
@@ -312,35 +314,43 @@ def _objective(constraint, norms):
     return norms.energy if constraint.kind in _SPHERE_KINDS else norms.action
 
 
+def _spheres(constraint, params):
+    """The mass-sphere rows ((a1, a2), c) of a constraint, each the
+    condition a1 ||u1||^2 + a2 ||u2||^2 = c: the one table of the sphere
+    kinds that the flow reads."""
+    if constraint.kind == "weighted_sphere":
+        return (((params.omega1, params.omega2), constraint.gamma),)
+    if constraint.kind in ("product_spheres", "equal_spheres"):
+        rows = (((1.0, 0.0), constraint.delta1), ((0.0, 1.0), constraint.delta2))
+        return rows[:1] if constraint.pinned else rows
+    return ()
+
+
+def _weigh(weights, values):
+    """a1 v1 + a2 v2, to which a zero weight adds nothing, not even a NaN."""
+    return sum(a * v for a, v in zip(weights, values) if a)
+
+
 def _multipliers(constraint, norms):
     """(nu,) on the weighted sphere and (nu1, nu2) on product spheres (nan
     for a pinned component), from testing the constrained equation against
     U; () on ray constraints."""
-    kind = constraint.kind
-    beta = norms.params.beta
-    if kind == "weighted_sphere":
+    if constraint.kind == "weighted_sphere":
         return ((2.0 * norms.params.p * norms.F - norms.grad) / constraint.gamma,)
-    if kind in ("product_spheres", "equal_spheres"):
-        nu1 = (norms.i1 + beta * norms.cross - norms.grad1) / constraint.delta1
-        if constraint.delta2 == 0.0:
-            return nu1, math.nan
-        return nu1, (norms.i2 + beta * norms.cross - norms.grad2) / constraint.delta2
-    return ()
+    shared = norms.params.beta * norms.cross
+    tested = (norms.i1 + shared - norms.grad1, norms.i2 + shared - norms.grad2)
+    nus = tuple(_weigh(a, tested) / c for a, c in _spheres(constraint, norms.params))
+    return nus + (math.nan,) if constraint.pinned else nus
 
 
 def _constraint_residual(constraint, norms):
     """Relative distance of U from the constraint set."""
     kind = constraint.kind
-    if kind == "weighted_sphere":
-        return abs(norms.weighted_mass - constraint.gamma) / constraint.gamma
-    if kind in ("product_spheres", "equal_spheres"):
-        r1 = abs(norms.m1 - constraint.delta1) / constraint.delta1
-        r2 = (
-            abs(norms.m2 - constraint.delta2) / constraint.delta2
-            if constraint.delta2 > 0
-            else abs(norms.m2)
-        )
-        return max(r1, r2)
+    spheres = _spheres(constraint, norms.params)
+    if spheres:
+        gaps = [abs(_weigh(a, (norms.m1, norms.m2)) - c) / c for a, c in spheres]
+        # a pinned component's mass must vanish
+        return max(gaps + [abs(norms.m2)] if constraint.pinned else gaps)
     if kind == "nehari":
         return abs(norms.pairing) / norms.h1
     if kind == "pohozaev":
@@ -349,48 +359,37 @@ def _constraint_residual(constraint, norms):
 
 
 def _scalings(constraint, norms, warm=(1.0, 1.0)):
-    """The factors (t1, t2) that carry U onto the constraint set. A factor
-    that overflows or underflows (a power 1/(2p-2) for p near 1 does)
-    raises ConstraintError; only a pinned component's factor is 0."""
-    t1, t2 = _unchecked_scalings(constraint, norms, warm)
+    """The factors (t1, t2) that carry U onto the constraint set, on a mass
+    sphere sqrt(c / (a1 m1 + a2 m2)) on the components each row weighs. A
+    factor that overflows or underflows (a power 1/(2p-2) for p near 1
+    does) raises ConstraintError; only a pinned component's factor is 0."""
+    kind = constraint.kind
+    p = norms.params.p
+    spheres = _spheres(constraint, norms.params)
+    if spheres:
+        t1 = t2 = 0.0
+        for a, c in spheres:
+            mass = _weigh(a, (norms.m1, norms.m2))
+            if mass <= 0:
+                what = "the zero field" if all(a) else "a vanishing component"
+                raise ConstraintError(f"cannot project {what} onto a mass sphere")
+            t1, t2 = (math.sqrt(c / mass) if w else t for w, t in zip(a, (t1, t2)))
+    elif kind in ("nehari", "pohozaev"):
+        if norms.F <= 0:
+            raise ConstraintError(f"{kind.capitalize()} projection needs F(U) > 0")
+        num, den = (norms.h1, 2.0 * p) if kind == "nehari" else (norms.grad, norms.dim * (p - 1.0))
+        t1 = t2 = _root(num / (den * norms.F), 2.0 * p - 2.0)
+    elif kind == "nehari_set":
+        shared = norms.params.beta * norms.cross
+        t1, t2 = _nehari_set_scalings(p, *norms.h1_parts, norms.i1, norms.i2, shared, warm)
+    else:
+        raise ValueError(f"unknown constraint kind {kind!r}")
     if not (0.0 < t1 < math.inf and (0.0 < t2 < math.inf or (constraint.pinned and t2 == 0.0))):
         raise ConstraintError(
             f"the scalings onto {constraint.describe()} leave the floating-point range: "
             f"(t1, t2) = ({t1:.3g}, {t2:.3g}) at p = {norms.params.p:g}"
         )
     return t1, t2
-
-
-def _unchecked_scalings(constraint, norms, warm):
-    kind = constraint.kind
-    p = norms.params.p
-    if kind == "weighted_sphere":
-        if norms.weighted_mass <= 0:
-            raise ConstraintError("cannot project the zero field onto a mass sphere")
-        t = math.sqrt(constraint.gamma / norms.weighted_mass)
-        return t, t
-    if kind in ("product_spheres", "equal_spheres"):
-        pinned = constraint.delta2 == 0.0
-        if norms.m1 <= 0 or (norms.m2 <= 0 and not pinned):
-            raise ConstraintError("cannot project a vanishing component onto a mass sphere")
-        t2 = 0.0 if pinned else math.sqrt(constraint.delta2 / norms.m2)
-        return math.sqrt(constraint.delta1 / norms.m1), t2
-    if kind in ("nehari", "pohozaev"):
-        if norms.F <= 0:
-            name = "Nehari" if kind == "nehari" else "Pohozaev"
-            raise ConstraintError(f"{name} projection needs F(U) > 0")
-        if kind == "nehari":
-            ratio = norms.h1 / (2.0 * p * norms.F)
-        else:
-            ratio = norms.grad / (norms.dim * (p - 1.0) * norms.F)
-        t = _root(ratio, 2.0 * p - 2.0)
-        return t, t
-    if kind == "nehari_set":
-        a1, a2 = norms.h1_parts
-        return _nehari_set_scalings(
-            p, a1, a2, norms.i1, norms.i2, norms.params.beta * norms.cross, warm
-        )
-    raise ValueError(f"unknown constraint kind {kind!r}")
 
 
 def _moduli(U: np.ndarray) -> np.ndarray:
@@ -427,25 +426,21 @@ def _project_state(constraint, grid, params, Vh, warm, held):
 
 def _effective_frequencies(constraint, norms):
     """The (2, 1, ...) column (lam1, lam2) of the frequencies of the
-    constrained equation at the running multiplier estimate, for the step
-    guard; the residual and the semi-implicit denominator take its rows of
-    the held components."""
+    constrained equation at the running multiplier estimates, nu a_j on
+    each row's components and omega_j elsewhere, for the step guard; the
+    residual and the semi-implicit denominator take its held rows."""
     lam = (norms.params.omega1, norms.params.omega2)
-    nus = _multipliers(constraint, norms)
-    if constraint.kind == "weighted_sphere":
-        (nu,) = nus
-        lam = (nu * lam[0], nu * lam[1])
-    elif nus:
-        nu1, nu2 = nus
-        # a pinned component keeps its own frequency
-        lam = (nu1, lam[1] if math.isnan(nu2) else nu2)
+    for (a, _), nu in zip(_spheres(constraint, norms.params), _multipliers(constraint, norms)):
+        lam = [nu * w if w else om for w, om in zip(a, lam)]
     return np.reshape(lam, (2, 1) + (1,) * norms.dim)
 
 
 def _residual(constraint, grid, Uh, G, lam, norms, held):
     """The relative residual of the state whose components in the slice
     held Uh holds; lam is their column of frequencies. An absent
-    component's dot products are exactly 0 and are left out."""
+    component's dot products are exactly 0 and are left out. Each sphere
+    row's normal (a1 u1, a2 u2) is projected off in turn, which is exact
+    because the rows are orthogonal."""
     w = grid.cell_volume / grid.total_points
 
     def dot(a, b):
@@ -456,17 +451,9 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
     # (row of R and Uh, component index) of each held component
     rows = tuple(enumerate(range(2)[held]))
     r_sq = sum(dot(R[i], R[i]) for i, _ in rows)
-    kind = constraint.kind
-    if kind == "weighted_sphere":
-        omegas = (norms.params.omega1, norms.params.omega2)
-        inner = sum(omegas[j] * dot(R[i], Uh[i]) for i, j in rows)
-        nn = omegas[0] ** 2 * norms.m1 + omegas[1] ** 2 * norms.m2
-        r_sq -= inner**2 / nn
-    elif kind in ("product_spheres", "equal_spheres"):
-        masses = (norms.m1, norms.m2)
-        for i, j in rows:
-            if masses[j] > 0:
-                r_sq -= dot(R[i], Uh[i]) ** 2 / masses[j]
+    for a, _ in _spheres(constraint, norms.params):
+        inner = sum(a[j] * dot(R[i], Uh[i]) for i, j in rows if a[j])
+        r_sq -= inner**2 / _weigh([aj**2 for aj in a], (norms.m1, norms.m2))
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
 
 
@@ -656,12 +643,13 @@ def multiplier_extract(pair: FieldPair, params: SystemParams, constraint: Constr
     point two independent ways (plain and gradient-weighted least squares on
     the strong-form residual) and insist they agree to a relative 1e-6.
     Ray constraints carry no multiplier and are refused."""
-    if constraint.kind not in _SPHERE_KINDS:
+    spheres = _spheres(constraint, params)
+    if not spheres:
         raise ConstraintError("multipliers are defined for sphere constraints only")
     grid = pair.grid
     k2 = grid.k2
-    u1h, u2h = _fft(grid, pair.components)
-    g1h, g2h = _fft(grid, _gradient(pair, params))
+    Uh = _fft(grid, pair.components)
+    Gh = _fft(grid, _gradient(pair, params))
 
     def fits(*terms):
         # least-squares nu in (k^2 + nu omega_j) u_j = g_j over the given
@@ -682,9 +670,6 @@ def multiplier_extract(pair: FieldPair, params: SystemParams, constraint: Constr
             )
         return nu_a
 
-    if constraint.kind == "weighted_sphere":
-        return (fits((u1h, g1h, params.omega1), (u2h, g2h, params.omega2)),)
-    return tuple(
-        math.nan if delta == 0.0 else fits((uh, gh, 1.0))
-        for uh, gh, delta in ((u1h, g1h, constraint.delta1), (u2h, g2h, constraint.delta2))
-    )
+    # one fit per row, over the components it weighs; a pinned one has none
+    nus = tuple(fits(*((Uh[j], Gh[j], a[j]) for j in range(2) if a[j])) for a, _ in spheres)
+    return nus + (math.nan,) if constraint.pinned else nus

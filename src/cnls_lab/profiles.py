@@ -85,8 +85,8 @@ class ScalingParams:
     lam: float
 
     def __post_init__(self):
-        if not (0 < self.mu < math.inf and 0 < self.lam < math.inf):
-            raise ValueError(f"mu and lam must be finite and positive, got mu={self.mu}, lam={self.lam}")
+        _check_positive(self.mu, "mu")
+        _check_positive(self.lam, "lam")
 
     def inverse(self) -> "ScalingParams":
         return ScalingParams(mu=1.0 / self.mu, lam=1.0 / self.lam)

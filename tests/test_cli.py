@@ -203,14 +203,14 @@ def test_minimize_config_refusals(tmp_path, capsys):
         assert [path.name for path in out.iterdir()] == ["manifest.txt"]
     # a non-finite size is named by the constraint's factory, before any flow
     sizes = (
-        ("w", "kind = weighted_sphere\ngamma = inf\n"),
-        ("p", "kind = product_spheres\ndelta1 = 1\ndelta2 = nan\n"),
+        ("w", "kind = weighted_sphere\ngamma = inf\n", "gamma must be finite and positive, got inf"),
+        ("p", "kind = product_spheres\ndelta1 = 1\ndelta2 = nan\n", "delta2 must be >= 0 and finite, got nan"),
     )
-    for name, keys in sizes:
+    for name, keys, message in sizes:
         capsys.readouterr()
         sized = _write(tmp_path, f"[constraint]\n{keys}", name=f"{name}.ini")
         assert main(["minimize", str(sized), "--out", str(tmp_path / name)]) == 3
-        assert "finite, got" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_profile_member_round_trip(tmp_path):

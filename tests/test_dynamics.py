@@ -63,6 +63,15 @@ def test_config_validation():
         for value in values:
             with pytest.raises(ValueError, match=key):
                 EvolveConfig(dt=1e-3, t_end=1.0, **{key: value})
+    # the times and the guard are real numbers, refused by name when they
+    # are strings or bools
+    for key, value in (("dt", "1e-3"), ("dt", True), ("t_end", "1.0"), ("t_end", True)):
+        with pytest.raises(ValueError, match=key):
+            EvolveConfig(**{"dt": 1e-3, "t_end": 1.0, key: value})
+    for value in ("5", True):
+        with pytest.raises(ValueError, match="blowup_guard"):
+            EvolveConfig(dt=1e-3, t_end=1.0, blowup_guard=value)
+    EvolveConfig(dt=np.float32(1e-3), t_end=1, blowup_guard=np.int64(5))
     config = EvolveConfig(dt=1e-3, t_end=1.0, snapshot_stride=np.int64(2), conservation_check_stride=np.int32(5))
     assert (config.snapshot_stride, config.conservation_check_stride) == (2, 5)
 

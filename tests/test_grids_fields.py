@@ -85,6 +85,14 @@ def test_grid_validation():
             Grid(dim, n, 10.0)
     g = Grid(np.int64(2), np.int32(16), 5.0)
     assert g == Grid(2, 16, 5.0) and (type(g.dim), type(g.points_per_axis)) == (int, int)
+    # the half-width is a real number: a string, a bool or a complex one is
+    # refused by name, and an int or a numpy real reads as its float
+    for bad in ("10", True, 10 + 0j, None):
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(1, 64, bad)
+    for good in (10, np.float32(10.0), np.int64(10)):
+        g = Grid(1, 64, good)
+        assert g == Grid(1, 64, 10.0) and type(g.half_width) is float
     # point counts past the ceiling are refused before anything is allocated
     for dim, n in ((1, 2**40), (3, 2**14)):
         with pytest.raises(ValueError, match="ceiling"):
@@ -137,8 +145,8 @@ def test_field_pair_shape_check(grid_1d):
 
 def test_mixed_grid_arithmetic_raises(grid_1d):
     other = Grid(1, 1024, 22.0)
-    a = FieldPair.zeros(grid_1d)
-    b = FieldPair.zeros(other)
+    a = FieldPair(grid_1d, np.zeros(grid_1d.shape), np.zeros(grid_1d.shape))
+    b = FieldPair(other, np.zeros(other.shape), np.zeros(other.shape))
     with pytest.raises(GridMismatchError):
         _ = a + b
 
@@ -162,7 +170,7 @@ def test_components_are_one_stack_whose_rows_are_the_fields(dim, seed, real, tra
     assert not np.shares_memory(built.components, f1) and not np.shares_memory(built.components, f2)
     assert np.array_equal(built.c1, f1) and np.array_equal(built.c2, f2)
     other = smooth_pair(grid, seed)
-    for pair in (built, built + other, built - other, 2.5 * built, built * 1j, FieldPair.zeros(grid)):
+    for pair in (built, built + other, built - other, 2.5 * built, built * 1j):
         U = pair.components
         assert U.shape == (2,) + grid.shape and U.dtype == np.complex128 and U.flags.c_contiguous
         for row, c in enumerate((pair.c1, pair.c2)):
@@ -339,6 +347,12 @@ def test_system_params_validation():
     ):
         with pytest.raises(ValueError):
             SystemParams(**{"p": 2.0, "beta": 0.0, "omega1": 1.0, "omega2": 1.0, **bad})
+    # each parameter is a real number, refused by name when it is a string,
+    # a bool or a complex number
+    for key, bad in (("p", "2"), ("beta", True), ("omega1", "1"), ("omega2", True), ("beta", 0j)):
+        with pytest.raises(ValueError, match=key):
+            SystemParams(**{"p": 2.0, "beta": 0.0, "omega1": 1.0, "omega2": 1.0, key: bad})
+    assert SystemParams(p=np.float32(2.0), beta=0, omega1=np.int64(1), omega2=1.0).p == 2.0
 
 
 def test_criticality_table():
@@ -468,6 +482,24 @@ def test_only_minimize_names_the_constraint_sizes():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and node.value in sizes:
                 offenders.append(f"{path.name}:{node.lineno}: {node.value}")
+    assert offenders == []
+
+
+def test_only_the_sphere_table_names_the_sphere_kinds():
+    # the flow reads a mass sphere only through minimize._spheres' rows, so
+    # no other function of minimize.py branches on a sphere kind's name;
+    # ConstraintSpec builds and validates them, and _multipliers keeps the
+    # weighted sphere's own formula
+    kinds = ("weighted_sphere", "product_spheres", "equal_spheres")
+    allowed = ("ConstraintSpec", "_spheres", "_multipliers")
+    tree = ast.parse(Path(minimize.__file__).read_text(encoding="utf-8"))
+    offenders = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in kinds:
+                offenders.append(f"{top.name}:{node.lineno}: {node.value}")
     assert offenders == []
 
 

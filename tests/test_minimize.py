@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import re
 import threading
@@ -95,6 +96,26 @@ def test_product_spheres_with_unequal_targets_decouple(grid_1d):
     assert res.multipliers == pytest.approx((1.0, 4.0), rel=1e-6)
     extracted = multiplier_extract(res.minimizer, _cubic(0.0), constraint)
     assert extracted == pytest.approx(res.multipliers, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_equal_spheres_are_product_spheres_with_equal_targets(dim):
+    # both kinds are the rows ((1, 0), delta) and ((0, 1), delta), so they
+    # run one flow bit for bit; only the label tells them apart
+    grid = _PHASE_GRIDS[dim - 1]
+    params = SystemParams(p=1.5, beta=0.7, omega1=1.0, omega2=1.7)
+    equal, product = ConstraintSpec.equal_spheres(1.5), ConstraintSpec.product_spheres(1.5, 1.5)
+    assert equal.describe() != product.describe()
+    a, b = (minimize_on(c, params, grid, tol=1e-9) for c in (equal, product))
+    for field in dataclasses.fields(minimize.MinimizeResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, FieldPair):
+            x, y = x.components, y.components
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+    assert multiplier_extract(a.minimizer, params, equal) == multiplier_extract(b.minimizer, params, product)
 
 
 def test_equal_spheres_reaches_synchronized_level(grid_1d):
@@ -216,7 +237,7 @@ def test_scalar_start_holds_one_component(transform_calls):
         params = SystemParams(p=p, beta=1.0, omega1=1.0, omega2=1.0)
         transform_calls.clear()
         with pytest.raises(ConstraintError, match=re.escape(message) + "$"):
-            minimize_on(constraint, params, small, init=FieldPair.zeros(small))
+            minimize_on(constraint, params, small, init=FieldPair(small, np.zeros(64), np.zeros(64)))
         assert [c for c in transform_calls if c.name == "rfft"] == [(1, 1, *small.shape)]
 
 
@@ -279,10 +300,10 @@ def _smooth_real_start(grid, seed):
     return FieldPair(grid, component(), component())
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=40)
 @given(
     dim=st.sampled_from([1, 2]),
-    kind=st.sampled_from(["nehari", "weighted_sphere", "equal_spheres"]),
+    kind=st.sampled_from(["nehari", "weighted_sphere", "equal_spheres", "product_spheres", "pinned"]),
     p=st.sampled_from([1.5, 2.0, 3.0]),
     beta=st.floats(0.0, 3.0),
     size=st.floats(0.5, 4.0),
@@ -304,6 +325,8 @@ def test_flow_commutes_with_phases(dim, kind, p, beta, size, phase, both, seed):
         "nehari": ConstraintSpec.nehari(),
         "weighted_sphere": ConstraintSpec.weighted_sphere(2.0 * size),
         "equal_spheres": ConstraintSpec.equal_spheres(size),
+        "product_spheres": ConstraintSpec.product_spheres(size, 0.4 * size),
+        "pinned": ConstraintSpec.product_spheres(size, 0.0),
     }[kind]
     assume(kind == "nehari" or params.criticality(dim) == "subcritical")
     start = _smooth_real_start(grid, seed)
@@ -419,6 +442,22 @@ def test_constraint_spec_validation():
     ):
         with pytest.raises(ValueError, match=str(value)):
             make(value)
+    # a size is a real number: a string or a bool is refused by name
+    for make, key in (
+        (lambda: ConstraintSpec.weighted_sphere("3"), "gamma"),
+        (lambda: ConstraintSpec.weighted_sphere(True), "gamma"),
+        (lambda: ConstraintSpec.product_spheres("1", 1.0), "delta1"),
+        (lambda: ConstraintSpec.product_spheres(1.0, True), "delta2"),
+        (lambda: ConstraintSpec.product_spheres(1.0, "0"), "delta2"),
+        (lambda: ConstraintSpec.equal_spheres(True), "delta1"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            make()
+    assert ConstraintSpec.product_spheres(np.float32(2.0), 0).delta2 == 0.0
+    # so is a flow's tolerance
+    for tol in ("1e-8", True):
+        with pytest.raises(ValueError, match="tol"):
+            minimize_on(ConstraintSpec.nehari(), _cubic(1.0), Grid(1, 64, 10.0), tol=tol)
 
 
 def _assert_on_two_sided_set(pair, params):

@@ -237,6 +237,9 @@ def test_scaling_params_validation():
         for mu, lam in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(ValueError, match="finite and positive"):
                 ScalingParams(mu=mu, lam=lam)
+    for mu, lam, key in (("1.0", 1.0, "mu"), (True, 1.0, "mu"), (1.0, "2", "lam"), (1.0, True, "lam")):
+        with pytest.raises(ValueError, match=key):
+            ScalingParams(mu=mu, lam=lam)
     s = ScalingParams(mu=2.0, lam=0.5)
     inv = s.inverse()
     assert inv.mu * s.mu == pytest.approx(1.0)
