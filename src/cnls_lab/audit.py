@@ -8,10 +8,9 @@ requested parameters, or a flow stopped at a non-critical point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import Grid, SystemParams, _check_positive, _csv, relative_error
+from .core import Grid, SystemParams, _check_positive, _csv, _positive, relative_error
 from .functionals import _Norms, action_I, energy_E
 from .minimize import ConstraintSpec, minimize_on
 from .profiles import Family, critical_value_map_T, make_member, nehari_to_sphere
@@ -84,7 +83,8 @@ def identity_audit(
     """
     _check_positive(tol, "audit tol")
     _check_positive(flow_tol, "flow_tol")
-    if not all(0.0 < fac < math.inf for fac in gamma_factors):
+    factors = tuple(_positive(fac) for fac in gamma_factors)
+    if None in factors:
         raise ValueError(f"gamma_factors must be finite and positive, got {tuple(gamma_factors)}")
     n = grid.dim
     p = params.p
@@ -106,7 +106,7 @@ def identity_audit(
             ConstraintSpec.weighted_sphere(gamma0), params, grid, tol=flow_tol, seed=seed
         )
         rows.append(_row("sphere_level_matches_ray_level", res_s.action, m_n, tol))
-        for fac in gamma_factors:
+        for fac in factors:
             gamma = fac * gamma0
             V, _nu = nehari_to_sphere(U, params, gamma)
             target = critical_value_map_T(m_n, gamma, p, n)

@@ -117,12 +117,19 @@ def _check_dim(dim) -> int:
     return whole
 
 
+def _positive(value) -> float | None:
+    """value as a float when it is a finite and positive real number (see
+    _real); None otherwise."""
+    real = _real(value)
+    return real if real is not None and 0.0 < real < math.inf else None
+
+
 def _check_positive(value, key="tol") -> float:
     """value as a float; ValueError naming the caller's key for a value
     that is not a finite and positive real number: a residual tolerance
     for the flows, a level, a mass or a length."""
-    real = _real(value)
-    if real is None or not 0.0 < real < math.inf:
+    real = _positive(value)
+    if real is None:
         raise ValueError(f"{key} must be finite and positive, got {value!r}")
     return real
 
@@ -432,15 +439,19 @@ def _parseval_sums(grid: Grid, S: np.ndarray, *, half: bool = False) -> tuple[li
     leading axis, each summed over every other axis; with half=True,
     S = _rfft(grid, f) of real rows, whose columns count with
     grid.half_weights. Each row is summed on its own, so a zero row adds
-    exactly nothing on every grid."""
-    s = _density(S)
+    exactly nothing on every grid. The density is weighed in place once the
+    masses are summed, so one real array of S's shape and one temporary
+    are all this allocates."""
+    s = np.square(S.real)
+    s += np.square(S.imag)
     if half:
         s *= grid.half_weights
-    k2 = grid.half_k2 if half else grid.k2
     w = grid.cell_volume / grid.total_points
     rows = S.shape[0]
-    grad = (k2 * s).reshape(rows, -1).sum(axis=1) * w
-    return grad.tolist(), (s.reshape(rows, -1).sum(axis=1) * w).tolist()
+    mass = s.reshape(rows, -1).sum(axis=1) * w
+    s *= grid.half_k2 if half else grid.k2
+    grad = s.reshape(rows, -1).sum(axis=1) * w
+    return grad.tolist(), mass.tolist()
 
 
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:

@@ -184,8 +184,10 @@ def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
     (the step is the exact inverse of the forward one) but must be finite;
     a step whose result overflows raises ValueError."""
-    if not math.isfinite(dt):
+    real = _real(dt)
+    if real is None or not math.isfinite(real):
         raise ValueError(f"dt must be finite, got {dt}")
+    dt = real
     grid = pair.grid
     half = np.exp(-0.5j * dt * grid.k2)
     U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, pair.components), params, dt))

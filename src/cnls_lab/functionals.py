@@ -62,17 +62,21 @@ def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     on the exact zeros and infinities of a scalar state); any other goes to
     pow. Exponent 1 gives m itself, so an out given for it is m. Every
     exponent asked for is positive: _rates returns at p = 2 before the
-    factor m^(p/2 - 1) would ask for exponent 0."""
+    factor m^(p/2 - 1) would ask for exponent 0. Without out, each
+    exponent allocates its result and at most one temporary: 3/2 and 3
+    finish their product in the array they allocated first."""
     if e == 0.5:
         return np.sqrt(m, out=out)
     if e == 1.0:
         return m
     if e == 1.5:
-        return np.multiply(m, np.sqrt(m), out=out)
+        root = np.sqrt(m)
+        return np.multiply(m, root, out=root if out is None else out)
     if e == 2.0:
         return np.multiply(m, m, out=out)
     if e == 3.0:
-        return np.multiply(m * m, m, out=out)
+        square = m * m
+        return np.multiply(square, m, out=square if out is None else out)
     if e == 4.0:
         square = np.multiply(m, m, out=out)
         return np.square(square, out=square)
@@ -89,15 +93,13 @@ def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
 def _density_sums(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, p: float):
     """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p
     from the squared moduli m1 = |u1|^2 and m2 = |u2|^2. An absent (None)
-    component contributes exact zeros, as a zero one would."""
+    component contributes exact zeros, as a zero one would. The product
+    m1 m2 is raised to its power in place."""
+    i1, i2 = (0.0 if m is None else _integral(grid, _power(m, p)) for m in (m1, m2))
     if m1 is None or m2 is None:
-        i1, i2 = (0.0 if m is None else _integral(grid, _power(m, p)) for m in (m1, m2))
         return i1, i2, 0.0
-    return (
-        _integral(grid, _power(m1, p)),
-        _integral(grid, _power(m2, p)),
-        _integral(grid, _power(m1 * m2, 0.5 * p)),
-    )
+    product = m1 * m2
+    return i1, i2, _integral(grid, _power(product, 0.5 * p, out=product))
 
 
 def _coupling(params: SystemParams, i1: float, i2: float, cross: float) -> float:

@@ -83,6 +83,11 @@ _DT_MIN = 1e-12
 # 64-point 1d grid (2-core x86_64) they would run for more than four hours
 _MAX_ITER = 10**8
 
+# a flow whose residual has not fallen below (1 - _STALL_GAIN) times its
+# lowest value for _STALL_ITER iterations in a row has stalled, and stops
+_STALL_ITER = 1000
+_STALL_GAIN = 1e-6
+
 # a component holding less than this fraction of the total mass counts as absent
 VECTOR_MASS_FRACTION = 0.05
 
@@ -402,9 +407,12 @@ def _moduli(U: np.ndarray) -> np.ndarray:
 
 def _gradient_spectra(grid, params, U):
     """Half spectrum of the coupling gradient (A_j u_j) of the stacked
-    state U. The moduli and the rates are released on return, before the
-    flow's trial steps allocate theirs."""
-    return _rfft(grid, _rates(_moduli(U), params, grid.dim)[:, None] * U)
+    state U. The rates are this call's own (they may be the moduli
+    themselves), so a real state's product A_j u_j is formed in them; the
+    moduli and the rates are released on return, before the flow's trial
+    steps allocate theirs."""
+    rates = _rates(_moduli(U), params, grid.dim)[:, None]
+    return _rfft(grid, np.multiply(rates, U, out=rates if U.shape[1] == 1 else None))
 
 
 def _project_state(constraint, grid, params, Vh, warm, held):
@@ -415,8 +423,10 @@ def _project_state(constraint, grid, params, Vh, warm, held):
     Returns (U, Uh, factors, norms): the projected state, its half spectrum
     (Vh itself), the scalings (t1, t2) and the _Norms of U.
     """
+    # the sums allocate before V's moduli do, which then die in _Norms.of
+    sums = _parseval_sums(grid, Vh, half=True)
     V = _irfft(grid, Vh)
-    raw = _Norms.of(params, grid, held, _moduli(V), _parseval_sums(grid, Vh, half=True))
+    raw = _Norms.of(params, grid, held, _moduli(V), sums)
     t1, t2 = _scalings(constraint, raw, warm)
     t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)[held]
     V *= t
@@ -447,7 +457,8 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
         # the L2 product of the real rows whose half spectra are a and b
         return float(np.sum(grid.half_weights * (a.real * b.real + a.imag * b.imag)) * w)
 
-    R = (grid.half_k2 + lam) * Uh - G
+    R = (grid.half_k2 + lam) * Uh
+    R -= G
     # (row of R and Uh, component index) of each held component
     rows = tuple(enumerate(range(2)[held]))
     r_sq = sum(dot(R[i], R[i]) for i, _ in rows)
@@ -469,8 +480,18 @@ def minimize_on(
 ) -> MinimizeResult:
     """Run the projected flow for one constraint. Raises ConvergenceError
     if the residual tolerance is not reached, including the case where the
-    objective bottoms out at a non-critical constrained infimum. tol must
-    be finite and positive, and max_iter at most 10**8."""
+    objective bottoms out at a non-critical constrained infimum, and as
+    soon as the flow has stalled: _STALL_ITER iterations in a row without
+    a residual below (1 - _STALL_GAIN) times the lowest so far. tol must
+    be finite and positive, and max_iter at most 10**8.
+
+    The flow releases each array once it is done with it: the state's
+    field before the first trial, the last gradient before the next, and
+    a rejected trial's arrays before the retry. At its peak, in a trial's
+    projection, it holds the state's, the gradient's and the trial's half
+    spectra, the trial's field and moduli and a row or two of the density
+    powers, about six real (2, *shape) stacks, or three for a scalar
+    start."""
     _check_positive(tol)
     if not 1 <= max_iter <= _MAX_ITER:
         raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
@@ -509,7 +530,9 @@ def minimize_on(
     rejected = 0
     slack = 4.0 * np.finfo(float).eps
     dt = _DT0
-    rel_res = math.inf
+    rel_res = best = math.inf
+    # iterations since the residual last fell below (1 - _STALL_GAIN) x best
+    stall = 0
     iterations = 0
     converged = False
 
@@ -521,7 +544,19 @@ def minimize_on(
         if rel_res < tol:
             converged = True
             break
+        stall = 0 if rel_res < (1.0 - _STALL_GAIN) * best else stall + 1
+        best = min(best, rel_res)
+        if stall == _STALL_ITER:
+            raise ConvergenceError(
+                f"flow on {constraint.describe()} stalled at relative residual {rel_res:.3e} "
+                f"(tolerance {tol:.1e}) after {iterations} iterations: none of the last "
+                f"{_STALL_ITER} fell below (1 - {_STALL_GAIN:g}) times the lowest, {best:.3e}"
+            )
 
+        # the trials read only Uh and G, and U is read again only on
+        # convergence, so the state's fields go before the first trial
+        # allocates (the last accepted projection holds them too)
+        U = projected = None
         accepted = False
         while dt >= _DT_MIN:
             # the multiplier must sit in the denominator: treated explicitly
@@ -529,10 +564,13 @@ def minimize_on(
             # flip-flops at the cap instead of vanishing. The guard reads
             # both frequencies, an absent component's too
             if (1.0 + dt * lam > 1e-12).all():
-                Vh = (Uh + dt * G) / (1.0 + dt * (grid.half_k2 + lam[held]))
                 # a rejected attempt's fields must not stay alive through the
                 # retry, where they would add two stacks to the peak
-                projected = None
+                Vh = projected = None
+                # (Uh + dt G) / (1 + dt (|k|^2 + lam)), formed in dt G
+                Vh = dt * G
+                Vh += Uh
+                Vh /= 1.0 + dt * (grid.half_k2 + lam[held])
                 try:
                     projected = _project_state(constraint, grid, params, Vh, factors, held)
                 except ConstraintError:
@@ -550,6 +588,8 @@ def minimize_on(
         obj = obj_new
         history.append(obj)
         dt = min(dt * 2.0, _DT_MAX)
+        # the next gradient allocates with this one released
+        G = None
 
     if not converged:
         raise ConvergenceError(
@@ -557,6 +597,9 @@ def minimize_on(
             f"(tolerance {tol:.1e}) after {iterations} iterations; the constrained "
             "infimum may not be a critical point at these parameters"
         )
+    # the result reads U and norms only, so the spectra go before the
+    # minimizer's complex pair is built
+    G = Uh = Vh = projected = None
 
     return MinimizeResult(
         minimizer=_embed(grid, U[:, 0] + 1j * U[:, 1] if U.shape[1] == 2 else U[:, 0], held),

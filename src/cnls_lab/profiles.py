@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
 from .core import (FieldPair, Grid, SystemParams, _check_dim, _check_positive, _fft, _ifft,
-                   _per_component)
+                   _per_component, _positive)
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 from .minimize import ConstraintSpec, gaussian_init, minimize_on
@@ -324,8 +324,10 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
     sphere-constrained minimization is well posed; refused otherwise. A dim
     other than 1, 2 or 3 raises ValueError, as Grid does.
     """
-    if not (0 < m < math.inf and 0 < gamma < math.inf):
+    reals = _positive(m), _positive(gamma)
+    if None in reals:
         raise ValueError(f"m and gamma must be finite and positive, got m={m}, gamma={gamma}")
+    m, gamma = reals
     _check_dim(dim)
     if SystemParams(p=p, beta=0.0, omega1=1.0, omega2=1.0).criticality(dim) != "subcritical":
         raise ConstraintError(

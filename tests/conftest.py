@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -39,6 +41,23 @@ def transform_calls(monkeypatch):
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(call) runs call() under tracemalloc and returns the peak
+    of the memory traced meanwhile, in bytes; tracing stops in a finally,
+    so a call that raises leaves it off."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

@@ -273,10 +273,13 @@ def _peaked(peak):
         lambda: step_strang(1e60 * _quartic_member(), _QUARTIC, 1e-3),
         lambda: step_strang(_quartic_member(), _QUARTIC, math.nan),
         lambda: step_strang(_quartic_member(), _QUARTIC, math.inf),
+        lambda: step_strang(_quartic_member(), _QUARTIC, "1e-3"),
+        lambda: step_strang(_quartic_member(), _QUARTIC, True),
     ],
     ids=[
         "scalar_times_pair", "pair_times_scalar", "sum", "difference", "scale_pair", "scale_pair_stretched",
         "ray_projection", "strang_step", "strang_step_nan_dt", "strang_step_inf_dt",
+        "strang_step_str_dt", "strang_step_bool_dt",
     ],
 )
 def test_pair_arithmetic_refuses_a_result_that_is_not_finite(monkeypatch, operation):

@@ -3,7 +3,6 @@ import dataclasses
 import math
 import re
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ _ZERO_START_ERRORS = [
 ]
 
 
-def test_scalar_start_holds_one_component(transform_calls):
+def test_scalar_start_holds_one_component(transform_calls, traced_peak):
     # a first start's flow holds no array for its absent component, so its
     # peak is about half of a both start's
     grid = Grid(2, 128, 20.0)
@@ -223,12 +222,7 @@ def test_scalar_start_holds_one_component(transform_calls):
     peaks = {}
     for mode in ("first", "both"):
         init = gaussian_init(grid, params, mode=mode, seed=4)
-        tracemalloc.start()
-        try:
-            minimize_on(ConstraintSpec.nehari(), params, grid, init=init)
-            peaks[mode] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[mode] = traced_peak(lambda: minimize_on(ConstraintSpec.nehari(), params, grid, init=init))
     assert peaks["first"] <= 0.65 * peaks["both"]
     # an all-zero start holds one zero row too, and its first projection
     # fails as it did when the flow held both, for every constraint kind
@@ -239,6 +233,24 @@ def test_scalar_start_holds_one_component(transform_calls):
         with pytest.raises(ConstraintError, match=re.escape(message) + "$"):
             minimize_on(constraint, params, small, init=FieldPair(small, np.zeros(64), np.zeros(64)))
         assert [c for c in transform_calls if c.name == "rfft"] == [(1, 1, *small.shape)]
+
+
+@pytest.mark.parametrize(
+    "constraint", [ConstraintSpec.nehari(), ConstraintSpec.weighted_sphere(3.0)], ids=["nehari", "weighted_sphere"]
+)
+def test_both_start_flow_holds_about_six_stacks(constraint, traced_peak):
+    # the flow releases each array once it is done with it and forms its
+    # temporaries in place; at its peak, in a trial's projection, it holds
+    # the state's, the gradient's and the trial's half spectra, the trial's
+    # field and moduli and a row or two of the density powers, about 6.2
+    # real (2, *shape) stacks
+    grid = Grid(2, 128, 20.0)
+    params = SystemParams(p=1.5, beta=3.0, omega1=1.0, omega2=1.0)
+    init = gaussian_init(grid, params, mode="both", seed=4)
+    # the grid's cached spectral weights are not the flow's own
+    grid.half_k2, grid.half_weights
+    stack = np.zeros((2,) + grid.shape).nbytes
+    assert traced_peak(lambda: minimize_on(constraint, params, grid, init=init)) <= 6.4 * stack
 
 
 def test_flow_telemetry(grid_1d):
@@ -402,6 +414,15 @@ def test_history_is_monotone(grid_1d):
     res = minimize_on(ConstraintSpec.nehari(), _cubic(1.0), grid_1d)
     slack = 1e-12 * max(1.0, abs(res.value))
     assert (np.diff(res.history) <= slack).all()
+
+
+def test_flow_stops_when_its_residual_stalls():
+    # this Pohozaev flow's residual levels off at 1.638e-8, above its
+    # tolerance: the last fall by a factor (1 - 1e-6) is at iteration 33,
+    # so the stall stop ends it 1000 iterations later instead of after
+    # the default 200000
+    with pytest.raises(ConvergenceError, match=r"stalled at relative residual 1\.638e-08 .* after 1033 iterations"):
+        minimize_on(ConstraintSpec.pohozaev(), SystemParams(4.0, 0.5, 1.0, 1.3), Grid(1, 256, 16.0))
 
 
 def test_flow_raises_when_starved(grid_1d):

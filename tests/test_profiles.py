@@ -329,13 +329,17 @@ _SMALL = Grid(1, 64, 10.0)
         (lambda: base_profile_1d(np.inf, _SMALL), "finite"),
         (lambda: critical_value_map_T(1.0, np.inf, 1.5, 1), "finite and positive, got m=1.0, gamma=inf"),
         (lambda: critical_value_map_T(np.inf, 1.0, 1.5, 1), "finite and positive, got m=inf, gamma=1.0"),
+        (lambda: critical_value_map_T("1", 1.0, 1.5, 1), "finite and positive, got m=1, gamma=1.0"),
+        (lambda: critical_value_map_T(True, 1.0, 1.5, 1), "finite and positive, got m=True, gamma=1.0"),
+        (lambda: critical_value_map_T(1.0, "2", 1.5, 1), "finite and positive, got m=1.0, gamma=2"),
         (lambda: scale_field(_SMALL, np.full(64, np.nan), ScalingParams(1.0, 1.2)), "finite"),
         (lambda: scale_field(_SMALL, np.full(64, np.inf), ScalingParams(1.0, 1.0)), "finite"),
     ],
     ids=[
         "z_omega_inf", "z_beta_nan", "z_p_nan", "z_p_1", "z_p_half", "z_two_shifts_in_1d",
         "delta_beta_nan", "delta_omega_inf", "delta_p_1", "delta_base_mass_inf", "base_profile_p_inf",
-        "level_map_gamma_inf", "level_map_m_inf", "scale_nan_field", "scale_inf_field",
+        "level_map_gamma_inf", "level_map_m_inf", "level_map_m_str", "level_map_m_bool", "level_map_gamma_str",
+        "scale_nan_field", "scale_inf_field",
     ],
 )
 def test_profiles_refuse_what_system_params_refuses(call, message):

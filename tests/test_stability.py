@@ -395,6 +395,8 @@ _SETTING_RUNS = {
         *(("audit", "flow_tol", v) for v in (math.nan, math.inf, -1.0, 0.0)),
         ("blowup", "factor", math.inf),
         ("blowup", "guard_ratio", math.inf),
+        # a string or a bool is not a number
+        *(("audit", "gamma_factors", (v,)) for v in ("2", True)),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
