@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Grid, SystemParams, _check_positive, _csv, _positive, relative_error
+from .core import Grid, SystemParams, _check_number, _csv, relative_error
 from .functionals import _Norms, action_I, energy_E
 from .minimize import ConstraintSpec, minimize_on
 from .profiles import Family, critical_value_map_T, make_member, nehari_to_sphere
@@ -81,11 +81,9 @@ def identity_audit(
     tol, flow_tol and every gamma factor must be finite and positive
     (ValueError before any flow).
     """
-    _check_positive(tol, "audit tol")
-    _check_positive(flow_tol, "flow_tol")
-    factors = tuple(_positive(fac) for fac in gamma_factors)
-    if None in factors:
-        raise ValueError(f"gamma_factors must be finite and positive, got {tuple(gamma_factors)}")
+    _check_number(tol, "audit tol")
+    _check_number(flow_tol, "flow_tol")
+    factors = [_check_number(fac, f"gamma_factors[{i}]") for i, fac in enumerate(gamma_factors)]
     n = grid.dim
     p = params.p
     rows = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .audit import identity_audit
-from .core import FieldPair, Grid, SystemParams, _cell, _csv, default_half_width
+from .core import FieldPair, Grid, SystemParams, _cell, _check_number, _csv, default_half_width
 from .dynamics import EvolveConfig, _check_hold, evolve
 from .errors import (
     BoundaryDecayError,
@@ -37,7 +37,7 @@ from .functionals import FunctionalReport, boundary_amplitude_ratio, pohozaev_ch
 from .minimize import _KINDS, ConstraintSpec, ground_state, minimize_on
 from .profiles import Family, make_member
 from .snapshots import load_snapshot, save_snapshot
-from .stability import blowup_experiment, perturbation_pair, stability_sweep
+from .stability import _PERTURB_MODES, blowup_experiment, perturbation_pair, stability_sweep
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -368,12 +368,12 @@ def _cmd_evolve(cfg, kw, params, grid, out: Path) -> int:
     config = EvolveConfig(_read(cfg, "evolve", "dt", float), _read(cfg, "evolve", "t_end", float),
                           **kw["EvolveConfig"])
     _check_hold(grid, config)
-    eps = _read(cfg, "evolve", "eps", float)
-    if not np.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+    eps = _check_number(_read(cfg, "evolve", "eps", float), "eps", "be a finite real number", np.isfinite)
     try:
         pert = perturbation_pair(grid, params, **kw["perturbation_pair"])
     except ValueError as exc:
+        if kw["perturbation_pair"]["mode"] in _PERTURB_MODES:
+            raise
         raise ValueError(f"perturb_mode: {exc}") from exc
     state = _initial_state(cfg, kw, params, grid)
     if eps:
@@ -492,6 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if None not in (args.config_pos, args.config_flag):
+        print(f"invalid config: given twice, as {args.config_pos} and as --config {args.config_flag}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     config_path = args.config_flag if args.config_flag is not None else args.config_pos
 
     try:

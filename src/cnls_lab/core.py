@@ -84,54 +84,32 @@ def default_half_width(omega1: float, omega2: float) -> float:
     return 20.0 / np.sqrt(min(omega1, omega2, 1.0))
 
 
-def _integer(value) -> int | None:
-    """value as an int when it is an integer, read through operator.index;
-    None for anything else, a bool or a float or string that holds a whole
-    number included."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
+def _check_number(value, key, need="be finite and positive", accepts=lambda x: 0.0 < x < math.inf,
+                  *, integer=False):
+    """value as a float, an int beyond the float range as an infinity, or
+    with integer=True as an int read through operator.index: the one rule
+    of every number a caller passes, from a grid's half-width to a seed.
+    ValueError(f"{key} must {need}, got {value!r}") for a bool, a string, a
+    complex number or anything else that is not a real number (with
+    integer=True, not an integer: a float that holds a whole number
+    included), or for a number that accepts refuses."""
+    number = None
+    if not isinstance(value, bool) and (integer or isinstance(value, numbers.Real)):
+        try:
+            number = operator.index(value) if integer else float(value)
+        except TypeError:
+            pass
+        except OverflowError:
+            number = math.inf if value > 0 else -math.inf
+    if number is None or not accepts(number):
+        raise ValueError(f"{key} must {need}, got {value!r}")
+    return number
 
 
-def _real(value) -> float | None:
-    """value as a float when it is a real number (an int, a float or a
-    numpy real), an int beyond the float range as an infinity; None for
-    anything else, a bool, a string or a complex number included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _check_dim(dim) -> int:
-    """dim as an int; ValueError for a spatial dimension other than the
-    integers 1, 2 and 3: the one rule of Grid and of the level formulas."""
-    whole = _integer(dim)
-    if whole not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim!r}")
-    return whole
-
-
-def _positive(value) -> float | None:
-    """value as a float when it is a finite and positive real number (see
-    _real); None otherwise."""
-    real = _real(value)
-    return real if real is not None and 0.0 < real < math.inf else None
-
-
-def _check_positive(value, key="tol") -> float:
-    """value as a float; ValueError naming the caller's key for a value
-    that is not a finite and positive real number: a residual tolerance
-    for the flows, a level, a mass or a length."""
-    real = _positive(value)
-    if real is None:
-        raise ValueError(f"{key} must be finite and positive, got {value!r}")
-    return real
+# the rules of a spatial dimension (Grid's and the level formulas') and of
+# a seed (the generators of gaussian_init and perturbation_pair)
+_DIM = dict(need="be 1, 2 or 3", accepts=(1, 2, 3).__contains__, integer=True)
+_SEED = dict(need="be a non-negative integer", accepts=(0).__le__, integer=True)
 
 
 class Grid:
@@ -153,13 +131,12 @@ class Grid:
     """
 
     def __init__(self, dim: int, points_per_axis: int, half_width: float):
-        dim = _check_dim(dim)
-        n = _integer(points_per_axis)
-        if n is None or n < 2 or n & (n - 1) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 2, got {points_per_axis!r}")
+        dim = _check_number(dim, "dim", **_DIM)
+        n = _check_number(points_per_axis, "points_per_axis", "be a power of two >= 2",
+                          lambda n: n >= 2 and n & (n - 1) == 0, integer=True)
         if n**dim > _MAX_POINTS:
             raise ValueError(f"{n}^{dim} grid points exceed the ceiling of {_MAX_POINTS}")
-        half_width = _check_positive(half_width, "half_width")
+        half_width = _check_number(half_width, "half_width")
         # the spacing, the cell volume and the largest |k|^2 and |x|^2 must
         # be positive and finite too, which bounds half_width on both sides
         dx = np.float64(2.0 * half_width / n)
@@ -256,16 +233,10 @@ class SystemParams:
     omega2: float
 
     def __post_init__(self):
-        for key in ("p", "beta", "omega1", "omega2"):
-            real = _real(getattr(self, key))
-            if real is None or not math.isfinite(real):
-                raise ValueError(f"{key} must be a finite real number, got {getattr(self, key)!r}")
-        if not self.p > 1:
-            raise ValueError(f"p must be > 1, got {self.p}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError(f"omega1, omega2 must be positive, got {self.omega1}, {self.omega2}")
+        _check_number(self.p, "p", "be > 1 and finite", lambda p: 1.0 < p < math.inf)
+        _check_number(self.beta, "beta", "be >= 0 and finite", lambda beta: 0.0 <= beta < math.inf)
+        _check_number(self.omega1, "omega1")
+        _check_number(self.omega2, "omega2")
 
     @property
     def weights(self) -> tuple[float, float]:

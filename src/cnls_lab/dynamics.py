@@ -24,14 +24,13 @@ from .core import (
     FieldPair,
     Grid,
     SystemParams,
+    _check_number,
     _csv,
     _density,
     _embed,
     _fft,
     _ifft,
-    _integer,
     _populated,
-    _real,
     same_grid,
 )
 from .functionals import _Norms, _rates, _virial
@@ -75,23 +74,17 @@ class EvolveConfig:
     blowup_guard: float = 1e6
 
     def __post_init__(self):
-        dt, t_end = _real(self.dt), _real(self.t_end)
-        if not dt:
-            raise ValueError(f"dt must be a nonzero real number, got {self.dt!r}")
-        if t_end is None or not (math.isfinite(dt) and math.isfinite(t_end / dt)):
-            raise ValueError(f"dt={self.dt!r} and t_end={self.t_end!r} must give a finite step count")
+        dt = _check_number(self.dt, "dt", "be a finite nonzero real number",
+                           lambda dt: dt != 0.0 and math.isfinite(dt))
+        t_end = _check_number(self.t_end, "t_end", "be a finite real number", math.isfinite)
         if t_end / dt <= 0:
             raise ValueError("t_end must have the same sign as dt")
         if t_end / dt > _MAX_STEPS:
             raise ValueError(f"t_end/dt = {t_end / dt:.6g} steps exceeds the ceiling of {_MAX_STEPS}")
         for name, least in (("conservation_check_stride", 1), ("snapshot_stride", 0)):
-            stride = getattr(self, name)
-            whole = _integer(stride)
-            if whole is None or whole < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {stride!r}")
-        guard = _real(self.blowup_guard)
-        if guard is None or not 1 < guard < math.inf:
-            raise ValueError(f"blowup_guard must be finite and exceed 1, got {self.blowup_guard!r}")
+            _check_number(getattr(self, name), name, f"be an integer >= {least}", least.__le__, integer=True)
+        _check_number(self.blowup_guard, "blowup_guard", "be finite and exceed 1",
+                      lambda guard: 1.0 < guard < math.inf)
 
 
 @dataclass
@@ -184,10 +177,7 @@ def step_strang(pair: FieldPair, params: SystemParams, dt: float) -> FieldPair:
     """One kinetic-half / nonlinear / kinetic-half step. dt may be negative
     (the step is the exact inverse of the forward one) but must be finite;
     a step whose result overflows raises ValueError."""
-    real = _real(dt)
-    if real is None or not math.isfinite(real):
-        raise ValueError(f"dt must be finite, got {dt}")
-    dt = real
+    dt = _check_number(dt, "dt", "be a finite real number", math.isfinite)
     grid = pair.grid
     half = np.exp(-0.5j * dt * grid.k2)
     U = _kinetic(grid, half, _rotate(grid, _kinetic(grid, half, pair.components), params, dt))

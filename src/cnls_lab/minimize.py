@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FieldPair, Grid, SystemParams, _check_positive, _density, _embed, _fft, _irfft,
-                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _real, _rfft)
+from .core import (_SEED, FieldPair, Grid, SystemParams, _check_number, _density, _embed, _fft, _irfft,
+                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _rfft)
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _gradient, _Norms, _rates
 
@@ -118,19 +118,17 @@ class ConstraintSpec:
 
     @classmethod
     def weighted_sphere(cls, gamma: float) -> "ConstraintSpec":
-        return cls("weighted_sphere", gamma=_check_positive(gamma, "gamma"))
+        return cls("weighted_sphere", gamma=_check_number(gamma, "gamma"))
 
     @classmethod
     def product_spheres(cls, delta1: float, delta2: float) -> "ConstraintSpec":
-        delta1 = _check_positive(delta1, "delta1")
-        real = _real(delta2)
-        if real is None or not 0 <= real < math.inf:
-            raise ValueError(f"delta2 must be >= 0 and finite, got {delta2!r}")
-        return cls("product_spheres", delta1=delta1, delta2=real)
+        delta1 = _check_number(delta1, "delta1")
+        delta2 = _check_number(delta2, "delta2", "be >= 0 and finite", lambda d: 0.0 <= d < math.inf)
+        return cls("product_spheres", delta1=delta1, delta2=delta2)
 
     @classmethod
     def equal_spheres(cls, delta1: float) -> "ConstraintSpec":
-        delta1 = _check_positive(delta1, "delta1")
+        delta1 = _check_number(delta1, "delta1")
         return cls("equal_spheres", delta1=delta1, delta2=delta1)
 
     @classmethod
@@ -217,12 +215,13 @@ def gaussian_init(
     """Gaussian starting data exp(-|x|^2/2) with a small seeded multiplicative
     jitter. mode selects which components are populated ('first', 'second',
     'both', or 'paired' for bit-identical components); unpopulated components
-    are exactly zero so that flows preserve scalar subspaces."""
+    are exactly zero so that flows preserve scalar subspaces. seed is a
+    non-negative integer."""
     if mode not in ("first", "second", "both", "paired"):
         raise ValueError(
             f"mode must be 'first', 'second', 'both' or 'paired', got {mode!r}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_number(seed, "seed", **_SEED))
     base = np.exp(-0.5 * grid.radius_sq())
     held = _MODE_ROWS[mode]
     rows = [base * (1.0 + 1e-6 * rng.standard_normal(grid.shape)) for _ in range(2)[held]]
@@ -483,7 +482,8 @@ def minimize_on(
     objective bottoms out at a non-critical constrained infimum, and as
     soon as the flow has stalled: _STALL_ITER iterations in a row without
     a residual below (1 - _STALL_GAIN) times the lowest so far. tol must
-    be finite and positive, and max_iter at most 10**8.
+    be finite and positive, max_iter an integer in [1, 10**8] and seed,
+    read when no init is given, a non-negative integer.
 
     The flow releases each array once it is done with it: the state's
     field before the first trial, the last gradient before the next, and
@@ -492,9 +492,9 @@ def minimize_on(
     spectra, the trial's field and moduli and a row or two of the density
     powers, about six real (2, *shape) stacks, or three for a scalar
     start."""
-    _check_positive(tol)
-    if not 1 <= max_iter <= _MAX_ITER:
-        raise ValueError(f"max_iter = {max_iter} is outside [1, {_MAX_ITER}]")
+    _check_number(tol, "tol")
+    max_iter = _check_number(max_iter, "max_iter", f"be an integer in [1, {_MAX_ITER}]",
+                             lambda n: 1 <= n <= _MAX_ITER, integer=True)
     constraint.validate(params, grid.dim)
     if init is None:
         if constraint.pinned:
@@ -661,7 +661,9 @@ def ground_state(
     levels, not by the basin of the starting guess.
     The starts run in turn; a scalar start's flow holds its one populated
     component only. tol and max_iter are limited as in minimize_on, whose
-    first call refuses them before any flow runs."""
+    first call refuses them before any flow runs; seed, a non-negative
+    integer, is read before the starts offset it."""
+    seed = _check_number(seed, "seed", **_SEED)
     results = [
         minimize_on(
             ConstraintSpec.nehari(),

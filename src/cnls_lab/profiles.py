@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, fftfreq, fftshift, ifft, next_fast_len
 
-from .core import (FieldPair, Grid, SystemParams, _check_dim, _check_positive, _fft, _ifft,
-                   _per_component, _positive)
+from .core import _DIM, _MODE_ROWS, FieldPair, Grid, SystemParams, _check_number, _fft, _ifft, _per_component
 from .errors import ConstraintError, SupportError
 from .functionals import _Norms
 from .minimize import ConstraintSpec, gaussian_init, minimize_on
@@ -73,8 +72,8 @@ class Family(enum.Enum):
     VECTOR_B = "vector_b"
 
 
-# the components each family populates
-_POPULATED = {Family.SCALAR_FIRST: slice(0, 1), Family.SCALAR_SECOND: slice(1, 2), Family.VECTOR_B: slice(0, 2)}
+# the mode, a key of core._MODE_ROWS, of the components each family populates
+_FAMILY_MODES = {Family.SCALAR_FIRST: "first", Family.SCALAR_SECOND: "second", Family.VECTOR_B: "both"}
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class ScalingParams:
     lam: float
 
     def __post_init__(self):
-        _check_positive(self.mu, "mu")
-        _check_positive(self.lam, "lam")
+        _check_number(self.mu, "mu")
+        _check_number(self.lam, "lam")
 
     def inverse(self) -> "ScalingParams":
         return ScalingParams(mu=1.0 / self.mu, lam=1.0 / self.lam)
@@ -167,12 +166,14 @@ def z_beta_omega(omega: float, beta: float, p: float, grid: Grid, *, shift=None)
 
 def _shift_vector(grid: Grid, shift) -> np.ndarray:
     """shift as grid.dim floats: a scalar in 1d, else one entry per axis,
-    and None for no shift. Anything but grid.dim finite entries raises
+    and None for no shift. Anything but grid.dim finite real entries raises
     ValueError."""
-    shift = np.zeros(grid.dim) if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.size != grid.dim or not np.isfinite(shift).all():
-        raise ValueError(f"shift needs {grid.dim} finite entries, got {tuple(shift)}")
-    return shift
+    if shift is None:
+        return np.zeros(grid.dim)
+    entries = [shift] if np.ndim(shift) == 0 else list(shift)
+    if len(entries) != grid.dim:
+        raise ValueError(f"shift needs {grid.dim} finite entries, got {shift!r}")
+    return np.array([_check_number(y, "shift", "hold finite real numbers", math.isfinite) for y in entries])
 
 
 def make_member(
@@ -196,6 +197,8 @@ def make_member(
     at equal frequencies, and no characterization of the unequal-frequency
     family is available to sample from.
     """
+    for key, theta in (("theta1", theta1), ("theta2", theta2)):
+        _check_number(theta, key, "be a finite real number", math.isfinite)
     if family is Family.VECTOR_B and params.omega1 != params.omega2:
         raise ConstraintError(
             "VectorB members require omega1 == omega2; the unequal-frequency "
@@ -204,7 +207,7 @@ def make_member(
     omega = params.omega2 if family is Family.SCALAR_SECOND else params.omega1
     beta = params.beta if family is Family.VECTOR_B else 0.0
     prof = z_beta_omega(omega, beta, params.p, grid, shift=shift)
-    held = _POPULATED[family]
+    held = _MODE_ROWS[_FAMILY_MODES[family]]
     rows = [np.exp(1j * theta) * prof for theta in (theta1, theta2)[held]]
     return FieldPair(grid, *_per_component(held, rows, np.zeros(grid.shape)))
 
@@ -324,11 +327,11 @@ def critical_value_map_T(m: float, gamma: float, p: float, dim: int) -> float:
     sphere-constrained minimization is well posed; refused otherwise. A dim
     other than 1, 2 or 3 raises ValueError, as Grid does.
     """
-    reals = _positive(m), _positive(gamma)
-    if None in reals:
-        raise ValueError(f"m and gamma must be finite and positive, got m={m}, gamma={gamma}")
-    m, gamma = reals
-    _check_dim(dim)
+    try:
+        m, gamma = (_check_number(value, "m and gamma") for value in (m, gamma))
+    except ValueError:
+        raise ValueError(f"m and gamma must be finite and positive, got m={m}, gamma={gamma}") from None
+    _check_number(dim, "dim", **_DIM)
     if SystemParams(p=p, beta=0.0, omega1=1.0, omega2=1.0).criticality(dim) != "subcritical":
         raise ConstraintError(
             f"the sphere level map needs p < 1 + 2/n (got p={p}, n={dim})"
@@ -348,8 +351,7 @@ def nehari_to_sphere(pair: FieldPair, params: SystemParams, gamma: float) -> tup
     the rescaling mu = nu^(1/(2(p-1))), lambda = nu^(1/2) lands on the
     sphere; nu is the Lagrange multiplier of the image. Returns (image, nu).
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = _check_number(gamma, "the sphere weight gamma")
     dim = pair.grid.dim
     if params.criticality(dim) != "subcritical":
         raise ConstraintError(
@@ -397,6 +399,6 @@ def delta_of_omega(omega: float, beta: float, p: float, dim: int, base_mass: flo
     where base_mass is ||z(1, 0)||_2^2 for the same p and n. A dim other
     than 1, 2 or 3 raises ValueError, as Grid does."""
     SystemParams(p=p, beta=beta, omega1=omega, omega2=omega)
-    _check_positive(base_mass, "base_mass")
-    _check_dim(dim)
+    _check_number(base_mass, "base_mass")
+    _check_number(dim, "dim", **_DIM)
     return omega ** (1.0 / (p - 1.0) - dim / 2.0) / (beta + 1.0) ** (1.0 / (p - 1.0)) * base_mass

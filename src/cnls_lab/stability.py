@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import FieldPair, Grid, SystemParams, _check_positive
+from .core import _SEED, FieldPair, Grid, SystemParams, _check_number
 from .dynamics import EvolveConfig, _check_hold, evolve, virial_series
 from .errors import ConstraintError
 from .functionals import _Norms, action_I
@@ -55,6 +55,9 @@ _FAMILY_NAMES = tuple(f.value for f in Family) + ("ground",)
 
 # severity order for combining per-run classifications
 _SEVERITY = ("stable_within_tolerance", "excursion_growth", "blow_up")
+
+# the components a perturbation may populate, keys of core._MODE_ROWS
+_PERTURB_MODES = ("first", "second", "both")
 
 
 @dataclass(frozen=True)
@@ -209,10 +212,11 @@ def perturbation_pair(
 ) -> FieldPair:
     """A smooth localized complex perturbation of unit H_omega norm: a
     Gaussian envelope times a random low-degree polynomial, so both even and
-    odd directions are excited. mode selects the populated components."""
-    if mode not in ("first", "second", "both"):
+    odd directions are excited. mode selects the populated components, and
+    seed is a non-negative integer."""
+    if mode not in _PERTURB_MODES:
         raise ValueError(f"mode must be 'first', 'second' or 'both', got {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_number(seed, "seed", **_SEED))
     envelope = np.exp(-0.25 * grid.radius_sq())
 
     def draw():
@@ -296,22 +300,23 @@ def stability_sweep(
     ratio flags every run), a zero_orbit_tol or a flow tol that is not
     positive, or any of these not finite, a t_end that EvolveConfig
     refuses, epsilons, t_end and sample_dt whose batch would hold more
-    than evolve's ceiling of 2**27 complex values, and an unknown
-    perturb_mode; and before any evolution for an epsilon with
-    0 < |epsilon| < 1e-12 ||member||_H."""
-    epsilons = tuple(float(e) for e in epsilons)
+    than evolve's ceiling of 2**27 complex values, a seed that is not a
+    non-negative integer, an unknown perturb_mode, and a bool, a string or
+    a complex number for any number; and before any evolution for an
+    epsilon with 0 < |epsilon| < 1e-12 ||member||_H."""
+    epsilons = tuple(
+        _check_number(eps, f"epsilons[{i}]", "be a finite real number", math.isfinite)
+        for i, eps in enumerate(epsilons)
+    )
     if not epsilons:
         raise ValueError("need at least one epsilon")
-    if not all(math.isfinite(e) for e in epsilons):
-        raise ValueError(f"epsilons must be finite, got {epsilons}")
-    if not (dt and math.isfinite(sample_dt / dt) and round(sample_dt / dt) >= 1):
-        raise ValueError(
-            f"dt={dt} and sample_dt={sample_dt} must give a finite sampling stride of at least one step"
-        )
-    if not 1.0 <= excursion_ratio < math.inf:
-        raise ValueError(f"excursion_ratio must be finite and at least 1, got {excursion_ratio}")
-    _check_positive(zero_orbit_tol, "zero_orbit_tol")
-    _check_positive(tol, "the flows' tol (flow_tol)")
+    real_dt = _check_number(dt, "dt", "be a finite real number", math.isfinite)
+    _check_number(sample_dt, "sample_dt", f"give a finite sampling stride of at least one step of dt={dt}",
+                  lambda t: real_dt != 0.0 and math.isfinite(t / real_dt) and round(t / real_dt) >= 1)
+    _check_number(excursion_ratio, "excursion_ratio", "be finite and at least 1",
+                  lambda ratio: 1.0 <= ratio < math.inf)
+    _check_number(zero_orbit_tol, "zero_orbit_tol")
+    _check_number(tol, "the flows' tol (flow_tol)")
     stride = int(round(sample_dt / dt))
     config = EvolveConfig(dt=dt, t_end=t_end, snapshot_stride=stride, conservation_check_stride=stride)
     try:
@@ -323,6 +328,8 @@ def stability_sweep(
         # before the family's flows changes none of its bits
         pert = perturbation_pair(grid, params, mode=perturb_mode, seed=seed)
     except ValueError as exc:
+        if perturb_mode in _PERTURB_MODES:
+            raise
         raise ValueError(f"perturb_mode: {exc}") from exc
     base, refs = _family_state(family, params, grid, tol=tol, seed=seed)
     # d(0) of a smaller perturbation is the roundoff floor of the orbit
@@ -420,22 +427,20 @@ def blowup_experiment(
     The variance is tested for concavity by virial_series on the first
     window_fraction of the run, in (0, 1], and margin, in [0, 1), is the
     relative slack of that test and of the second-derivative bound; values
-    outside these ranges, a factor that is not finite, a dt, t_max or
-    guard_ratio that EvolveConfig refuses as its dt, t_end or blowup_guard,
-    and a flow tol that is not finite and positive raise ValueError before
-    any flow or evolution.
+    outside these ranges, a factor that is not finite and above 1, a dt,
+    t_max or guard_ratio that EvolveConfig refuses as its dt, t_end or
+    blowup_guard, and a flow tol that is not finite and positive raise
+    ValueError before any flow or evolution, as do a bool, a string or a
+    complex number for any of them.
     """
-    if not 1.0 < factor < math.inf:
-        raise ValueError(f"factor must be finite and exceed 1, got {factor}")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must lie in [0, 1), got {margin}")
+    _check_number(factor, "factor", "be finite and exceed 1", lambda f: 1.0 < f < math.inf)
+    _check_number(window_fraction, "window_fraction", "lie in (0, 1]", lambda w: 0.0 < w <= 1.0)
+    _check_number(margin, "margin", "lie in [0, 1)", lambda m: 0.0 <= m < 1.0)
     try:
         config = EvolveConfig(dt=dt, t_end=t_max, conservation_check_stride=1, blowup_guard=guard_ratio)
     except ValueError as exc:
         raise ValueError(f"dt={dt}, t_max={t_max}, guard_ratio={guard_ratio}: {exc}") from exc
-    _check_positive(tol, "the flows' tol (flow_tol)")
+    _check_number(tol, "the flows' tol (flow_tol)")
     crit = params.criticality(grid.dim)
     if crit == "subcritical":
         raise ConstraintError(

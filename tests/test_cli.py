@@ -143,6 +143,11 @@ def test_config_rejection_and_io_failure(tmp_path, capsys):
     seeded = _write(tmp_path, "[run]\nseed = 3\n", name="r.ini")
     assert main(["profile", str(seeded), "--out", str(tmp_path / "o7")]) == 3
     assert not (tmp_path / "o6").exists() and not (tmp_path / "o7").exists()
+    # a positional config and --config together are refused, naming both
+    capsys.readouterr()
+    assert main(["profile", str(bad_key), "--config", str(seeded), "--out", str(tmp_path / "o8")]) == 3
+    err = capsys.readouterr().err
+    assert str(bad_key) in err and str(seeded) in err and not (tmp_path / "o8").exists()
     # a value that does not parse as its key's type is named in the message
     unparsed = [
         ("ground", "params", "omega1", "x"),
@@ -759,6 +764,22 @@ def test_absurd_settings_exit_3_and_write_only_the_manifest(tmp_path, capsys, mo
     assert main([command, str(_write(tmp_path, _ini(cfg))), "--out", str(out)]) == 3
     assert key in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["manifest.txt"]
+
+
+@pytest.mark.parametrize("command", ["ground", "evolve", "sweep"])
+def test_a_negative_seed_exits_3_naming_the_seed(tmp_path, capsys, monkeypatch, command):
+    from cnls_lab import cli, minimize, stability
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow or evolution ran before the seed was checked")
+
+    for module, name in ((minimize, "_project_state"), (cli, "evolve"), (stability, "_family_state"),
+                         (stability, "evolve")):
+        monkeypatch.setattr(module, name, no_flow)
+    cfg = _write(tmp_path, _ini(_TINY[command]))
+    assert main([command, str(cfg), "--seed=-3", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -3" in err and "perturb_mode" not in err
 
 
 def test_blowup_report_writes_an_undefined_derivative_as_null(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from cnls_lab import (
     step_strang,
     weighted_l2_norm_sq,
 )
-from cnls_lab import cli, minimize
+from cnls_lab import ConstraintSpec, EvolveConfig, cli, dynamics, minimize
 from cnls_lab.core import _density, _fft, _ifft, _irfft, _parseval_sums, _rfft, gradient_norm_sq_component
 from cnls_lab.functionals import _Norms
 
@@ -564,6 +565,138 @@ def test_every_keyword_only_option_is_passed_somewhere():
         passed.add((callee.__name__, name))
     assert options
     assert [f"{module}.{name}: {arg}" for module, name, arg in options if (name, arg) not in passed] == []
+
+
+_BOUNDARY_GRID = Grid(1, 64, 10.0)
+_BOUNDARY_PARAMS = SystemParams(p=2.0, beta=0.0, omega1=1.0, omega2=1.0)
+_BOUNDARY_PAIR = make_member(Family.SCALAR_FIRST, _BOUNDARY_PARAMS, _BOUNDARY_GRID)
+
+# each public callable that reads a caller's number: its valid keywords and
+# an out-of-range value of each numeric one
+_BOUNDARIES = [
+    (Grid, dict(dim=1, points_per_axis=64, half_width=10.0), dict(dim=4, points_per_axis=48, half_width=-1.0)),
+    (SystemParams, dict(p=2.0, beta=0.0, omega1=1.0, omega2=1.0), dict(p=1.0, beta=-1.0, omega1=0.0, omega2=-1.0)),
+    (
+        EvolveConfig,
+        dict(dt=1e-3, t_end=1.0, snapshot_stride=0, conservation_check_stride=100, blowup_guard=1e6),
+        dict(dt=0.0, t_end=-1.0, snapshot_stride=-1, conservation_check_stride=0, blowup_guard=1.0),
+    ),
+    (step_strang, dict(pair=_BOUNDARY_PAIR, params=_BOUNDARY_PARAMS, dt=1e-3), dict(dt=math.inf)),
+    (ConstraintSpec.weighted_sphere, dict(gamma=1.0), dict(gamma=0.0)),
+    (ConstraintSpec.product_spheres, dict(delta1=1.0, delta2=0.0), dict(delta1=0.0, delta2=-1.0)),
+    (ConstraintSpec.equal_spheres, dict(delta1=1.0), dict(delta1=-1.0)),
+    (
+        cnls_lab.minimize_on,
+        dict(constraint=ConstraintSpec.nehari(), params=_BOUNDARY_PARAMS, grid=_BOUNDARY_GRID, tol=1e-8,
+             max_iter=10, seed=0),
+        dict(tol=0.0, max_iter=0, seed=-1),
+    ),
+    (
+        cnls_lab.ground_state,
+        dict(params=_BOUNDARY_PARAMS, grid=_BOUNDARY_GRID, tol=1e-8, max_iter=10, seed=0),
+        dict(tol=0.0, max_iter=10**8 + 1, seed=-1),
+    ),
+    (cnls_lab.gaussian_init, dict(grid=_BOUNDARY_GRID, params=_BOUNDARY_PARAMS, seed=0), dict(seed=-1)),
+    (cnls_lab.perturbation_pair, dict(grid=_BOUNDARY_GRID, params=_BOUNDARY_PARAMS, seed=0), dict(seed=-1)),
+    (ScalingParams, dict(mu=1.0, lam=1.0), dict(mu=0.0, lam=-1.0)),
+    (cnls_lab.base_profile_1d, dict(p=2.0, grid=_BOUNDARY_GRID), dict(p=1.0)),
+    (cnls_lab.base_profile_nd, dict(p=2.0, grid=Grid(2, 16, 8.0), omega=1.0), dict(p=1.0, omega=0.0)),
+    (
+        cnls_lab.z_beta_omega,
+        dict(omega=1.0, beta=0.0, p=2.0, grid=_BOUNDARY_GRID, shift=0.0),
+        dict(omega=0.0, beta=-1.0, p=1.0, shift=math.inf),
+    ),
+    (
+        make_member,
+        dict(family=Family.SCALAR_FIRST, params=_BOUNDARY_PARAMS, grid=_BOUNDARY_GRID, theta1=0.0, theta2=0.0,
+             shift=0.0),
+        dict(theta1=math.inf, theta2=-math.inf, shift=math.inf),
+    ),
+    (cnls_lab.profiles.spectral_shift, dict(grid=_BOUNDARY_GRID, f=np.zeros(64), shift=0.0), dict(shift=math.inf)),
+    (
+        cnls_lab.critical_value_map_T,
+        dict(m=1.0, gamma=2.0, p=1.5, dim=1),
+        dict(m=0.0, gamma=-1.0, p=1.0, dim=4),
+    ),
+    (cnls_lab.nehari_to_sphere, dict(pair=_BOUNDARY_PAIR, params=_BOUNDARY_PARAMS, gamma=4.0), dict(gamma=0.0)),
+    (
+        cnls_lab.delta_of_omega,
+        dict(omega=1.0, beta=0.0, p=2.0, dim=1, base_mass=4.0),
+        dict(omega=0.0, beta=-1.0, p=1.0, dim=0, base_mass=0.0),
+    ),
+    (
+        cnls_lab.stability_sweep,
+        dict(params=_BOUNDARY_PARAMS, grid=_BOUNDARY_GRID, epsilons=(0.0,), dt=1e-3, t_end=0.01, sample_dt=5e-3,
+             seed=0, excursion_ratio=10.0, zero_orbit_tol=1e-5, tol=1e-8),
+        dict(epsilons=(math.inf,), dt=math.inf, t_end=-1.0, sample_dt=0.0, seed=-1, excursion_ratio=0.5,
+             zero_orbit_tol=0.0, tol=0.0),
+    ),
+    (
+        cnls_lab.blowup_experiment,
+        dict(params=SystemParams(p=4.0, beta=0.0, omega1=1.0, omega2=1.0), grid=_BOUNDARY_GRID, factor=1.1,
+             dt=1e-3, t_max=0.01, guard_ratio=20.0, window_fraction=0.8, margin=0.05, tol=1e-8, seed=0),
+        dict(factor=1.0, dt=0.0, t_max=-1.0, guard_ratio=1.0, window_fraction=1.5, margin=1.0, tol=0.0, seed=-1),
+    ),
+    (
+        cnls_lab.identity_audit,
+        dict(params=_BOUNDARY_PARAMS, grid=_BOUNDARY_GRID, tol=1e-3, gamma_factors=(1.0,), flow_tol=1e-8,
+             seed=0),
+        dict(tol=0.0, gamma_factors=(0.0,), flow_tol=0.0, seed=-1),
+    ),
+]
+
+# public functions whose numbers are data, not settings: a level, a
+# reference value or a frequency pair to compute from
+_NOT_BOUNDARIES = {"default_half_width", "relative_error", "pohozaev_check"}
+
+
+def _numeric(parameter) -> bool:
+    return bool(re.search(r"\b(float|int)\b", str(parameter.annotation)))
+
+
+def test_every_numeric_keyword_refuses_what_is_not_its_number_before_any_run(monkeypatch):
+    # every public function with a float or int parameter is a row of the
+    # table, and every such parameter of a row has an out-of-range value
+    tabled = {call.__name__ for call, _, _ in _BOUNDARIES}
+    for name in dir(cnls_lab):
+        obj = getattr(cnls_lab, name)
+        if inspect.isfunction(obj) and any(map(_numeric, inspect.signature(obj).parameters.values())):
+            assert name in tabled | _NOT_BOUNDARIES, name
+    for call, valid, bad in _BOUNDARIES:
+        numeric = [key for key, par in inspect.signature(call).parameters.items() if _numeric(par)]
+        assert set(numeric) <= set(bad), call.__name__
+    # numpy integer and float scalars, and an array of epsilons, are numbers
+    assert Grid(np.int64(1), np.int32(64), np.float32(10.0)) == _BOUNDARY_GRID
+    assert SystemParams(np.float32(2.0), np.int64(0), np.float64(1.0), 1).p == 2.0
+    assert EvolveConfig(np.float32(1e-3), np.int64(1), np.int8(2), np.uint16(5), np.float32(5.0)).t_end == 1
+    assert ConstraintSpec.product_spheres(np.int64(2), np.float32(0.0)).delta2 == 0.0
+    assert cnls_lab.critical_value_map_T(np.float64(4 / 3), np.int64(4), 2.0, np.int64(1)) == pytest.approx(-2 / 3)
+    member = make_member(Family.SCALAR_FIRST, _BOUNDARY_PARAMS, _BOUNDARY_GRID, theta1=np.float64(0.5),
+                         shift=np.float32(1.0))
+    assert np.array_equal(member.c1, make_member(Family.SCALAR_FIRST, _BOUNDARY_PARAMS, _BOUNDARY_GRID,
+                                                 theta1=0.5, shift=1.0).c1)
+    for draw in (cnls_lab.gaussian_init, cnls_lab.perturbation_pair):
+        assert np.array_equal(draw(_BOUNDARY_GRID, _BOUNDARY_PARAMS, seed=np.uint8(3)).components,
+                              draw(_BOUNDARY_GRID, _BOUNDARY_PARAMS, seed=3).components)
+    sweep = dict(family="vector_b", t_end=0.02, sample_dt=0.01, seed=np.int64(1))
+    array, listed = (cnls_lab.stability_sweep(_BOUNDARY_PARAMS, Grid(1, 64, 20.0), epsilons=epsilons, **sweep)
+                     for epsilons in (np.array([0.0, 1e-3]), (0.0, 1e-3)))
+    assert (array.epsilons, array.max_excursions) == (listed.epsilons, listed.max_excursions)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a flow or an evolution ran before the number was checked")
+
+    # the first step of every flow and of every evolution
+    monkeypatch.setattr(minimize, "_project_state", no_run)
+    monkeypatch.setattr(dynamics, "_evolve_stack", no_run)
+    for call, valid, bad in _BOUNDARIES:
+        for key, out_of_range in bad.items():
+            values = [True, False, "1", 1 + 0j, math.nan, out_of_range]
+            if isinstance(valid[key], tuple):
+                values = [(v,) for v in values[:-1]] + [out_of_range]
+            for value in values:
+                with pytest.raises(ValueError, match=re.escape(key)):
+                    call(**{**valid, key: value})
 
 
 def _scipy_modules_after(statement):
