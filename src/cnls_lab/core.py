@@ -123,7 +123,8 @@ class Grid:
         shape: full array shape, (N,) * dim.
         axes: per-axis coordinate arrays, x_j = -L + j dx.
         wavenumbers: per-axis spectral wavenumbers 2*pi*fftfreq(N, dx).
-        k2: |k|^2 on the full grid (broadcast sum over axes).
+        k2: |k|^2 on the full grid (broadcast sum over axes), computed on
+            first use: the flows never read it.
         half_k2, half_weights: |k|^2 on the half spectrum of a real field
             (the last axis cut to its N/2 + 1 nonnegative columns) and the
             Parseval multiplicity of each column, computed on first use.
@@ -155,9 +156,12 @@ class Grid:
         k = 2.0 * np.pi * fftfreq(n, d=self.dx)
         self.axes = tuple(x.copy() for _ in range(dim))
         self.wavenumbers = tuple(k.copy() for _ in range(dim))
-        self.k2 = sum(kx**2 for kx in np.ix_(*self.wavenumbers))
-        self._radius_sq = None
         self._boundary_mask = None
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the full spectrum that _fft returns."""
+        return sum(kx**2 for kx in np.ix_(*self.wavenumbers))
 
     @cached_property
     def half_k2(self) -> np.ndarray:
@@ -176,10 +180,10 @@ class Grid:
         return weights
 
     def radius_sq(self) -> np.ndarray:
-        """|x|^2 measured from the box center (the origin)."""
-        if self._radius_sq is None:
-            self._radius_sq = sum(x**2 for x in np.ix_(*self.axes))
-        return self._radius_sq
+        """|x|^2 measured from the box center (the origin), a fresh array on
+        every call: each caller reads it once, and the grid keeps no
+        full-size copy."""
+        return sum(x**2 for x in np.ix_(*self.axes))
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask of the outermost grid layer (any axis at its edge)."""

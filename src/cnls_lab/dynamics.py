@@ -165,9 +165,10 @@ def _rotate(grid, U, params, dt, synchronized=False):
     both are, or a batch (E, r, *shape) of such stacks; one pass of each
     operation serves every member and component. synchronized marks a
     one-row stack that holds a synchronized pair (u, u)."""
-    # the rates are the rotation's own (its density, or formed from it),
-    # so the half angles are written into them
-    half = _rates(_density(U), params, grid.dim, synchronized=synchronized)
+    # the rates are formed in the rotation's own density, and the half
+    # angles are written into them
+    m = _density(U)
+    half = _rates(m, params, grid.dim, synchronized=synchronized, out=m)
     phase = _unit_phase(np.multiply(0.5 * dt, half, out=half))
     phase *= U
     return phase
@@ -416,8 +417,18 @@ def virial_series(log: TrajectoryLog, *, window: tuple | None = None) -> VirialC
     Uses the centered second differences of uniformly spaced samples whose
     three variance samples are finite and, for a window (t0, t1), all lie
     in t0 <= t <= t1; max_residual is relative to the largest |8R| among
-    them.
+    them. A window that is not a pair of finite real numbers raises
+    ValueError naming it.
     """
+    if window is not None:
+        try:
+            ends = tuple(window)
+        except TypeError:
+            ends = ()
+        if len(ends) != 2:
+            raise ValueError(f"window must be a pair (t0, t1), got {window!r}")
+        window = [_check_number(end, f"window[{i}]", "be a finite real number", math.isfinite)
+                  for i, end in enumerate(ends)]
     t = log.times
     if len(t) < 3:
         raise ValueError("need at least three samples for a second difference")

@@ -53,6 +53,9 @@ BOUNDARY_DECAY_TOL = 1e-8
 # largest relative residual at which pohozaev_check passes
 _POHOZAEV_TOL = 1e-6
 
+# the entries per block of a power written in place (32 KB of doubles)
+_BLOCK = 2**12
+
 
 def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
     """m**e for m >= 0, written into out when it is given; out may be m
@@ -90,16 +93,36 @@ def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(m, e, out=out)
 
 
-def _density_sums(grid: Grid, m1: np.ndarray | None, m2: np.ndarray | None, p: float):
+def _power_in_place(m: np.ndarray, e: float) -> np.ndarray:
+    """m**e as _power forms it, written into the C-contiguous m one block
+    of _BLOCK entries at a time, so that its temporaries stay one block."""
+    flat = m.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        _power(block, e, out=block)
+    return m
+
+
+def _density_sums(grid: Grid, moduli, held: slice, p: float):
     """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p
-    from the squared moduli m1 = |u1|^2 and m2 = |u2|^2. An absent (None)
-    component contributes exact zeros, as a zero one would. The product
-    m1 m2 is raised to its power in place."""
-    i1, i2 = (0.0 if m is None else _integral(grid, _power(m, p)) for m in (m1, m2))
-    if m1 is None or m2 is None:
-        return i1, i2, 0.0
-    product = m1 * m2
-    return i1, i2, _integral(grid, _power(product, 0.5 * p, out=product))
+    of a state whose components in the slice held are populated; an absent
+    component contributes exact zeros, as a zero one would. moduli(i) gives
+    the squared modulus |u|^2 of the i-th populated component, a
+    C-contiguous array this call may write into once it is done reading
+    it. With two rows the product m1 m2 is written over m1 once int m1^p is
+    taken, and m2 is asked for again after the cross term, so a caller that
+    forms each modulus on demand holds two rows at a time, or one row and
+    a block with one."""
+    rows = len(range(2)[held])
+    m = moduli(0)
+    if rows == 1:
+        return (*_per_component(held, [_integral(grid, _power_in_place(m, p))], 0.0), 0.0)
+    i1 = _integral(grid, _power(m, p))
+    product = np.multiply(m, moduli(1), out=m)
+    cross = _integral(grid, _power_in_place(product, 0.5 * p))
+    # the product goes before the second modulus is formed again
+    m = product = None
+    return i1, _integral(grid, _power_in_place(moduli(1), p)), cross
 
 
 def _coupling(params: SystemParams, i1: float, i2: float, cross: float) -> float:
@@ -114,10 +137,12 @@ def _virial(grad, f_val, dim: int, p: float):
 
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     """Nonlinear potential F(U)."""
-    return _coupling(params, *_density_sums(pair.grid, *_density(pair.components), params.p))
+    m = _density(pair.components)
+    return _coupling(params, *_density_sums(pair.grid, m.__getitem__, slice(0, 2), params.p))
 
 
-def _rates(m: np.ndarray, params: SystemParams, dim: int, *, synchronized: bool = False) -> np.ndarray:
+def _rates(m: np.ndarray, params: SystemParams, dim: int, *, synchronized: bool = False,
+           out: np.ndarray | None = None) -> np.ndarray:
     """The real rates A_j = |u_j|^(2p-2) + beta |u_k|^p |u_j|^(p-2) of the
     coupled equations, from the squared moduli m_j = |u_j|^2 of fields on a
     dim-dimensional grid, stacked on the component axis -1 - dim of m,
@@ -130,58 +155,68 @@ def _rates(m: np.ndarray, params: SystemParams, dim: int, *, synchronized: bool 
     the row is read as its own partner, which gives either component's
     rate bit for bit as a two-row stack of the pair does. The gradient of F
     is (A1 u1, A2 u2), and the nonlinear substep of the Schrodinger flow is
-    u_j -> exp(i dt A_j) u_j. The rates may be m itself (p = 2 with
-    beta = 0 or a partner that is exactly zero), so callers do not write
-    into them unless they own m.
+    u_j -> exp(i dt A_j) u_j.
+
+    A caller that owns m passes out=m, as in numpy, and gets the rates
+    written over the moduli; besides m, at most one root (or power) and
+    the cross term are alive at once. out is m or None, as for _power.
+    Without out the rates may be m itself (p = 2 with beta = 0 or a partner
+    that is exactly zero), so callers do not write into them unless they
+    own m.
 
     For p < 2 the factor |u_j|^(p-2) diverges at zeros of u_j, where A_j
     only ever multiplies a zero value; there the factor is taken as 0.
     """
     p, beta = params.p, params.beta
-    rates = _power(m, p - 1.0)
     if beta == 0.0 or (m.shape[-1 - dim] == 1 and not synchronized):
-        return rates
+        return _power(m, p - 1.0, out=out)
     # one index tuple reverses the component axis of m and of its powers
     # (on a synchronized row it is the identity); it costs less per call
     # than np.flip
     swap = (Ellipsis, slice(None, None, -1)) + (slice(None),) * dim
-    partner = m[swap]
-    # at p = 2 the factor m_j^(p/2-1) is 1. Otherwise the products are
-    # taken in place, which keeps the stack's temporaries to two
-    if p == 2.0:
-        cross = beta * partner
-    elif p == 1.5:
-        # the rates are s = m^(1/2); one more root r = m^(1/4) gives the
-        # partner's m_k^(3/4) = r_k s_k and, inverted, the factor m_j^(-1/4)
-        s = rates
+    # every branch forms the cross term beta m_k^(p/2) m_j^(p/2-1) in place
+    # and writes the rates m_j^(p-1) into out only once it has read m for
+    # the last time; at p = 2 the factor m_j^(p/2-1) is 1
+    if p == 1.5:
+        # the rates are s = m^(1/2), the last read of m; one more root
+        # r = m^(1/4) gives the partner's m_k^(3/4) = r_k s_k and, inverted,
+        # the factor m_j^(-1/4). s is 0 exactly where m is, since the root
+        # of a positive double does not underflow
+        s = rates = np.sqrt(m, out=out)
         r = np.sqrt(s)
         cross = r[swap] * s[swap]
         cross *= beta
         with np.errstate(divide="ignore"):
             np.divide(1.0, r, out=r)
-        r[m == 0] = 0.0
+        r[s == 0] = 0.0
         cross *= r
-    elif p == 3.0:
-        # one root serves the partner's m_k^(3/2) and the factor m_j^(1/2)
-        s = np.sqrt(m)
-        cross = partner * s[swap]
-        cross *= beta
-        cross *= s
     else:
-        cross = _power(partner, 0.5 * p)
-        cross *= beta
-        with np.errstate(divide="ignore"):
-            factor = _power(m, 0.5 * p - 1.0)
-        if p < 2:
-            factor[m == 0] = 0.0
-        cross *= factor
-    cross += rates
-    return cross
+        if p == 2.0:
+            cross = beta * m[swap]
+        elif p == 3.0:
+            # one root serves the partner's m_k^(3/2) and the factor m_j^(1/2)
+            s = np.sqrt(m)
+            cross = m[swap] * s[swap]
+            cross *= beta
+            cross *= s
+        else:
+            cross = _power(m[swap], 0.5 * p)
+            cross *= beta
+            with np.errstate(divide="ignore"):
+                factor = _power(m, 0.5 * p - 1.0)
+            if p < 2:
+                factor[m == 0] = 0.0
+            cross *= factor
+        # the root or the factor goes before the rates are formed
+        s = factor = None
+        rates = _power(m, p - 1.0, out=out)
+    return np.add(cross, rates, out=cross if out is None else out)
 
 
 def _gradient(pair: FieldPair, params: SystemParams) -> np.ndarray:
     """The gradient of F as one (2, *shape) stack (g1, g2)."""
-    return _rates(_density(pair.components), params, pair.grid.dim) * pair.components
+    m = _density(pair.components)
+    return _rates(m, params, pair.grid.dim, out=m) * pair.components
 
 
 def coupling_gradient(pair: FieldPair, params: SystemParams):
@@ -212,13 +247,14 @@ class _Norms:
     cross: float
 
     @classmethod
-    def of(cls, params, grid, held, m, sums):
+    def of(cls, params, grid, held, moduli, sums):
         """Measure the state whose components in the slice held have the
-        stacked squared moduli m = |u_j|^2 and the Parseval sums
-        sums = core._parseval_sums(...), one entry per held component; the
-        other component is exactly zero and adds exact zeros."""
+        squared moduli moduli(i) = |u|^2 of the i-th, as _density_sums reads
+        them, and the Parseval sums sums = core._parseval_sums(...), one
+        entry per held component; the other component is exactly zero and
+        adds exact zeros."""
         grads, masses = (_per_component(held, values, 0.0) for values in sums)
-        i1, i2, cross = _density_sums(grid, *_per_component(held, m, None), params.p)
+        i1, i2, cross = _density_sums(grid, moduli, held, params.p)
         return cls(params, grid.dim, *grads, *masses, i1, i2, cross)
 
     @classmethod
@@ -234,7 +270,8 @@ class _Norms:
         """Measure pair from one stacked transform of its components."""
         grid = pair.grid
         S = _fft(grid, pair.components)
-        return cls.of(params, grid, slice(0, 2), _density(pair.components), _parseval_sums(grid, S))
+        m = _density(pair.components)
+        return cls.of(params, grid, slice(0, 2), m.__getitem__, _parseval_sums(grid, S))
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2). The powers are taken in numpy

@@ -48,6 +48,7 @@ minimizer has imaginary parts exactly 0.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,11 @@ __all__ = [
 _SPHERE_KINDS = ("weighted_sphere", "product_spheres", "equal_spheres")
 # every kind, each the name of its ConstraintSpec factory
 _KINDS = _SPHERE_KINDS + ("nehari", "nehari_set", "pohozaev")
+
+# the rule of each size a factory reads, as _check_number's (need, accepts):
+# gamma and delta1 are finite and positive, and delta2 = 0 pins the second
+# component
+_SIZE_RULES = {"delta2": ("be >= 0 and finite", lambda d: 0.0 <= d < math.inf)}
 
 _DT0 = 0.25
 _DT_MAX = 16.0
@@ -116,20 +122,37 @@ class ConstraintSpec:
     delta1: float | None = None
     delta2: float | None = None
 
+    def __post_init__(self):
+        """Refuse a kind outside _KINDS and any size its factory does not
+        read, and read each size it does through its rule, so a spec built
+        directly holds what its factory would."""
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_KINDS)}, got {self.kind!r}")
+        reads = inspect.signature(getattr(ConstraintSpec, self.kind)).parameters
+        for key in ("gamma", "delta1", "delta2"):
+            value = getattr(self, key)
+            if key in reads:
+                value = _check_number(value, key, *_SIZE_RULES.get(key, ()))
+            elif self.kind == "equal_spheres" and key == "delta2":
+                # equal spheres hold delta1 as delta2 too
+                if value is not None and _check_number(value, key) != self.delta1:
+                    raise ValueError(f"equal_spheres needs delta2 = delta1 = {self.delta1!r}, got {value!r}")
+                value = self.delta1
+            elif value is not None:
+                raise ValueError(f"{self.kind} reads no {key}, got {key}={value!r}")
+            object.__setattr__(self, key, value)
+
     @classmethod
     def weighted_sphere(cls, gamma: float) -> "ConstraintSpec":
-        return cls("weighted_sphere", gamma=_check_number(gamma, "gamma"))
+        return cls("weighted_sphere", gamma=gamma)
 
     @classmethod
     def product_spheres(cls, delta1: float, delta2: float) -> "ConstraintSpec":
-        delta1 = _check_number(delta1, "delta1")
-        delta2 = _check_number(delta2, "delta2", "be >= 0 and finite", lambda d: 0.0 <= d < math.inf)
         return cls("product_spheres", delta1=delta1, delta2=delta2)
 
     @classmethod
     def equal_spheres(cls, delta1: float) -> "ConstraintSpec":
-        delta1 = _check_number(delta1, "delta1")
-        return cls("equal_spheres", delta1=delta1, delta2=delta1)
+        return cls("equal_spheres", delta1=delta1)
 
     @classmethod
     def nehari(cls) -> "ConstraintSpec":
@@ -155,9 +178,12 @@ class ConstraintSpec:
                 f"sphere-constrained minimization needs p < 1 + 2/n; "
                 f"p={params.p} in dimension {dim} is {crit}"
             )
-        if self.kind in ("nehari", "nehari_set") and not params.existence_ok(dim):
+        if self.kind not in _SPHERE_KINDS and not params.existence_ok(dim):
+            # at and above the energy-critical exponent the ray sets hold
+            # no decaying minimizer, and a flow would only stall
             raise ConstraintError(
-                f"no decaying minimizers: p={params.p} is not below {dim}/{dim - 2}"
+                f"no decaying minimizers: p={params.p} is not below n/(n - 2) = {dim / (dim - 2):g} "
+                f"in dimension {dim}"
             )
         if self.kind == "pohozaev" and crit != "supercritical":
             raise ConstraintError(
@@ -383,11 +409,10 @@ def _scalings(constraint, norms, warm=(1.0, 1.0)):
             raise ConstraintError(f"{kind.capitalize()} projection needs F(U) > 0")
         num, den = (norms.h1, 2.0 * p) if kind == "nehari" else (norms.grad, norms.dim * (p - 1.0))
         t1 = t2 = _root(num / (den * norms.F), 2.0 * p - 2.0)
-    elif kind == "nehari_set":
+    else:
+        # nehari_set, the last kind: ConstraintSpec refuses any other
         shared = norms.params.beta * norms.cross
         t1, t2 = _nehari_set_scalings(p, *norms.h1_parts, norms.i1, norms.i2, shared, warm)
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
     if not (0.0 < t1 < math.inf and (0.0 < t2 < math.inf or (constraint.pinned and t2 == 0.0))):
         raise ConstraintError(
             f"the scalings onto {constraint.describe()} leave the floating-point range: "
@@ -406,26 +431,28 @@ def _moduli(U: np.ndarray) -> np.ndarray:
 
 def _gradient_spectra(grid, params, U):
     """Half spectrum of the coupling gradient (A_j u_j) of the stacked
-    state U. The rates are this call's own (they may be the moduli
-    themselves), so a real state's product A_j u_j is formed in them; the
-    moduli and the rates are released on return, before the flow's trial
-    steps allocate theirs."""
-    rates = _rates(_moduli(U), params, grid.dim)[:, None]
+    state U. The rates are formed in the moduli, which are this call's own,
+    and a real state's product A_j u_j in the rates; they are released on
+    return, before the flow's trial steps allocate theirs."""
+    m = _moduli(U)
+    rates = _rates(m, params, grid.dim, out=m)[:, None]
     return _rfft(grid, np.multiply(rates, U, out=rates if U.shape[1] == 1 else None))
 
 
 def _project_state(constraint, grid, params, Vh, warm, held):
     """Project the raw half spectrum Vh of a stacked state, which holds the
     components in the slice held, onto the constraint set, scaling Vh in
-    place once the projection has succeeded.
+    place once the projection has succeeded. The density sums form V's
+    moduli one row at a time, as they ask for them, so the projection
+    never holds V's whole moduli stack beside V.
 
     Returns (U, Uh, factors, norms): the projected state, its half spectrum
     (Vh itself), the scalings (t1, t2) and the _Norms of U.
     """
-    # the sums allocate before V's moduli do, which then die in _Norms.of
+    # the sums allocate before V does
     sums = _parseval_sums(grid, Vh, half=True)
     V = _irfft(grid, Vh)
-    raw = _Norms.of(params, grid, held, _moduli(V), sums)
+    raw = _Norms.of(params, grid, held, lambda i: _moduli(V[i : i + 1]), sums)
     t1, t2 = _scalings(constraint, raw, warm)
     t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)[held]
     V *= t
@@ -453,8 +480,12 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
     w = grid.cell_volume / grid.total_points
 
     def dot(a, b):
-        # the L2 product of the real rows whose half spectra are a and b
-        return float(np.sum(grid.half_weights * (a.real * b.real + a.imag * b.imag)) * w)
+        # the L2 product of the real rows whose half spectra are a and b,
+        # formed in its first product
+        s = a.real * b.real
+        s += a.imag * b.imag
+        s *= grid.half_weights
+        return float(np.sum(s) * w)
 
     R = (grid.half_k2 + lam) * Uh
     R -= G
@@ -487,11 +518,12 @@ def minimize_on(
 
     The flow releases each array once it is done with it: the state's
     field before the first trial, the last gradient before the next, and
-    a rejected trial's arrays before the retry. At its peak, in a trial's
-    projection, it holds the state's, the gradient's and the trial's half
-    spectra, the trial's field and moduli and a row or two of the density
-    powers, about six real (2, *shape) stacks, or three for a scalar
-    start."""
+    a rejected trial's arrays before the retry. At its peak it holds about
+    five real (2, *shape) stacks, or under three for a scalar start: in a
+    trial's projection the state's, the gradient's and the trial's half
+    spectra, the trial's field and two rows of its moduli, formed one at a
+    time; in the gradient the state's half spectrum and field, the moduli,
+    one root and the cross term."""
     _check_number(tol, "tol")
     max_iter = _check_number(max_iter, "max_iter", f"be an integer in [1, {_MAX_ITER}]",
                              lambda n: 1 <= n <= _MAX_ITER, integer=True)

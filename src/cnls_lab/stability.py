@@ -304,9 +304,13 @@ def stability_sweep(
     non-negative integer, an unknown perturb_mode, and a bool, a string or
     a complex number for any number; and before any evolution for an
     epsilon with 0 < |epsilon| < 1e-12 ||member||_H."""
+    try:
+        entries = iter(epsilons)
+    except TypeError:
+        raise ValueError(f"epsilons must be a sequence of finite real numbers, got {epsilons!r}") from None
     epsilons = tuple(
         _check_number(eps, f"epsilons[{i}]", "be a finite real number", math.isfinite)
-        for i, eps in enumerate(epsilons)
+        for i, eps in enumerate(entries)
     )
     if not epsilons:
         raise ValueError("need at least one epsilon")

@@ -200,6 +200,15 @@ def test_minimize_config_refusals(tmp_path, capsys):
         name="s.ini",
     )
     assert main(["minimize", str(supercrit), "--out", str(tmp_path / "o2")]) == 3
+    # nor the Pohozaev problem at the energy-critical p = n/(n - 2) = 3 of 3d,
+    # which is refused before a flow that would only stall
+    capsys.readouterr()
+    critical = _write(
+        tmp_path, "[params]\np = 3.0\n\n[grid]\ndim = 3\npoints = 16\n\n[constraint]\nkind = pohozaev\n", name="c.ini"
+    )
+    assert main(["minimize", str(critical), "--out", str(tmp_path / "o3")]) == 3
+    assert "is not below n/(n - 2) = 3 in dimension 3" in capsys.readouterr().err
+    assert [path.name for path in (tmp_path / "o3").iterdir()] == ["manifest.txt"]
     # a key the kind does not read is refused, not echoed and dropped
     for name, keys in (("e", "kind = equal_spheres\ndelta1 = 1\ndelta2 = 5\n"), ("n", "kind = nehari\ngamma = 7\n")):
         unread = _write(tmp_path, f"[grid]\npoints = 64\n\n[constraint]\n{keys}", name=f"{name}.ini")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -679,6 +680,26 @@ def test_virial_series_rejects_nonuniform_times(grid_1d, cubic):
     short = dataclasses.replace(log, times=log.times[:2])
     with pytest.raises(ValueError):
         virial_series(short)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (("0", 1.0), "window[0] must be a finite real number, got '0'"),
+        ((True, 1.0), "window[0] must be a finite real number, got True"),
+        ((0.0, math.nan), "window[1] must be a finite real number, got nan"),
+        ((0.0, 1j), "window[1] must be a finite real number, got 1j"),
+        (1.0, "window must be a pair (t0, t1), got 1.0"),
+        ((0.0, 0.05, 0.1), "window must be a pair (t0, t1), got (0.0, 0.05, 0.1)"),
+    ],
+)
+def test_virial_series_refuses_a_window_that_is_not_two_finite_numbers(grid_1d, cubic, window, message):
+    log = evolve(_member(cubic, grid_1d), cubic, EvolveConfig(dt=1e-3, t_end=0.1, conservation_check_stride=10))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        virial_series(log, window=window)
+    # numpy ends read as the numbers they hold
+    same = virial_series(log, window=np.array([0.0, 0.05]))
+    assert np.array_equal(same.times, virial_series(log, window=(0.0, 0.05)).times)
 
 
 def test_trajectory_csv_round_trip(grid_1d, cubic):

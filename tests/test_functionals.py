@@ -192,6 +192,36 @@ def test_rates_read_the_component_axis_of_any_layout(dim, members, rows, p, beta
         assert np.array_equal(synced, both[:, :1]) and np.array_equal(synced, both[:, 1:])
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    dim=st.integers(1, 3),
+    members=st.integers(1, 3),
+    rows=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.25, 1.5, 2.0, 2.5, 3.0, 4.0]),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    seed=st.integers(0, 10_000),
+    synchronized=st.booleans(),
+)
+def test_rates_written_into_their_own_moduli_keep_their_bits(dim, members, rows, p, beta, seed, synchronized):
+    # the layouts of test_rates_read_the_component_axis_of_any_layout, a
+    # synchronized row among them: rates formed in a copy of the moduli,
+    # as the flows and the rotation form them in moduli they own, equal the
+    # rates of a fresh array bit for bit, and without out m is only read
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 9, size=dim))
+    m = rng.exponential(size=(members, rows) + shape)
+    m[rng.random(m.shape) < 0.2] = 0.0
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.0)
+    synchronized = synchronized and rows == 1
+    kept = m.copy()
+    rates = _rates(m, params, dim, synchronized=synchronized)
+    assert np.array_equal(m, kept)
+    own = m.copy()
+    got = _rates(own, params, dim, synchronized=synchronized, out=own)
+    assert got is own
+    assert got.tobytes() == np.ascontiguousarray(rates).tobytes()
+
+
 _SAMPLER_HELD = {"first": slice(0, 1), "second": slice(1, 2), "both": slice(0, 2), "synchronized": slice(0, 2)}
 _NORM_FIELDS = ("grad1", "grad2", "m1", "m2", "i1", "i2", "cross")
 
@@ -202,7 +232,8 @@ def _separate_sample(grid, params, held, U, S):
     if not np.isfinite(U).all():
         return None
     m = _density(U)
-    norms = _Norms.of(params, grid, held, m, _parseval_sums(grid, S))
+    # the sums write into the rows they are given
+    norms = _Norms.of(params, grid, held, _density(U).__getitem__, _parseval_sums(grid, S))
     try:
         var = _variance(grid, m.sum(axis=0))
     except BoundaryDecayError:

@@ -214,7 +214,7 @@ def test_pair_arithmetic_and_norms_equal_the_componentwise_expressions(dim, seed
         params,
         grid,
         slice(0, 2),
-        np.stack((_density(a.c1), _density(a.c2))),
+        np.stack((_density(a.c1), _density(a.c2))).__getitem__,
         ((grad1, grad2), (mass1, mass2)),
     )
     assert _Norms.measure(a, params) == separate
@@ -443,6 +443,18 @@ def test_half_spectrum_sums_match_the_full_spectrum(dim, size, real, seed):
         half = (grad, mass)
         assert full[0] > 0 and full[1] > 0
         np.testing.assert_allclose(half, full, rtol=1e-13, atol=0)
+
+
+def test_the_ceiling_grid_allocates_no_full_size_array(traced_peak):
+    # |k|^2 is built on first use and |x|^2 on every call, so the 256^3
+    # grid, whose full-size float array takes 128 MB, costs its axes only
+    assert traced_peak(lambda: Grid(3, 256, 10.0)) < 2**20
+    grid = Grid(2, 16, 3.0)
+    assert "k2" not in vars(grid)
+    kx, ky = np.ix_(*grid.wavenumbers)
+    assert np.array_equal(grid.k2, kx**2 + ky**2) and grid.k2 is grid.k2
+    x, y = np.ix_(*grid.axes)
+    assert np.array_equal(grid.radius_sq(), x**2 + y**2) and grid.radius_sq() is not grid.radius_sq()
 
 
 def test_only_core_imports_the_nd_transforms():

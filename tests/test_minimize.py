@@ -235,22 +235,40 @@ def test_scalar_start_holds_one_component(transform_calls, traced_peak):
         assert [c for c in transform_calls if c.name == "rfft"] == [(1, 1, *small.shape)]
 
 
+# the flow's memory budget, (dim, p, constraint kind, start mode): two-row
+# starts at every branch of the rates on a 2d grid, the 3d grid at the
+# exponents whose Nehari problem has decaying minimizers (p < 3 there; no
+# constraint admits p = 3 or 4 in 3d), the weighted sphere at p = 1.5, and
+# one-row starts
+_BUDGET_CASES = [
+    *((2, p, "nehari", "both") for p in (1.5, 2.0, 3.0, 4.0)),
+    (2, 1.5, "weighted_sphere", "both"),
+    *((3, p, "nehari", "both") for p in (1.5, 2.0)),
+    *((dim, p, "nehari", "first") for dim in (2, 3) for p in (1.5, 2.0)),
+]
+_BUDGET_GRIDS = {2: (2, 128, 20.0), 3: (3, 32, 12.0)}
+
+
 @pytest.mark.parametrize(
-    "constraint", [ConstraintSpec.nehari(), ConstraintSpec.weighted_sphere(3.0)], ids=["nehari", "weighted_sphere"]
+    "dim, p, kind, mode", _BUDGET_CASES, ids=[f"{d}d-p{p:g}-{k}-{m}" for d, p, k, m in _BUDGET_CASES]
 )
-def test_both_start_flow_holds_about_six_stacks(constraint, traced_peak):
+def test_flow_holds_at_most_five_stacks(dim, p, kind, mode, traced_peak):
     # the flow releases each array once it is done with it and forms its
-    # temporaries in place; at its peak, in a trial's projection, it holds
-    # the state's, the gradient's and the trial's half spectra, the trial's
-    # field and moduli and a row or two of the density powers, about 6.2
-    # real (2, *shape) stacks
-    grid = Grid(2, 128, 20.0)
-    params = SystemParams(p=1.5, beta=3.0, omega1=1.0, omega2=1.0)
-    init = gaussian_init(grid, params, mode="both", seed=4)
+    # temporaries over arrays it owns. At its peak, in a trial's projection,
+    # it holds the state's, the gradient's and the trial's half spectra, the
+    # trial's field and two rows of its moduli or their powers; in the
+    # gradient, the state's half spectrum and field, the moduli, one root
+    # and the cross term. That is about 5.2 real (2, *shape) stacks, and 3.1
+    # for a one-row start
+    grid = Grid(*_BUDGET_GRIDS[dim])
+    params = SystemParams(p=p, beta=3.0, omega1=1.0, omega2=1.0)
+    constraint = ConstraintSpec.nehari() if kind == "nehari" else ConstraintSpec.weighted_sphere(3.0)
+    init = gaussian_init(grid, params, mode=mode, seed=4)
     # the grid's cached spectral weights are not the flow's own
     grid.half_k2, grid.half_weights
     stack = np.zeros((2,) + grid.shape).nbytes
-    assert traced_peak(lambda: minimize_on(constraint, params, grid, init=init)) <= 6.4 * stack
+    budget = 5.25 if mode == "both" else 3.2
+    assert traced_peak(lambda: minimize_on(constraint, params, grid, init=init)) <= budget * stack
 
 
 def test_flow_telemetry(grid_1d):
@@ -440,6 +458,10 @@ def test_constraint_validation_refusals(grid_1d):
     beyond = SystemParams(p=3.0, beta=0.0, omega1=1.0, omega2=1.0)
     with pytest.raises(ConstraintError):
         minimize_on(ConstraintSpec.nehari(), beyond, g3)
+    # nor the Pohozaev set at the energy-critical p = n/(n - 2) = 3 in 3d,
+    # where a flow only stalls
+    with pytest.raises(ConstraintError, match=re.escape("p=3.0 is not below n/(n - 2) = 3 in dimension 3")):
+        minimize_on(ConstraintSpec.pohozaev(), beyond, g3)
 
 
 def test_constraint_spec_validation():
@@ -479,6 +501,39 @@ def test_constraint_spec_validation():
     for tol in ("1e-8", True):
         with pytest.raises(ValueError, match="tol"):
             minimize_on(ConstraintSpec.nehari(), _cubic(1.0), Grid(1, 64, 10.0), tol=tol)
+
+
+def test_a_constraint_spec_built_directly_holds_what_its_factory_would():
+    # the dataclass checks itself: a kind outside the table, a size its
+    # kind's factory does not read, and a size its rule refuses are refused
+    # by name, and the factories only name their kind
+    for kind, sizes, key in (
+        ("bogus", {}, "kind"),
+        ("weighted_sphere", {"gamma": True}, "gamma"),
+        ("weighted_sphere", {}, "gamma"),
+        ("weighted_sphere", {"gamma": 1.0, "delta2": 1.0}, "delta2"),
+        ("product_spheres", {"delta1": 1.0, "delta2": -1.0}, "delta2"),
+        ("product_spheres", {"delta1": "1", "delta2": 0.0}, "delta1"),
+        ("equal_spheres", {"delta1": 1.0, "delta2": 2.0}, "delta2"),
+        ("equal_spheres", {"delta1": 1.0, "delta2": True}, "delta2"),
+        ("nehari", {"gamma": 1.0}, "gamma"),
+        ("pohozaev", {"delta1": 1.0}, "delta1"),
+        ("nehari_set", {"delta2": 0.0}, "delta2"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            ConstraintSpec(kind, **sizes)
+    built = (
+        (ConstraintSpec("weighted_sphere", gamma=3), ConstraintSpec.weighted_sphere(3.0)),
+        (ConstraintSpec("product_spheres", delta1=2, delta2=0), ConstraintSpec.product_spheres(2.0, 0.0)),
+        (ConstraintSpec("equal_spheres", delta1=2), ConstraintSpec.equal_spheres(2.0)),
+        (ConstraintSpec("equal_spheres", delta1=2, delta2=2.0), ConstraintSpec.equal_spheres(2.0)),
+        (ConstraintSpec("nehari"), ConstraintSpec.nehari()),
+    )
+    for direct, made in built:
+        assert direct == made and direct.describe() == made.describe()
+        assert all(type(getattr(direct, key)) in (float, type(None)) for key in ("gamma", "delta1", "delta2"))
+        assert dataclasses.replace(made) == made
+    assert ConstraintSpec.product_spheres(2.0, 0.0).pinned
 
 
 def _assert_on_two_sided_set(pair, params):

@@ -397,6 +397,8 @@ _SETTING_RUNS = {
         ("blowup", "guard_ratio", math.inf),
         # a string or a bool is not a number
         *(("audit", "gamma_factors", (v,)) for v in ("2", True)),
+        # a bare number is not a sequence of epsilons
+        ("sweep", "epsilons", 1e-2),
     ],
 )
 def test_absurd_settings_are_refused_before_any_flow(monkeypatch, grid_1d, run, key, value):
