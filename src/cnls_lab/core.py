@@ -49,6 +49,13 @@ _ABS_SWITCH = 1e-10
 # 64 times the largest grid the experiments use
 _MAX_POINTS = 2**24
 
+# the entries of one leaf of a streamed sum and of one block of a streamed
+# pointwise pass over the flattened grid axes (64 and 128 KB of doubles):
+# small enough that a block's temporaries are a fraction of a field on a
+# 32^3 grid and up, large enough that a block costs a few numpy calls
+_LEAF = 2**13
+_COLUMNS = 2**14
+
 
 def relative_error(value: float, reference: float) -> float:
     """|value - reference| / |reference|, with the absolute difference
@@ -125,9 +132,9 @@ class Grid:
         wavenumbers: per-axis spectral wavenumbers 2*pi*fftfreq(N, dx).
         k2: |k|^2 on the full grid (broadcast sum over axes), computed on
             first use: the flows never read it.
-        half_k2, half_weights: |k|^2 on the half spectrum of a real field
-            (the last axis cut to its N/2 + 1 nonnegative columns) and the
-            Parseval multiplicity of each column, computed on first use.
+        half_k2: |k|^2 on the half spectrum of a real field (the last
+            axis cut to its N/2 + 1 nonnegative columns), computed on first
+            use.
         cell_volume: dx^dim, the quadrature weight.
     """
 
@@ -156,7 +163,6 @@ class Grid:
         k = 2.0 * np.pi * fftfreq(n, d=self.dx)
         self.axes = tuple(x.copy() for _ in range(dim))
         self.wavenumbers = tuple(k.copy() for _ in range(dim))
-        self._boundary_mask = None
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -169,16 +175,6 @@ class Grid:
         k_last = 2.0 * np.pi * rfftfreq(self.points_per_axis, d=self.dx)
         return sum(kx**2 for kx in np.ix_(*self.wavenumbers[:-1], k_last))
 
-    @cached_property
-    def half_weights(self) -> np.ndarray:
-        """Parseval multiplicities of the half-spectrum columns, along the
-        last axis: 1 at the zero and Nyquist columns, which the real field's
-        full spectrum holds once, and 2 at every other column, which stands
-        for itself and its conjugate mirror."""
-        weights = np.full(self.points_per_axis // 2 + 1, 2.0)
-        weights[[0, -1]] = 1.0
-        return weights
-
     def radius_sq(self) -> np.ndarray:
         """|x|^2 measured from the box center (the origin), a fresh array on
         every call: each caller reads it once, and the grid keeps no
@@ -186,11 +182,10 @@ class Grid:
         return sum(x**2 for x in np.ix_(*self.axes))
 
     def boundary_mask(self) -> np.ndarray:
-        """Boolean mask of the outermost grid layer (any axis at its edge)."""
-        if self._boundary_mask is None:
-            interior = np.zeros((self.points_per_axis - 2,) * self.dim, dtype=bool)
-            self._boundary_mask = np.pad(interior, 1, constant_values=True)
-        return self._boundary_mask
+        """Boolean mask of the outermost grid layer (any axis at its edge),
+        a fresh array on every call: the grid keeps only boundary_indices."""
+        interior = np.zeros((self.points_per_axis - 2,) * self.dim, dtype=bool)
+        return np.pad(interior, 1, constant_values=True)
 
     @cached_property
     def boundary_indices(self) -> np.ndarray:
@@ -370,6 +365,27 @@ def _density(f: np.ndarray) -> np.ndarray:
     return f.real**2 + f.imag**2
 
 
+def _real_rows(U: np.ndarray) -> np.ndarray:
+    """The real (r, q, n) view, over the flattened grid axes, of a stack
+    of r components: the real and imaginary parts (q = 2) of a complex
+    (r, *shape) stack, or the q real rows per component of a real
+    (r, q, *shape) one, as the projected flow holds its state."""
+    r = U.shape[0]
+    if np.iscomplexobj(U):
+        return U.reshape(r, -1).view(np.float64).reshape(r, -1, 2).transpose(0, 2, 1)
+    return U.reshape(r, U.shape[1], -1)
+
+
+def _moduli(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The squared moduli of the (r, q, n) real rows u of r components,
+    the sum of the squares of each component's q rows, written into out,
+    an (r, n) array, and returned."""
+    np.square(u[:, 0], out=out)
+    if u.shape[1] == 2:
+        out += np.square(u[:, 1])
+    return out
+
+
 def _integral(grid: Grid, g: np.ndarray) -> float:
     """Rectangle-rule quadrature sum(g) dx^n, over every entry of g."""
     return float(g.sum() * grid.cell_volume)
@@ -408,25 +424,90 @@ def _irfft(grid: Grid, S: np.ndarray) -> np.ndarray:
     return irfftn(S, s=grid.shape, axes=range(S.ndim - grid.dim, S.ndim))
 
 
+def _blocks(n: int, size: int = _LEAF, start: int = 0):
+    """The slices of [start, start + n) at the leaves of numpy's pairwise
+    summation tree, left to right: a range of more than size entries splits
+    at n/2 rounded down to a multiple of 8, as numpy's pairwise sum splits
+    it (Higham, SIAM J. Sci. Comput. 14, 1993), and a leaf holds at most
+    size entries. Every pointwise pass and every sum that streams over the
+    flattened grid axes walks these blocks."""
+    if n <= size:
+        yield slice(start, start + n)
+        return
+    half = n // 2 - n // 2 % 8
+    yield from _blocks(half, size, start)
+    yield from _blocks(n - half, size, start + half)
+
+
+def _tree_sum(n: int, leaf) -> np.ndarray:
+    """The sums over n entries of k integrands that leaf(block) forms only
+    block by block: leaf returns the k sums over each block of _blocks(n),
+    as one (k, len) array's .sum(axis=1), and they are added along the same
+    tree. numpy sums each leaf along that tree too, so the result equals
+    np.sum of each whole integrand bit for bit, and no integrand is ever
+    formed in full."""
+    return _combine(map(leaf, _blocks(n)), n)
+
+
+def _combine(sums, n: int) -> np.ndarray:
+    """The next sums of the iterator sums, one per leaf of _blocks(n) left
+    to right, added along the tree; a module function, so that no closure
+    cycle keeps the leaf's arrays alive until the garbage collector runs."""
+    if n <= _LEAF:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _combine(sums, half) + _combine(sums, n - half)
+
+
+def _periodic(values: np.ndarray, block: slice) -> np.ndarray:
+    """values[i % values.size] for i in block: the multiplier of a row
+    that repeats values, as every real row of a (q, *half) half spectrum
+    repeats |k|^2; a view unless the block crosses a period."""
+    n, size = values.size, block.stop - block.start
+    start = block.start % n
+    if start + size <= n:
+        return values[start : start + size]
+    return values[np.arange(block.start, block.stop) % n]
+
+
+def _half_weights(grid: Grid, block: slice) -> np.ndarray:
+    """The Parseval multiplicities of the entries in block of a flattened
+    half-spectrum row, by the column of the last axis each sits in: 1 at
+    the zero and Nyquist columns, which the real field's full spectrum
+    holds once, and 2 at every other column, which stands for itself and
+    its conjugate mirror."""
+    cols = grid.points_per_axis // 2 + 1
+    weights = np.full(block.stop - block.start, 2.0)
+    weights[-block.start % cols :: cols] = 1.0
+    weights[(cols - 1 - block.start) % cols :: cols] = 1.0
+    return weights
+
+
 def _parseval_sums(grid: Grid, S: np.ndarray, *, half: bool = False) -> tuple[list, list]:
     """([||grad f_j||_2^2], [||f_j||_2^2]) by Parseval, one entry per row
     f_j of the stack whose spectrum S = _fft(grid, f) holds them on its
     leading axis, each summed over every other axis; with half=True,
-    S = _rfft(grid, f) of real rows, whose columns count with
-    grid.half_weights. Each row is summed on its own, so a zero row adds
-    exactly nothing on every grid. The density is weighed in place once the
-    masses are summed, so one real array of S's shape and one temporary
-    are all this allocates."""
-    s = np.square(S.real)
-    s += np.square(S.imag)
-    if half:
-        s *= grid.half_weights
-    w = grid.cell_volume / grid.total_points
+    S = _rfft(grid, f) of real rows, whose columns count with their
+    _half_weights. Each row is summed on its own, so a zero row adds
+    exactly nothing on every grid. The densities are formed block by block
+    and streamed through _tree_sum, so that this allocates blocks only."""
     rows = S.shape[0]
-    mass = s.reshape(rows, -1).sum(axis=1) * w
-    s *= grid.half_k2 if half else grid.k2
-    grad = s.reshape(rows, -1).sum(axis=1) * w
-    return grad.tolist(), mass.tolist()
+    flat = S.reshape(rows, -1)
+    k2 = (grid.half_k2 if half else grid.k2).reshape(-1)
+
+    def leaf(block):
+        s = flat[:, block]
+        buf = np.empty((2, rows, block.stop - block.start))
+        mass, grad = buf
+        np.square(s.real, out=mass)
+        mass += np.square(s.imag, out=grad)
+        if half:
+            mass *= _half_weights(grid, block)
+        np.multiply(mass, _periodic(k2, block), out=grad)
+        return buf.reshape(2 * rows, -1).sum(axis=1)
+
+    sums = _tree_sum(flat.shape[1], leaf) * (grid.cell_volume / grid.total_points)
+    return sums[rows:].tolist(), sums[:rows].tolist()
 
 
 def l2_norm_sq(grid: Grid, f: np.ndarray) -> float:

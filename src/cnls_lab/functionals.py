@@ -27,8 +27,11 @@ from .core import (
     _density,
     _fft,
     _integral,
+    _moduli,
     _parseval_sums,
     _per_component,
+    _real_rows,
+    _tree_sum,
     relative_error,
 )
 from .errors import BoundaryDecayError
@@ -52,9 +55,6 @@ BOUNDARY_DECAY_TOL = 1e-8
 
 # largest relative residual at which pohozaev_check passes
 _POHOZAEV_TOL = 1e-6
-
-# the entries per block of a power written in place (32 KB of doubles)
-_BLOCK = 2**12
 
 
 def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,36 +93,32 @@ def _power(m: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(m, e, out=out)
 
 
-def _power_in_place(m: np.ndarray, e: float) -> np.ndarray:
-    """m**e as _power forms it, written into the C-contiguous m one block
-    of _BLOCK entries at a time, so that its temporaries stay one block."""
-    flat = m.reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        _power(block, e, out=block)
-    return m
-
-
-def _density_sums(grid: Grid, moduli, held: slice, p: float):
+def _density_sums(grid: Grid, U: np.ndarray, held: slice, p: float):
     """Quadrature values of int |u1|^2p, int |u2|^2p, int |u1|^p |u2|^p
-    of a state whose components in the slice held are populated; an absent
-    component contributes exact zeros, as a zero one would. moduli(i) gives
-    the squared modulus |u|^2 of the i-th populated component, a
-    C-contiguous array this call may write into once it is done reading
-    it. With two rows the product m1 m2 is written over m1 once int m1^p is
-    taken, and m2 is asked for again after the cross term, so a caller that
-    forms each modulus on demand holds two rows at a time, or one row and
-    a block with one."""
-    rows = len(range(2)[held])
-    m = moduli(0)
-    if rows == 1:
-        return (*_per_component(held, [_integral(grid, _power_in_place(m, p))], 0.0), 0.0)
-    i1 = _integral(grid, _power(m, p))
-    product = np.multiply(m, moduli(1), out=m)
-    cross = _integral(grid, _power_in_place(product, 0.5 * p))
-    # the product goes before the second modulus is formed again
-    m = product = None
-    return i1, _integral(grid, _power_in_place(moduli(1), p)), cross
+    of the state whose components in the slice held are the rows of U, a
+    complex (r, *shape) stack or the real (r, q, *shape) one of the flows;
+    an absent component contributes exact zeros, as a zero one would. The
+    moduli and their powers are formed block by block in one (k, n) array
+    and streamed through core._tree_sum, so this allocates blocks only."""
+    rows = _real_rows(U)
+    r = rows.shape[0]
+    # m_j^p for each row, then (m1 m2)^(p/2)
+    exponents = (p,) if r == 1 else (p, p, 0.5 * p)
+
+    def leaf(block):
+        buf = np.empty((len(exponents), block.stop - block.start))
+        m = _moduli(rows[..., block], out=buf[:r])
+        if r == 2:
+            np.multiply(m[0], m[1], out=buf[2])
+        # one row at a time, so that a power's temporaries stay one row
+        for row, e in zip(buf, exponents):
+            _power(row, e, out=row)
+        return buf.sum(axis=1)
+
+    sums = (_tree_sum(rows.shape[-1], leaf) * grid.cell_volume).tolist()
+    if r == 1:
+        return (*_per_component(held, sums, 0.0), 0.0)
+    return tuple(sums)
 
 
 def _coupling(params: SystemParams, i1: float, i2: float, cross: float) -> float:
@@ -137,8 +133,7 @@ def _virial(grad, f_val, dim: int, p: float):
 
 def coupling_F(pair: FieldPair, params: SystemParams) -> float:
     """Nonlinear potential F(U)."""
-    m = _density(pair.components)
-    return _coupling(params, *_density_sums(pair.grid, m.__getitem__, slice(0, 2), params.p))
+    return _coupling(params, *_density_sums(pair.grid, pair.components, slice(0, 2), params.p))
 
 
 def _rates(m: np.ndarray, params: SystemParams, dim: int, *, synchronized: bool = False,
@@ -247,14 +242,13 @@ class _Norms:
     cross: float
 
     @classmethod
-    def of(cls, params, grid, held, moduli, sums):
-        """Measure the state whose components in the slice held have the
-        squared moduli moduli(i) = |u|^2 of the i-th, as _density_sums reads
-        them, and the Parseval sums sums = core._parseval_sums(...), one
-        entry per held component; the other component is exactly zero and
-        adds exact zeros."""
+    def of(cls, params, grid, held, U, sums):
+        """Measure the state whose components in the slice held are the
+        rows of U, as _density_sums reads them, and whose Parseval sums are
+        sums = core._parseval_sums(...), one entry per held component; the
+        other component is exactly zero and adds exact zeros."""
         grads, masses = (_per_component(held, values, 0.0) for values in sums)
-        i1, i2, cross = _density_sums(grid, moduli, held, params.p)
+        i1, i2, cross = _density_sums(grid, U, held, params.p)
         return cls(params, grid.dim, *grads, *masses, i1, i2, cross)
 
     @classmethod
@@ -270,8 +264,7 @@ class _Norms:
         """Measure pair from one stacked transform of its components."""
         grid = pair.grid
         S = _fft(grid, pair.components)
-        m = _density(pair.components)
-        return cls.of(params, grid, slice(0, 2), m.__getitem__, _parseval_sums(grid, S))
+        return cls.of(params, grid, slice(0, 2), pair.components, _parseval_sums(grid, S))
 
     def scaled(self, t1, t2):
         """The values for (t1 u1, t2 u2). The powers are taken in numpy

@@ -54,8 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_SEED, FieldPair, Grid, SystemParams, _check_number, _density, _embed, _fft, _irfft,
-                   _MODE_ROWS, _parseval_sums, _per_component, _populated, _rfft)
+from .core import (_COLUMNS, _SEED, FieldPair, Grid, SystemParams, _blocks, _check_number, _density, _embed,
+                   _fft, _half_weights, _irfft, _MODE_ROWS, _moduli, _parseval_sums, _per_component,
+                   _periodic, _populated, _rfft, _tree_sum)
 from .errors import ConstraintError, ConvergenceError, GridMismatchError
 from .functionals import _gradient, _Norms, _rates
 
@@ -421,38 +422,36 @@ def _scalings(constraint, norms, warm=(1.0, 1.0)):
     return t1, t2
 
 
-def _moduli(U: np.ndarray) -> np.ndarray:
-    """The (r, *shape) squared moduli |u_j|^2 of the stacked state U."""
-    m = np.square(U[:, 0])
-    if U.shape[1] == 2:
-        m += U[:, 1] ** 2
-    return m
-
-
 def _gradient_spectra(grid, params, U):
     """Half spectrum of the coupling gradient (A_j u_j) of the stacked
-    state U. The rates are formed in the moduli, which are this call's own,
-    and a real state's product A_j u_j in the rates; they are released on
-    return, before the flow's trial steps allocate theirs."""
-    m = _moduli(U)
-    rates = _rates(m, params, grid.dim, out=m)[:, None]
-    return _rfft(grid, np.multiply(rates, U, out=rates if U.shape[1] == 1 else None))
+    state U. Each block of _COLUMNS columns of the gradient's own array
+    takes the moduli, then the rates over them, then the product A_j u_j,
+    so that besides that array only one block's temporaries are alive."""
+    r, q = U.shape[:2]
+    out = np.empty_like(U)
+    u, g = U.reshape(r, q, -1), out.reshape(r, q, -1)
+    for block in _blocks(u.shape[-1], _COLUMNS):
+        m = _moduli(u[..., block], out=g[:, 0, block])
+        rates = _rates(m, params, 1, out=m)
+        # the real rows go last, over the rates they read
+        for j in reversed(range(q)):
+            np.multiply(rates, u[:, j, block], out=g[:, j, block])
+    return _rfft(grid, out)
 
 
 def _project_state(constraint, grid, params, Vh, warm, held):
     """Project the raw half spectrum Vh of a stacked state, which holds the
     components in the slice held, onto the constraint set, scaling Vh in
-    place once the projection has succeeded. The density sums form V's
-    moduli one row at a time, as they ask for them, so the projection
-    never holds V's whole moduli stack beside V.
+    place once the projection has succeeded. The sums stream over Vh and
+    V block by block, so the projection holds V beside Vh and nothing else
+    of full size.
 
     Returns (U, Uh, factors, norms): the projected state, its half spectrum
     (Vh itself), the scalings (t1, t2) and the _Norms of U.
     """
-    # the sums allocate before V does
     sums = _parseval_sums(grid, Vh, half=True)
     V = _irfft(grid, Vh)
-    raw = _Norms.of(params, grid, held, lambda i: _moduli(V[i : i + 1]), sums)
+    raw = _Norms.of(params, grid, held, V, sums)
     t1, t2 = _scalings(constraint, raw, warm)
     t = np.reshape((t1, t2), (2, 1) + (1,) * grid.dim)[held]
     V *= t
@@ -476,26 +475,52 @@ def _residual(constraint, grid, Uh, G, lam, norms, held):
     held Uh holds; lam is their column of frequencies. An absent
     component's dot products are exactly 0 and are left out. Each sphere
     row's normal (a1 u1, a2 u2) is projected off in turn, which is exact
-    because the rows are orthogonal."""
-    w = grid.cell_volume / grid.total_points
+    because the rows are orthogonal. The residual R = (|k|^2 + lam) Uh - G
+    and its L2 products with itself and with Uh, over the real rows whose
+    half spectra they are, are formed block by block and streamed through
+    _tree_sum."""
+    spheres = _spheres(constraint, norms.params)
+    r = Uh.shape[0]
+    u, g = Uh.reshape(r, -1), G.reshape(r, -1)
+    k2 = grid.half_k2.reshape(-1)
+    lam = lam.reshape(r, 1)
 
-    def dot(a, b):
-        # the L2 product of the real rows whose half spectra are a and b,
-        # formed in its first product
-        s = a.real * b.real
-        s += a.imag * b.imag
-        s *= grid.half_weights
-        return float(np.sum(s) * w)
+    def leaf(block):
+        # the rows |R_i|^2, then, for the spheres, R_i . Uh_i
+        buf = np.empty((2 * r if spheres else r, block.stop - block.start))
+        ub, gb = u[:, block], g[:, block]
+        rate = _periodic(k2, block) + lam
+        re = rate * ub.real
+        re -= gb.real
+        im = np.multiply(rate, ub.imag, out=rate)
+        im -= gb.imag
+        np.square(re, out=buf[:r])
+        buf[:r] += np.square(im)
+        if spheres:
+            np.multiply(re, ub.real, out=buf[r:])
+            buf[r:] += np.multiply(im, ub.imag, out=im)
+        buf *= _half_weights(grid, block)
+        return buf.sum(axis=1)
 
-    R = (grid.half_k2 + lam) * Uh
-    R -= G
+    dots = (_tree_sum(u.shape[1], leaf) * (grid.cell_volume / grid.total_points)).tolist()
     # (row of R and Uh, component index) of each held component
     rows = tuple(enumerate(range(2)[held]))
-    r_sq = sum(dot(R[i], R[i]) for i, _ in rows)
-    for a, _ in _spheres(constraint, norms.params):
-        inner = sum(a[j] * dot(R[i], Uh[i]) for i, j in rows if a[j])
+    r_sq = sum(dots[i] for i, _ in rows)
+    for a, _ in spheres:
+        inner = sum(a[j] * dots[r + i] for i, j in rows if a[j])
         r_sq -= inner**2 / _weigh([aj**2 for aj in a], (norms.m1, norms.m2))
     return math.sqrt(max(r_sq, 0.0) / norms.h1)
+
+
+def _divide_step(grid, Vh, dt, lam):
+    """Vh /= 1 + dt (|k|^2 + lam) in place, block by block of _COLUMNS
+    columns of the half spectrum, with lam the held rows' frequencies."""
+    r, q = Vh.shape[:2]
+    v = Vh.reshape(r, q, -1)
+    k2 = grid.half_k2.reshape(-1)
+    lam = lam.reshape(r, 1, 1)
+    for block in _blocks(k2.size, _COLUMNS):
+        v[..., block] /= 1.0 + dt * (k2[block] + lam)
 
 
 def minimize_on(
@@ -518,12 +543,15 @@ def minimize_on(
 
     The flow releases each array once it is done with it: the state's
     field before the first trial, the last gradient before the next, and
-    a rejected trial's arrays before the retry. At its peak it holds about
-    five real (2, *shape) stacks, or under three for a scalar start: in a
-    trial's projection the state's, the gradient's and the trial's half
-    spectra, the trial's field and two rows of its moduli, formed one at a
-    time; in the gradient the state's half spectrum and field, the moduli,
-    one root and the cross term."""
+    a rejected trial's arrays before the retry. Every pointwise pass and
+    every integral streams over blocks of the flattened grid axes
+    (core._blocks), so no full-size temporary is formed. At its peak the
+    flow holds about four real (2, *shape) stacks, or two for a scalar
+    start, plus one block's temporaries: in a trial's projection the
+    state's, the gradient's and the trial's half spectra and the trial's
+    field; in the gradient the state's half spectrum and field and the
+    gradient's field and spectrum. On grids of up to 2^14 points one
+    gradient block is the whole grid, and the peak stays near five."""
     _check_number(tol, "tol")
     max_iter = _check_number(max_iter, "max_iter", f"be an integer in [1, {_MAX_ITER}]",
                              lambda n: 1 <= n <= _MAX_ITER, integer=True)
@@ -602,7 +630,7 @@ def minimize_on(
                 # (Uh + dt G) / (1 + dt (|k|^2 + lam)), formed in dt G
                 Vh = dt * G
                 Vh += Uh
-                Vh /= 1.0 + dt * (grid.half_k2 + lam[held])
+                _divide_step(grid, Vh, dt, lam[held])
                 try:
                     projected = _project_state(constraint, grid, params, Vh, factors, held)
                 except ConstraintError:

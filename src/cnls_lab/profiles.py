@@ -272,7 +272,8 @@ def scale_field(grid: Grid, f: np.ndarray, scaling: ScalingParams) -> np.ndarray
         # the modes whose index is at least 0.45 N on some axis
         tail_modes = _chebyshev_radius((fftfreq(grid.points_per_axis),) * grid.dim) >= 0.45
         resolution = float(spectrum[..., tail_modes].max()) / float(spectrum.max())
-        edge = float(np.abs(g[..., grid.boundary_mask()]).max()) / peak
+        edges = g.reshape(*g.shape[: g.ndim - grid.dim], -1)[..., grid.boundary_indices]
+        edge = float(np.abs(edges).max()) / peak
         if resolution >= SUPPORT_TOL and resolution > edge:
             limit = f"the grid is under-resolved: dx={grid.dx:.3g} leaves a spectral tail of {resolution:.3e}"
         else:

@@ -232,8 +232,7 @@ def _separate_sample(grid, params, held, U, S):
     if not np.isfinite(U).all():
         return None
     m = _density(U)
-    # the sums write into the rows they are given
-    norms = _Norms.of(params, grid, held, _density(U).__getitem__, _parseval_sums(grid, S))
+    norms = _Norms.of(params, grid, held, U, _parseval_sums(grid, S))
     try:
         var = _variance(grid, m.sum(axis=0))
     except BoundaryDecayError:

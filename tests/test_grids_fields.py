@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,9 @@ from cnls_lab import (
     weighted_l2_norm_sq,
 )
 from cnls_lab import ConstraintSpec, EvolveConfig, cli, dynamics, minimize
-from cnls_lab.core import _density, _fft, _ifft, _irfft, _parseval_sums, _rfft, gradient_norm_sq_component
-from cnls_lab.functionals import _Norms
+from cnls_lab.core import (_LEAF, _blocks, _fft, _ifft, _irfft, _parseval_sums, _rfft, _tree_sum,
+                           gradient_norm_sq_component)
+from cnls_lab.functionals import _Norms, _variance
 
 from conftest import smooth_pair
 
@@ -214,7 +216,7 @@ def test_pair_arithmetic_and_norms_equal_the_componentwise_expressions(dim, seed
         params,
         grid,
         slice(0, 2),
-        np.stack((_density(a.c1), _density(a.c2))).__getitem__,
+        np.stack((a.c1, a.c2)),
         ((grad1, grad2), (mass1, mass2)),
     )
     assert _Norms.measure(a, params) == separate
@@ -300,6 +302,22 @@ def test_boundary_mask_is_the_outermost_layer(dim, n):
     mask = Grid(dim, n, 5.0).boundary_mask()
     assert mask.dtype == bool
     assert np.array_equal(mask, expected)
+
+
+def test_the_grid_keeps_its_boundary_indices_and_no_mask():
+    # variance reads the boundary through the cached flat indices, 0.74 MB
+    # on 128^3; boundary_mask() builds its 2 MB mask anew on every call
+    grid = Grid(3, 128, 20.0)
+    dens = np.exp(-grid.radius_sq())
+    tracemalloc.start()
+    try:
+        _variance(grid, dens)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.8 * 2**20
+    assert grid.boundary_mask() is not grid.boundary_mask()
+    assert np.array_equal(grid.boundary_indices, np.flatnonzero(grid.boundary_mask()))
 
 
 def test_l2_norm_against_gaussian_integral(grid_1d):
@@ -443,6 +461,37 @@ def test_half_spectrum_sums_match_the_full_spectrum(dim, size, real, seed):
         half = (grad, mass)
         assert full[0] > 0 and full[1] > 0
         np.testing.assert_allclose(half, full, rtol=1e-13, atol=0)
+
+
+# the lengths of the half-spectrum rows of the flows: q real rows of
+# N^(d-1) (N/2 + 1) columns each
+_HALF_LENGTHS = st.builds(
+    lambda dim, e, q: q * (2**e) ** (dim - 1) * (2 ** (e - 1) + 1),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.integers(1, 2),
+).filter(lambda n: n <= 2**19)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.one_of(st.integers(0, 19).map(lambda e: 2**e), _HALF_LENGTHS, st.integers(1, 2**19)),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_block_walker_sums_as_numpy_does(n, k, seed):
+    # k integrands with entries of both signs over 40 decades, where any
+    # other order of the additions would show in the last bits; the lengths
+    # of any size split where numpy's n/2 is no multiple of 8
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-20.0, 20.0, (k, n))
+    blocks = list(_blocks(n))
+    # the leaves tile [0, n) left to right, none longer than a leaf
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n and all(0 < b.stop - b.start <= _LEAF for b in blocks)
+    got = _tree_sum(n, lambda block: np.ascontiguousarray(a[:, block]).sum(axis=1))
+    assert got.tobytes() == a.sum(axis=1).tobytes()
+    assert got.tobytes() == np.array([np.sum(row) for row in a]).tobytes()
 
 
 def test_the_ceiling_grid_allocates_no_full_size_array(traced_peak):

@@ -34,6 +34,8 @@ from cnls_lab import (
     weighted_l2_norm_sq,
 )
 from cnls_lab import minimize
+from cnls_lab.core import _parseval_sums, _rfft
+from cnls_lab.functionals import _density_sums, _Norms, _power, _rates
 
 from conftest import smooth_pair
 
@@ -239,36 +241,155 @@ def test_scalar_start_holds_one_component(transform_calls, traced_peak):
 # starts at every branch of the rates on a 2d grid, the 3d grid at the
 # exponents whose Nehari problem has decaying minimizers (p < 3 there; no
 # constraint admits p = 3 or 4 in 3d), the weighted sphere at p = 1.5, and
-# one-row starts
+# one-row starts; each with its budget in real (2, *shape) stacks. The 3d
+# rows sit 0.1 above the measured peak (4.71, 4.58, 2.51 and 2.51 stacks)
 _BUDGET_CASES = [
-    *((2, p, "nehari", "both") for p in (1.5, 2.0, 3.0, 4.0)),
-    (2, 1.5, "weighted_sphere", "both"),
-    *((3, p, "nehari", "both") for p in (1.5, 2.0)),
-    *((dim, p, "nehari", "first") for dim in (2, 3) for p in (1.5, 2.0)),
+    *((2, p, "nehari", "both", 5.25) for p in (1.5, 2.0, 3.0, 4.0)),
+    (2, 1.5, "weighted_sphere", "both", 5.25),
+    (3, 1.5, "nehari", "both", 4.81),
+    (3, 2.0, "nehari", "both", 4.68),
+    *((2, p, "nehari", "first", 3.2) for p in (1.5, 2.0)),
+    *((3, p, "nehari", "first", 2.62) for p in (1.5, 2.0)),
 ]
 _BUDGET_GRIDS = {2: (2, 128, 20.0), 3: (3, 32, 12.0)}
 
 
 @pytest.mark.parametrize(
-    "dim, p, kind, mode", _BUDGET_CASES, ids=[f"{d}d-p{p:g}-{k}-{m}" for d, p, k, m in _BUDGET_CASES]
+    "grid_spec, p, kind, mode, budget",
+    [
+        *(
+            pytest.param(_BUDGET_GRIDS[d], p, k, m, b, id=f"{d}d-p{p:g}-{k}-{m}")
+            for d, p, k, m, b in _BUDGET_CASES
+        ),
+        *(pytest.param((3, 64, 20.0), p, "nehari", "both", 4.3, id=f"3d-64-p{p:g}-nehari-both") for p in (1.5, 2.0)),
+    ],
 )
-def test_flow_holds_at_most_five_stacks(dim, p, kind, mode, traced_peak):
-    # the flow releases each array once it is done with it and forms its
-    # temporaries over arrays it owns. At its peak, in a trial's projection,
-    # it holds the state's, the gradient's and the trial's half spectra, the
-    # trial's field and two rows of its moduli or their powers; in the
-    # gradient, the state's half spectrum and field, the moduli, one root
-    # and the cross term. That is about 5.2 real (2, *shape) stacks, and 3.1
-    # for a one-row start
-    grid = Grid(*_BUDGET_GRIDS[dim])
+def test_flow_holds_at_most_five_stacks(grid_spec, p, kind, mode, budget, traced_peak):
+    # the flow releases each array once it is done with it, and every
+    # pointwise pass and every sum streams over blocks of the flattened
+    # grid axes: the gradient forms the moduli, the rates and the product
+    # in its own array, 2^14 columns at a time, and each integral sums one
+    # 2^13-entry leaf at a time. At its peak the flow holds the state's, the
+    # gradient's and the trial's half spectra and the trial's field, about
+    # 4.1 stacks (2.1 for a one-row start), plus one block's temporaries.
+    # Those weigh on small grids: on 128^2 a 2^14-column gradient block is
+    # the whole grid, and the peak stays at about 5.2 stacks
+    grid = Grid(*grid_spec)
     params = SystemParams(p=p, beta=3.0, omega1=1.0, omega2=1.0)
     constraint = ConstraintSpec.nehari() if kind == "nehari" else ConstraintSpec.weighted_sphere(3.0)
     init = gaussian_init(grid, params, mode=mode, seed=4)
-    # the grid's cached spectral weights are not the flow's own
-    grid.half_k2, grid.half_weights
+    # the grid's cached |k|^2 on the half spectrum is not the flow's own
+    grid.half_k2
     stack = np.zeros((2,) + grid.shape).nbytes
-    budget = 5.25 if mode == "both" else 3.2
     assert traced_peak(lambda: minimize_on(constraint, params, grid, init=init)) <= budget * stack
+
+
+# grids whose rows fill one leaf of the block walker and several: the
+# complex rows of the 16384-point line (2 x 8193 half-spectrum columns)
+# cross a leaf in mid-row, and 128^2 and 32^3 split into several leaves
+# and, in 3d, several gradient blocks
+_STREAM_GRIDS = (
+    Grid(1, 256, 16.0),
+    Grid(1, 16384, 40.0),
+    Grid(2, 32, 10.0),
+    Grid(2, 128, 16.0),
+    Grid(3, 16, 8.0),
+    Grid(3, 32, 10.0),
+)
+_STREAM_CONSTRAINTS = {
+    "nehari": ConstraintSpec.nehari(),
+    "nehari_set": ConstraintSpec.nehari_set(),
+    "pohozaev": ConstraintSpec.pohozaev(),
+    "weighted": ConstraintSpec.weighted_sphere(3.0),
+    "product": ConstraintSpec.product_spheres(1.5, 2.0),
+    "pinned": ConstraintSpec.product_spheres(1.5, 0.0),
+}
+
+
+def _whole_residual(constraint, grid, Uh, G, lam, norms, held):
+    # the residual with every array whole: R and its products in full
+    weights = np.full(grid.points_per_axis // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    w = grid.cell_volume / grid.total_points
+
+    def dot(a, b):
+        s = a.real * b.real
+        s += a.imag * b.imag
+        s *= weights
+        return float(np.sum(s) * w)
+
+    R = (grid.half_k2 + lam) * Uh
+    R -= G
+    rows = tuple(enumerate(range(2)[held]))
+    r_sq = sum(dot(R[i], R[i]) for i, _ in rows)
+    for a, _ in minimize._spheres(constraint, norms.params):
+        inner = sum(a[j] * dot(R[i], Uh[i]) for i, j in rows if a[j])
+        r_sq -= inner**2 / sum(aj**2 * mj for aj, mj in zip(a, (norms.m1, norms.m2)) if aj)
+    return math.sqrt(max(r_sq, 0.0) / norms.h1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    grid=st.sampled_from(_STREAM_GRIDS),
+    r=st.sampled_from([1, 2]),
+    q=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    beta=st.sampled_from([0.0, 0.7, 3.0]),
+    kind=st.sampled_from(sorted(_STREAM_CONSTRAINTS)),
+    dt=st.floats(1e-3, 16.0),
+    seed=st.integers(0, 10_000),
+)
+def test_streamed_flow_kernels_equal_their_whole_array_forms(grid, r, q, p, beta, kind, dt, seed):
+    # each pass of the flow streams over blocks of the flattened grid axes;
+    # written with every array whole, as numpy would sum them, it gives the
+    # same bits: the gradient's spectrum, the Parseval and density sums of
+    # the projection, the residual and the semi-implicit step
+    # a one-row state is a scalar one, which the pinned spheres hold and
+    # the two-component sets do not
+    assume(kind not in (("product", "nehari_set") if r == 1 else ("pinned",)))
+    params = SystemParams(p=p, beta=beta, omega1=1.0, omega2=1.3)
+    constraint = _STREAM_CONSTRAINTS[kind]
+    held = slice(0, r)
+    C = smooth_pair(grid, seed).components[held]
+    U = C.real[:, None] if q == 1 else np.stack((C.real, C.imag), axis=1)
+    Uh = _rfft(grid, U)
+
+    m = np.square(U[:, 0])
+    if q == 2:
+        m += U[:, 1] ** 2
+    whole_G = _rfft(grid, _rates(m, params, grid.dim)[:, None] * U)
+    G = minimize._gradient_spectra(grid, params, U)
+    assert G.tobytes() == whole_G.tobytes()
+
+    weights = np.full(grid.points_per_axis // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    s = np.square(Uh.real) + np.square(Uh.imag)
+    s *= weights
+    w = grid.cell_volume / grid.total_points
+    masses = (s.reshape(r, -1).sum(axis=1) * w).tolist()
+    grads = ((s * grid.half_k2).reshape(r, -1).sum(axis=1) * w).tolist()
+    assert _parseval_sums(grid, Uh, half=True) == (grads, masses)
+
+    # the flows' real rows and a complex stack, as coupling_F reads it
+    for stack, moduli in ((U, m), (C, np.square(C.real) + np.square(C.imag))):
+        whole = [float(_power(mj, p).sum() * grid.cell_volume) for mj in moduli]
+        if r == 2:
+            whole.append(float(_power(moduli[0] * moduli[1], 0.5 * p).sum() * grid.cell_volume))
+        else:
+            whole += [0.0, 0.0]
+        assert list(_density_sums(grid, stack, held, p)) == whole
+
+    norms = _Norms.of(params, grid, held, U, (grads, masses))
+    lam = minimize._effective_frequencies(constraint, norms)[held]
+    with np.errstate(all="ignore"):
+        got = minimize._residual(constraint, grid, Uh, G, lam, norms, held)
+        whole = _whole_residual(constraint, grid, Uh, G, lam, norms, held)
+        assert np.float64(got).tobytes() == np.float64(whole).tobytes()
+        Vh = dt * G
+        Vh += Uh
+        whole_Vh = Vh / (1.0 + dt * (grid.half_k2 + lam))
+        minimize._divide_step(grid, Vh, dt, lam)
+    assert Vh.tobytes() == whole_Vh.tobytes()
 
 
 def test_flow_telemetry(grid_1d):

@@ -345,6 +345,19 @@ def test_identity_audit_passes_in_2d():
     assert max(r.rel_err for r in report.rows) < 1e-7
 
 
+@pytest.mark.parametrize("omega2", [1.0, 1.3])
+def test_identity_audit_runs_the_zero_virial_flow_when_supercritical(omega2):
+    # p = 4 is mass-supercritical in 1d, so the audit runs the Pohozaev
+    # flow, whose level must match the Nehari level (relative 3e-16 and
+    # 2e-16 on this grid); unequal frequencies leave out the pair row
+    params = SystemParams(p=4.0, beta=0.5, omega1=1.0, omega2=omega2)
+    report = identity_audit(params, Grid(1, 1024, 24.0))
+    rows = {r.name: r for r in report.rows}
+    assert report.ok
+    assert rows["zero_virial_level_matches"].rel_err < 1e-12
+    assert ("pair_level_twice_scalar" in rows) == (omega2 == 1.0)
+
+
 def test_audit_report_aggregation_and_csv():
     good = AuditRow(name="a", lhs=1.0, rhs=1.0, rel_err=0.0, ok=True)
     bad = AuditRow(name="b", lhs=1.0, rhs=2.0, rel_err=0.5, ok=False)
