@@ -51,8 +51,10 @@ _MAX_POINTS = 2**24
 
 # the entries of one leaf of a streamed sum and of one block of a streamed
 # pointwise pass over the flattened grid axes (64 and 128 KB of doubles):
-# small enough that a block's temporaries are a fraction of a field on a
-# 32^3 grid and up, large enough that a block costs a few numpy calls
+# small enough that a block's temporaries are a fraction of a field from
+# 32^3 points up, large enough that a block's few numpy calls cost little
+# beside its arithmetic. Any leaf of at least 128 entries, below which
+# numpy's pairwise sum stops splitting, keeps every sum's bits
 _LEAF = 2**13
 _COLUMNS = 2**14
 

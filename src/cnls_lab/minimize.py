@@ -433,7 +433,7 @@ def _gradient_spectra(grid, params, U):
     for block in _blocks(u.shape[-1], _COLUMNS):
         m = _moduli(u[..., block], out=g[:, 0, block])
         rates = _rates(m, params, 1, out=m)
-        # the real rows go last, over the rates they read
+        # row 0 holds the rates, so it takes its product last
         for j in reversed(range(q)):
             np.multiply(rates, u[:, j, block], out=g[:, j, block])
     return _rfft(grid, out)
